@@ -354,8 +354,13 @@ def adc_metrics(model: AdcModel, sndr_measured: float | None = None) -> dict:
     return out
 
 
-def _shifted_outer_products(waveform: np.ndarray):
-    """Stack of s_k s_k^H for k = -(M-1)..(M-1), s_k the k-shifted waveform."""
+# Covariance rows filled per GEMM: the outer-product scratch is then
+# (2M-1)*8*M complex values (16 MB at M = 250) instead of (2M-1)*M*M.
+_COV_BLOCK_ROWS = 8
+
+
+def _shift_matrix(waveform: np.ndarray) -> np.ndarray:
+    """Rows s_k for k = -(M-1)..(M-1), s_k the k-shifted, zero-filled waveform."""
     m = waveform.size
     shifts = np.zeros((2 * m - 1, m), dtype=complex)
     for idx, k in enumerate(range(-(m - 1), m)):
@@ -363,8 +368,34 @@ def _shifted_outer_products(waveform: np.ndarray):
             shifts[idx, k:] = waveform[: m - k]
         else:
             shifts[idx, : m + k] = waveform[-k:]
-    outers = shifts[:, :, None] * np.conj(shifts[:, None, :])
-    return shifts, outers
+    return shifts
+
+
+def _structured_covariance(rho_windows, shifts, out):
+    """Fill ``out[l] = sum_k rho_windows[l, k] * s_k s_k^H`` one row block at a time.
+
+    Every block GEMM spans all 2M-1 shifts, so each entry is summed in the
+    same order as one GEMM against the whole (2M-1, M*M) outer-product
+    tensor, which is never built.  Products that are zero because s_k is
+    zero at the row are stored as zeros instead of being multiplied out,
+    which leaves every nonzero sum unchanged.
+    """
+    n_shifts, m = shifts.shape
+    out_flat = out.reshape(out.shape[0], m * m)
+    shifts_conj = np.conj(shifts)[:, None, :]
+    rows = _COV_BLOCK_ROWS
+    block = np.zeros((n_shifts, rows, m), dtype=complex)
+    for i0 in range(0, m, rows):
+        i1 = min(i0 + rows, m)
+        if i1 - i0 < rows:
+            block = np.zeros((n_shifts, i1 - i0, m), dtype=complex)
+        # s_k (by index k) is nonzero at row i only for k = i..i+M-1:
+        # multiply those shifts, and clear the ones the previous block
+        # reached but this one does not
+        block[max(i0 - rows, 0) : i0] = 0
+        live = slice(i0, i1 + m - 1)
+        np.multiply(shifts[live, i0:i1, None], shifts_conj[live], out=block[live])
+        np.matmul(rho_windows, block.reshape(n_shifts, -1), out=out_flat[:, i0 * m : i1 * m])
 
 
 def _wiener_weights(rho_window, waveform, noise_power):
@@ -378,8 +409,9 @@ def _wiener_weights(rho_window, waveform, noise_power):
     m = waveform.size
     if rho_window.size != 2 * m - 1:
         raise ValueError("rho window must have length 2*M - 1")
-    _, outers = _shifted_outer_products(waveform)
-    cov = np.tensordot(rho_window, outers, axes=1) + noise_power * np.eye(m)
+    cov = np.empty((1, m, m), dtype=complex)
+    _structured_covariance(rho_window[None, :], _shift_matrix(waveform), cov)
+    cov = cov[0] + noise_power * np.eye(m)
     try:
         w = np.linalg.solve(cov, waveform)
     except np.linalg.LinAlgError:
@@ -402,11 +434,18 @@ def rmmse_compress(
     the resulting MMSE weights.  The noise term defaults to 1e-6 of the
     current peak power; singular covariances fall back to diagonal
     loading at 1e-3 * trace/M.
+
+    Memory: one n_bins*M*M complex covariance stack, reused by every
+    iteration, plus one block of (2M-1)*8*M outer-product entries; the
+    (2M-1)*M*M tensor of all shifted outer products is never formed.
+    Raises ValueError on non-finite ``received`` or ``waveform``.
     """
     y = np.asarray(received, dtype=complex)
     s = np.asarray(waveform, dtype=complex)
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
+    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(s))):
+        raise ValueError("received and waveform must be finite")
     m = s.size
     if m >= y.size:
         raise ValueError("waveform must be shorter than the received sequence")
@@ -417,21 +456,21 @@ def rmmse_compress(
     if not np.any(x_hat):
         return np.zeros(n_bins, dtype=complex)
 
-    _, outers = _shifted_outer_products(s)
-    outers_flat = outers.reshape(2 * m - 1, m * m)
+    shifts = _shift_matrix(s)
+    cov = np.empty((n_bins, m, m), dtype=complex)
     eye = np.eye(m)
     for _ in range(iterations):
         rho = np.abs(x_hat) ** 2
         sigma2 = noise_floor if noise_floor is not None else 1e-6 * rho.max()
         rho_pad = np.concatenate([np.zeros(m - 1), rho, np.zeros(m - 1)])
         rho_windows = np.lib.stride_tricks.sliding_window_view(rho_pad, 2 * m - 1)
-        cov = (rho_windows @ outers_flat).reshape(n_bins, m, m)
+        _structured_covariance(rho_windows, shifts, cov)
         cov += sigma2 * eye
         try:
             w = np.linalg.solve(cov, np.broadcast_to(s, (n_bins, m))[..., None])
         except np.linalg.LinAlgError:
             load = 1e-3 * np.real(np.trace(cov, axis1=1, axis2=2)) / m
-            cov += load[:, None, None] * eye
+            cov.reshape(n_bins, m * m)[:, :: m + 1] += load[:, None]
             w = np.linalg.solve(cov, np.broadcast_to(s, (n_bins, m))[..., None])
         w = rho[:, None] * w[..., 0]
         x_hat = np.sum(np.conj(w) * windows, axis=1)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -405,3 +407,71 @@ def test_rmmse_validates_arguments():
         rmmse_compress(np.ones(4, dtype=complex), s)
     with pytest.raises(ValueError):
         rmmse_compress(np.ones(40, dtype=complex), s, iterations=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_rmmse_rejects_non_finite_input(bad):
+    s = sample_lfm(LfmChirp(0.0, 5e6, 4e-6), 10e6)
+    y = np.ones(120, dtype=complex)
+    y[70] = bad
+    with pytest.raises(ValueError, match="finite"):
+        rmmse_compress(y, s)
+    s_bad = s.copy()
+    s_bad[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        rmmse_compress(np.ones(120, dtype=complex), s_bad)
+
+
+def _rmmse_dense_oracle(y, s, iterations):
+    """RMMSE with each bin's covariance taken from the full (2M-1, M, M)
+    stack of shifted outer products s_k s_k^H."""
+    m = s.size
+    n_bins = y.size - m + 1
+    src = np.arange(m)[None, :] - np.arange(-(m - 1), m)[:, None]
+    shifts = np.where((src >= 0) & (src < m), s[np.clip(src, 0, m - 1)], 0.0)
+    outers = (shifts[:, :, None] * np.conj(shifts[:, None, :])).reshape(2 * m - 1, m * m)
+    windows = np.lib.stride_tricks.sliding_window_view(y, m)
+    x_hat = (windows @ np.conj(s)) / np.sum(np.abs(s) ** 2)
+    for _ in range(iterations):
+        rho = np.abs(x_hat) ** 2
+        rho_pad = np.concatenate([np.zeros(m - 1), rho, np.zeros(m - 1)])
+        rho_windows = np.lib.stride_tricks.sliding_window_view(rho_pad, 2 * m - 1)
+        cov = (rho_windows @ outers).reshape(n_bins, m, m) + 1e-6 * rho.max() * np.eye(m)
+        w = np.linalg.solve(cov, np.broadcast_to(s, (n_bins, m))[..., None])[..., 0]
+        x_hat = np.sum(np.conj(rho[:, None] * w) * windows, axis=1)
+    return x_hat
+
+
+@pytest.mark.parametrize("scene", ["dense", "two-point"])
+def test_rmmse_matches_dense_outer_product_oracle(scene):
+    rng = np.random.default_rng(21)
+    s = sample_lfm(LfmChirp(0.0, 5e6, 4e-6), 10e6)  # 40 samples
+    if scene == "dense":
+        x = (rng.standard_normal(160) + 1j * rng.standard_normal(160)) / np.sqrt(2)
+        noise = 1e-2
+    else:
+        x = np.zeros(160, dtype=complex)
+        x[60] = 1.0
+        x[90] = 10 ** (-40 / 20.0)
+        noise = 10 ** (-80 / 20.0)
+    y = np.convolve(x, s)
+    y = y + noise * (rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size)) / np.sqrt(2)
+    out = rmmse_compress(y, s, iterations=3)
+    assert_allclose(out, _rmmse_dense_oracle(y, s, iterations=3), rtol=1e-12, atol=0.0)
+
+
+def test_rmmse_peak_memory_excludes_outer_product_tensor():
+    rng = np.random.default_rng(8)
+    s = sample_lfm(LfmChirp(0.0, 5e6, 10e-6), 10e6)
+    m, n_bins = s.size, 100
+    assert m == 100
+    y = np.convolve(rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins), s)
+    tracemalloc.start()
+    try:
+        rmmse_compress(y, s, iterations=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the covariance stack plus a quarter of the (2M-1)*M*M outer-product tensor
+    budget = n_bins * m * m * 16 + (2 * m - 1) * m * m * 16 // 4
+    assert peak < budget
