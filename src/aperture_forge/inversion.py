@@ -20,12 +20,15 @@ class PhaselessProblem:
 
     Exactly one of ``vectors`` (rows are the conjugated sampling vectors,
     so A @ x evaluates all inner products) or ``masks`` (L unimodular
-    diagonals, each followed by a unitary DFT) must be given.
+    diagonals, each followed by a unitary DFT) must be given.  The
+    adjoint of ``vectors`` is kept once, not formed on every call.
     """
 
     n: int
     vectors: np.ndarray = None
     masks: np.ndarray = None
+    _vectors_h: np.ndarray = field(default=None, init=False, repr=False,
+                                   compare=False)
 
     def __post_init__(self):
         if (self.vectors is None) == (self.masks is None):
@@ -35,6 +38,7 @@ class PhaselessProblem:
             if v.ndim != 2 or v.shape[1] != self.n:
                 raise ValueError("vectors must be (m, n)")
             object.__setattr__(self, "vectors", v)
+            object.__setattr__(self, "_vectors_h", v.conj().T)
         else:
             d = np.asarray(self.masks, dtype=complex)
             if d.ndim != 2 or d.shape[1] != self.n:
@@ -69,7 +73,7 @@ def _forward(problem, x):
 
 def _adjoint(problem, w):
     if problem.vectors is not None:
-        return problem.vectors.conj().T @ w
+        return problem._vectors_h @ w
     blocks = np.fft.ifft(w.reshape(problem.masks.shape), axis=1, norm="ortho")
     return np.sum(np.conj(problem.masks) * blocks, axis=0)
 
@@ -96,10 +100,13 @@ def _sign(z):
 
 def pr_forward(x, problem, noise_sigma=0.0, seed=None) -> np.ndarray:
     """Phaseless measurements |A x|^2, optionally with additive noise
-    (clipped at zero to keep the vector physical)."""
+    (clipped at zero to keep the vector physical).  Raises ValueError on
+    a non-finite ``x``."""
     x = np.asarray(x, dtype=complex)
     if x.shape != (problem.n,):
         raise ValueError("x length does not match the problem dimension")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x must be finite")
     y = np.abs(_forward(problem, x)) ** 2
     if noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
@@ -146,10 +153,17 @@ class FlowResult:
     diverged: bool = False
 
 
-def af_objective(x, y, problem) -> float:
-    z = _forward(problem, x)
+def _amplitude_objective(z, root_y):
     with np.errstate(over="ignore"):  # inf is meaningful: divergence signal
-        return float(np.mean((np.sqrt(y) - np.abs(z)) ** 2))
+        return float(np.mean((root_y - np.abs(z)) ** 2))
+
+
+def _amplitude_gradient(z, root_y, problem):
+    return (2.0 / problem.m) * _adjoint(problem, z - root_y * _sign(z))
+
+
+def af_objective(x, y, problem) -> float:
+    return _amplitude_objective(_forward(problem, x), np.sqrt(y))
 
 
 def af_gradient(x, y, problem) -> np.ndarray:
@@ -157,24 +171,26 @@ def af_gradient(x, y, problem) -> np.ndarray:
     taken as 0 at z = 0.  Real and imaginary parts are the partials with
     respect to Re(x) and Im(x), which is what a finite-difference check
     sees."""
-    z = _forward(problem, x)
-    return (2.0 / problem.m) * _adjoint(problem, z - np.sqrt(y) * _sign(z))
+    return _amplitude_gradient(_forward(problem, x), np.sqrt(y), problem)
 
 
 def amplitude_flow(y, problem, init, steps=500, lr=None) -> FlowResult:
     """Fixed-step gradient descent on (1/m) sum (sqrt(y_i) - |<a_i,x>|)^2.
 
     The default step targets the local Hessian scale 2||A||^2 / m; a
-    non-finite objective aborts with the iterate history intact.
+    non-finite objective aborts with the iterate history intact.  Each
+    step's A x serves both its objective and the next gradient.
     """
-    y = np.asarray(y, dtype=float)
+    root_y = np.sqrt(np.asarray(y, dtype=float))
     x = np.asarray(init, dtype=complex).copy()
     if lr is None:
         lr = 0.1 / (2.0 * _op_norm_sq(problem) / problem.m)
-    history = [af_objective(x, y, problem)]
+    z = _forward(problem, x)
+    history = [_amplitude_objective(z, root_y)]
     for _ in range(steps):
-        x = x - lr * af_gradient(x, y, problem)
-        obj = af_objective(x, y, problem)
+        x = x - lr * _amplitude_gradient(z, root_y, problem)
+        z = _forward(problem, x)
+        obj = _amplitude_objective(z, root_y)
         history.append(obj)
         if not np.isfinite(obj):
             return FlowResult(x, np.asarray(history), diverged=True)
@@ -201,11 +217,12 @@ def error_reduction(y, problem, init, iters=200) -> ErrorReductionResult:
     else:
         n_masks = problem.masks.shape[0]
         project = lambda w: _adjoint(problem, w) / n_masks
-    residuals = [float(np.linalg.norm(root_y - np.abs(_forward(problem, x))))]
+    z = _forward(problem, x)
+    residuals = [float(np.linalg.norm(root_y - np.abs(z)))]
     for _ in range(iters):
-        z = _forward(problem, x)
         x = project(root_y * _sign(z))
-        residuals.append(float(np.linalg.norm(root_y - np.abs(_forward(problem, x)))))
+        z = _forward(problem, x)
+        residuals.append(float(np.linalg.norm(root_y - np.abs(z))))
     return ErrorReductionResult(x, np.asarray(residuals))
 
 

@@ -113,18 +113,41 @@ class BaselineSet:
         return True
 
 
+# complex entries per block of ramp tables; bounds the memory of a scattered set
+_RAMP_BLOCK = 1 << 20
+
+
 def visibility_samples(bmap: BrightnessMap, baselines: BaselineSet) -> np.ndarray:
-    """V(u,v) = integral of T_r exp(+j 2 pi (u l + v m)) over solid angle."""
+    """V(u,v) = integral of T_r exp(+j 2 pi (u l + v m)) over solid angle.
+
+    The phase separates by axis: when the set fills at least half of its
+    u-by-v lattice, one ramp exp(j 2 pi u l) per distinct u and one ramp
+    exp(j 2 pi v m) per distinct v give every lattice visibility as one
+    matrix product, from which the requested entries are gathered.  A
+    scattered set keeps one ramp per baseline against the flat v = 0 ramp,
+    so it never pays for a lattice much larger than itself.  The
+    quadrature is walked in blocks of at most _RAMP_BLOCK table entries.
+    """
     l, m, w, t = bmap._quadrature()
     tw = t * w
     uv = baselines.uv
-    out = np.empty(len(uv), dtype=complex)
-    # chunk the baselines so the phase table stays modest
-    for lo in range(0, len(uv), 64):
-        chunk = uv[lo:lo + 64]
-        phase = np.exp(2j * np.pi * (np.outer(chunk[:, 0], l) + np.outer(chunk[:, 1], m)))
-        out[lo:lo + 64] = phase @ tw
-    return out
+    u_ax, iu = np.unique(uv[:, 0], return_inverse=True)
+    v_ax, iv = np.unique(uv[:, 1], return_inverse=True)
+    if len(u_ax) * len(v_ax) <= 2 * len(uv):
+        keys_a = np.column_stack([u_ax, np.zeros_like(u_ax)])
+        keys_b = np.column_stack([np.zeros_like(v_ax), v_ax])
+    else:
+        keys_a, iu = uv, np.arange(len(uv))
+        keys_b, iv = np.zeros((1, 2)), np.zeros(len(uv), dtype=int)
+    lm = np.stack([l, m])
+    acc = np.zeros((len(keys_a), len(keys_b)), dtype=complex)
+    step = max(_RAMP_BLOCK // (len(keys_a) + len(keys_b)), 1)
+    for q0 in range(0, lm.shape[1], step):
+        block = lm[:, q0:q0 + step]
+        ramp_a = np.exp(2j * np.pi * (keys_a @ block))
+        ramp_b = np.exp(2j * np.pi * (keys_b @ block)) * tw[q0:q0 + step]
+        acc += ramp_a @ ramp_b.T
+    return acc[iu, iv]
 
 
 @dataclass(frozen=True)

@@ -24,8 +24,12 @@ class CaponProblem:
 
     z: (M, N) complex matrix, aperture positions down the rows and
         frequency bins across the columns.
-    steering: callable (x, y, block_shape) -> complex vector of length
-        block_shape[0] * block_shape[1], unit norm.
+    steering: separable steering model (see LinearPhaseSteering).
+        steering.ramps(x_grid, y_grid, (P, L)) returns the per-axis ramps
+        A_x (P, n_x) and A_y (L, n_y) with unit-norm columns; pixel
+        (x_i, y_j) steers with kron(A_x[:, i], A_y[:, j]).
+        steering(x, y, (P, L)) returns that single unit-norm vector of
+        length P * L.
     loading: diagonal loading alpha >= 0.
     block_shape: covariance sub-block (P, L); default (M//4, N//4).
     """
@@ -66,35 +70,55 @@ class CaponProblem:
         return acc / count
 
 
-def linear_phase_steering(f_c, d_u, d_f, r_ref):
-    """Steering factory for a small scene at standoff r_ref.
+@dataclass(frozen=True)
+class LinearPhaseSteering:
+    """Separable steering for a small scene at standoff r_ref.
 
     Cross-range x turns into a phase ramp across aperture steps d_u
     (two-way, small-angle), downrange y into a ramp across frequency
     steps d_f.  Valid while |x| << r_ref.
     """
-    if f_c <= 0 or d_u <= 0 or d_f <= 0 or r_ref <= 0:
-        raise ValueError("steering parameters must be positive")
 
-    def v(x, y, block_shape):
+    f_c: float
+    d_u: float
+    d_f: float
+    r_ref: float
+
+    def __post_init__(self):
+        if self.f_c <= 0 or self.d_u <= 0 or self.d_f <= 0 or self.r_ref <= 0:
+            raise ValueError("steering parameters must be positive")
+
+    def ramps(self, x_grid, y_grid, block_shape):
+        """Unit-norm ramps A_x (P, n_x) over aperture steps and A_y (L, n_y)
+        over frequency steps, one column per grid coordinate."""
         p, l = block_shape
-        wx = 4.0 * np.pi * f_c * d_u * x / (C_LIGHT * r_ref)
-        wy = -4.0 * np.pi * d_f * y / C_LIGHT
-        vec = np.exp(
-            1j * (wx * np.arange(p)[:, None] + wy * np.arange(l)[None, :])
-        ).ravel()
-        return vec / np.sqrt(vec.size)
+        x = np.asarray(x_grid, dtype=float)
+        y = np.asarray(y_grid, dtype=float)
+        wx = 4.0 * np.pi * self.f_c * self.d_u * x / (C_LIGHT * self.r_ref)
+        wy = -4.0 * np.pi * self.d_f * y / C_LIGHT
+        a_x = np.exp(1j * np.outer(np.arange(p), wx)) / np.sqrt(p)
+        a_y = np.exp(1j * np.outer(np.arange(l), wy)) / np.sqrt(l)
+        return a_x, a_y
 
-    return v
+    def __call__(self, x, y, block_shape):
+        a_x, a_y = self.ramps([x], [y], block_shape)
+        return np.kron(a_x[:, 0], a_y[:, 0])
+
+
+def linear_phase_steering(f_c, d_u, d_f, r_ref) -> LinearPhaseSteering:
+    """Steering model for a small scene at standoff r_ref."""
+    return LinearPhaseSteering(f_c, d_u, d_f, r_ref)
 
 
 def _steering_matrix(problem, x_grid, y_grid):
-    p, l = problem.block_shape
-    cols = []
-    for x in np.asarray(x_grid, dtype=float):
-        for y in np.asarray(y_grid, dtype=float):
-            cols.append(problem.steering(x, y, (p, l)))
-    return np.stack(cols, axis=1)
+    """Steering vectors as columns, pixel (x_i, y_j) at column i*n_y + j."""
+    a_x, a_y = problem.steering.ramps(x_grid, y_grid, problem.block_shape)
+    return np.kron(a_x, a_y)
+
+
+def _scan(v, r):
+    """v_p^H R v_p for every column p of v."""
+    return np.sum(np.conj(v) * (r @ v), axis=0).real
 
 
 def capon_image(problem: CaponProblem, x_grid, y_grid) -> np.ndarray:
@@ -113,29 +137,22 @@ def capon_image(problem: CaponProblem, x_grid, y_grid) -> np.ndarray:
                 "sample covariance is rank deficient; set loading > 0"
             )
     r_inv = np.linalg.inv(r_hat + problem.loading * np.eye(dim))
-    v = _steering_matrix(problem, x_grid, y_grid)
-    denom = np.einsum("ip,ij,jp->p", np.conj(v), r_inv, v).real
-    image = 1.0 / denom
+    image = 1.0 / _scan(_steering_matrix(problem, x_grid, y_grid), r_inv)
     return image.reshape(len(x_grid), len(y_grid))
 
 
 def conventional_image(problem: CaponProblem, x_grid, y_grid) -> np.ndarray:
     """Conventional beamformer scan v^H R v on the same covariance."""
     r_hat = problem.sample_covariance()
-    v = _steering_matrix(problem, x_grid, y_grid)
-    power = np.einsum("ip,ij,jp->p", np.conj(v), r_hat, v).real
+    power = _scan(_steering_matrix(problem, x_grid, y_grid), r_hat)
     return power.reshape(len(x_grid), len(y_grid))
 
 
 def matched_image(problem: CaponProblem, x_grid, y_grid) -> np.ndarray:
-    """Full-aperture matched scan |sum Z .* conj(V)|^2 (no smoothing)."""
-    m, n = problem.z.shape
-    out = np.empty((len(x_grid), len(y_grid)))
-    for i, x in enumerate(np.asarray(x_grid, dtype=float)):
-        for j, y in enumerate(np.asarray(y_grid, dtype=float)):
-            v_full = problem.steering(x, y, (m, n)).reshape(m, n)
-            out[i, j] = np.abs(np.sum(problem.z * np.conj(v_full))) ** 2
-    return out
+    """Full-aperture matched scan |sum Z .* conj(V)|^2 (no smoothing),
+    which separates into |A_x^H Z conj(A_y)|^2."""
+    a_x, a_y = problem.steering.ramps(x_grid, y_grid, problem.z.shape)
+    return np.abs(a_x.conj().T @ problem.z @ a_y.conj()) ** 2
 
 
 def synthesize_capon_data(sources, m, n, f_c, d_u, d_f, r_ref,

@@ -214,12 +214,15 @@ def sas_sparse(d_stack, model: SensingModel, mu, solver="ista",
     faster but not monotonically, so on a miss the best iterate seen is
     returned with converged=False.  The step defaults to 1/L with L the
     power-iteration bound; a caller-supplied step must not exceed it.
+    Raises ValueError on a non-finite ``d_stack``.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
     if solver not in ("ista", "fista"):
         raise ValueError("solver must be 'ista' or 'fista'")
     d = np.asarray(d_stack, dtype=complex)
+    if not np.all(np.isfinite(d)):
+        raise ValueError("d_stack must be finite")
     lam = model.operator_bound()
     if step is None:
         step = 1.0 / lam

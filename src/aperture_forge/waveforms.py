@@ -61,11 +61,14 @@ def matched_filter(received: np.ndarray, reference: np.ndarray) -> np.ndarray:
 
     Equivalent to convolving with the conjugated time-reversed reference.
     Zero relative delay lands at output index ``len(reference) - 1``.
+    Raises ValueError on empty or non-finite inputs.
     """
     received = np.asarray(received)
     reference = np.asarray(reference)
     if received.size == 0 or reference.size == 0:
         raise ValueError("matched_filter inputs must be nonempty")
+    if not (np.all(np.isfinite(received)) and np.all(np.isfinite(reference))):
+        raise ValueError("matched_filter inputs must be finite")
     return _sig.fftconvolve(received, np.conj(reference[::-1]), mode="full")
 
 
@@ -433,7 +436,9 @@ def rmmse_compress(
     power estimates of the 2M-1 bins whose returns overlap it and applies
     the resulting MMSE weights.  The noise term defaults to 1e-6 of the
     current peak power; singular covariances fall back to diagonal
-    loading at 1e-3 * trace/M.
+    loading at 1e-3 * trace/M.  A noise term that is not positive (a
+    ``noise_floor`` <= 0, or a peak power that underflows to zero) would
+    leave empty bins singular, so it raises ValueError.
 
     Memory: one n_bins*M*M complex covariance stack, reused by every
     iteration, plus one block of (2M-1)*8*M outer-product entries; the
@@ -444,6 +449,8 @@ def rmmse_compress(
     s = np.asarray(waveform, dtype=complex)
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
+    if noise_floor is not None and not noise_floor > 0:
+        raise ValueError("noise_floor must be positive")
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(s))):
         raise ValueError("received and waveform must be finite")
     m = s.size
@@ -462,6 +469,8 @@ def rmmse_compress(
     for _ in range(iterations):
         rho = np.abs(x_hat) ** 2
         sigma2 = noise_floor if noise_floor is not None else 1e-6 * rho.max()
+        if not sigma2 > 0:
+            raise ValueError("peak power underflows to zero; pass a positive noise_floor")
         rho_pad = np.concatenate([np.zeros(m - 1), rho, np.zeros(m - 1)])
         rho_windows = np.lib.stride_tricks.sliding_window_view(rho_pad, 2 * m - 1)
         _structured_covariance(rho_windows, shifts, cov)

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from aperture_forge.inversion import (
     FpSystem,
     PhaselessProblem,
+    _adjoint,
+    _forward,
     af_gradient,
     af_objective,
     amplitude_flow,
@@ -36,6 +38,30 @@ def test_problem_needs_exactly_one_structure():
         PhaselessProblem(n=4)
     with pytest.raises(ValueError):
         PhaselessProblem(n=4, vectors=np.eye(4), masks=np.ones((2, 4)))
+
+
+@settings(deadline=None, max_examples=40)
+@given(coded=st.booleans(), m=st.integers(1, 40), n=st.integers(1, 24),
+       n_masks=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+def test_forward_adjoint_dot_product(coded, m, n, n_masks, seed):
+    # <A x, w> = <x, A^H w> for both sampling structures
+    prob = coded_problem(n, n_masks, seed) if coded else gaussian_problem(m, n, seed)
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    w = rng.standard_normal(prob.m) + 1j * rng.standard_normal(prob.m)
+    ax = _forward(prob, x)
+    lhs = np.vdot(w, ax)
+    rhs = np.vdot(_adjoint(prob, w), x)
+    assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(ax) * np.linalg.norm(w)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_forward_rejects_non_finite_signal(bad):
+    prob = gaussian_problem(32, 8, seed=1)
+    x = np.ones(8, dtype=complex)
+    x[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        pr_forward(x, prob)
 
 
 def test_zero_signal_zero_measurements():

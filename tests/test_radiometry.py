@@ -1,10 +1,12 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aperture_forge import radiometry
 from aperture_forge.radiometry import (
     BaselineSet,
     BrightnessMap,
@@ -118,6 +120,49 @@ def test_visibility_linear_in_brightness(c):
     v_a = visibility_samples(BrightnessMap(a), bl)
     v_b = visibility_samples(BrightnessMap(b), bl)
     assert np.allclose(v_sum, v_a + c * v_b, rtol=1e-12, atol=1e-12)
+
+
+def _lattice_with_gaps():
+    uv = BaselineSet.from_lattice(9, 7, 0.45).uv
+    keep = np.ones(len(uv), dtype=bool)
+    keep[[0, 5, 12, 40, 62]] = False  # the zero baseline (row 31) stays
+    return BaselineSet(uv[keep])
+
+
+def _scattered_set():
+    rng = np.random.default_rng(12)
+    return BaselineSet(np.vstack([[0.0, 0.0], rng.uniform(-3.0, 3.0, (40, 2))]))
+
+
+@pytest.mark.parametrize("block", [None, 1000])
+@pytest.mark.parametrize("make_set", [
+    lambda: BaselineSet.from_lattice(9, 7, 0.45), _lattice_with_gaps, _scattered_set,
+], ids=["lattice", "lattice-with-gaps", "scattered"])
+def test_visibilities_match_direct_quadrature(make_set, block, monkeypatch):
+    if block is not None:  # walk the quadrature in several ragged blocks
+        monkeypatch.setattr(radiometry, "_RAMP_BLOCK", block)
+    rng = np.random.default_rng(6)
+    bmap = BrightnessMap(rng.random((40, 80)))
+    bl = make_set()
+    l, m, w, t = bmap._quadrature()
+    phase = np.exp(2j * np.pi * (np.outer(bl.uv[:, 0], l) + np.outer(bl.uv[:, 1], m)))
+    direct = phase @ (t * w)
+    got = visibility_samples(bmap, bl)
+    assert np.max(np.abs(got - direct)) <= 1e-12 * np.sum(np.abs(t * w))
+
+
+def test_visibility_peak_memory_at_scenario_defaults():
+    # 120 x 240 map and 17 x 17 lattice as in radiometry-roundtrip; a
+    # table of one ramp per baseline would take 289 * 28800 * 16 B = 133 MB
+    bmap = gaussian_blob_map()
+    bl = BaselineSet.from_lattice(17, 17, 0.45)
+    tracemalloc.start()
+    try:
+        visibility_samples(bmap, bl)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 # -------------------------------------------------------------- inversion

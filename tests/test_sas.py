@@ -345,6 +345,14 @@ def test_sparse_input_validation():
         sas_sparse(np.ones((16, 16, 8)), m, mu=1.0, step=2.0 / lam)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_sparse_rejects_non_finite_data(bad):
+    d = np.ones((16, 16, 8), dtype=complex)
+    d[3, 4, 5] = bad
+    with pytest.raises(ValueError, match="finite"):
+        sas_sparse(d, default_model(), mu=1.0)
+
+
 def test_mu_grid_spans_down_from_shutoff():
     d = simulate_measurements(GEOM, one_point_scene(8), GRID)
     m = default_model()

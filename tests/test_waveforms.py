@@ -107,6 +107,18 @@ def test_matched_filter_phase_invariance():
     )
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_matched_filter_rejects_non_finite(bad):
+    s = np.ones(16, dtype=complex)
+    y = np.ones(64, dtype=complex)
+    y[10] = bad
+    with pytest.raises(ValueError, match="finite"):
+        matched_filter(y, s)
+    s[2] = bad
+    with pytest.raises(ValueError, match="finite"):
+        matched_filter(np.ones(64, dtype=complex), s)
+
+
 def test_matched_filter_rejects_empty():
     with pytest.raises(ValueError):
         matched_filter(np.array([]), np.array([1.0]))
@@ -360,6 +372,29 @@ def test_wiener_weights_white_case_is_matched_filter():
     # rank-one-plus-identity covariance keeps the solve parallel to s
     cos = abs(np.vdot(w, s)) / (np.linalg.norm(w) * np.linalg.norm(s))
     assert cos == pytest.approx(1.0, abs=1e-10)
+
+
+def _noiseless_one_target():
+    s = sample_lfm(LfmChirp(0.0, 5e6, 4e-6), 10e6)  # 40 samples
+    x = np.zeros(160, dtype=complex)
+    x[60] = 1.0
+    return np.convolve(x, s), s
+
+
+@pytest.mark.parametrize("floor", [0.0, -1e-6, np.nan])
+def test_rmmse_rejects_non_positive_noise_floor(floor):
+    # empty bins would get an all-zero, singular covariance
+    y, s = _noiseless_one_target()
+    with pytest.raises(ValueError, match="noise_floor"):
+        rmmse_compress(y, s, noise_floor=floor)
+
+
+def test_rmmse_rejects_underflowing_default_floor():
+    # |x|^2 of a 1e-170 return underflows to 0, so 1e-6 * peak power is 0
+    y, s = _noiseless_one_target()
+    with pytest.raises(ValueError, match="noise_floor"):
+        rmmse_compress(1e-170 * y, s)
+    assert np.all(np.isfinite(rmmse_compress(1e-170 * y, s, noise_floor=1e-300)))
 
 
 def test_rmmse_zero_input():
