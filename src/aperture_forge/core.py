@@ -1,5 +1,6 @@
 """Shared numerical substrate: uniform complex grids, physical constants,
-direction-cosine coordinate handling, and propagating-wave field evaluation.
+direction-cosine coordinate handling, propagating-wave field evaluation,
+seeded complex noise and power iteration.
 
 Sign conventions used throughout the package
 --------------------------------------------
@@ -17,24 +18,10 @@ from dataclasses import dataclass
 import numpy as np
 
 C_LIGHT = 299792458.0
-C_SOUND_DEFAULT = 1500.0
 K_BOLTZMANN = 1.380649e-23
 
 # guards tan(AZ) at the visible-space horizon
 _HORIZON_EPS = 1e-12
-
-
-@dataclass(frozen=True)
-class Constants:
-    """Physical constants bundle; immutable once built."""
-
-    c_light: float = C_LIGHT
-    c_sound: float = C_SOUND_DEFAULT
-    k_boltzmann: float = K_BOLTZMANN
-
-    def __post_init__(self):
-        if self.c_sound <= 0:
-            raise ValueError("c_sound must be positive")
 
 
 @dataclass(frozen=True)
@@ -152,22 +139,6 @@ class Direction:
         return f"Direction(theta={self.theta:.6f}, phi={self.phi:.6f})"
 
 
-def convert_direction(direction: Direction, target: str) -> Direction:
-    """Round-trip a direction through the named coordinate representation.
-
-    ``target`` is one of ``"spherical"``, ``"sine_space"``, ``"az_el"``.
-    The result describes the same physical direction; passing through a
-    representation exercises the conversion identities, which is the point.
-    """
-    if target == "spherical":
-        return Direction(direction.theta, direction.phi)
-    if target == "sine_space":
-        return Direction.from_sine_space(direction.u, direction.v)
-    if target == "az_el":
-        return Direction.from_az_el(direction.az, direction.el)
-    raise ValueError(f"unknown coordinate system: {target!r}")
-
-
 @dataclass(frozen=True)
 class FieldPoint:
     """Cartesian observation or source point, meters."""
@@ -179,13 +150,6 @@ class FieldPoint:
     def __post_init__(self):
         if not all(np.isfinite(c) for c in (self.x, self.y, self.z)):
             raise ValueError("coordinates must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.z])
-
-
-def distance(a: FieldPoint, b: FieldPoint) -> float:
-    return float(np.linalg.norm(a.as_array() - b.as_array()))
 
 
 @dataclass(frozen=True)
@@ -219,10 +183,6 @@ class WaveParams:
         return self.speed / self.frequency
 
     @property
-    def omega(self) -> float:
-        return 2.0 * np.pi * self.frequency
-
-    @property
     def k(self) -> np.ndarray:
         return np.array([self.kx, self.ky, self.kz])
 
@@ -236,27 +196,46 @@ def plane_wave_field(point: FieldPoint, t, wave: WaveParams, mod_phase=0.0):
     return np.exp(1j * (2.0 * np.pi * (wave.frequency * t - k_dot_x) + mod_phase))
 
 
-def spherical_wave_field(
-    point: FieldPoint, source: FieldPoint, t, wave: WaveParams, mod_phase=0.0
-):
-    """Spherical wavefront phase referenced to the source location.
-
-    Returns exp(-j*(2*pi/lambda)*d) * exp(j*(2*pi*f*t + mod_phase)) where d
-    is the straight-line source-to-point distance.  Coincident point and
-    source leave the phase reference undefined and are rejected.
-    """
-    d = distance(point, source)
-    if d == 0.0:
-        raise ValueError("point coincides with source: phase undefined")
-    spatial = np.exp(-1j * 2.0 * np.pi * d / wave.wavelength)
-    return spatial * np.exp(1j * (2.0 * np.pi * wave.frequency * t + mod_phase))
-
-
 def far_field_distance(aperture_d: float, frequency: float, speed: float = C_LIGHT) -> float:
     """Far-field (Fraunhofer) boundary 2*D^2/lambda for aperture size D."""
     if aperture_d <= 0 or frequency <= 0:
         raise ValueError("aperture size and frequency must be positive")
     return 2.0 * aperture_d ** 2 * frequency / speed
+
+
+def add_complex_noise(x, sigma, seed):
+    """``x`` plus circular complex white noise of standard deviation ``sigma``.
+
+    Draws the real parts, then the imaginary parts, from
+    ``default_rng(seed)``.  ``sigma == 0`` returns ``x`` itself.  A
+    negative ``sigma``, or a positive one without a seed, raises
+    ValueError: noise is never drawn from unseeded entropy.
+    """
+    if not sigma >= 0.0:
+        raise ValueError("noise_sigma must be nonnegative")
+    if sigma == 0.0:
+        return x
+    if seed is None:
+        raise ValueError("seed is required when noise_sigma > 0")
+    rng = np.random.default_rng(seed)
+    return x + sigma / np.sqrt(2.0) * (
+        rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
+    )
+
+
+def power_iteration(apply, n, n_iter):
+    """Largest eigenvalue ``lam`` and unit eigenvector ``v`` of the
+    Hermitian positive semidefinite map ``apply`` on C^n, after ``n_iter``
+    steps from a fixed (seed 0) complex Gaussian start."""
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    lam = 0.0
+    for _ in range(n_iter):
+        w = apply(v)
+        lam = np.linalg.norm(w)
+        v = w / lam
+    return lam, v
 
 
 def wavenumber_spectrum(grid: ComplexGrid) -> ComplexGrid:

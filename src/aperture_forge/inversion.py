@@ -13,6 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import power_iteration
+
 
 @dataclass(frozen=True)
 class PhaselessProblem:
@@ -78,18 +80,12 @@ def _adjoint(problem, w):
     return np.sum(np.conj(problem.masks) * blocks, axis=0)
 
 
-def _op_norm_sq(problem, n_iter=30, seed=0):
+def _op_norm_sq(problem):
     # masks followed by a unitary DFT give A^H A = L * I exactly
     if problem.masks is not None:
         return float(problem.masks.shape[0])
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(problem.n) + 1j * rng.standard_normal(problem.n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    for _ in range(n_iter):
-        w = _adjoint(problem, _forward(problem, v))
-        lam = np.linalg.norm(w)
-        v = w / lam
+    lam, _ = power_iteration(lambda v: _adjoint(problem, _forward(problem, v)),
+                             problem.n, 30)
     return lam
 
 
@@ -123,7 +119,7 @@ def phase_invariant_dist(a, b) -> float:
     return float(np.sqrt(max(gap, 0.0)) / nb)
 
 
-def spectral_init(y, problem, n_iter=100, seed=0) -> np.ndarray:
+def spectral_init(y, problem) -> np.ndarray:
     """Leading eigenvector of (1/m) sum y_i a_i a_i^H by power iteration,
     rescaled so the initializer carries the RMS measurement energy.
 
@@ -137,12 +133,8 @@ def spectral_init(y, problem, n_iter=100, seed=0) -> np.ndarray:
     if not np.any(y):
         warnings.warn("all measurements are zero; returning the zero vector")
         return np.zeros(problem.n, dtype=complex)
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal(problem.n) + 1j * rng.standard_normal(problem.n)
-    v /= np.linalg.norm(v)
-    for _ in range(n_iter):
-        w = _adjoint(problem, y * _forward(problem, v)) / problem.m
-        v = w / np.linalg.norm(w)
+    _, v = power_iteration(
+        lambda v: _adjoint(problem, y * _forward(problem, v)) / problem.m, problem.n, 100)
     return v * np.sqrt(np.mean(y))
 
 

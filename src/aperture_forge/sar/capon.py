@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import C_LIGHT
+from ..core import C_LIGHT, add_complex_noise
 
 
 @dataclass(frozen=True)
@@ -170,13 +170,4 @@ def synthesize_capon_data(sources, m, n, f_c, d_u, d_f, r_ref,
         wx = 4.0 * np.pi * f_c * d_u * x / (C_LIGHT * r_ref)
         wy = -4.0 * np.pi * d_f * y / C_LIGHT
         z += amp * np.exp(1j * (wx * rows + wy * cols))
-    if noise_sigma < 0.0:
-        raise ValueError("noise_sigma must be nonnegative")
-    if noise_sigma > 0.0:
-        if seed is None:
-            raise ValueError("seed is required when noise_sigma > 0")
-        rng = np.random.default_rng(seed)
-        z += noise_sigma / np.sqrt(2.0) * (
-            rng.standard_normal(z.shape) + 1j * rng.standard_normal(z.shape)
-        )
-    return z
+    return add_complex_noise(z, noise_sigma, seed)

@@ -58,6 +58,13 @@ def _uniform_spacing(grid, name):
     return grid, float(steps[0])
 
 
+def _interp_complex(x, xp, fp):
+    """Linear interpolation of complex samples, zero outside [xp[0], xp[-1]]."""
+    re = np.interp(x, xp, fp.real, left=0.0, right=0.0)
+    im = np.interp(x, xp, fp.imag, left=0.0, right=0.0)
+    return re + 1j * im
+
+
 def backproject(ph: PhaseHistory, x_grid, r_grid) -> SarImage:
     """Coherent time-domain focusing onto an (x, r) pixel lattice.
 
@@ -80,22 +87,13 @@ def backproject(ph: PhaseHistory, x_grid, r_grid) -> SarImage:
     rc, tau_c0 = _range_compress(ph)
     t = ph.data.axis1_values()
     lam = ph.geometry.wavelength
-    m_max = rc.shape[0] - 1
+    rows = np.arange(rc.shape[0])
     image = np.zeros((len(x_grid), len(r_grid)), dtype=complex)
     xx, rr = np.meshgrid(x_grid, r_grid, indexing="ij")
     for p, t_p in enumerate(t):
         big_r = np.sqrt(rr ** 2 + (ph.geometry.v * t_p - xx) ** 2)
         m = ((2.0 * big_r / C_LIGHT) - tau_c0) * ph.f_s
-        m_flat = m.ravel()
-        col = rc[:, p]
-        sampled = np.interp(m_flat, np.arange(rc.shape[0]), col.real) + 1j * np.interp(
-            m_flat, np.arange(rc.shape[0]), col.imag
-        )
-        sampled[(m_flat < 0) | (m_flat > m_max)] = 0.0
-        image += (
-            sampled.reshape(big_r.shape)
-            * np.exp(1j * 4.0 * np.pi * big_r / lam)
-        )
+        image += _interp_complex(m, rows, rc[:, p]) * np.exp(1j * 4.0 * np.pi * big_r / lam)
     grid = ComplexGrid(image, Axis(x_grid[0], dx, "m"), Axis(r_grid[0], dr, "m"))
     return SarImage(grid, "backprojection")
 
@@ -146,9 +144,7 @@ def omega_k_focus(ph: PhaseHistory) -> SarImage:
             continue
         kz_meas = np.sqrt(rad_sq[ok])
         col = spec[ok, j] * np.exp(1j * kz_meas * z_ref)
-        re = np.interp(kz_target, kz_meas, col.real, left=0.0, right=0.0)
-        im = np.interp(kz_target, kz_meas, col.imag, left=0.0, right=0.0)
-        stolt[:, j] = re + 1j * im
+        stolt[:, j] = _interp_complex(kz_target, kz_meas, col)
 
     stolt *= np.exp(1j * kz_target * (z_start - z_ref))[:, None]
     image = np.fft.ifft(np.fft.ifft(stolt, axis=0), axis=1)

@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import Axis, C_LIGHT, ComplexGrid
+from ..core import Axis, C_LIGHT, ComplexGrid, add_complex_noise
 from ..waveforms import LfmChirp
 
 
@@ -49,8 +49,8 @@ class SarGeometry:
 
     The platform flies along x at speed ``v`` radiating at ``prf`` for a
     coherent interval ``t_coh``, standing off at ``r1``.  The synthetic
-    aperture length, apparent rotation rate and integrated angle follow
-    directly and are exposed as properties.
+    aperture length and apparent rotation rate follow directly and are
+    exposed as properties.
     """
 
     v: float
@@ -74,10 +74,6 @@ class SarGeometry:
     @property
     def rotation_rate(self) -> float:
         return self.v / self.r1
-
-    @property
-    def delta_theta(self) -> float:
-        return self.aperture_length / self.r1
 
     @property
     def n_pulses(self) -> int:
@@ -161,13 +157,8 @@ def simulate_phase_history(
         data += scat.reflectivity * pulse * np.exp(
             -1j * 4.0 * np.pi * r_of_t[None, :] / lam
         )
-    if noise_sigma > 0.0:
-        rng = np.random.default_rng(seed)
-        data = data + noise_sigma / np.sqrt(2.0) * (
-            rng.standard_normal(data.shape) + 1j * rng.standard_normal(data.shape)
-        )
     grid = ComplexGrid(
-        data,
+        add_complex_noise(data, noise_sigma, seed),
         Axis(tau0, 1.0 / f_s, "s"),
         Axis(t[0], 1.0 / geom.prf, "s"),
     )

@@ -10,6 +10,16 @@ filter each projection by |omega| and smear it back across the image.
 import numpy as np
 
 
+def _bilinear(table, i, j, ti, tj):
+    """Blend of table[i:i+2, j:j+2] at fractional offsets ti (rows), tj (cols)."""
+    return (
+        table[i, j] * (1 - ti) * (1 - tj)
+        + table[i + 1, j] * ti * (1 - tj)
+        + table[i, j + 1] * (1 - ti) * tj
+        + table[i + 1, j + 1] * ti * tj
+    )
+
+
 def _polar_interp(projections, angles, s_step):
     n_angles, n_s = projections.shape
     s0 = -(n_s - 1) / 2.0 * s_step
@@ -46,15 +56,7 @@ def _polar_interp(projections, angles, s_step):
     jr_lo = np.clip(np.floor(jr).astype(int), 0, n_s - 2)
     tr = np.clip(jr - jr_lo, 0.0, 1.0)
 
-    def pick(rows, cols):
-        return slices[rows, cols]
-
-    val = (
-        pick(ja, jr_lo) * (1 - ta) * (1 - tr)
-        + pick(ja, jr_lo + 1) * (1 - ta) * tr
-        + pick(ja + 1, jr_lo) * ta * (1 - tr)
-        + pick(ja + 1, jr_lo + 1) * ta * tr
-    )
+    val = _bilinear(slices, ja, jr_lo, ta, tr)
     val[~inside] = 0.0
     spectrum_asc = val.reshape(n_s, n_s)
 
@@ -134,12 +136,6 @@ def project_image(image, angles, s_step):
         t1 = np.clip(g1 - i1, 0.0, 1.0)
         t2 = np.clip(g2 - i2, 0.0, 1.0)
         valid = (g1 >= 0) & (g1 <= n - 1) & (g2 >= 0) & (g2 <= n - 1)
-        rot = (
-            image[i1, i2] * (1 - t1) * (1 - t2)
-            + image[i1 + 1, i2] * t1 * (1 - t2)
-            + image[i1, i2 + 1] * (1 - t1) * t2
-            + image[i1 + 1, i2 + 1] * t1 * t2
-        )
-        rot = np.where(valid, rot, 0.0)
+        rot = np.where(valid, _bilinear(image, i1, i2, t1, t2), 0.0)
         out[j] = rot.sum(axis=1) * s_step
     return out

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import add_complex_noise, power_iteration
 from .sounding import FrequencyGrid
 
 
@@ -64,15 +65,6 @@ class SasGeometry:
         return y_p[:, None] + mid[None, :]
 
 
-def build_geometry(cfg: dict) -> SasGeometry:
-    """Construct a geometry from a plain mapping (CLI-friendly)."""
-    known = {"v_p", "tau_rec", "n_pings", "rx_offsets", "tx_offset", "c_sound"}
-    unknown = set(cfg) - known
-    if unknown:
-        raise ValueError(f"unknown geometry keys: {sorted(unknown)}")
-    return SasGeometry(**cfg)
-
-
 @dataclass(frozen=True)
 class SasScene:
     """Candidate grid nodes (x range, y along-track) with amplitudes."""
@@ -89,10 +81,6 @@ class SasScene:
             raise ValueError("amplitudes must match the number of points")
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "amplitudes", amps)
-
-    @property
-    def n_points(self) -> int:
-        return self.points.shape[0]
 
 
 def _distances(geom: SasGeometry, points: np.ndarray) -> np.ndarray:
@@ -149,18 +137,11 @@ class SensingModel:
             raise ValueError("data stack shape does not match the model")
         return np.einsum("pfmn,pfm->n", np.conj(self.tensor), d)
 
-    def operator_bound(self, n_iter=30, seed=0) -> float:
+    def operator_bound(self) -> float:
         """Largest squared singular value of the stacked operator by
         power iteration (fixed 30 steps is plenty at these sizes)."""
-        rng = np.random.default_rng(seed)
-        n = self.tensor.shape[3]
-        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        lam = 0.0
-        for _ in range(n_iter):
-            w = self.adjoint(self.forward(v))
-            lam = np.linalg.norm(w)
-            v = w / lam
+        lam, _ = power_iteration(lambda v: self.adjoint(self.forward(v)),
+                                 self.tensor.shape[3], 30)
         return float(lam)
 
 
@@ -173,15 +154,7 @@ def simulate_measurements(geom: SasGeometry, scene: SasScene, grid,
                           noise_sigma=0.0, seed=None) -> np.ndarray:
     """d(p, f) stacks over all receivers: A s plus complex white noise."""
     model = build_sensing_model(geom, scene.points, grid)
-    d = model.forward(scene.amplitudes)
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be nonnegative")
-    if noise_sigma > 0:
-        rng = np.random.default_rng(seed)
-        d = d + noise_sigma / np.sqrt(2.0) * (
-            rng.standard_normal(d.shape) + 1j * rng.standard_normal(d.shape)
-        )
-    return d
+    return add_complex_noise(model.forward(scene.amplitudes), noise_sigma, seed)
 
 
 def sas_cbf(d_stack, model: SensingModel) -> np.ndarray:

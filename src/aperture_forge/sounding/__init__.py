@@ -10,14 +10,13 @@ from .arrays import (
     optimize_sparse_lattice,
     steering_vector,
 )
-from .grids import FrequencyGrid, friis_range, sampling_checks
+from .grids import FrequencyGrid, sampling_checks
 from .padp import (
     ChannelRay,
     DelaySlice,
     Pdp,
     SphericalPadp,
     SweepData,
-    aggregate_pdp,
     delay_slice,
     padp,
     source_distances,
@@ -36,11 +35,9 @@ __all__ = [
     "SparseLatticeResult",
     "SphericalPadp",
     "SweepData",
-    "aggregate_pdp",
     "array_factor",
     "delay_slice",
     "fib_weights",
-    "friis_range",
     "natural_beamwidth",
     "optimize_sparse_lattice",
     "padp",

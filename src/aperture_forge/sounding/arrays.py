@@ -69,6 +69,22 @@ class SamplingLattice:
         return worst <= lambda_min / 2.0
 
 
+def _path_difference(pos, u, v):
+    """x*u + y*v of each position (rows) toward each sine-space direction
+    (columns): the planar steering phase per unit wavenumber."""
+    u = np.atleast_1d(u)
+    v = np.atleast_1d(v)
+    return pos[:, 0][:, None] * u[None, :] + pos[:, 1][:, None] * v[None, :]
+
+
+def _axis_ramps(pos, k, u, v):
+    """Separable factors exp(jk*x*u) (P, len(u)) and exp(jk*y*v) (P, len(v))
+    of the planar steering phase on a (u, v) tensor grid."""
+    ex = np.exp(1j * k * pos[:, 0][:, None] * u[None, :])
+    ey = np.exp(1j * k * pos[:, 1][:, None] * v[None, :])
+    return ex, ey
+
+
 def array_factor(lattice: SamplingLattice, weights, u, v, f: float):
     """Array factor B(u, v) = sum_p w_p exp(jk(x_p u + y_p v)) at one tone.
 
@@ -84,8 +100,7 @@ def array_factor(lattice: SamplingLattice, weights, u, v, f: float):
     scalar = np.isscalar(u) and np.isscalar(v)
     u = np.atleast_1d(np.asarray(u, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    ex = np.exp(1j * k * pos[:, 0][:, None] * u[None, :])
-    ey = np.exp(1j * k * pos[:, 1][:, None] * v[None, :])
+    ex, ey = _axis_ramps(pos, k, u, v)
     out = ex.T @ (w[:, None] * ey)
     return out[0, 0] if scalar else out
 
@@ -112,11 +127,8 @@ def steering_vector(
         f_used = f0
     else:
         f_used = f
-    pos = lattice.active_positions()
-    phase = 2.0 * np.pi * f_used / C_LIGHT * (
-        pos[:, 0] * direction.u + pos[:, 1] * direction.v
-    )
-    return np.exp(1j * phase)
+    path = _path_difference(lattice.active_positions(), direction.u, direction.v)
+    return np.exp(1j * (2.0 * np.pi * f_used / C_LIGHT * path[:, 0]))
 
 
 def natural_beamwidth(lattice: SamplingLattice, f: float) -> float:
@@ -176,6 +188,8 @@ def fib_weights(
     um, vm = mu[m_sel], mv[m_sel]
     # |d|^2 = 2^-(2r/target)^2: half power exactly at r = target/2
     d_main = np.exp2(-0.5 * (2.0 * np.sqrt(m_off_sq[m_sel]) / beamwidth_target) ** 2)
+    side_path = _path_difference(pos, us, vs)
+    main_path = _path_difference(pos, um, vm)
     freqs = grid.frequencies()
     out = np.empty((len(freqs), p), dtype=complex)
     for i, f in enumerate(freqs):
@@ -184,12 +198,8 @@ def fib_weights(
             out[i] = v0 / (np.conj(v0) @ v0)
             continue
         k = 2.0 * np.pi * f / C_LIGHT
-        v_side = np.exp(
-            1j * k * (pos[:, 0][:, None] * us[None, :] + pos[:, 1][:, None] * vs[None, :])
-        )
-        v_main = np.exp(
-            1j * k * (pos[:, 0][:, None] * um[None, :] + pos[:, 1][:, None] * vm[None, :])
-        )
+        v_side = np.exp(1j * k * side_path)
+        v_main = np.exp(1j * k * main_path)
         gamma = len(us) / max(len(um), 1)  # balance the two regions
         g = v_side @ np.conj(v_side.T) + gamma * (v_main @ np.conj(v_main.T))
         g += ridge * 2 * len(us) * np.eye(p)
@@ -270,8 +280,7 @@ def optimize_sparse_lattice(
     null_radius = C_LIGHT / (f_eval * m * full_lattice.d_x)
     sidelobe_sel = visible & (uu ** 2 + vv ** 2 > (1.25 * null_radius) ** 2)
 
-    ex = np.exp(1j * k * pos[:, 0][:, None] * axis[None, :])  # (P, U)
-    ey = np.exp(1j * k * pos[:, 1][:, None] * axis[None, :])  # (P, V)
+    ex, ey = _axis_ramps(pos, k, axis, axis)
 
     def full_pattern(active_idx):
         return ex[active_idx].T @ ey[active_idx]

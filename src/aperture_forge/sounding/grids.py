@@ -1,5 +1,5 @@
-"""Frequency-sweep bookkeeping: tone grids, delay/range ambiguity limits,
-bandpass-sampling validity, and link-budget ranges."""
+"""Frequency-sweep bookkeeping: tone grids, delay/range ambiguity limits
+and bandpass-sampling validity."""
 
 from dataclasses import dataclass
 
@@ -72,21 +72,3 @@ def sampling_checks(grid: FrequencyGrid, f_max: float, tol: float = 0.05) -> dic
         "q": q,
     }
 
-
-def friis_range(
-    p_t: float, gain: float, a_e: float, s_min: float, sigma: float | None = None
-) -> float:
-    """Maximum range from a link budget.
-
-    Line of sight: R = sqrt(P_t*G*A_e / (4*pi*S_min)).  With a scattering
-    cross section ``sigma`` the budget covers the two-leg path instead and
-    the equal-leg range R = (P_t*G*A_e*sigma / ((4*pi)^2*S_min))^(1/4) is
-    returned.
-    """
-    if min(p_t, gain, a_e, s_min) <= 0:
-        raise ValueError("link-budget inputs must be positive")
-    if sigma is None:
-        return float(np.sqrt(p_t * gain * a_e / (4.0 * np.pi * s_min)))
-    if sigma <= 0:
-        raise ValueError("sigma must be positive")
-    return float((p_t * gain * a_e * sigma / ((4.0 * np.pi) ** 2 * s_min)) ** 0.25)

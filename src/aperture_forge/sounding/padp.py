@@ -1,14 +1,13 @@
 """Channel synthesis over a positioner lattice and the delay-domain
 beamforming products: power delay profiles per direction, delay slices
-over angle, their aggregate, and near-field (spherical phasefront)
-variants."""
+over angle, and near-field (spherical phasefront) variants."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import C_LIGHT, Direction
-from .arrays import SamplingLattice, steering_vector
+from ..core import C_LIGHT, Direction, add_complex_noise
+from .arrays import SamplingLattice, _path_difference
 from .grids import FrequencyGrid
 
 
@@ -99,12 +98,7 @@ def synthesize_sweep(
                     f" [0, {grid.t_dur})"
                 )
             s21 += ray.amplitude * np.exp(-1j * 2.0 * np.pi * f[None, :] * eff[:, None])
-    if noise_sigma > 0.0:
-        rng = np.random.default_rng(seed)
-        s21 = s21 + noise_sigma / np.sqrt(2.0) * (
-            rng.standard_normal(s21.shape) + 1j * rng.standard_normal(s21.shape)
-        )
-    return SweepData(s21, lattice, grid)
+    return SweepData(add_complex_noise(s21, noise_sigma, seed), lattice, grid)
 
 
 def two_ray_path_loss(rho: float, phi: float) -> dict:
@@ -150,11 +144,9 @@ class DelaySlice:
 
 def _beam_series(sweep: SweepData, direction: Direction) -> np.ndarray:
     """b(f_k) = w^H(f_k) y(f_k) with true-time-delay steering per tone."""
-    pos = sweep.lattice.active_positions()
+    path = _path_difference(sweep.lattice.active_positions(), direction.u, direction.v)
     f = sweep.grid.frequencies()
-    phase = (
-        2.0 * np.pi / C_LIGHT * (pos[:, 0] * direction.u + pos[:, 1] * direction.v)
-    )
+    phase = 2.0 * np.pi / C_LIGHT * path[:, 0]
     w = np.exp(1j * phase[:, None] * f[None, :])
     return np.sum(np.conj(w) * sweep.s21, axis=0)
 
@@ -216,10 +208,7 @@ def delay_slice(
     win = _window(window, s)
     idft = win * np.exp(1j * 2.0 * np.pi * m * np.arange(s) / s) / s
     uu, vv = np.meshgrid(u_axis, v_axis, indexing="ij")
-    spatial = (
-        pos[:, 0][:, None] * uu.ravel()[None, :]
-        + pos[:, 1][:, None] * vv.ravel()[None, :]
-    )
+    spatial = _path_difference(pos, uu.ravel(), vv.ravel())
     # per-tone steering matrices differ by one elementwise phase step, so
     # build the first and advance multiplicatively instead of re-exponentiating
     w_angle = np.exp(-1j * 2.0 * np.pi * f[0] / C_LIGHT * spatial)
@@ -232,18 +221,6 @@ def delay_slice(
     return DelaySlice(
         tau=tau, u_axis=u_axis, v_axis=v_axis, amplitude=amp.reshape(uu.shape)
     )
-
-
-def aggregate_pdp(slices) -> tuple[np.ndarray, np.ndarray]:
-    """Total received power per delay bin, summed over a slice's angles.
-
-    Returns (taus, r) with r(tau_m) = sum_angles |x(tau_m; u, v)|^2.
-    """
-    if not slices:
-        raise ValueError("no slices given")
-    taus = np.array([sl.tau for sl in slices])
-    r = np.array([float(np.sum(sl.power)) for sl in slices])
-    return taus, r
 
 
 def source_distances(
@@ -294,7 +271,6 @@ def spherical_padp(
     ranges = np.arange(r_start, r_stop + r_step / 2.0, r_step)
     if np.any(np.abs(ranges * w0) < 1e-9):
         raise ValueError("virtual source falls in the lattice plane")
-    pos = sweep.lattice.active_positions()
     f = sweep.grid.frequencies()
     s = sweep.grid.s
     win = _window(window, s)

@@ -1,6 +1,6 @@
 """Waveform generation and receive-side processing: LFM chirps, matched
-filtering, ambiguity surfaces, Nyquist pulse shaping, BFSK, I/Q
-demodulation, ADC figures of merit, and iterative MMSE pulse compression.
+filtering, ambiguity surfaces, ADC figures of merit, and iterative MMSE
+pulse compression.
 """
 
 from dataclasses import dataclass
@@ -146,172 +146,6 @@ def lfm_ambiguity_closed_form(chirp: LfmChirp, tau, f_d):
     # np.sinc is sin(pi z)/(pi z), so sin(x)/x = sinc(x/pi) with the 0 limit built in
     out = (frac * np.sinc(x / np.pi)) ** 2
     return out if out.shape else float(out)
-
-
-@dataclass(frozen=True)
-class PulseShape:
-    """Nyquist pulse family selector: sinc, raised-cosine or its root."""
-
-    kind: str
-    f_sy: float
-    beta: float = 0.0
-
-    _KINDS = ("sinc", "raised-cosine", "root-raised-cosine")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"kind must be one of {self._KINDS}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError("beta must lie in [0, 1]")
-        if self.f_sy <= 0:
-            raise ValueError("symbol rate must be positive")
-
-    @property
-    def occupied_bandwidth(self) -> float:
-        return (1.0 + self.beta) * self.f_sy
-
-
-def _raised_cosine(x: np.ndarray, beta: float) -> np.ndarray:
-    # sinc(x) * cos(pi*beta*x) / (1 - (2*beta*x)^2), x in symbol units
-    if beta == 0.0:
-        return np.sinc(x)
-    den = 1.0 - (2.0 * beta * x) ** 2
-    singular = np.abs(den) < 1e-10
-    safe = np.where(singular, 1.0, den)
-    out = np.sinc(x) * np.cos(np.pi * beta * x) / safe
-    # analytic limit at x = +-1/(2*beta): sinc(1/(2*beta)) * pi/4
-    out = np.where(singular, np.sinc(1.0 / (2.0 * beta)) * np.pi / 4.0, out)
-    return out
-
-
-def _root_raised_cosine(x: np.ndarray, beta: float) -> np.ndarray:
-    if beta == 0.0:
-        return np.sinc(x)
-    x0 = np.abs(x) < 1e-10
-    xs = np.abs(np.abs(x) - 1.0 / (4.0 * beta)) < 1e-10
-    safe = np.where(x0 | xs, 0.5, x)
-    num = np.sin(np.pi * safe * (1.0 - beta)) + 4.0 * beta * safe * np.cos(
-        np.pi * safe * (1.0 + beta)
-    )
-    den = np.pi * safe * (1.0 - (4.0 * beta * safe) ** 2)
-    out = num / den
-    out = np.where(x0, 1.0 - beta + 4.0 * beta / np.pi, out)
-    lim = (beta / np.sqrt(2.0)) * (
-        (1.0 + 2.0 / np.pi) * np.sin(np.pi / (4.0 * beta))
-        + (1.0 - 2.0 / np.pi) * np.cos(np.pi / (4.0 * beta))
-    )
-    return np.where(xs, lim, out)
-
-
-def pulse_shape_ir(shape: PulseShape, t_grid) -> np.ndarray:
-    """Impulse response samples of the selected Nyquist pulse on ``t_grid``.
-
-    The sinc and raised-cosine responses have unit peak and vanish at all
-    nonzero symbol instants.  The root-raised-cosine is scaled by
-    sqrt(f_sy) so that convolving it with itself (Riemann sum, step dt)
-    reproduces the raised cosine of the same rolloff.
-    """
-    x = np.asarray(t_grid, dtype=float) * shape.f_sy
-    if shape.kind == "sinc":
-        return np.sinc(x)
-    if shape.kind == "raised-cosine":
-        return _raised_cosine(x, shape.beta)
-    return np.sqrt(shape.f_sy) * _root_raised_cosine(x, shape.beta)
-
-
-@dataclass(frozen=True)
-class BfskConfig:
-    """Binary FSK tone pair and symbol rate."""
-
-    f0: float
-    f1: float
-    f_sy: float
-
-    def __post_init__(self):
-        if self.f_sy <= 0:
-            raise ValueError("symbol rate must be positive")
-        if self.h < 0.5:
-            raise ValueError(
-                f"modulation index h = {self.h:.3f} < 0.5 breaks tone orthogonality"
-            )
-
-    @property
-    def h(self) -> float:
-        return abs(self.f1 - self.f0) / self.f_sy
-
-
-def bfsk_modulate(bits, cfg: BfskConfig, f_s: float) -> np.ndarray:
-    """Continuous-phase BFSK complex baseband signal.
-
-    Each bit occupies 1/f_sy seconds at tone f0 (bit 0) or f1 (bit 1);
-    phase accumulates across symbol boundaries so the trajectory never
-    jumps.
-    """
-    if f_s <= 2.0 * max(cfg.f0, cfg.f1):
-        raise ValueError("sample rate must exceed twice the larger tone")
-    bits = np.asarray(bits).astype(int)
-    if bits.size == 0:
-        raise ValueError("empty bit sequence")
-    if np.any((bits != 0) & (bits != 1)):
-        raise ValueError("bits must be 0 or 1")
-    n_sym = int(round(f_s / cfg.f_sy))
-    if n_sym < 1:
-        raise ValueError("fewer than one sample per symbol")
-    inst_freq = np.where(np.repeat(bits, n_sym) == 1, cfg.f1, cfg.f0)
-    # phase[n] integrates frequency over samples 0..n-1, so phase[0] = 0
-    phase = 2.0 * np.pi * np.concatenate(([0.0], np.cumsum(inst_freq[:-1]))) / f_s
-    return np.exp(1j * phase)
-
-
-@dataclass(frozen=True)
-class IqStream:
-    """Demodulated in-phase/quadrature pair with its carrier bookkeeping."""
-
-    m_i: np.ndarray
-    m_q: np.ndarray
-    fc: float
-    theta_c: float
-
-    def __post_init__(self):
-        if len(self.m_i) != len(self.m_q):
-            raise ValueError("I and Q sequences must have equal length")
-
-    @property
-    def envelope(self) -> np.ndarray:
-        return self.m_i + 1j * self.m_q
-
-
-def iq_demodulate(
-    passband,
-    fc_est: float,
-    phase_est: float,
-    f_s: float,
-    cutoff: float,
-    f_sy: float | None = None,
-) -> IqStream:
-    """Quadrature demodulate a real passband signal.
-
-    Multiplies by cos/-sin local oscillators at the estimated carrier and
-    lowpasses each product with a Hamming-windowed sinc FIR spanning eight
-    symbol periods (eight cutoff periods when ``f_sy`` is omitted), with
-    the filter's group delay compensated.  An exact carrier estimate
-    recovers (0.5*m_I, 0.5*m_Q); a phase error rotates the constellation
-    and a frequency error spins it.
-    """
-    x = np.asarray(passband, dtype=float)
-    if cutoff >= fc_est:
-        raise ValueError("lowpass cutoff must be below the carrier")
-    if cutoff <= 0 or f_s <= 0:
-        raise ValueError("cutoff and sample rate must be positive")
-    span = 8.0 / (f_sy if f_sy is not None else cutoff)
-    ntaps = int(round(span * f_s))
-    ntaps += 1 - (ntaps % 2)  # odd length keeps the group delay integral
-    taps = _sig.firwin(ntaps, cutoff, fs=f_s, window="hamming")
-    t = np.arange(x.size) / f_s
-    lo = 2.0 * np.pi * fc_est * t + phase_est
-    i_branch = _sig.fftconvolve(x * np.cos(lo), taps, mode="same")
-    q_branch = _sig.fftconvolve(x * (-np.sin(lo)), taps, mode="same")
-    return IqStream(m_i=i_branch, m_q=q_branch, fc=fc_est, theta_c=phase_est)
 
 
 @dataclass(frozen=True)

@@ -6,28 +6,29 @@ from numpy.testing import assert_allclose
 from aperture_forge.core import (
     Axis,
     ComplexGrid,
-    Constants,
     Direction,
     FieldPoint,
     WaveParams,
-    convert_direction,
-    distance,
+    add_complex_noise,
     far_field_distance,
     plane_wave_field,
-    spherical_wave_field,
     wavenumber_spectrum,
 )
-
-
-def test_constants_defaults_and_immutability():
-    c = Constants()
-    assert c.c_light == 299792458.0
-    assert c.c_sound == 1500.0
-    assert c.k_boltzmann == 1.380649e-23
-    with pytest.raises(Exception):
-        c.c_sound = 343.0
-    with pytest.raises(ValueError):
-        Constants(c_sound=-1.0)
+from aperture_forge.sar import (
+    PointScene,
+    SarGeometry,
+    Scatterer,
+    simulate_phase_history,
+    synthesize_capon_data,
+)
+from aperture_forge.sas import SasGeometry, SasScene, simulate_measurements
+from aperture_forge.sounding import (
+    ChannelRay,
+    FrequencyGrid,
+    SamplingLattice,
+    synthesize_sweep,
+)
+from aperture_forge.waveforms import LfmChirp
 
 
 def test_axis_validation():
@@ -81,8 +82,7 @@ def test_direction_rejects_invisible_space():
 )
 def test_direction_round_trips(theta, phi):
     d = Direction(theta, phi)
-    for target in ("spherical", "sine_space", "az_el"):
-        back = convert_direction(convert_direction(d, target), "spherical")
+    for back in (Direction.from_sine_space(d.u, d.v), Direction.from_az_el(d.az, d.el)):
         assert_allclose(back.unit_vector(), d.unit_vector(), atol=1e-12)
         assert abs(back.theta - d.theta) < 1e-12
 
@@ -112,31 +112,6 @@ def test_plane_wave_half_cycle():
     lam = w.wavelength
     val = plane_wave_field(FieldPoint(0.0, 0.0, 0.5 * lam), 0.0, w)
     assert_allclose(val, -1.0 + 0.0j, atol=1e-12)
-
-
-def test_spherical_wave_periodicity_and_errors():
-    w = WaveParams.from_direction(1e9, Direction(0.0, 0.0))
-    lam = w.wavelength
-    src = FieldPoint(0.0, 0.0, 0.0)
-    t = 1.23e-9
-    at_lam = spherical_wave_field(FieldPoint(0.0, 0.0, lam), src, t, w)
-    assert_allclose(at_lam, np.exp(1j * 2 * np.pi * w.frequency * t), atol=1e-9)
-    at_half = spherical_wave_field(FieldPoint(0.0, 0.0, lam / 2), src, t, w)
-    assert_allclose(at_half, -at_lam, atol=1e-9)
-    with pytest.raises(ValueError):
-        spherical_wave_field(src, src, 0.0, w)
-
-
-def test_spherical_approaches_plane_wave_far_out():
-    # fixed lateral offset, growing range: curvature phase error shrinks
-    f = 1e9
-    w = WaveParams.from_direction(f, Direction(0.0, 0.0))
-    lam = w.wavelength
-    src = FieldPoint(0.0, 0.0, 0.0)
-    p = FieldPoint(lam, 0.0, 1e6 * lam)
-    sph = spherical_wave_field(p, src, 0.0, w)
-    pl = plane_wave_field(p, 0.0, w)
-    assert abs(np.angle(sph / pl)) < 1e-5
 
 
 def test_far_field_distance_frozen_values():
@@ -205,5 +180,48 @@ def test_wavenumber_spectrum_two_waves():
     assert_allclose(spec.data[i, j], oracle, rtol=1e-9)
 
 
-def test_distance_helper():
-    assert distance(FieldPoint(0, 0, 0), FieldPoint(3, 4, 0)) == pytest.approx(5.0)
+def test_complex_noise_draw_order():
+    x = np.arange(6, dtype=complex).reshape(2, 3)
+    assert add_complex_noise(x, 0.0, None) is x
+    rng = np.random.default_rng(4)
+    re = rng.standard_normal(x.shape)
+    im = rng.standard_normal(x.shape)
+    want = x + 0.3 / np.sqrt(2.0) * (re + 1j * im)
+    assert np.array_equal(add_complex_noise(x, 0.3, 4), want)
+
+
+def _phase_history(sigma, seed):
+    geom = SarGeometry(v=100.0, prf=400.0, t_coh=0.02, r1=1000.0, wavelength=0.03)
+    scene = PointScene((Scatterer(0.0, 1000.0),))
+    return simulate_phase_history(scene, geom, LfmChirp(10e9, 150e6, 2e-6), 200e6,
+                                  sigma, seed)
+
+
+def _sweep(sigma, seed):
+    lattice = SamplingLattice.rectangular(2, 2, 0.05, 0.05)
+    grid = FrequencyGrid(1e9, 1.1e9, 1e7)
+    return synthesize_sweep([ChannelRay.plane_wave(0.1, 0.0, 1e-9)], lattice, grid,
+                            sigma, seed)
+
+
+def _sonar(sigma, seed):
+    geom = SasGeometry(v_p=3.2, tau_rec=0.05, n_pings=2, rx_offsets=[0.0, 0.04])
+    scene = SasScene([[30.0, 0.1]], [1.0])
+    return simulate_measurements(geom, scene, FrequencyGrid(20e3, 22e3, 1e3),
+                                 sigma, seed)
+
+
+def _capon(sigma, seed):
+    return synthesize_capon_data([(0.0, 0.0, 1.0)], 8, 8, 10e9, 0.1, 1e6, 1000.0,
+                                 sigma, seed)
+
+
+@pytest.mark.parametrize("simulate", [_phase_history, _sweep, _sonar, _capon],
+                         ids=lambda f: f.__name__.strip("_"))
+def test_simulators_share_the_seed_rule(simulate):
+    simulate(0.0, None)  # noiseless output needs no seed
+    with pytest.raises(ValueError, match="nonnegative"):
+        simulate(-0.1, 1)
+    with pytest.raises(ValueError, match="seed is required"):
+        simulate(0.1, None)
+

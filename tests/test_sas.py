@@ -9,7 +9,6 @@ from aperture_forge.sas import (
     SasGeometry,
     SasScene,
     SensingModel,
-    build_geometry,
     build_sensing_model,
     lasso_mu_grid,
     sas_cbf,
@@ -89,14 +88,6 @@ def test_virtual_element_is_tx_rx_midpoint():
 def test_max_swath_from_recording_duration():
     g = SasGeometry(v_p=1.0, tau_rec=0.2, n_pings=1, rx_offsets=[0.0])
     assert g.r_max == pytest.approx(150.0)
-
-
-def test_build_geometry_roundtrip_and_unknown_key():
-    cfg = dict(v_p=3.2, tau_rec=0.05, n_pings=4, rx_offsets=[0.0, 0.04])
-    g = build_geometry(cfg)
-    assert g.n_pings == 4 and g.n_receivers == 2
-    with pytest.raises(ValueError, match="unknown"):
-        build_geometry({**cfg, "speed": 1.0})
 
 
 def test_geometry_rejects_bad_inputs():

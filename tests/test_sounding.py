@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from aperture_forge.core import C_LIGHT, Direction
@@ -8,11 +9,9 @@ from aperture_forge.sounding import (
     ChannelRay,
     FrequencyGrid,
     SamplingLattice,
-    aggregate_pdp,
     array_factor,
     delay_slice,
     fib_weights,
-    friis_range,
     natural_beamwidth,
     optimize_sparse_lattice,
     padp,
@@ -23,6 +22,7 @@ from aperture_forge.sounding import (
     synthesize_sweep,
     two_ray_path_loss,
 )
+from aperture_forge.sounding.padp import SweepData, _beam_series
 
 BORESIGHT = Direction(0.0, 0.0)
 
@@ -58,18 +58,6 @@ def test_sampling_checks_frozen_values():
 def test_sampling_checks_rejects_far_from_integer():
     out = sampling_checks(FrequencyGrid.default(), f_max=37e9)
     assert out["bandpass_ok"] is False
-
-
-def test_friis_range_values():
-    r = friis_range(1.0, 100.0, 0.01, 1e-12)
-    assert r == pytest.approx(np.sqrt(1.0 / (4 * np.pi * 1e-12)), rel=1e-12)
-    assert r == pytest.approx(282095.0, rel=1e-4)
-    assert friis_range(1.0, 100.0, 0.04, 1e-12) == pytest.approx(2 * r, rel=1e-12)
-    # equal-leg scattering budget cascades two line-of-sight budgets
-    r_sig = friis_range(1.0, 100.0, 0.01, 1e-12, sigma=1.0)
-    assert r_sig == pytest.approx((r ** 2 * 1.0 / (4 * np.pi)) ** 0.25, rel=1e-12)
-    with pytest.raises(ValueError):
-        friis_range(-1.0, 1.0, 1.0, 1.0)
 
 
 # ----------------------------------------------------------------- lattices
@@ -344,7 +332,8 @@ def test_aggregate_parseval():
         delay_slice(sw, rng_dirs, rng_dirs, m / (grid.s * grid.df))
         for m in range(grid.s)
     ]
-    taus, r = aggregate_pdp(slices)
+    # total received power per delay bin, summed over each slice's angles
+    r = np.array([np.sum(sl.power) for sl in slices])
     total = 0.0
     for du in rng_dirs:
         for dv in rng_dirs:
@@ -360,9 +349,37 @@ def test_aggregate_noise_is_flat():
     slices = [
         delay_slice(sw, axis, axis, m / (grid.s * grid.df)) for m in range(grid.s)
     ]
-    _, r = aggregate_pdp(slices)
+    r = np.array([np.sum(sl.power) for sl in slices])
     spread_db = 10 * np.log10(r.max() / np.median(r))
     assert spread_db < 3.0
+
+
+@settings(deadline=None, max_examples=40)
+@given(m=st.integers(1, 5), n=st.integers(1, 5), s=st.integers(2, 24),
+       u=st.floats(-0.7, 0.7), v=st.floats(-0.7, 0.7), data=st.data(),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_sweep_synthesis_dot_product(m, n, s, u, v, data, seed):
+    # <A a, Y> = <a, A^H Y> with A the one-ray plane-wave synthesis and
+    # A^H the TTD beam series summed against the ray's delay phase, or
+    # equivalently S times the unwindowed delay slice at its bin
+    m_bin = data.draw(st.integers(0, s - 1), label="m_bin")
+    lat = SamplingLattice.rectangular(m, n, 0.05, 0.04)
+    grid = FrequencyGrid(1e9, 1e9 + (s - 1) * 1e7, 1e7)
+    tau = m_bin / (s * grid.df)
+    rng = np.random.default_rng(seed)
+    amp = complex(rng.standard_normal(), rng.standard_normal())
+    y = SweepData(rng.standard_normal((lat.n_active, s))
+                  + 1j * rng.standard_normal((lat.n_active, s)), lat, grid)
+    ray = synthesize_sweep([ChannelRay.plane_wave(u, v, tau, amp)], lat, grid)
+    lhs = np.vdot(ray.s21, y.s21)
+    f = grid.frequencies()
+    beams = _beam_series(y, Direction.from_sine_space(u, v))
+    via_beams = np.conj(amp) * np.sum(np.exp(2j * np.pi * f * tau) * beams)
+    via_slice = (np.conj(amp) * np.exp(2j * np.pi * f[0] * tau) * s
+                 * delay_slice(y, [u], [v], tau, window=None).amplitude[0, 0])
+    bound = 1e-10 * np.linalg.norm(ray.s21) * np.linalg.norm(y.s21)
+    assert abs(lhs - via_beams) <= bound
+    assert abs(lhs - via_slice) <= bound
 
 
 # ------------------------------------------------------- spherical phasefront

@@ -8,18 +8,12 @@ from numpy.testing import assert_allclose
 from aperture_forge.waveforms import (
     AdcModel,
     AmbiguitySurface,
-    BfskConfig,
-    IqStream,
     LfmChirp,
-    PulseShape,
     _wiener_weights,
     adc_metrics,
     ambiguity_surface,
-    bfsk_modulate,
-    iq_demodulate,
     lfm_ambiguity_closed_form,
     matched_filter,
-    pulse_shape_ir,
     rmmse_compress,
     sample_lfm,
 )
@@ -171,161 +165,6 @@ def test_closed_form_special_points():
     assert ridge == pytest.approx((1.0 - tau / chirp.duration) ** 2, rel=1e-12)
     assert lfm_ambiguity_closed_form(chirp, chirp.duration, 12345.0) == 0.0
     assert lfm_ambiguity_closed_form(chirp, 2 * chirp.duration, 0.0) == 0.0
-
-
-# -------------------------------------------------------------- pulse shapes
-
-
-def test_sinc_zero_crossings():
-    ps = PulseShape("sinc", f_sy=1e6)
-    t = np.arange(-10, 11) / ps.f_sy
-    h = pulse_shape_ir(ps, t)
-    assert h[10] == pytest.approx(1.0)
-    mask = np.ones(21, dtype=bool)
-    mask[10] = False
-    assert np.max(np.abs(h[mask])) < 1e-12
-
-
-def test_raised_cosine_beta_zero_is_sinc():
-    t = np.linspace(-5e-6, 5e-6, 401)
-    rc = pulse_shape_ir(PulseShape("raised-cosine", 1e6, 0.0), t)
-    si = pulse_shape_ir(PulseShape("sinc", 1e6), t)
-    assert_allclose(rc, si, atol=1e-15)
-
-
-def test_raised_cosine_singularity_value():
-    # beta = 0.2 puts the removable singularity at t = 2.5/f_sy where the
-    # limit evaluates to sinc(2.5)*pi/4 = 1/10 exactly
-    ps = PulseShape("raised-cosine", 1e6, 0.2)
-    t0 = 1.0 / (2 * ps.beta * ps.f_sy)
-    val = pulse_shape_ir(ps, np.array([t0, -t0]))
-    assert_allclose(val, [0.1, 0.1], rtol=1e-12)
-    # continuity against a nearby regular point
-    near = pulse_shape_ir(ps, np.array([t0 * (1 + 1e-7)]))
-    assert near[0] == pytest.approx(0.1, abs=1e-5)
-
-
-def test_raised_cosine_zero_isi():
-    ps = PulseShape("raised-cosine", 2e6, 0.35)
-    n = np.concatenate([np.arange(-10, 0), np.arange(1, 11)])
-    h = pulse_shape_ir(ps, n / ps.f_sy)
-    assert np.max(np.abs(h)) < 1e-12
-
-
-def test_rrc_convolved_is_rc():
-    f_sy = 1.0
-    beta = 0.3
-    f_s = 8.0
-    span = 64.0
-    t = np.arange(-span * f_s, span * f_s + 1) / f_s
-    rrc = pulse_shape_ir(PulseShape("root-raised-cosine", f_sy, beta), t)
-    conv = np.convolve(rrc, rrc) / f_s
-    t_conv = np.arange(conv.size) / f_s - 2 * span
-    keep = np.abs(t_conv) <= 8.0
-    rc = pulse_shape_ir(PulseShape("raised-cosine", f_sy, beta), t_conv[keep])
-    assert np.max(np.abs(conv[keep] - rc)) < 1e-6
-
-
-def test_pulse_shape_validation():
-    with pytest.raises(ValueError):
-        PulseShape("gaussian", 1e6)
-    with pytest.raises(ValueError):
-        PulseShape("sinc", 1e6, beta=1.5)
-    assert PulseShape("raised-cosine", 1e6, 0.25).occupied_bandwidth == 1.25e6
-
-
-# ---------------------------------------------------------------------- BFSK
-
-
-def test_bfsk_msk_index():
-    cfg = BfskConfig(f0=10e3, f1=10.5e3, f_sy=1e3)
-    assert cfg.h == pytest.approx(0.5)
-
-
-def test_bfsk_rejects_low_index():
-    with pytest.raises(ValueError):
-        BfskConfig(f0=10e3, f1=10.4e3, f_sy=1e3)
-
-
-def test_bfsk_all_zero_bits_is_pure_tone():
-    cfg = BfskConfig(f0=2e3, f1=2.5e3, f_sy=1e3)
-    f_s = 50e3
-    s = bfsk_modulate([0, 0, 0, 0], cfg, f_s)
-    n = np.arange(s.size)
-    assert_allclose(s, np.exp(1j * 2 * np.pi * cfg.f0 * n / f_s), atol=1e-9)
-
-
-def test_bfsk_phase_continuity():
-    cfg = BfskConfig(f0=2e3, f1=3e3, f_sy=1e3)
-    f_s = 50e3
-    s = bfsk_modulate([0, 1, 1, 0, 1], cfg, f_s)
-    dphi = np.diff(np.unwrap(np.angle(s)))
-    # per-sample increments never exceed the larger tone's step
-    assert dphi.max() <= 2 * np.pi * cfg.f1 / f_s + 1e-9
-    assert dphi.min() >= 2 * np.pi * cfg.f0 / f_s - 1e-9
-
-
-def test_bfsk_rejects_bad_inputs():
-    cfg = BfskConfig(f0=2e3, f1=3e3, f_sy=1e3)
-    with pytest.raises(ValueError):
-        bfsk_modulate([0, 1], cfg, 5e3)  # under Nyquist for f1
-    with pytest.raises(ValueError):
-        bfsk_modulate([], cfg, 50e3)
-    with pytest.raises(ValueError):
-        bfsk_modulate([0, 2], cfg, 50e3)
-
-
-# ----------------------------------------------------------- I/Q demodulation
-
-
-def _qam_passband(fc, theta, f_s, n, f_m=2e3):
-    t = np.arange(n) / f_s
-    m_i = np.cos(2 * np.pi * f_m * t)
-    m_q = np.sin(2 * np.pi * f_m * t)
-    carrier = 2 * np.pi * fc * t + theta
-    return m_i * np.cos(carrier) - m_q * np.sin(carrier), m_i, m_q
-
-
-def test_iq_exact_carrier_recovers_half_envelope():
-    fc, theta, f_s, n = 100e3, 0.7, 1e6, 20000
-    x, m_i, m_q = _qam_passband(fc, theta, f_s, n)
-    out = iq_demodulate(x, fc, theta, f_s, cutoff=10e3)
-    sl = slice(2000, -2000)  # clear of filter edge transients
-    assert_allclose(out.m_i[sl], 0.5 * m_i[sl], atol=5e-3)
-    assert_allclose(out.m_q[sl], 0.5 * m_q[sl], atol=5e-3)
-
-
-def test_iq_phase_error_rotates_constellation():
-    fc, theta, f_s, n = 100e3, 0.4, 1e6, 20000
-    x, _, _ = _qam_passband(fc, theta, f_s, n)
-    d0 = iq_demodulate(x, fc, theta, f_s, cutoff=10e3).envelope
-    d1 = iq_demodulate(x, fc, theta - np.pi / 2, f_s, cutoff=10e3).envelope
-    sl = slice(2000, -2000)
-    rot = np.angle(np.sum(d1[sl] * np.conj(d0[sl])))
-    assert abs(rot - np.pi / 2) < 1e-9
-
-
-def test_iq_frequency_error_spins_constellation():
-    fc, theta, f_s, n = 100e3, 0.0, 1e6, 100000
-    x, _, _ = _qam_passband(fc, theta, f_s, n)
-    df = 100.0
-    d0 = iq_demodulate(x, fc, theta, f_s, cutoff=10e3).envelope
-    d1 = iq_demodulate(x, fc - df, theta, f_s, cutoff=10e3).envelope
-    sl = slice(10000, -10000)
-    t = np.arange(n)[sl] / f_s
-    phase = np.unwrap(np.angle(d1[sl] * np.conj(d0[sl])))
-    slope = np.polyfit(t, phase, 1)[0] / (2 * np.pi)
-    assert slope == pytest.approx(df, rel=0.02)
-
-
-def test_iq_rejects_cutoff_at_carrier():
-    with pytest.raises(ValueError):
-        iq_demodulate(np.zeros(100), 10e3, 0.0, 1e6, cutoff=10e3)
-
-
-def test_iq_stream_length_check():
-    with pytest.raises(ValueError):
-        IqStream(np.zeros(3), np.zeros(4), 1e3, 0.0)
 
 
 # ---------------------------------------------------------------- ADC metrics
