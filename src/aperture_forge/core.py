@@ -1,6 +1,6 @@
 """Shared numerical substrate: uniform complex grids, physical constants,
 direction-cosine coordinate handling, propagating-wave field evaluation,
-seeded complex noise and power iteration.
+seeded complex noise, FFT convolution and power iteration.
 
 Sign conventions used throughout the package
 --------------------------------------------
@@ -221,6 +221,33 @@ def add_complex_noise(x, sigma, seed):
     return x + sigma / np.sqrt(2.0) * (
         rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
     )
+
+
+def _next_fast_len(n):
+    """Smallest 11-smooth integer >= n: the complex FFT length that
+    scipy.signal.fftconvolve pads to, so fft_convolve matches its bits."""
+    m = n
+    while True:
+        r = m
+        for p in (2, 3, 5, 7, 11):
+            while r % p == 0:
+                r //= p
+        if r == 1:
+            return m
+        m += 1
+
+
+def fft_convolve(a, b):
+    """Full linear convolution of ``a`` and ``b`` along axis 0 via FFT.
+
+    Both are zero-padded to the next fast length of ``s1 + s2 - 1``; the
+    other axes broadcast.  The result is complex, ``s1 + s2 - 1`` long
+    along axis 0, and a view into the padded inverse transform.
+    """
+    n = len(a) + len(b) - 1
+    n_fft = _next_fast_len(n)
+    spec = np.fft.fft(a, n_fft, axis=0) * np.fft.fft(b, n_fft, axis=0)
+    return np.fft.ifft(spec, axis=0)[:n]
 
 
 def power_iteration(apply, n, n_iter):

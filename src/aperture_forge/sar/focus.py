@@ -7,9 +7,8 @@ time-domain reference the frequency-domain focusers are tested against.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.signal import fftconvolve
 
-from ..core import Axis, C_LIGHT, ComplexGrid
+from ..core import Axis, C_LIGHT, ComplexGrid, fft_convolve
 from .scene import PhaseHistory
 
 
@@ -43,7 +42,7 @@ def _range_compress(ph: PhaseHistory):
     # echo convention: the received envelope carries the conjugate sweep
     replica = ph.chirp.amplitude * np.exp(-1j * np.pi * ph.chirp.rate * t ** 2)
     kernel = np.conj(replica[::-1])[:, None]
-    rc = fftconvolve(ph.data.data, kernel, mode="full", axes=0)
+    rc = fft_convolve(ph.data.data, kernel)
     tau_c0 = ph.tau0 - (len(replica) - 1) / (2.0 * ph.f_s)
     return rc, tau_c0
 

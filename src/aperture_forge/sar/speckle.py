@@ -3,7 +3,6 @@
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import uniform_filter
 
 
 @dataclass(frozen=True)
@@ -38,6 +37,29 @@ def apply_speckle(y, sigma_mu, seed) -> SpeckledImage:
     return SpeckledImage(y, zeta, y * zeta)
 
 
+def _box_mean(x, w):
+    """Mean over a width-w window along every axis, edge samples
+    replicated past the border.
+
+    One axis at a time, axis 0 first, as a running sum: the first window
+    summed left to right from zero, then each step adds (entering -
+    leaving), and each sum is divided by w.  That is the order
+    scipy.ndimage.uniform_filter(size=w, mode="nearest") sums in, so the
+    bits match it.
+    """
+    lo = w // 2
+    for axis in range(x.ndim):
+        pad = [(0, 0)] * x.ndim
+        pad[axis] = (lo, w - 1 - lo)
+        p = np.moveaxis(np.pad(x, pad, mode="edge"), axis, 0)
+        first = np.zeros_like(p[0])
+        for row in p[:w]:
+            first += row
+        run = np.cumsum(np.concatenate([first[None], p[w:] - p[:-w]]), axis=0)
+        x = np.moveaxis(run / w, 0, axis)
+    return x
+
+
 def lee_filter(z, sigma_mu, window=7) -> np.ndarray:
     """Adaptive local-mean despeckle.
 
@@ -46,17 +68,21 @@ def lee_filter(z, sigma_mu, window=7) -> np.ndarray:
     with zbar and s2 the mean and variance over the sliding window
     (replicate padding at the edges).  Flat regions pull the gain toward
     zero and smooth hard; structured regions keep gain near one and pass
-    detail through.  sigma_mu = 0 is an exact passthrough.
+    detail through.  sigma_mu = 0 is an exact passthrough.  Raises
+    ValueError on non-finite z: the running-sum window mean would carry
+    one NaN or inf down the rest of its column and along its rows.
     """
     z = np.asarray(z, dtype=float)
+    if not np.all(np.isfinite(z)):
+        raise ValueError("lee_filter input must be finite")
     if window < 3 or window % 2 == 0:
         raise ValueError("window must be odd and >= 3")
     if sigma_mu < 0.0:
         raise ValueError("sigma_mu must be nonnegative")
     if sigma_mu == 0.0:
         return z.copy()
-    zbar = uniform_filter(z, size=window, mode="nearest")
-    z2bar = uniform_filter(z * z, size=window, mode="nearest")
+    zbar = _box_mean(z, window)
+    z2bar = _box_mean(z * z, window)
     s2 = np.maximum(z2bar - zbar ** 2, 0.0)
     denom = zbar ** 2 * sigma_mu ** 2 + s2
     gain = np.where(denom > 0.0, s2 / np.where(denom > 0.0, denom, 1.0), 0.0)

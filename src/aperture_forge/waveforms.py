@@ -6,7 +6,8 @@ pulse compression.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal as _sig
+
+from .core import fft_convolve
 
 
 @dataclass(frozen=True)
@@ -60,8 +61,9 @@ def matched_filter(received: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Correlate ``received`` against ``reference`` (full overlap range).
 
     Equivalent to convolving with the conjugated time-reversed reference.
-    Zero relative delay lands at output index ``len(reference) - 1``.
-    Raises ValueError on empty or non-finite inputs.
+    Zero relative delay lands at output index ``len(reference) - 1``.  The
+    output is complex, real inputs included.  Raises ValueError on empty
+    or non-finite inputs.
     """
     received = np.asarray(received)
     reference = np.asarray(reference)
@@ -69,7 +71,7 @@ def matched_filter(received: np.ndarray, reference: np.ndarray) -> np.ndarray:
         raise ValueError("matched_filter inputs must be nonempty")
     if not (np.all(np.isfinite(received)) and np.all(np.isfinite(reference))):
         raise ValueError("matched_filter inputs must be finite")
-    return _sig.fftconvolve(received, np.conj(reference[::-1]), mode="full")
+    return fft_convolve(received, np.conj(reference[::-1]))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from aperture_forge.core import C_LIGHT, Direction, far_field_distance
 from aperture_forge.waveforms import (

@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -9,7 +12,6 @@ from hypothesis import strategies as st
 
 from aperture_forge.cli.artifacts import (
     DB_NOTE,
-    ArtifactSink,
     render_image,
     sha256_file,
     write_sweep,
@@ -332,6 +334,16 @@ def test_noise_without_seed_fails_at_run_time(tmp_path):
 
 
 # --------------------------------------------------------------- entry point
+
+
+def test_cli_starts_without_scipy():
+    """Importing scipy.signal costs over a second per CLI process."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys, aperture_forge.cli.main, aperture_forge.waveforms; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_main_success_and_exit_codes(tmp_path, capsys):

@@ -9,8 +9,10 @@ from aperture_forge.core import (
     Direction,
     FieldPoint,
     WaveParams,
+    _next_fast_len,
     add_complex_noise,
     far_field_distance,
+    fft_convolve,
     plane_wave_field,
     wavenumber_spectrum,
 )
@@ -188,6 +190,46 @@ def test_complex_noise_draw_order():
     im = rng.standard_normal(x.shape)
     want = x + 0.3 / np.sqrt(2.0) * (re + 1j * im)
     assert np.array_equal(add_complex_noise(x, 0.3, 4), want)
+
+
+# scipy is the oracle here only: the package itself never imports it.
+
+
+def test_next_fast_len_matches_scipy():
+    from scipy.fft import next_fast_len
+
+    assert [_next_fast_len(n) for n in range(1, 5001)] == [
+        next_fast_len(n, real=False) for n in range(1, 5001)
+    ]
+
+
+def _complex_normal(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+# padded lengths s1 + s2 - 1: 3, 113 and 2005 (not 11-smooth), 256 and 231
+@pytest.mark.parametrize("s1, s2", [(2, 2), (13, 101), (1009, 997), (128, 129), (77, 155)])
+def test_fft_convolve_matches_scipy_1d(s1, s2):
+    from scipy.signal import fftconvolve
+
+    rng = np.random.default_rng(s1 * s2)
+    a, b = _complex_normal(rng, s1), _complex_normal(rng, s2)
+    got = fft_convolve(a, b)
+    assert got.shape == (s1 + s2 - 1,)
+    assert np.array_equal(got, fftconvolve(a, b, mode="full"))
+
+
+@pytest.mark.parametrize("n_rows, n_kernel, n_cols", [(300, 61, 17), (257, 40, 3)])
+def test_fft_convolve_matches_scipy_along_axis0(n_rows, n_kernel, n_cols):
+    """The range-compression shape: every column against one (n, 1) kernel."""
+    from scipy.signal import fftconvolve
+
+    rng = np.random.default_rng(n_rows)
+    a = _complex_normal(rng, (n_rows, n_cols))
+    kernel = _complex_normal(rng, (n_kernel, 1))
+    got = fft_convolve(a, kernel)
+    assert got.shape == (n_rows + n_kernel - 1, n_cols)
+    assert np.array_equal(got, fftconvolve(a, kernel, mode="full", axes=0))
 
 
 def _phase_history(sigma, seed):

@@ -572,6 +572,27 @@ def test_lee_flattens_homogeneous_speckle():
     assert abs(out.mean() - sp.z.mean()) <= 0.01 * sp.z.mean()
 
 
+@pytest.mark.parametrize("shape", [(37, 52), (2, 5), (40,), (6, 9, 4)])  # (2, 5): below most windows
+@pytest.mark.parametrize("w", range(3, 12))
+def test_box_mean_matches_scipy_uniform_filter(w, shape):
+    from scipy.ndimage import uniform_filter  # the oracle; the package never imports scipy
+
+    from aperture_forge.sar.speckle import _box_mean
+
+    x = np.random.default_rng(w).gamma(2.0, size=shape)
+    assert np.array_equal(_box_mean(x, w), uniform_filter(x, size=w, mode="nearest"))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_lee_rejects_non_finite(bad):
+    z = np.ones((10, 10))
+    z[4, 6] = bad
+    with pytest.raises(ValueError, match="finite"):
+        lee_filter(z, 0.1)
+    with pytest.raises(ValueError, match="finite"):
+        lee_filter(z, 0.0)
+
+
 def test_lee_window_validation():
     z = np.ones((10, 10))
     with pytest.raises(ValueError):

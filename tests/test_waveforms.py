@@ -7,7 +7,6 @@ from numpy.testing import assert_allclose
 
 from aperture_forge.waveforms import (
     AdcModel,
-    AmbiguitySurface,
     LfmChirp,
     _wiener_weights,
     adc_metrics,
