@@ -64,16 +64,15 @@ def render_image(grid, path, dynamic_range_db=60.0, scale="db"):
     return path, csv_path
 
 
-def write_table(path, columns, comments=()):
-    """CSV with '#' comment lines and a '# name,name' header row.
+def write_table(path, columns):
+    """CSV with a '# name,name' header row.
 
     ``columns`` maps column name to a 1-D array; all must be equal
     length.  Values print as %.17g so floats survive a round trip.
     """
     names = list(columns)
     data = np.column_stack([np.asarray(columns[k], dtype=float) for k in names])
-    header = list(comments) + [",".join(names)]
-    np.savetxt(path, data, delimiter=",", fmt="%.17g", header="\n".join(header))
+    np.savetxt(path, data, delimiter=",", fmt="%.17g", header=",".join(names))
     return Path(path)
 
 
@@ -135,10 +134,10 @@ class ArtifactSink:
         self.paths[pgm.name] = pgm
         self.paths[csv.name] = csv
 
-    def table(self, name, columns, comments=()):
+    def table(self, name, columns):
         if not self.emit_csv:
             return
-        p = write_table(self.out_dir / f"{name}.csv", columns, comments)
+        p = write_table(self.out_dir / f"{name}.csv", columns)
         self.paths[p.name] = p
 
     def sweep(self, name, sweep):

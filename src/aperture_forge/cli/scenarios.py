@@ -54,6 +54,7 @@ from ..sounding import (
 )
 from ..sar import (
     CaponProblem,
+    LinearPhaseSteering,
     PointScene,
     QsarParams,
     SarGeometry,
@@ -66,7 +67,6 @@ from ..sar import (
     curvature_factor,
     detection_error_probabilities,
     lee_filter,
-    linear_phase_steering,
     matched_image,
     omega_k_focus,
     project_image,
@@ -81,7 +81,7 @@ from ..sas import (
     SasGeometry,
     SasScene,
     build_sensing_model,
-    lasso_mu_grid,
+    lasso_mu_max,
     sas_cbf,
     sas_resolutions,
     sas_sparse,
@@ -147,7 +147,7 @@ class RunReport:
 
     def write(self, path):
         Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+            json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
         )
         self.path = Path(path)
 
@@ -425,8 +425,8 @@ def _run_sar_capon(params, seed, sink):
                               params["d_u_m"], params["d_f_hz"], params["r_ref_m"],
                               params["noise_sigma"], seed)
     loading = params["loading_rel"] * float(np.mean(np.abs(z) ** 2))
-    prob = CaponProblem(z, linear_phase_steering(params["f_c_hz"], params["d_u_m"],
-                                                 params["d_f_hz"], params["r_ref_m"]),
+    prob = CaponProblem(z, LinearPhaseSteering(params["f_c_hz"], params["d_u_m"],
+                                               params["d_f_hz"], params["r_ref_m"]),
                         loading)
     half = params["extent_m"]
     grid = np.linspace(-half, half, params["n_grid"])
@@ -504,7 +504,7 @@ def _run_sas_recon(params, seed, sink):
     cbf = sas_cbf(d, model)
     i_cbf = int(np.argmax(np.abs(cbf)))
 
-    mu_max = float(lasso_mu_grid(d, model)[-1])
+    mu_max = lasso_mu_max(d, model)
     mu = params["mu_frac"] * mu_max
     sp = sas_sparse(d, model, mu, solver=params["solver"],
                     max_iter=params["max_iter"])
@@ -841,7 +841,9 @@ def run(config: RunConfig) -> RunReport:
 
     Artifacts land in the config's output directory; the returned report
     carries the metrics, the artifact manifest with checksums, and the
-    wall-clock runtime (kept off disk so reruns stay byte-identical).
+    wall-clock runtime (kept off disk so reruns stay byte-identical).  A
+    NaN or infinite metric raises ScenarioError naming it, and no report
+    is written.
     """
     scen = REGISTRY[config.scenario]
     out = Path(config.out_dir)
@@ -854,10 +856,15 @@ def run(config: RunConfig) -> RunReport:
         raise
     except Exception as exc:
         raise ScenarioError(f"{config.scenario}: {exc}") from exc
+    metrics = {k: _clean(v) for k, v in metrics.items()}
+    bad = [k for k, v in sorted(metrics.items())
+           if isinstance(v, float) and not np.isfinite(v)]
+    if bad:
+        raise ScenarioError(f"{config.scenario}: non-finite metrics: {', '.join(bad)}")
     report = RunReport(
         scenario=config.scenario,
         seed=config.seed,
-        metrics={k: _clean(v) for k, v in metrics.items()},
+        metrics=metrics,
         artifacts=sink.manifest(),
         defaulted=config.defaulted,
         runtime_s=time.perf_counter() - t0,

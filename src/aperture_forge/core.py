@@ -20,7 +20,7 @@ import numpy as np
 C_LIGHT = 299792458.0
 K_BOLTZMANN = 1.380649e-23
 
-# guards tan(AZ) at the visible-space horizon
+# tolerance on u^2 + v^2 <= 1 at the visible-space horizon
 _HORIZON_EPS = 1e-12
 
 
@@ -85,8 +85,6 @@ class Direction:
     aperture plane.  Sine-space coordinates follow
 
         u = sin(theta)*cos(phi),    v = sin(theta)*sin(phi)
-
-    and azimuth/elevation satisfy sin(EL) = v, tan(AZ) = u/sqrt(1-u^2-v^2).
     """
 
     def __init__(self, theta: float, phi: float):
@@ -106,11 +104,6 @@ class Direction:
         phi = np.arctan2(v, u) if r2 > 0.0 else 0.0
         return cls(theta, phi)
 
-    @classmethod
-    def from_az_el(cls, az: float, el: float) -> "Direction":
-        # u = cos(EL)sin(AZ), v = sin(EL)
-        return cls.from_sine_space(np.cos(el) * np.sin(az), np.sin(el))
-
     @property
     def u(self) -> float:
         return np.sin(self.theta) * np.cos(self.phi)
@@ -118,15 +111,6 @@ class Direction:
     @property
     def v(self) -> float:
         return np.sin(self.theta) * np.sin(self.phi)
-
-    @property
-    def el(self) -> float:
-        return np.arcsin(np.clip(self.v, -1.0, 1.0))
-
-    @property
-    def az(self) -> float:
-        w2 = max(1.0 - self.u ** 2 - self.v ** 2, _HORIZON_EPS)
-        return np.arctan2(self.u, np.sqrt(w2))
 
     def unit_vector(self) -> np.ndarray:
         """Cartesian unit propagation vector (x, y, z)."""
@@ -171,36 +155,31 @@ class WaveParams:
             raise ValueError("inconsistent wave: f != c*|k|")
 
     @classmethod
-    def from_direction(
-        cls, frequency: float, direction: Direction, speed: float = C_LIGHT
-    ) -> "WaveParams":
-        lam = speed / frequency
-        s = direction.unit_vector() / lam
-        return cls(frequency, speed, s[0], s[1], s[2])
+    def from_direction(cls, frequency: float, direction: Direction) -> "WaveParams":
+        """Wave of ``frequency`` travelling along ``direction`` at the speed of light."""
+        s = direction.unit_vector() / (C_LIGHT / frequency)
+        return cls(frequency, C_LIGHT, s[0], s[1], s[2])
 
     @property
     def wavelength(self) -> float:
         return self.speed / self.frequency
 
-    @property
-    def k(self) -> np.ndarray:
-        return np.array([self.kx, self.ky, self.kz])
 
-
-def plane_wave_field(point: FieldPoint, t, wave: WaveParams, mod_phase=0.0):
-    """Complex plane-wave field exp(j*2*pi*(f*t - k.x) + j*mod_phase).
+def plane_wave_field(point: FieldPoint, t, wave: WaveParams):
+    """Complex plane-wave field exp(j*2*pi*(f*t - k.x)).
 
     ``t`` may be scalar or array; the result is unimodular either way.
     """
     k_dot_x = wave.kx * point.x + wave.ky * point.y + wave.kz * point.z
-    return np.exp(1j * (2.0 * np.pi * (wave.frequency * t - k_dot_x) + mod_phase))
+    return np.exp(1j * (2.0 * np.pi * (wave.frequency * t - k_dot_x)))
 
 
-def far_field_distance(aperture_d: float, frequency: float, speed: float = C_LIGHT) -> float:
-    """Far-field (Fraunhofer) boundary 2*D^2/lambda for aperture size D."""
+def far_field_distance(aperture_d: float, frequency: float) -> float:
+    """Far-field (Fraunhofer) boundary 2*D^2/lambda for aperture size D
+    and a wave at the speed of light."""
     if aperture_d <= 0 or frequency <= 0:
         raise ValueError("aperture size and frequency must be positive")
-    return 2.0 * aperture_d ** 2 * frequency / speed
+    return 2.0 * aperture_d ** 2 * frequency / C_LIGHT
 
 
 def add_complex_noise(x, sigma, seed):

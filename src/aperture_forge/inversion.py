@@ -247,7 +247,6 @@ class FpSystem:
     object_spectrum: np.ndarray
     pupil: np.ndarray
     offsets: np.ndarray
-    min_overlap: float = 0.6
 
     def __post_init__(self):
         u = np.asarray(self.object_spectrum, dtype=complex)

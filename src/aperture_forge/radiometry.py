@@ -80,7 +80,6 @@ class BaselineSet:
     """
 
     uv: np.ndarray
-    wavelength: float = 1.0
 
     def __post_init__(self):
         uv = np.atleast_2d(np.asarray(self.uv, dtype=float))
@@ -90,27 +89,16 @@ class BaselineSet:
             raise ValueError("baselines must be finite")
         if not np.any(np.all(np.abs(uv) < 1e-12, axis=1)):
             raise ValueError("the zero baseline (0, 0) is required")
-        if self.wavelength <= 0:
-            raise ValueError("wavelength must be positive")
         object.__setattr__(self, "uv", uv)
 
     @classmethod
-    def from_lattice(cls, n_u, n_v, du, dv=None, wavelength=1.0):
-        dv = du if dv is None else dv
+    def from_lattice(cls, n_u, n_v, du):
+        """n_u by n_v lattice with spacing du on both axes; index n // 2
+        of each axis sits at zero."""
         iu = np.arange(n_u) - n_u // 2
         iv = np.arange(n_v) - n_v // 2
-        gu, gv = np.meshgrid(iu * du, iv * dv, indexing="ij")
-        return cls(np.column_stack([gu.ravel(), gv.ravel()]), wavelength)
-
-    @property
-    def is_negation_closed(self) -> bool:
-        """True when every (u, v) has its mirror (-u, -v), which is what
-        a Hermitian-symmetry check needs."""
-        uv = self.uv
-        for row in uv:
-            if not np.any(np.all(np.abs(uv + row) < 1e-9, axis=1)):
-                return False
-        return True
+        gu, gv = np.meshgrid(iu * du, iv * du, indexing="ij")
+        return cls(np.column_stack([gu.ravel(), gv.ravel()]))
 
 
 # complex entries per block of ramp tables; bounds the memory of a scattered set
@@ -223,7 +211,6 @@ def invert_visibilities(values, baselines: BaselineSet, clip_negative=False,
         t = np.maximum(t, 0.0)
     return TemperatureImage(t, l_ax, m_ax, {
         "negative_fraction": negative_fraction,
-        "clipped": bool(clip_negative),
         "imag_residual": imag_residual,
     })
 

@@ -21,9 +21,9 @@ from .focus import (
 from .tomo import project_image, tomographic_reconstruct
 from .capon import (
     CaponProblem,
+    LinearPhaseSteering,
     capon_image,
     conventional_image,
-    linear_phase_steering,
     matched_image,
     synthesize_capon_data,
 )
@@ -34,34 +34,3 @@ from .qsar import (
     qsar_metrics,
     snr_linear,
 )
-
-__all__ = [
-    "PhaseHistory",
-    "PointScene",
-    "SarGeometry",
-    "Scatterer",
-    "SarImage",
-    "CaponProblem",
-    "SpeckledImage",
-    "QsarParams",
-    "slant_range_history",
-    "simulate_phase_history",
-    "sar_resolutions",
-    "backproject",
-    "omega_k_focus",
-    "chirp_scaling_focus",
-    "curvature_factor",
-    "range_distortion",
-    "tomographic_reconstruct",
-    "project_image",
-    "capon_image",
-    "conventional_image",
-    "matched_image",
-    "linear_phase_steering",
-    "synthesize_capon_data",
-    "apply_speckle",
-    "lee_filter",
-    "qsar_metrics",
-    "snr_linear",
-    "detection_error_probabilities",
-]

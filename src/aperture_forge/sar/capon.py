@@ -28,8 +28,6 @@ class CaponProblem:
         steering.ramps(x_grid, y_grid, (P, L)) returns the per-axis ramps
         A_x (P, n_x) and A_y (L, n_y) with unit-norm columns; pixel
         (x_i, y_j) steers with kron(A_x[:, i], A_y[:, j]).
-        steering(x, y, (P, L)) returns that single unit-norm vector of
-        length P * L.
     loading: diagonal loading alpha >= 0.
     block_shape: covariance sub-block (P, L); default (M//4, N//4).
     """
@@ -100,15 +98,6 @@ class LinearPhaseSteering:
         a_y = np.exp(1j * np.outer(np.arange(l), wy)) / np.sqrt(l)
         return a_x, a_y
 
-    def __call__(self, x, y, block_shape):
-        a_x, a_y = self.ramps([x], [y], block_shape)
-        return np.kron(a_x[:, 0], a_y[:, 0])
-
-
-def linear_phase_steering(f_c, d_u, d_f, r_ref) -> LinearPhaseSteering:
-    """Steering model for a small scene at standoff r_ref."""
-    return LinearPhaseSteering(f_c, d_u, d_f, r_ref)
-
 
 def _steering_matrix(problem, x_grid, y_grid):
     """Steering vectors as columns, pixel (x_i, y_j) at column i*n_y + j."""
@@ -159,15 +148,12 @@ def synthesize_capon_data(sources, m, n, f_c, d_u, d_f, r_ref,
                           noise_sigma=0.0, seed=None) -> np.ndarray:
     """Build an (m, n) data matrix from point sources plus noise.
 
-    sources: iterable of (x, y, complex amplitude); the phase model is
-    the same ramp pair used by linear_phase_steering, so recovered
-    positions line up with the imaging grid by construction.
+    sources: iterable of (x, y, complex amplitude); source k adds
+    amplitude * sqrt(m n) * A_x[p, k] * A_y[l, k] at (p, l), with the
+    ramps of LinearPhaseSteering at full size, so recovered positions
+    line up with the imaging grid by construction.
     """
-    z = np.zeros((m, n), dtype=complex)
-    rows = np.arange(m)[:, None]
-    cols = np.arange(n)[None, :]
-    for x, y, amp in sources:
-        wx = 4.0 * np.pi * f_c * d_u * x / (C_LIGHT * r_ref)
-        wy = -4.0 * np.pi * d_f * y / C_LIGHT
-        z += amp * np.exp(1j * (wx * rows + wy * cols))
+    xs, ys, amps = zip(*sources)
+    a_x, a_y = LinearPhaseSteering(f_c, d_u, d_f, r_ref).ramps(xs, ys, (m, n))
+    z = np.sqrt(m * n) * (a_x * np.asarray(amps)) @ a_y.T
     return add_complex_noise(z, noise_sigma, seed)

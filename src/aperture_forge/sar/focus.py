@@ -17,7 +17,6 @@ class SarImage:
     """Focused complex image; axis0 cross-range (m), axis1 slant range (m)."""
 
     pixels: ComplexGrid
-    provenance: str
     info: dict = field(default_factory=dict)
 
     @property
@@ -94,7 +93,7 @@ def backproject(ph: PhaseHistory, x_grid, r_grid) -> SarImage:
         m = ((2.0 * big_r / C_LIGHT) - tau_c0) * ph.f_s
         image += _interp_complex(m, rows, rc[:, p]) * np.exp(1j * 4.0 * np.pi * big_r / lam)
     grid = ComplexGrid(image, Axis(x_grid[0], dx, "m"), Axis(r_grid[0], dr, "m"))
-    return SarImage(grid, "backprojection")
+    return SarImage(grid)
 
 
 def omega_k_focus(ph: PhaseHistory) -> SarImage:
@@ -154,7 +153,7 @@ def omega_k_focus(ph: PhaseHistory) -> SarImage:
         Axis(ph.geometry.v * t0, d_x, "m"),
         Axis(z_start, C_LIGHT / (2.0 * f_s), "m"),
     )
-    return SarImage(grid, "omega-k", {"evanescent_bins": evanescent})
+    return SarImage(grid, {"evanescent_bins": evanescent})
 
 
 def curvature_factor(f_dop, v, wavelength):
@@ -249,4 +248,4 @@ def chirp_scaling_focus(ph: PhaseHistory, r_ref: float) -> SarImage:
         Axis(v * t0, v / ph.geometry.prf, "m"),
         Axis(C_LIGHT * ph.tau0 / 2.0, C_LIGHT / (2.0 * f_s), "m"),
     )
-    return SarImage(grid, "chirp-scaling", {"clamped_bins": clamped})
+    return SarImage(grid, {"clamped_bins": clamped})

@@ -58,14 +58,11 @@ class SarGeometry:
     t_coh: float
     r1: float
     wavelength: float
-    mode: str = "stripmap"
 
     def __post_init__(self):
         # v = 0 is legal (stationary platform, pure range profiling)
         if self.v < 0 or min(self.prf, self.t_coh, self.r1, self.wavelength) <= 0:
             raise ValueError("geometry parameters must be positive (v may be zero)")
-        if self.mode not in ("stripmap", "spotlight"):
-            raise ValueError("mode must be 'stripmap' or 'spotlight'")
 
     @property
     def aperture_length(self) -> float:

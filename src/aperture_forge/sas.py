@@ -23,15 +23,14 @@ class SasGeometry:
     """Along-track collection layout.
 
     The platform track is the y axis, range is x.  Receivers sit at
-    fixed along-track offsets from the transmitter; both ride along at
-    v_p * tau_rec per ping.
+    fixed along-track offsets from the transmitter, which sits at 0; both
+    ride along at v_p * tau_rec per ping.
     """
 
     v_p: float
     tau_rec: float
     n_pings: int
     rx_offsets: np.ndarray
-    tx_offset: float = 0.0
     c_sound: float = 1500.0
 
     def __post_init__(self):
@@ -61,7 +60,7 @@ class SasGeometry:
     def virtual_elements(self) -> np.ndarray:
         """(P, M) along-track positions of the phase-center midpoints."""
         y_p = self.ping_positions()
-        mid = (self.tx_offset + self.rx_offsets) / 2.0
+        mid = self.rx_offsets / 2.0
         return y_p[:, None] + mid[None, :]
 
 
@@ -121,9 +120,6 @@ class SensingModel:
     @property
     def shape(self):
         return self.tensor.shape  # (P, F, M, N)
-
-    def matrix(self, p: int, f: int) -> np.ndarray:
-        return self.tensor[p, f]
 
     def forward(self, s) -> np.ndarray:
         s = np.asarray(s, dtype=complex)
@@ -237,15 +233,13 @@ def sas_sparse(d_stack, model: SensingModel, mu, solver="ista",
                            np.asarray(history), converged, it)
 
 
-def lasso_mu_grid(d_stack, model: SensingModel, n_points=10, decades=3) -> np.ndarray:
-    """Logarithmic mu candidates from the shutoff point downward.
-
-    mu >= ||A^H d||_inf provably yields the all-zero solution, so the
-    grid spans [mu_max * 10^-decades, mu_max]."""
+def lasso_mu_max(d_stack, model: SensingModel) -> float:
+    """Shutoff point ||A^H d||_inf of the lasso: any mu at or above it
+    provably yields the all-zero solution."""
     mu_max = float(np.max(np.abs(model.adjoint(d_stack))))
     if mu_max == 0.0:
         raise ValueError("data is identically zero; no mu scale exists")
-    return np.geomspace(mu_max * 10.0 ** (-decades), mu_max, n_points)
+    return mu_max
 
 
 def sas_resolutions(delta_f, d_transducer, wavelength, r0, c_sound=1500.0) -> dict:

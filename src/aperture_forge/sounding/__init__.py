@@ -24,27 +24,3 @@ from .padp import (
     synthesize_sweep,
     two_ray_path_loss,
 )
-
-__all__ = [
-    "AnnealSchedule",
-    "ChannelRay",
-    "DelaySlice",
-    "FrequencyGrid",
-    "Pdp",
-    "SamplingLattice",
-    "SparseLatticeResult",
-    "SphericalPadp",
-    "SweepData",
-    "array_factor",
-    "delay_slice",
-    "fib_weights",
-    "natural_beamwidth",
-    "optimize_sparse_lattice",
-    "padp",
-    "sampling_checks",
-    "source_distances",
-    "spherical_padp",
-    "steering_vector",
-    "synthesize_sweep",
-    "two_ray_path_loss",
-]

@@ -143,8 +143,6 @@ def fib_weights(
     direction: Direction,
     beamwidth_target: float,
     mask_factor: float = 0.75,
-    sidelobe_grid: int = 48,
-    ridge: float = 1e-4,
 ) -> np.ndarray:
     """Per-tone weights holding the beamwidth constant across the sweep.
 
@@ -174,7 +172,7 @@ def fib_weights(
     pos = lattice.active_positions()
     p = len(pos)
     r_mask = mask_factor * beamwidth_target
-    axis = np.linspace(-1.0, 1.0, sidelobe_grid)
+    axis = np.linspace(-1.0, 1.0, 48)  # coarse sidelobe grid over visible space
     uu, vv = np.meshgrid(axis, axis, indexing="ij")
     off_sq = (uu - direction.u) ** 2 + (vv - direction.v) ** 2
     sel = (uu ** 2 + vv ** 2 <= 1.0) & (off_sq > r_mask ** 2)
@@ -202,7 +200,7 @@ def fib_weights(
         v_main = np.exp(1j * k * main_path)
         gamma = len(us) / max(len(um), 1)  # balance the two regions
         g = v_side @ np.conj(v_side.T) + gamma * (v_main @ np.conj(v_main.T))
-        g += ridge * 2 * len(us) * np.eye(p)
+        g += 1e-4 * 2 * len(us) * np.eye(p)  # ridge keeps the solves well posed
         c = gamma * (v_main @ d_main)
         w_ls = np.linalg.solve(g, c)
         h = np.linalg.solve(g, v0)
@@ -213,13 +211,11 @@ def fib_weights(
 
 @dataclass(frozen=True)
 class AnnealSchedule:
-    """Cooling plan for the lattice thinning annealer."""
+    """Cooling plan for the lattice thinning annealer: ``n_steps`` moves,
+    the temperature cut by 5% every ``cool_every`` of them."""
 
     n_steps: int = 4000
-    cool_factor: float = 0.95
     cool_every: int = 100
-    t0: float | None = None  # None: seeded from the spread of random masks
-    recompute_every: int = 500
 
 
 @dataclass
@@ -298,22 +294,17 @@ def optimize_sparse_lattice(
     active_set = np.zeros(n_total, dtype=bool)
     active_set[active] = True
 
-    t0 = sched.t0
-    if t0 is None:
-        # temperature from the objective spread of random masks
-        samples = [
-            psl_of(rng.permutation(n_total)[:n_keep]) for _ in range(20)
-        ]
-        t0 = max(np.ptp(samples), 0.1)
+    # start temperature from the objective spread of random masks
+    samples = [psl_of(rng.permutation(n_total)[:n_keep]) for _ in range(20)]
+    temp = max(np.ptp(samples), 0.1)
 
     pattern = full_pattern(np.flatnonzero(active_set))
     current = _psl_db(np.abs(pattern), sidelobe_sel, n_keep)
     best_mask = active_set.copy()
     best = current
-    temp = t0
     for step in range(sched.n_steps):
         if step and step % sched.cool_every == 0:
-            temp *= sched.cool_factor
+            temp *= 0.95
         on = np.flatnonzero(active_set)
         off = np.flatnonzero(~active_set)
         drop = on[rng.integers(len(on))]
@@ -329,7 +320,7 @@ def optimize_sparse_lattice(
             if current < best:
                 best = current
                 best_mask = active_set.copy()
-        if (step + 1) % sched.recompute_every == 0:
+        if (step + 1) % 500 == 0:
             # resync the incrementally updated pattern against drift
             pattern = full_pattern(np.flatnonzero(active_set))
             current = _psl_db(np.abs(pattern), sidelobe_sel, n_keep)

@@ -23,11 +23,6 @@ class FrequencyGrid:
         if abs(n - round(n)) > 1e-6:
             raise ValueError("span must be an integer number of steps")
 
-    @classmethod
-    def default(cls) -> "FrequencyGrid":
-        # 26.5-40 GHz in 10 MHz steps: 1351 tones
-        return cls(26.5e9, 40e9, 10e6)
-
     @property
     def s(self) -> int:
         return int(round((self.f_stop - self.f_start) / self.df)) + 1

@@ -39,8 +39,8 @@ class ChannelRay:
         return cls("plane", complex(amplitude), delay, u=u, v=v)
 
     @classmethod
-    def point_source(cls, position, amplitude=1.0 + 0.0j, extra_delay=0.0) -> "ChannelRay":
-        return cls("point", complex(amplitude), extra_delay, position=tuple(position))
+    def point_source(cls, position, amplitude=1.0 + 0.0j) -> "ChannelRay":
+        return cls("point", complex(amplitude), position=tuple(position))
 
 
 class SweepData:
@@ -121,7 +121,6 @@ class Pdp:
 
     delays: np.ndarray
     amplitude: np.ndarray
-    direction: Direction
 
     @property
     def power(self) -> np.ndarray:
@@ -132,10 +131,7 @@ class Pdp:
 class DelaySlice:
     """Angle map of the channel at one fixed delay bin."""
 
-    tau: float
-    u_axis: np.ndarray
-    v_axis: np.ndarray
-    amplitude: np.ndarray  # (len(u_axis), len(v_axis))
+    amplitude: np.ndarray  # (len(u_axis), len(v_axis)) of the delay_slice call
 
     @property
     def power(self) -> np.ndarray:
@@ -173,7 +169,7 @@ def padp(
     nfft = pad_factor * s
     amp = np.fft.ifft(b, nfft) * pad_factor  # 1/S normalization
     delays = np.arange(nfft) / (nfft * sweep.grid.df)
-    return Pdp(delays=delays, amplitude=amp, direction=direction)
+    return Pdp(delays=delays, amplitude=amp)
 
 
 def _window(window: str | None, n: int) -> np.ndarray:
@@ -218,9 +214,7 @@ def delay_slice(
         amp += idft[s_idx] * (sweep.s21[:, s_idx] @ w_angle)
         if s_idx + 1 < s:
             w_angle = w_angle * step
-    return DelaySlice(
-        tau=tau, u_axis=u_axis, v_axis=v_axis, amplitude=amp.reshape(uu.shape)
-    )
+    return DelaySlice(amp.reshape(uu.shape))
 
 
 def source_distances(
@@ -242,7 +236,6 @@ class SphericalPadp:
     ranges: np.ndarray
     delays: np.ndarray
     amplitude: np.ndarray  # (len(ranges), len(delays))
-    direction: Direction
 
     @property
     def power(self) -> np.ndarray:
@@ -255,15 +248,14 @@ def spherical_padp(
     r_start: float,
     r_stop: float,
     r_step: float,
-    window: str | None = "hamming",
-    pad_factor: int = 4,
 ) -> SphericalPadp:
     """Near-field PADP: focus at a sequence of candidate ranges.
 
     For each range hop the steering phase matches a spherical wavefront
     from the virtual source at that range along the look direction,
     referenced to the lattice center so the delay axis still reads the
-    source's center delay.  Far hops converge to the plane-wave padp.
+    source's center delay.  Taper and padding are padp's defaults
+    (Hamming, 4x), so far hops converge to the plane-wave padp.
     """
     if r_start <= 0 or r_stop < r_start or r_step <= 0:
         raise ValueError("need 0 < r_start <= r_stop and r_step > 0")
@@ -273,15 +265,13 @@ def spherical_padp(
         raise ValueError("virtual source falls in the lattice plane")
     f = sweep.grid.frequencies()
     s = sweep.grid.s
-    win = _window(window, s)
-    nfft = pad_factor * s
+    win = np.hamming(s)
+    nfft = 4 * s
     out = np.empty((len(ranges), nfft), dtype=complex)
     for i, r in enumerate(ranges):
         d = source_distances(sweep.lattice, direction, r)
         w = np.exp(-1j * 2.0 * np.pi * f[None, :] * (d[:, None] - r) / C_LIGHT)
         b = np.sum(np.conj(w) * sweep.s21, axis=0)
-        out[i] = np.fft.ifft(b * win, nfft) * pad_factor
+        out[i] = np.fft.ifft(b * win, nfft) * 4
     delays = np.arange(nfft) / (nfft * sweep.grid.df)
-    return SphericalPadp(
-        ranges=ranges, delays=delays, amplitude=out, direction=direction
-    )
+    return SphericalPadp(ranges=ranges, delays=delays, amplitude=out)

@@ -38,23 +38,18 @@ class LfmChirp:
         return self.bandwidth * self.duration
 
 
-def sample_lfm(chirp: LfmChirp, f_s: float, baseband: bool = True) -> np.ndarray:
-    """Sample the chirp's complex envelope at rate ``f_s``.
+def sample_lfm(chirp: LfmChirp, f_s: float) -> np.ndarray:
+    """Sample the chirp's baseband complex envelope at rate ``f_s``.
 
-    Baseband samples are A*exp(j*pi*K*t^2) on the symmetric support
-    t in [-T/2, T/2]; the instantaneous frequency sweeps -B/2 to B/2.
-    With ``baseband=False`` the carrier exp(j*2*pi*fc*t) is included.
+    Samples are A*exp(j*pi*K*t^2) on the symmetric support t in
+    [-T/2, T/2]; the instantaneous frequency sweeps -B/2 to B/2.
     """
-    b = chirp.bandwidth
-    needed = 2.0 * b if baseband else 2.0 * (chirp.fc + b / 2.0)
+    needed = 2.0 * chirp.bandwidth
     if f_s < needed:
         raise ValueError(f"sample rate {f_s} too low, need >= {needed}")
     n = int(round(chirp.duration * f_s))
     t = (np.arange(n) - (n - 1) / 2.0) / f_s
-    phase = np.pi * chirp.rate * t ** 2
-    if not baseband:
-        phase = phase + 2.0 * np.pi * chirp.fc * t
-    return chirp.amplitude * np.exp(1j * phase)
+    return chirp.amplitude * np.exp(1j * (np.pi * chirp.rate * t ** 2))
 
 
 def matched_filter(received: np.ndarray, reference: np.ndarray) -> np.ndarray:
@@ -81,7 +76,6 @@ class AmbiguitySurface:
     delays: np.ndarray
     dopplers: np.ndarray
     values: np.ndarray
-    energy: float
 
     def volume(self) -> float:
         """Discrete integral of the surface over the evaluated grid."""
@@ -96,8 +90,7 @@ def ambiguity_surface(envelope, delays, dopplers, f_s: float) -> AmbiguitySurfac
     chi(tau, f_d) = integral u(t) u*(t + tau) exp(j*2*pi*f_d*t) dt is
     computed by Riemann sums on the sample lattice; requested delays are
     snapped to whole samples.  The envelope is normalized to unit energy
-    (sum |u|^2 / f_s = 1) so the surface peaks at exactly 1 at the origin;
-    the original energy is reported on the result.
+    (sum |u|^2 / f_s = 1) so the surface peaks at exactly 1 at the origin.
     """
     u = np.asarray(envelope, dtype=complex)
     delays = np.atleast_1d(np.asarray(delays, dtype=float))
@@ -124,9 +117,7 @@ def ambiguity_surface(envelope, delays, dopplers, f_s: float) -> AmbiguitySurfac
             products[i, -lag:] = u[-lag:] * np.conj(u[: n + lag])
     kernel = np.exp(1j * 2.0 * np.pi * t[:, None] * dopplers[None, :])
     chi = dt * (products @ kernel)
-    return AmbiguitySurface(
-        delays=lags * dt, dopplers=dopplers, values=np.abs(chi) ** 2, energy=energy
-    )
+    return AmbiguitySurface(delays=lags * dt, dopplers=dopplers, values=np.abs(chi) ** 2)
 
 
 def lfm_ambiguity_closed_form(chirp: LfmChirp, tau, f_d):
@@ -235,28 +226,6 @@ def _structured_covariance(rho_windows, shifts, out):
         live = slice(i0, i1 + m - 1)
         np.multiply(shifts[live, i0:i1, None], shifts_conj[live], out=block[live])
         np.matmul(rho_windows, block.reshape(n_shifts, -1), out=out_flat[:, i0 * m : i1 * m])
-
-
-def _wiener_weights(rho_window, waveform, noise_power):
-    """Single-bin MMSE weights for a power window rho(l-M+1..l+M-1).
-
-    With the structured covariance degenerate to (near) noise-only, the
-    weights collapse to a scaled matched filter.
-    """
-    waveform = np.asarray(waveform, dtype=complex)
-    rho_window = np.asarray(rho_window, dtype=float)
-    m = waveform.size
-    if rho_window.size != 2 * m - 1:
-        raise ValueError("rho window must have length 2*M - 1")
-    cov = np.empty((1, m, m), dtype=complex)
-    _structured_covariance(rho_window[None, :], _shift_matrix(waveform), cov)
-    cov = cov[0] + noise_power * np.eye(m)
-    try:
-        w = np.linalg.solve(cov, waveform)
-    except np.linalg.LinAlgError:
-        load = 1e-3 * np.real(np.trace(cov)) / m
-        w = np.linalg.solve(cov + load * np.eye(m), waveform)
-    return rho_window[m - 1] * w
 
 
 def rmmse_compress(

@@ -356,6 +356,26 @@ def test_main_success_and_exit_codes(tmp_path, capsys):
     assert (tmp_path / "out" / "report.json").exists()
 
 
+@pytest.mark.parametrize("scenario,params", [
+    ("radiometry-roundtrip", {"sigma_l": 0.0}),
+    ("radiometry-roundtrip", {"t_peak_k": 0.0}),
+    ("sar-speckle", {"n_pix": 1}),
+    ("sar-speckle", {"n_pix": 2}),
+    ("sar-speckle", {"sigma_mu": 0.0}),
+    ("sar-tomo", {"n_s": 2}),
+])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_metric_exits_6_without_a_report(tmp_path, capsys, scenario, params):
+    cfg = write_config(tmp_path, {"scenario": scenario, "params": params})
+    code = main([scenario, "--config", str(cfg), "--seed", "1",
+                 "--out", str(tmp_path / "out")])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 6
+    assert err["error"]["kind"] == "ScenarioError"
+    assert "non-finite metrics" in err["error"]["message"]
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_main_reports_machine_readable_errors(tmp_path, capsys):
     bad = write_config(tmp_path, {"scenario": "sound-constants", "foo": 1})
     code = main(["sound-constants", "--config", str(bad),

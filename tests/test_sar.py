@@ -9,6 +9,7 @@ from aperture_forge.core import C_LIGHT, ComplexGrid
 from aperture_forge.waveforms import LfmChirp
 from aperture_forge.sar import (
     CaponProblem,
+    LinearPhaseSteering,
     PhaseHistory,
     PointScene,
     QsarParams,
@@ -22,7 +23,6 @@ from aperture_forge.sar import (
     curvature_factor,
     detection_error_probabilities,
     lee_filter,
-    linear_phase_steering,
     matched_image,
     omega_k_focus,
     project_image,
@@ -35,6 +35,7 @@ from aperture_forge.sar import (
     synthesize_capon_data,
     tomographic_reconstruct,
 )
+from aperture_forge.sar.capon import _steering_matrix
 
 F_S = 200e6
 DR_CELL = C_LIGHT / (2 * F_S)          # 0.7495 m range bin
@@ -423,8 +424,17 @@ CAPON_KW = dict(f_c=10e9, d_u=0.15, d_f=2e6, r_ref=1000.0)
 def capon_case(noise_sigma, seed, loading, sources=((3.0, -2.0, 1.0),)):
     z = synthesize_capon_data(list(sources), 32, 32, noise_sigma=noise_sigma,
                               seed=seed, **CAPON_KW)
-    steer = linear_phase_steering(**CAPON_KW)
-    return CaponProblem(z, steer, loading=loading)
+    return CaponProblem(z, LinearPhaseSteering(**CAPON_KW), loading=loading)
+
+
+def direct_ramp(x, y, shape):
+    """Unit-norm two-way phase ramp exp(j(wx p + wy l)) / sqrt(P L) of one
+    pixel, flattened row-major over (p, l), written out from the model."""
+    wx = 4.0 * np.pi * CAPON_KW["f_c"] * CAPON_KW["d_u"] * x / (C_LIGHT * CAPON_KW["r_ref"])
+    wy = -4.0 * np.pi * CAPON_KW["d_f"] * y / C_LIGHT
+    p, l = shape
+    ramp = np.exp(1j * (wx * np.arange(p)[:, None] + wy * np.arange(l)[None, :]))
+    return ramp.ravel() / np.sqrt(p * l)
 
 
 def test_capon_identity_covariance_gives_unit_power():
@@ -432,8 +442,7 @@ def test_capon_identity_covariance_gives_unit_power():
     # exactly the identity, so the estimate is 1 everywhere
     rng = np.random.default_rng(0)
     z = np.exp(1j * rng.uniform(0, 2 * np.pi, (8, 8)))
-    steer = linear_phase_steering(**CAPON_KW)
-    prob = CaponProblem(z, steer, loading=0.0, block_shape=(1, 1))
+    prob = CaponProblem(z, LinearPhaseSteering(**CAPON_KW), loading=0.0, block_shape=(1, 1))
     img = capon_image(prob, np.linspace(-5, 5, 7), np.linspace(-5, 5, 7))
     assert np.allclose(img, 1.0, atol=1e-12)
 
@@ -482,23 +491,32 @@ def test_capon_rank_deficiency_points_to_loading():
 
 
 def test_capon_problem_validation():
-    steer = linear_phase_steering(**CAPON_KW)
+    steer = LinearPhaseSteering(**CAPON_KW)
     with pytest.raises(ValueError):
         CaponProblem(np.ones((2, 2), dtype=complex), steer)
     with pytest.raises(ValueError):
         CaponProblem(np.ones((8, 8), dtype=complex), steer, loading=-1.0)
     with pytest.raises(ValueError):
         CaponProblem(np.ones((8, 8), dtype=complex), steer, block_shape=(9, 2))
-    v = steer(1.0, 2.0, (4, 4))
-    assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_steering_call_is_the_two_way_phase_ramp():
-    v = linear_phase_steering(**CAPON_KW)(3.0, -2.0, (5, 6))
-    wx = 4.0 * np.pi * CAPON_KW["f_c"] * CAPON_KW["d_u"] * 3.0 / (C_LIGHT * CAPON_KW["r_ref"])
-    wy = -4.0 * np.pi * CAPON_KW["d_f"] * -2.0 / C_LIGHT
-    ramp = np.exp(1j * (wx * np.arange(5)[:, None] + wy * np.arange(6)[None, :]))
-    assert_allclose(v, ramp.ravel() / np.sqrt(30), rtol=1e-12, atol=0.0)
+def test_steering_columns_are_the_two_way_phase_ramp():
+    prob = CaponProblem(np.ones((12, 14), dtype=complex), LinearPhaseSteering(**CAPON_KW),
+                        block_shape=(5, 6))
+    xg = np.array([-7.5, 0.0, 3.0])
+    yg = np.array([-2.0, 4.25])
+    v = _steering_matrix(prob, xg, yg)
+    for i, x in enumerate(xg):
+        for j, y in enumerate(yg):
+            assert_allclose(v[:, i * len(yg) + j], direct_ramp(x, y, (5, 6)),
+                            rtol=1e-12, atol=0.0)
+
+
+def test_capon_data_sums_full_size_ramps():
+    sources = ((3.0, -2.0, 1.0), (-4.0, 5.5, 0.5 - 0.25j))
+    z = synthesize_capon_data(sources, 12, 14, **CAPON_KW)
+    want = sum(amp * np.sqrt(12 * 14) * direct_ramp(x, y, (12, 14)) for x, y, amp in sources)
+    assert_allclose(z, want.reshape(12, 14), rtol=1e-12, atol=1e-12)
 
 
 def test_capon_scans_match_per_pixel_oracle():
@@ -516,10 +534,10 @@ def test_capon_scans_match_per_pixel_oracle():
     mat = np.empty_like(cap)
     for i, x in enumerate(xg):
         for j, y in enumerate(yg):
-            v = prob.steering(x, y, (p, l))
+            v = direct_ramp(x, y, (p, l))
             cap[i, j] = 1.0 / np.vdot(v, r_inv @ v).real
             conv[i, j] = np.vdot(v, r_hat @ v).real
-            v_full = prob.steering(x, y, (m, n)).reshape(m, n)
+            v_full = direct_ramp(x, y, (m, n)).reshape(m, n)
             mat[i, j] = np.abs(np.sum(prob.z * np.conj(v_full))) ** 2
     assert_allclose(capon_image(prob, xg, yg), cap, rtol=1e-12, atol=0.0)
     assert_allclose(conventional_image(prob, xg, yg), conv, rtol=1e-12, atol=0.0)

@@ -10,7 +10,7 @@ from aperture_forge.sas import (
     SasScene,
     SensingModel,
     build_sensing_model,
-    lasso_mu_grid,
+    lasso_mu_max,
     sas_cbf,
     sas_resolutions,
     sas_sparse,
@@ -80,8 +80,7 @@ def test_ping_position_advances_one_record_per_ping():
 
 
 def test_virtual_element_is_tx_rx_midpoint():
-    g = SasGeometry(v_p=1.0, tau_rec=1.0, n_pings=1,
-                    rx_offsets=[0.10], tx_offset=0.0)
+    g = SasGeometry(v_p=1.0, tau_rec=1.0, n_pings=1, rx_offsets=[0.10])
     assert g.virtual_elements()[0, 0] == pytest.approx(0.05, abs=1e-15)
 
 
@@ -282,7 +281,7 @@ def test_mu_above_peak_correlation_shuts_everything_off():
     g = np.zeros(256, dtype=complex)
     for p in range(16):
         for f in range(16):
-            g += m.matrix(p, f).conj().T @ d[p, f]
+            g += m.tensor[p, f].conj().T @ d[p, f]
     mu_max = np.max(np.abs(g))
     res = sas_sparse(d, m, mu=mu_max * 1.001, solver="ista", max_iter=50)
     assert np.all(res.s == 0)
@@ -344,15 +343,12 @@ def test_sparse_rejects_non_finite_data(bad):
         sas_sparse(d, default_model(), mu=1.0)
 
 
-def test_mu_grid_spans_down_from_shutoff():
+def test_mu_max_is_the_shutoff_point():
     d = simulate_measurements(GEOM, one_point_scene(8), GRID)
     m = default_model()
-    grid = lasso_mu_grid(d, m, n_points=7, decades=2)
-    assert len(grid) == 7
-    assert grid[-1] == pytest.approx(np.max(np.abs(m.adjoint(d))))
-    assert grid[0] == pytest.approx(grid[-1] / 100.0)
+    assert lasso_mu_max(d, m) == pytest.approx(np.max(np.abs(m.adjoint(d))))
     with pytest.raises(ValueError):
-        lasso_mu_grid(np.zeros((16, 16, 8)), m)
+        lasso_mu_max(np.zeros((16, 16, 8)), m)
 
 
 # ------------------------------------------------------------- resolutions

@@ -25,13 +25,14 @@ from aperture_forge.sounding import (
 from aperture_forge.sounding.padp import SweepData, _beam_series
 
 BORESIGHT = Direction(0.0, 0.0)
+BAND = FrequencyGrid(26.5e9, 40e9, 10e6)  # the sweep of sound-constants
 
 
 # ------------------------------------------------------------ frequency grid
 
 
 def test_default_grid_tone_count():
-    g = FrequencyGrid.default()
+    g = BAND
     assert g.s == 1351
     assert g.bandwidth == pytest.approx(13.5e9)
     f = g.frequencies()
@@ -46,7 +47,7 @@ def test_grid_rejects_non_integer_span():
 
 
 def test_sampling_checks_frozen_values():
-    out = sampling_checks(FrequencyGrid.default(), f_max=40e9)
+    out = sampling_checks(BAND, f_max=40e9)
     assert out["delay_resolution_s"] == pytest.approx(1.0 / 13.5e9, rel=1e-9)
     assert out["range_resolution_m"] == pytest.approx(C_LIGHT / 13.5e9, rel=1e-9)
     assert out["t_dur_s"] == pytest.approx(1e-7, rel=1e-9)
@@ -56,7 +57,7 @@ def test_sampling_checks_frozen_values():
 
 
 def test_sampling_checks_rejects_far_from_integer():
-    out = sampling_checks(FrequencyGrid.default(), f_max=37e9)
+    out = sampling_checks(BAND, f_max=37e9)
     assert out["bandpass_ok"] is False
 
 

@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 from aperture_forge.waveforms import (
     AdcModel,
     LfmChirp,
-    _wiener_weights,
     adc_metrics,
     ambiguity_surface,
     lfm_ambiguity_closed_form,
@@ -199,17 +198,6 @@ def test_adc_affine_in_bits(bits):
 
 
 # ----------------------------------------------------------- RMMSE compression
-
-
-def test_wiener_weights_white_case_is_matched_filter():
-    s = sample_lfm(LfmChirp(0.0, 5e6, 4e-6), 10e6)
-    m = s.size
-    rho = np.zeros(2 * m - 1)
-    rho[m - 1] = 1.0  # single scatterer at the bin under test
-    w = _wiener_weights(rho, s, noise_power=1.0)
-    # rank-one-plus-identity covariance keeps the solve parallel to s
-    cos = abs(np.vdot(w, s)) / (np.linalg.norm(w) * np.linalg.norm(s))
-    assert cos == pytest.approx(1.0, abs=1e-10)
 
 
 def _noiseless_one_target():
