@@ -19,6 +19,7 @@ recorded on the returned config.
 """
 
 import json
+import math
 from dataclasses import dataclass
 
 
@@ -66,10 +67,13 @@ class RunConfig:
 
 
 def _coerce(name, value, expected):
-    """Type-check one field; JSON integers are accepted for floats."""
+    """Type-check one field; JSON integers are accepted for floats, the
+    NaN and Infinity tokens that Python's json reads are not."""
     if expected is float:
         # bool is an int subclass and must not pass as a number
         if isinstance(value, (int, float)) and not isinstance(value, bool):
+            if not math.isfinite(value):
+                raise TypeMismatchError(f"{name}: expected a finite number, got {value}")
             return float(value)
     elif expected is int:
         if isinstance(value, int) and not isinstance(value, bool):

@@ -51,9 +51,5 @@ def main(argv=None) -> int:
     return 0
 
 
-def cli():
-    raise SystemExit(main())
-
-
 if __name__ == "__main__":
-    cli()
+    raise SystemExit(main())

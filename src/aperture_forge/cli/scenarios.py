@@ -78,6 +78,7 @@ from ..sar import (
     tomographic_reconstruct,
 )
 from ..sas import (
+    C_SOUND,
     SasGeometry,
     SasScene,
     build_sensing_model,
@@ -131,7 +132,7 @@ class RunReport:
     artifacts: dict
     defaulted: tuple
     runtime_s: float
-    path: Path | None = None
+    path: Path | None = field(default=None, init=False)
 
     def to_dict(self) -> dict:
         # wall clock stays out of the serialized report so identical
@@ -251,7 +252,7 @@ def _run_sound_padp(params, seed, sink):
     gain = two_ray_path_loss(params["rho"], params["phi_rad"])
     sink.sweep("sweep", sweep)
     sink.table("pdp", {"delay_ns": pdp.delays * 1e9, "power": pdp.power})
-    sink.image("delay_map", np.abs(slc.amplitude), scale="field")
+    sink.image("delay_map", np.abs(slc), scale="field")
     return {
         "peak_delay_ns": pdp.delays[i_pk] * 1e9,
         "peak_power_db": 10.0 * np.log10(pdp.power[i_pk]),
@@ -510,9 +511,8 @@ def _run_sas_recon(params, seed, sink):
                     max_iter=params["max_iter"])
     top2 = set(np.argsort(np.abs(sp.s))[-2:].tolist())
 
-    lam = geom.c_sound / (0.5 * (grid.f_start + grid.f_stop))
-    res = sas_resolutions(grid.bandwidth, params["d_transducer_m"], lam, r0,
-                          geom.c_sound)
+    lam = C_SOUND / (0.5 * (grid.f_start + grid.f_stop))
+    res = sas_resolutions(grid.bandwidth, params["d_transducer_m"], lam, r0)
     sink.image("cbf", np.abs(cbf).reshape(side, side), scale="field")
     sink.image("sparse", np.abs(sp.s).reshape(side, side), scale="field")
     return {

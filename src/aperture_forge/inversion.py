@@ -166,17 +166,16 @@ def af_gradient(x, y, problem) -> np.ndarray:
     return _amplitude_gradient(_forward(problem, x), np.sqrt(y), problem)
 
 
-def amplitude_flow(y, problem, init, steps=500, lr=None) -> FlowResult:
+def amplitude_flow(y, problem, init, steps=500) -> FlowResult:
     """Fixed-step gradient descent on (1/m) sum (sqrt(y_i) - |<a_i,x>|)^2.
 
-    The default step targets the local Hessian scale 2||A||^2 / m; a
+    The step targets the local Hessian scale 2||A||^2 / m; a
     non-finite objective aborts with the iterate history intact.  Each
     step's A x serves both its objective and the next gradient.
     """
     root_y = np.sqrt(np.asarray(y, dtype=float))
     x = np.asarray(init, dtype=complex).copy()
-    if lr is None:
-        lr = 0.1 / (2.0 * _op_norm_sq(problem) / problem.m)
+    lr = 0.1 / (2.0 * _op_norm_sq(problem) / problem.m)
     z = _forward(problem, x)
     history = [_amplitude_objective(z, root_y)]
     for _ in range(steps):
@@ -305,7 +304,6 @@ class FpRecovery:
     spectrum: np.ndarray
     coverage: np.ndarray
     unreliable: bool = False
-    info: dict = field(default_factory=dict)
 
 
 def fp_recover(intensities, system: FpSystem, sweeps=50) -> FpRecovery:

@@ -16,11 +16,9 @@ import numpy as np
 @dataclass(frozen=True)
 class BrightnessMap:
     """Received brightness temperature T_r(theta, phi) in K/sr on a
-    midpoint (theta, phi) grid.  Hemisphere by default; theta_max = pi
-    covers the full sphere."""
+    midpoint (theta, phi) grid over the upper hemisphere."""
 
     values: np.ndarray
-    theta_max: float = np.pi / 2
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -28,16 +26,14 @@ class BrightnessMap:
             raise ValueError("values must be a 2-D (theta, phi) grid")
         if np.any(vals < 0):
             raise ValueError("brightness temperature cannot be negative")
-        if not 0 < self.theta_max <= np.pi + 1e-12:
-            raise ValueError("theta_max must lie in (0, pi]")
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def from_function(cls, fn, n_theta=180, n_phi=360, theta_max=np.pi / 2):
-        th = (np.arange(n_theta) + 0.5) * (theta_max / n_theta)
+    def from_function(cls, fn, n_theta=180, n_phi=360):
+        th = (np.arange(n_theta) + 0.5) * (np.pi / 2 / n_theta)
         ph = (np.arange(n_phi) + 0.5) * (2 * np.pi / n_phi)
         gt, gp = np.meshgrid(th, ph, indexing="ij")
-        return cls(fn(gt, gp), theta_max=theta_max)
+        return cls(fn(gt, gp))
 
     @property
     def n_theta(self) -> int:
@@ -48,7 +44,7 @@ class BrightnessMap:
         return self.values.shape[1]
 
     def theta_centers(self) -> np.ndarray:
-        return (np.arange(self.n_theta) + 0.5) * (self.theta_max / self.n_theta)
+        return (np.arange(self.n_theta) + 0.5) * (np.pi / 2 / self.n_theta)
 
     def phi_centers(self) -> np.ndarray:
         return (np.arange(self.n_phi) + 0.5) * (2 * np.pi / self.n_phi)
@@ -57,7 +53,7 @@ class BrightnessMap:
         """Flattened direction cosines and solid-angle weights."""
         th = self.theta_centers()
         ph = self.phi_centers()
-        d_omega = (self.theta_max / self.n_theta) * (2 * np.pi / self.n_phi)
+        d_omega = (np.pi / 2 / self.n_theta) * (2 * np.pi / self.n_phi)
         gt, gp = np.meshgrid(th, ph, indexing="ij")
         l = np.sin(gt) * np.cos(gp)
         m = np.sin(gt) * np.sin(gp)
@@ -155,8 +151,8 @@ def _lattice_axes(coords, what):
     return vals
 
 
-def invert_visibilities(values, baselines: BaselineSet, clip_negative=False,
-                        jacobian_correction=True) -> TemperatureImage:
+def invert_visibilities(values, baselines: BaselineSet,
+                        clip_negative=False) -> TemperatureImage:
     """Discrete inverse Fourier transform of lattice visibilities.
 
     The samples must tile a complete regular (u, v) lattice with spacing
@@ -202,8 +198,7 @@ def invert_visibilities(values, baselines: BaselineSet, clip_negative=False,
     t = t_c.real
     rr = l_ax[:, None] ** 2 + m_ax[None, :] ** 2
     disc = rr <= 1.0
-    if jacobian_correction:
-        t = t * np.sqrt(np.where(disc, 1.0 - rr, 0.0))
+    t = t * np.sqrt(np.where(disc, 1.0 - rr, 0.0))
     t = np.where(disc, t, 0.0)
     n_disc = int(np.count_nonzero(disc))
     negative_fraction = float(np.count_nonzero(t[disc] < 0) / n_disc) if n_disc else 0.0

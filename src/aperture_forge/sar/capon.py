@@ -29,13 +29,11 @@ class CaponProblem:
         A_x (P, n_x) and A_y (L, n_y) with unit-norm columns; pixel
         (x_i, y_j) steers with kron(A_x[:, i], A_y[:, j]).
     loading: diagonal loading alpha >= 0.
-    block_shape: covariance sub-block (P, L); default (M//4, N//4).
     """
 
     z: np.ndarray
     steering: object
     loading: float = 0.0
-    block_shape: tuple = None
 
     def __post_init__(self):
         z = np.asarray(self.z, dtype=complex)
@@ -44,13 +42,11 @@ class CaponProblem:
         object.__setattr__(self, "z", z)
         if self.loading < 0.0:
             raise ValueError("loading must be nonnegative")
-        shape = self.block_shape
-        if shape is None:
-            shape = (z.shape[0] // 4, z.shape[1] // 4)
-        p, l = int(shape[0]), int(shape[1])
-        if p < 1 or l < 1 or p > z.shape[0] or l > z.shape[1]:
-            raise ValueError("block_shape must fit inside z")
-        object.__setattr__(self, "block_shape", (p, l))
+
+    @property
+    def block_shape(self) -> tuple:
+        """Covariance sub-block (P, L) = (M//4, N//4)."""
+        return self.z.shape[0] // 4, self.z.shape[1] // 4
 
     def sample_covariance(self) -> np.ndarray:
         """Mean outer product over 75%-overlapped sub-blocks of Z."""

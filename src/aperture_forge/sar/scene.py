@@ -10,27 +10,25 @@ from ..waveforms import LfmChirp
 
 @dataclass(frozen=True)
 class Scatterer:
-    """One ideal point reflector.
+    """One ideal point reflector in the ground plane.
 
-    ``x0`` is the along-track position, ``y0`` the ground downrange
-    offset and ``z0`` the height; the closest-approach slant range folds
-    the last two together.
+    ``x0`` is the along-track position and ``y0`` the downrange offset,
+    so the closest-approach slant range is |y0|.
     """
 
     x0: float
     y0: float
-    z0: float = 0.0
     reflectivity: complex = 1.0 + 0.0j
 
     def __post_init__(self):
-        if not all(np.isfinite([self.x0, self.y0, self.z0])):
+        if not all(np.isfinite([self.x0, self.y0])):
             raise ValueError("scatterer position must be finite")
         if self.slant_range <= 0:
             raise ValueError("scatterer must be off the flight line")
 
     @property
     def slant_range(self) -> float:
-        return float(np.hypot(self.y0, self.z0))
+        return abs(float(self.y0))
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,8 @@ import numpy as np
 from .core import add_complex_noise, power_iteration
 from .sounding import FrequencyGrid
 
+C_SOUND = 1500.0  # speed of sound in sea water, m/s
+
 
 @dataclass(frozen=True)
 class SasGeometry:
@@ -31,7 +33,6 @@ class SasGeometry:
     tau_rec: float
     n_pings: int
     rx_offsets: np.ndarray
-    c_sound: float = 1500.0
 
     def __post_init__(self):
         if self.v_p <= 0 or self.tau_rec <= 0:
@@ -42,8 +43,6 @@ class SasGeometry:
         if rx.size < 1:
             raise ValueError("need at least one receiver")
         object.__setattr__(self, "rx_offsets", rx)
-        if self.c_sound <= 0:
-            raise ValueError("sound speed must be positive")
 
     @property
     def n_receivers(self) -> int:
@@ -52,7 +51,7 @@ class SasGeometry:
     @property
     def r_max(self) -> float:
         """Maximum unambiguous swath: echoes arriving after tau_rec are lost."""
-        return self.c_sound * self.tau_rec / 2.0
+        return C_SOUND * self.tau_rec / 2.0
 
     def ping_positions(self) -> np.ndarray:
         return np.arange(self.n_pings) * self.v_p * self.tau_rec
@@ -113,7 +112,7 @@ class SensingModel:
         self.geometry = geometry
         self.points = points
         self.frequencies = freqs
-        phase = (-2j * np.pi / geometry.c_sound) * 2.0 \
+        phase = (-2j * np.pi / C_SOUND) * 2.0 \
             * freqs[None, :, None, None] * dist[:, None, :, :]
         self.tensor = np.exp(phase)
 
@@ -175,15 +174,14 @@ class SasSparseResult:
 
 
 def sas_sparse(d_stack, model: SensingModel, mu, solver="ista",
-               max_iter=500, tol=1e-8, step=None) -> SasSparseResult:
+               max_iter=500, tol=1e-8) -> SasSparseResult:
     """Lasso reconstruction 1/2||As - d||^2 + mu*||s||_1 over the joint
     (ping, frequency) stack by proximal gradient.
 
     ISTA descends monotonically; FISTA adds momentum and converges
     faster but not monotonically, so on a miss the best iterate seen is
-    returned with converged=False.  The step defaults to 1/L with L the
-    power-iteration bound; a caller-supplied step must not exceed it.
-    Raises ValueError on a non-finite ``d_stack``.
+    returned with converged=False.  The step is 1/L with L the
+    power-iteration bound.  Raises ValueError on a non-finite ``d_stack``.
     """
     if mu <= 0:
         raise ValueError("mu must be positive")
@@ -192,11 +190,7 @@ def sas_sparse(d_stack, model: SensingModel, mu, solver="ista",
     d = np.asarray(d_stack, dtype=complex)
     if not np.all(np.isfinite(d)):
         raise ValueError("d_stack must be finite")
-    lam = model.operator_bound()
-    if step is None:
-        step = 1.0 / lam
-    elif step > 1.0 / lam * (1.0 + 1e-9):
-        raise ValueError(f"step {step:.3e} exceeds 1/L = {1.0 / lam:.3e}")
+    step = 1.0 / model.operator_bound()
 
     n = model.shape[3]
     s = np.zeros(n, dtype=complex)
@@ -242,16 +236,16 @@ def lasso_mu_max(d_stack, model: SensingModel) -> float:
     return mu_max
 
 
-def sas_resolutions(delta_f, d_transducer, wavelength, r0, c_sound=1500.0) -> dict:
+def sas_resolutions(delta_f, d_transducer, wavelength, r0) -> dict:
     """Range cell from bandwidth, synthetic length from the transducer
     beamwidth dwell, cross-range cell from that synthetic length.  The
     algebra collapses delta_y to D/2: independent of range and frequency.
     """
-    if min(delta_f, d_transducer, wavelength, r0, c_sound) <= 0:
+    if min(delta_f, d_transducer, wavelength, r0) <= 0:
         raise ValueError("all resolution inputs must be positive")
     l_sa = wavelength * r0 / d_transducer
     return {
-        "range_resolution_m": c_sound / (2.0 * delta_f),
+        "range_resolution_m": C_SOUND / (2.0 * delta_f),
         "sa_length_m": l_sa,
         "cross_range_resolution_m": wavelength * r0 / (2.0 * l_sa),
     }

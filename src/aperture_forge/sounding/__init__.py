@@ -13,7 +13,6 @@ from .arrays import (
 from .grids import FrequencyGrid, sampling_checks
 from .padp import (
     ChannelRay,
-    DelaySlice,
     Pdp,
     SphericalPadp,
     SweepData,

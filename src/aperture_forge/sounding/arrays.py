@@ -17,7 +17,7 @@ class SamplingLattice:
     so thinned (sparse) lattices share the representation.
     """
 
-    def __init__(self, positions, d_x: float, d_y: float, mask=None, shape=None):
+    def __init__(self, positions, d_x: float, d_y: float, shape, mask=None):
         self.positions = np.asarray(positions, dtype=float)
         if self.positions.ndim != 2 or self.positions.shape[1] != 3:
             raise ValueError("positions must be (P, 3)")
@@ -28,17 +28,15 @@ class SamplingLattice:
         self.mask = np.asarray(mask, dtype=bool)
         if self.mask.shape != (len(self.positions),):
             raise ValueError("mask length must match positions")
-        self.shape = tuple(shape) if shape is not None else None
+        self.shape = tuple(shape)
 
     @classmethod
-    def rectangular(
-        cls, m: int, n: int, d_x: float, d_y: float, z: float = 0.0
-    ) -> "SamplingLattice":
+    def rectangular(cls, m: int, n: int, d_x: float, d_y: float) -> "SamplingLattice":
         ix = (np.arange(m) - (m - 1) / 2.0) * d_x
         iy = (np.arange(n) - (n - 1) / 2.0) * d_y
         xx, yy = np.meshgrid(ix, iy, indexing="ij")
-        pos = np.column_stack([xx.ravel(), yy.ravel(), np.full(m * n, float(z))])
-        return cls(pos, d_x, d_y, shape=(m, n))
+        pos = np.column_stack([xx.ravel(), yy.ravel(), np.zeros(m * n)])
+        return cls(pos, d_x, d_y, (m, n))
 
     @property
     def z_plane(self) -> float:
@@ -52,7 +50,7 @@ class SamplingLattice:
         return int(self.mask.sum())
 
     def with_mask(self, mask) -> "SamplingLattice":
-        return SamplingLattice(self.positions, self.d_x, self.d_y, mask, self.shape)
+        return SamplingLattice(self.positions, self.d_x, self.d_y, self.shape, mask)
 
     def alias_free(self, lambda_min: float) -> bool:
         """True when the largest nearest-neighbor gap is at most lambda/2."""
@@ -133,8 +131,7 @@ def steering_vector(
 
 def natural_beamwidth(lattice: SamplingLattice, f: float) -> float:
     """Approximate -3 dB full width (in u) of the uniform full lattice."""
-    m = lattice.shape[0] if lattice.shape else int(np.sqrt(len(lattice.positions)))
-    return 0.886 * C_LIGHT / (f * m * lattice.d_x)
+    return 0.886 * C_LIGHT / (f * lattice.shape[0] * lattice.d_x)
 
 
 def fib_weights(
@@ -142,12 +139,11 @@ def fib_weights(
     grid,
     direction: Direction,
     beamwidth_target: float,
-    mask_factor: float = 0.75,
 ) -> np.ndarray:
     """Per-tone weights holding the beamwidth constant across the sweep.
 
     Each tone gets a constrained least-squares design: over a mainlobe
-    disc of radius ``mask_factor * beamwidth_target`` around the look
+    disc of radius ``0.75 * beamwidth_target`` around the look
     direction the pattern is fit to a reference mainlobe whose half-power
     full width equals ``beamwidth_target`` (a Gaussian in offset radius),
     while everything visible outside the disc is fit to zero.  The fit
@@ -157,9 +153,7 @@ def fib_weights(
 
     ``beamwidth_target`` is the desired -3 dB full width in sine space;
     targets narrower than the lattice can form at the lowest tone are
-    rejected.  With a mask wide enough to swallow the whole visible
-    region there is nothing left to shape and the minimizer is plain
-    conjugate steering.  Returns an (S, P_active) matrix of weights.
+    rejected.  Returns an (S, P_active) matrix of weights.
     """
     widest_natural = natural_beamwidth(lattice, grid.f_start)
     if beamwidth_target < 0.9 * widest_natural:
@@ -171,7 +165,7 @@ def fib_weights(
         raise ValueError("target width must be well inside visible space")
     pos = lattice.active_positions()
     p = len(pos)
-    r_mask = mask_factor * beamwidth_target
+    r_mask = 0.75 * beamwidth_target
     axis = np.linspace(-1.0, 1.0, 48)  # coarse sidelobe grid over visible space
     uu, vv = np.meshgrid(axis, axis, indexing="ij")
     off_sq = (uu - direction.u) ** 2 + (vv - direction.v) ** 2
@@ -192,9 +186,6 @@ def fib_weights(
     out = np.empty((len(freqs), p), dtype=complex)
     for i, f in enumerate(freqs):
         v0 = steering_vector(lattice, direction, f, mode="ttd")
-        if len(us) == 0:
-            out[i] = v0 / (np.conj(v0) @ v0)
-            continue
         k = 2.0 * np.pi * f / C_LIGHT
         v_side = np.exp(1j * k * side_path)
         v_main = np.exp(1j * k * main_path)
@@ -258,8 +249,6 @@ def optimize_sparse_lattice(
     """
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError("keep_fraction must be in (0, 1]")
-    if full_lattice.shape is None:
-        raise ValueError("annealer needs a rectangular full lattice")
     sched = schedule or AnnealSchedule()
     rng = np.random.default_rng(seed)
     pos = full_lattice.positions

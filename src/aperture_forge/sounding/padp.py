@@ -127,17 +127,6 @@ class Pdp:
         return np.abs(self.amplitude) ** 2
 
 
-@dataclass(frozen=True)
-class DelaySlice:
-    """Angle map of the channel at one fixed delay bin."""
-
-    amplitude: np.ndarray  # (len(u_axis), len(v_axis)) of the delay_slice call
-
-    @property
-    def power(self) -> np.ndarray:
-        return np.abs(self.amplitude) ** 2
-
-
 def _beam_series(sweep: SweepData, direction: Direction) -> np.ndarray:
     """b(f_k) = w^H(f_k) y(f_k) with true-time-delay steering per tone."""
     path = _path_difference(sweep.lattice.active_positions(), direction.u, direction.v)
@@ -147,43 +136,29 @@ def _beam_series(sweep: SweepData, direction: Direction) -> np.ndarray:
     return np.sum(np.conj(w) * sweep.s21, axis=0)
 
 
-def padp(
-    sweep: SweepData,
-    direction: Direction,
-    window: str | None = "hamming",
-    pad_factor: int = 4,
-) -> Pdp:
+def _profile(b, grid: FrequencyGrid):
+    """Delay axis and Hamming-tapered, 4x zero-padded inverse DFT of a
+    beam series b(f_s).  The transform keeps the 1/S normalization
+    regardless of padding, so the untapered transform at the unpadded
+    bins is what delay_slice evaluates there."""
+    nfft = 4 * grid.s
+    amp = np.fft.ifft(b * np.hamming(grid.s), nfft) * 4
+    return np.arange(nfft) / (nfft * grid.df), amp
+
+
+def padp(sweep: SweepData, direction: Direction) -> Pdp:
     """Power delay profile along one look direction.
 
-    Beamforms every tone with true-time-delay steering, applies the taper
-    (Hamming by default), zero-pads by ``pad_factor`` and inverse-DFTs to
-    delay.  The transform keeps the 1/S normalization regardless of
-    padding, so profile values at the unpadded bins match delay_slice
-    evaluated there.
+    Beamforms every tone with true-time-delay steering, then tapers,
+    zero-pads and inverse-DFTs to delay (see _profile).
     """
-    if pad_factor < 1:
-        raise ValueError("pad_factor must be >= 1")
-    b = _beam_series(sweep, direction)
-    s = sweep.grid.s
-    b = b * _window(window, s)
-    nfft = pad_factor * s
-    amp = np.fft.ifft(b, nfft) * pad_factor  # 1/S normalization
-    delays = np.arange(nfft) / (nfft * sweep.grid.df)
+    delays, amp = _profile(_beam_series(sweep, direction), sweep.grid)
     return Pdp(delays=delays, amplitude=amp)
 
 
-def _window(window: str | None, n: int) -> np.ndarray:
-    if window is None:
-        return np.ones(n)
-    if window == "hamming":
-        return np.hamming(n)
-    raise ValueError(f"unknown window {window!r}")
-
-
-def delay_slice(
-    sweep: SweepData, u_axis, v_axis, tau: float, window: str | None = None
-) -> DelaySlice:
-    """Evaluate the delay-domain IDFT at one bin over an angle grid.
+def delay_slice(sweep: SweepData, u_axis, v_axis, tau: float) -> np.ndarray:
+    """Evaluate the untapered delay-domain IDFT at one bin over an angle
+    grid, as a complex (len(u_axis), len(v_axis)) map.
 
     x(tau_m; u, v) = (1/S) sum_s b(f_s; u, v) exp(j*2*pi*m*s/S), where m
     is ``tau`` expressed on the unpadded delay grid.  Off-grid delays are
@@ -201,8 +176,7 @@ def delay_slice(
         )
     pos = sweep.lattice.active_positions()
     f = sweep.grid.frequencies()
-    win = _window(window, s)
-    idft = win * np.exp(1j * 2.0 * np.pi * m * np.arange(s) / s) / s
+    idft = np.exp(1j * 2.0 * np.pi * m * np.arange(s) / s) / s
     uu, vv = np.meshgrid(u_axis, v_axis, indexing="ij")
     spatial = _path_difference(pos, uu.ravel(), vv.ravel())
     # per-tone steering matrices differ by one elementwise phase step, so
@@ -214,7 +188,7 @@ def delay_slice(
         amp += idft[s_idx] * (sweep.s21[:, s_idx] @ w_angle)
         if s_idx + 1 < s:
             w_angle = w_angle * step
-    return DelaySlice(amp.reshape(uu.shape))
+    return amp.reshape(uu.shape)
 
 
 def source_distances(
@@ -254,8 +228,8 @@ def spherical_padp(
     For each range hop the steering phase matches a spherical wavefront
     from the virtual source at that range along the look direction,
     referenced to the lattice center so the delay axis still reads the
-    source's center delay.  Taper and padding are padp's defaults
-    (Hamming, 4x), so far hops converge to the plane-wave padp.
+    source's center delay.  Taper and padding are padp's (Hamming, 4x),
+    so far hops converge to the plane-wave padp.
     """
     if r_start <= 0 or r_stop < r_start or r_step <= 0:
         raise ValueError("need 0 < r_start <= r_stop and r_step > 0")
@@ -264,14 +238,10 @@ def spherical_padp(
     if np.any(np.abs(ranges * w0) < 1e-9):
         raise ValueError("virtual source falls in the lattice plane")
     f = sweep.grid.frequencies()
-    s = sweep.grid.s
-    win = np.hamming(s)
-    nfft = 4 * s
-    out = np.empty((len(ranges), nfft), dtype=complex)
+    out = np.empty((len(ranges), 4 * sweep.grid.s), dtype=complex)
     for i, r in enumerate(ranges):
         d = source_distances(sweep.lattice, direction, r)
         w = np.exp(-1j * 2.0 * np.pi * f[None, :] * (d[:, None] - r) / C_LIGHT)
         b = np.sum(np.conj(w) * sweep.s21, axis=0)
-        out[i] = np.fft.ifft(b * win, nfft) * 4
-    delays = np.arange(nfft) / (nfft * sweep.grid.df)
+        delays, out[i] = _profile(b, sweep.grid)
     return SphericalPadp(ranges=ranges, delays=delays, amplitude=out)

@@ -164,24 +164,19 @@ class AdcModel:
         return self.lsb ** 2 / 12.0
 
 
-def adc_metrics(model: AdcModel, sndr_measured: float | None = None) -> dict:
-    """Ideal SNR, quantization noise, and (optionally) effective bits.
+def adc_metrics(model: AdcModel) -> dict:
+    """Ideal SNR and quantization noise.
 
     snr_ideal follows the full-scale sinusoid rule 6.02*B + 1.76 dB; the
     rule is only approximate below 4 bits, which the ``low_bit_caveat``
-    flag reports.  With a measured SNDR the effective number of bits is
-    (SNDR - 1.76)/6.02.
+    flag reports.
     """
-    out = {
+    return {
         "snr_ideal_db": 6.02 * model.bits + 1.76,
         "lsb": model.lsb,
         "n_qu": model.n_qu,
         "low_bit_caveat": model.bits < 4,
-        "enob": None,
     }
-    if sndr_measured is not None:
-        out["enob"] = (sndr_measured - 1.76) / 6.02
-    return out
 
 
 # Covariance rows filled per GEMM: the outer-product scratch is then
@@ -228,22 +223,16 @@ def _structured_covariance(rho_windows, shifts, out):
         np.matmul(rho_windows, block.reshape(n_shifts, -1), out=out_flat[:, i0 * m : i1 * m])
 
 
-def rmmse_compress(
-    received,
-    waveform,
-    iterations: int = 3,
-    noise_floor: float | None = None,
-) -> np.ndarray:
+def rmmse_compress(received, waveform, iterations: int = 3) -> np.ndarray:
     """Iterative per-bin MMSE pulse compression (adaptive sidelobe control).
 
     Starts from the normalized matched-filter profile, then repeatedly
     rebuilds each range bin's structured covariance from the current
     power estimates of the 2M-1 bins whose returns overlap it and applies
-    the resulting MMSE weights.  The noise term defaults to 1e-6 of the
-    current peak power; singular covariances fall back to diagonal
-    loading at 1e-3 * trace/M.  A noise term that is not positive (a
-    ``noise_floor`` <= 0, or a peak power that underflows to zero) would
-    leave empty bins singular, so it raises ValueError.
+    the resulting MMSE weights.  The noise term is 1e-6 of the current
+    peak power; singular covariances fall back to diagonal loading at
+    1e-3 * trace/M.  A peak power that underflows the noise term to zero
+    would leave empty bins singular, so it raises ValueError.
 
     Memory: one n_bins*M*M complex covariance stack, reused by every
     iteration, plus one block of (2M-1)*8*M outer-product entries; the
@@ -254,8 +243,6 @@ def rmmse_compress(
     s = np.asarray(waveform, dtype=complex)
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
-    if noise_floor is not None and not noise_floor > 0:
-        raise ValueError("noise_floor must be positive")
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(s))):
         raise ValueError("received and waveform must be finite")
     m = s.size
@@ -273,9 +260,9 @@ def rmmse_compress(
     eye = np.eye(m)
     for _ in range(iterations):
         rho = np.abs(x_hat) ** 2
-        sigma2 = noise_floor if noise_floor is not None else 1e-6 * rho.max()
+        sigma2 = 1e-6 * rho.max()
         if not sigma2 > 0:
-            raise ValueError("peak power underflows to zero; pass a positive noise_floor")
+            raise ValueError("peak power underflows to zero; rescale the received data")
         rho_pad = np.concatenate([np.zeros(m - 1), rho, np.zeros(m - 1)])
         rho_windows = np.lib.stride_tricks.sliding_window_view(rho_pad, 2 * m - 1)
         _structured_covariance(rho_windows, shifts, cov)

@@ -376,6 +376,20 @@ def test_non_finite_metric_exits_6_without_a_report(tmp_path, capsys, scenario, 
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+def test_non_finite_config_number_exits_4_without_a_report(tmp_path, capsys):
+    # Python's json reads the NaN and Infinity tokens as floats
+    for key, token in (("tol", "NaN"), ("f_max_hz", "Infinity")):
+        cfg = tmp_path / f"{key}.json"
+        cfg.write_text('{"scenario": "sound-constants", "params": {"%s": %s}}' % (key, token))
+        out = tmp_path / key
+        code = main(["sound-constants", "--config", str(cfg), "--out", str(out)])
+        err = json.loads(capsys.readouterr().err)
+        assert code == 4
+        assert err["error"]["kind"] == "TypeMismatchError"
+        assert f"params.{key}" in err["error"]["message"]
+        assert not (out / "report.json").exists()
+
+
 def test_main_reports_machine_readable_errors(tmp_path, capsys):
     bad = write_config(tmp_path, {"scenario": "sound-constants", "foo": 1})
     code = main(["sound-constants", "--config", str(bad),

@@ -9,10 +9,17 @@ Three checks, each an ast walk:
 * Every public method, property and classmethod is reached.  It is
   reached when it is accessed as an attribute (``.name``) in another
   module of the package, in ``tests/test_acceptance.py``, or in reached
-  code of its own module outside its own body.
-* Every defaulted parameter of a public function or method is passed, by
-  keyword or by position, by some call in ``src/``, ``tests/`` or
-  ``perfbench/``.  A call through ``*args`` or ``**kwargs`` counts as
+  code of its own module outside its own body.  Members are matched by
+  attribute name only: a member that shares its name with a reached
+  member of another class (``.power`` of two profile classes, say)
+  passes unseen.
+* Every defaulted parameter is passed, by keyword or by position, by
+  some call in ``src/``, ``perfbench/`` or ``tests/test_acceptance.py``;
+  unit tests do not count.  It covers public functions and methods, and
+  the constructors of public classes: the defaulted ``__init__``
+  parameters, and the dataclass fields with a default that are not
+  ``init=False``.  A ``cls(...)`` call inside a classmethod counts as a
+  call of that class, and a call through ``*args`` or ``**kwargs`` as
   passing every parameter.
 
 Reached code of a module is its top-level statements outside any
@@ -29,7 +36,8 @@ TESTS = Path(__file__).resolve().parent
 ROOT = TESTS.parent
 PACKAGE = ROOT / "src" / "aperture_forge"
 ACCEPTANCE = TESTS / "test_acceptance.py"
-CALLERS = (ROOT / "src", TESTS, ROOT / "perfbench")
+CALLERS = sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py")) \
+    + [ACCEPTANCE]
 
 _FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
 _DEFS = _FUNCS + (ast.ClassDef,)
@@ -112,59 +120,110 @@ def unreached_members():
     return [f"{module}.{qual}" for module, qual in _unreached() if "." in qual]
 
 
-def _public_functions():
-    """(qualified name, def node, whether a first parameter self or cls is
-    bound) for every public function and every public method of a public
-    class."""
-    for module, tree in _modules().items():
+def _is_dataclass(node):
+    for deco in node.decorator_list:
+        target = deco.func if isinstance(deco, ast.Call) else deco
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+    return False
+
+
+def _init_excluded(value):
+    """True for a ``field(..., init=False)`` default."""
+    return isinstance(value, ast.Call) and any(
+        kw.arg == "init" and isinstance(kw.value, ast.Constant) and kw.value.value is False
+        for kw in value.keywords)
+
+
+def _signatures(modules):
+    """(qualified name, callee name, positional parameters, defaulted
+    parameters) of every public function, every public method of a
+    public class, and every public class's constructor."""
+    for module, tree in modules.items():
         for node in tree.body:
             if not isinstance(node, _DEFS) or node.name.startswith("_"):
                 continue
             if isinstance(node, _FUNCS):
-                yield f"{module}.{node.name}", node, False
+                yield (f"{module}.{node.name}", node.name) + _parameters(node, False)
                 continue
             for member in node.body:
                 if isinstance(member, _FUNCS) and not member.name.startswith("_"):
-                    yield f"{module}.{node.name}.{member.name}", member, True
+                    yield (f"{module}.{node.name}.{member.name}", member.name) \
+                        + _parameters(member, True)
+            yield (f"{module}.{node.name}", node.name) + _constructor(node)
 
 
-def _calls():
-    """Callee name -> list of (positional count, keyword names, starred)."""
+def _parameters(node, bound):
+    """Positional and defaulted parameter names of a def; a first
+    parameter self or cls is dropped when ``bound``."""
+    args = node.args
+    positional = [a.arg for a in args.posonlyargs + args.args][int(bound):]
+    defaulted = positional[len(positional) - len(args.defaults):] if args.defaults else []
+    defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return positional, defaulted
+
+
+def _constructor(cls):
+    """Positional and defaulted parameters of a class's constructor: its
+    dataclass fields, or else its ``__init__``."""
+    if _is_dataclass(cls):
+        fields = [node for node in cls.body if isinstance(node, ast.AnnAssign)
+                  and isinstance(node.target, ast.Name) and not _init_excluded(node.value)]
+        return ([f.target.id for f in fields],
+                [f.target.id for f in fields if f.value is not None])
+    for node in cls.body:
+        if isinstance(node, _FUNCS) and node.name == "__init__":
+            return _parameters(node, True)
+    return [], []
+
+
+def _call_site(node):
+    starred = any(isinstance(a, ast.Starred) for a in node.args) or \
+        any(kw.arg is None for kw in node.keywords)
+    return len(node.args), {kw.arg for kw in node.keywords}, starred
+
+
+def _calls(trees):
+    """Callee name -> list of (positional count, keyword names, starred).
+    A ``cls(...)`` call inside a classmethod is filed under its class."""
     calls = {}
-    for root in CALLERS:
-        for path in sorted(root.rglob("*.py")):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if not isinstance(node, ast.Call):
-                    continue
-                func = node.func
-                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if name is None:
-                    continue
-                starred = any(isinstance(a, ast.Starred) for a in node.args) or \
-                    any(kw.arg is None for kw in node.keywords)
-                calls.setdefault(name, []).append(
-                    (len(node.args), {kw.arg for kw in node.keywords}, starred))
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if isinstance(method, _FUNCS) and any(
+                            isinstance(d, ast.Name) and d.id == "classmethod"
+                            for d in method.decorator_list):
+                        calls.setdefault(node.name, []).extend(
+                            _call_site(sub) for sub in ast.walk(method)
+                            if isinstance(sub, ast.Call) and isinstance(sub.func, ast.Name)
+                            and sub.func.id == "cls")
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name is not None:
+                calls.setdefault(name, []).append(_call_site(node))
     return calls
 
 
-def unpassed_parameters():
-    """``module.function(param)`` for every defaulted parameter of a public
-    function or method that no call passes."""
-    calls = _calls()
+def _unpassed(modules, caller_trees):
+    calls = _calls(caller_trees)
     missing = []
-    for qual, node, bound in _public_functions():
-        args = node.args
-        positional = [a.arg for a in args.posonlyargs + args.args][int(bound):]
-        defaulted = positional[len(positional) - len(args.defaults):] if args.defaults else []
-        defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults)
-                      if d is not None]
-        sites = calls.get(node.name, [])
+    for qual, name, positional, defaulted in _signatures(modules):
+        sites = calls.get(name, [])
         for param in defaulted:
             index = positional.index(param) if param in positional else None
             if not any(starred or param in keywords or (index is not None and n_pos > index)
                        for n_pos, keywords, starred in sites):
                 missing.append(f"{qual}({param})")
     return missing
+
+
+def unpassed_parameters():
+    """``module.function(param)`` or ``module.Class(param)`` for every
+    defaulted parameter or field that no program call passes."""
+    return _unpassed(_modules(), [ast.parse(path.read_text()) for path in CALLERS])
 
 
 def test_every_public_name_is_reached():
@@ -177,3 +236,21 @@ def test_every_public_member_is_reached():
 
 def test_every_defaulted_parameter_is_passed():
     assert unpassed_parameters() == []
+
+
+def test_constructor_rule_on_inline_source():
+    tree = ast.parse('''
+from dataclasses import dataclass, field
+
+@dataclass(frozen=True)
+class Box:
+    size: float
+    color: str = "red"
+    weight: float = 1.0
+    label: str = field(default="", init=False)
+
+    @classmethod
+    def heavy(cls, size):
+        return cls(size, weight=9.0)
+''')
+    assert _unpassed({"shapes": tree}, [tree]) == ["shapes.Box(color)"]

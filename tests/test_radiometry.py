@@ -35,12 +35,6 @@ def gaussian_blob_map(sigma_l=0.15, n_theta=120, n_phi=240):
 
 # ------------------------------------------------------------- temperature
 
-def test_isotropic_full_sphere_integrates_to_4pi():
-    bmap = BrightnessMap.from_function(lambda th, ph: np.full_like(th, 3.0),
-                                       theta_max=np.pi)
-    assert measured_temperature(bmap) == pytest.approx(12 * np.pi, rel=1e-4)
-
-
 def test_zero_map_zero_temperature():
     assert measured_temperature(BrightnessMap(np.zeros((10, 20)))) == 0.0
 
@@ -55,8 +49,6 @@ def test_map_validation():
         BrightnessMap(-np.ones((4, 4)))
     with pytest.raises(ValueError):
         BrightnessMap(np.ones(16))
-    with pytest.raises(ValueError):
-        BrightnessMap(np.ones((4, 4)), theta_max=4.0)
 
 
 # --------------------------------------------------------------- baselines
@@ -222,14 +214,19 @@ def test_negative_ringing_reported_and_clipped_on_request():
 
 
 def test_jacobian_correction_scales_off_axis():
+    # the raw inverse DFT returns T_r / cos(theta); the image is that
+    # times cos(theta) = sqrt(1 - l^2 - m^2) on the disc, zero off it
     bl = BaselineSet.from_lattice(9, 9, 0.5)
-    v = np.ones(81, dtype=complex)
-    on = invert_visibilities(v, bl, jacobian_correction=True)
-    off = invert_visibilities(v, bl, jacobian_correction=False)
-    assert on.values[4, 4] == pytest.approx(off.values[4, 4], rel=1e-12)
-    rr = on.l[6] ** 2 + on.m[4] ** 2
-    assert on.values[6, 4] == pytest.approx(off.values[6, 4] * np.sqrt(1 - rr),
-                                            rel=1e-12)
+    v = np.random.default_rng(0).standard_normal(81) + 0j
+    img = invert_visibilities(v, bl)
+    raw = np.array([[0.25 * np.sum(v * np.exp(-2j * np.pi * (l * bl.uv[:, 0]
+                                                             + m * bl.uv[:, 1]))).real
+                     for m in img.m] for l in img.l])
+    rr = img.l[:, None] ** 2 + img.m[None, :] ** 2
+    assert np.any(rr > 1.0) and np.any(raw[rr > 1.0] != 0.0)
+    want = np.where(rr <= 1.0, raw * np.sqrt(np.maximum(1.0 - rr, 0.0)), 0.0)
+    assert np.max(np.abs(img.values - want)) <= 1e-12 * np.max(np.abs(raw))
+    assert not np.allclose(img.values[rr <= 1.0], raw[rr <= 1.0])
 
 
 def test_inversion_rejects_bad_lattices():

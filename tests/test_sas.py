@@ -330,9 +330,6 @@ def test_sparse_input_validation():
         sas_sparse(d, m, mu=0.0)
     with pytest.raises(ValueError):
         sas_sparse(np.ones((16, 16, 8)), m, mu=1.0, solver="omp")
-    lam = m.operator_bound()
-    with pytest.raises(ValueError, match="step"):
-        sas_sparse(np.ones((16, 16, 8)), m, mu=1.0, step=2.0 / lam)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])

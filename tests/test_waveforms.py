@@ -174,12 +174,7 @@ def test_adc_frozen_values():
     assert m["lsb"] == pytest.approx(2.0 / 4096)
     assert m["n_qu"] == pytest.approx((2.0 / 4096) ** 2 / 12)
     assert m["low_bit_caveat"] is False
-    assert m["enob"] is None
-
-
-def test_adc_enob_inverse():
-    m = adc_metrics(AdcModel(bits=12, v_fs=2.0, f_s=1e6), sndr_measured=74.0)
-    assert m["enob"] == pytest.approx(12.0, abs=1e-9)
+    assert sorted(m) == ["low_bit_caveat", "lsb", "n_qu", "snr_ideal_db"]
 
 
 def test_adc_low_bit_caveat():
@@ -207,20 +202,12 @@ def _noiseless_one_target():
     return np.convolve(x, s), s
 
 
-@pytest.mark.parametrize("floor", [0.0, -1e-6, np.nan])
-def test_rmmse_rejects_non_positive_noise_floor(floor):
-    # empty bins would get an all-zero, singular covariance
-    y, s = _noiseless_one_target()
-    with pytest.raises(ValueError, match="noise_floor"):
-        rmmse_compress(y, s, noise_floor=floor)
-
-
 def test_rmmse_rejects_underflowing_default_floor():
     # |x|^2 of a 1e-170 return underflows to 0, so 1e-6 * peak power is 0
+    # and empty bins would get an all-zero, singular covariance
     y, s = _noiseless_one_target()
-    with pytest.raises(ValueError, match="noise_floor"):
+    with pytest.raises(ValueError, match="underflows"):
         rmmse_compress(1e-170 * y, s)
-    assert np.all(np.isfinite(rmmse_compress(1e-170 * y, s, noise_floor=1e-300)))
 
 
 def test_rmmse_zero_input():
@@ -228,17 +215,6 @@ def test_rmmse_zero_input():
     out = rmmse_compress(np.zeros(120, dtype=complex), s)
     assert out.shape == (120 - s.size + 1,)
     assert np.all(out == 0)
-
-
-def test_rmmse_white_limit_matches_filter_argmax():
-    rng = np.random.default_rng(3)
-    s = sample_lfm(LfmChirp(0.0, 5e6, 4e-6), 10e6)
-    x = np.zeros(160, dtype=complex)
-    x[60] = 1.0
-    y = np.convolve(x, s) + 1e-4 * (rng.standard_normal(199) + 1j * rng.standard_normal(199))
-    huge_noise = rmmse_compress(y, s, iterations=1, noise_floor=1e9)
-    mf = np.lib.stride_tricks.sliding_window_view(y, s.size) @ np.conj(s)
-    assert np.argmax(np.abs(huge_noise)) == np.argmax(np.abs(mf))
 
 
 def test_rmmse_unmasks_weak_scatterer():
