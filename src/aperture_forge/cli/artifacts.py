@@ -89,11 +89,10 @@ def write_sweep(path, sweep):
     rows[:, 4] = np.tile(f, n_pos)
     rows[:, 5] = sweep.s21.real.ravel()
     rows[:, 6] = sweep.s21.imag.ravel()
-    shape = f"{lat.shape[0]} x {lat.shape[1]}" if lat.shape else "irregular"
     header = "\n".join(
         [
-            f"lattice: {shape}, d_x={lat.d_x:.17g} m, d_y={lat.d_y:.17g} m,"
-            f" z={lat.z_plane:.17g} m, active={n_pos}",
+            f"lattice: {lat.shape[0]} x {lat.shape[1]}, d_x={lat.d_x:.17g} m,"
+            f" d_y={lat.d_y:.17g} m, z=0 m, active={n_pos}",
             f"tones: f_start={grid.f_start:.17g} Hz, f_stop={grid.f_stop:.17g} Hz,"
             f" df={grid.df:.17g} Hz, s={s}",
             "position_index, x, y, z, f_Hz, re, im",

@@ -145,17 +145,9 @@ class FlowResult:
     diverged: bool = False
 
 
-def _amplitude_objective(z, root_y):
-    with np.errstate(over="ignore"):  # inf is meaningful: divergence signal
-        return float(np.mean((root_y - np.abs(z)) ** 2))
-
-
-def _amplitude_gradient(z, root_y, problem):
-    return (2.0 / problem.m) * _adjoint(problem, z - root_y * _sign(z))
-
-
 def af_objective(x, y, problem) -> float:
-    return _amplitude_objective(_forward(problem, x), np.sqrt(y))
+    with np.errstate(over="ignore"):  # inf is meaningful: divergence signal
+        return float(np.mean((np.sqrt(y) - np.abs(_forward(problem, x))) ** 2))
 
 
 def af_gradient(x, y, problem) -> np.ndarray:
@@ -163,7 +155,8 @@ def af_gradient(x, y, problem) -> np.ndarray:
     taken as 0 at z = 0.  Real and imaginary parts are the partials with
     respect to Re(x) and Im(x), which is what a finite-difference check
     sees."""
-    return _amplitude_gradient(_forward(problem, x), np.sqrt(y), problem)
+    z = _forward(problem, x)
+    return (2.0 / problem.m) * _adjoint(problem, z - np.sqrt(y) * _sign(z))
 
 
 def amplitude_flow(y, problem, init, steps=500) -> FlowResult:
@@ -171,17 +164,32 @@ def amplitude_flow(y, problem, init, steps=500) -> FlowResult:
 
     The step targets the local Hessian scale 2||A||^2 / m; a
     non-finite objective aborts with the iterate history intact.  Each
-    step's A x serves both its objective and the next gradient.
+    step's A x and |A x| are computed once and serve both its objective
+    and the next gradient; the sign, residual and objective terms are
+    written into buffers allocated once.
     """
     root_y = np.sqrt(np.asarray(y, dtype=float))
     x = np.asarray(init, dtype=complex).copy()
-    lr = 0.1 / (2.0 * _op_norm_sq(problem) / problem.m)
+    m = problem.m
+    lr = 0.1 / (2.0 * _op_norm_sq(problem) / m)
+    mag, sq = np.empty(m), np.empty(m)
+    sgn, resid = np.empty(m, dtype=complex), np.empty(m, dtype=complex)
+
+    def objective(z):
+        with np.errstate(over="ignore"):  # inf is meaningful: divergence signal
+            np.abs(z, out=mag)
+            np.square(np.subtract(root_y, mag, out=sq), out=sq)
+            return float(np.add.reduce(sq) / m)
+
     z = _forward(problem, x)
-    history = [_amplitude_objective(z, root_y)]
+    history = [objective(z)]
     for _ in range(steps):
-        x = x - lr * _amplitude_gradient(z, root_y, problem)
+        sgn.fill(0)
+        np.divide(z, mag, out=sgn, where=mag > 0.0)
+        np.subtract(z, np.multiply(root_y, sgn, out=resid), out=resid)
+        x = x - lr * ((2.0 / m) * _adjoint(problem, resid))
         z = _forward(problem, x)
-        obj = _amplitude_objective(z, root_y)
+        obj = objective(z)
         history.append(obj)
         if not np.isfinite(obj):
             return FlowResult(x, np.asarray(history), diverged=True)
@@ -315,31 +323,40 @@ def fp_recover(intensities, system: FpSystem, sweeps=50) -> FpRecovery:
     on-axis (or first) measurement seeds the estimate.  Disjoint pupils
     cannot exchange phase information, so that geometry is only flagged,
     not repaired.
+
+    The working spectrum is never rolled: each LED's passband is read
+    and written through a flat index into it, computed once per LED, and
+    the measured magnitudes sqrt(intensities) are taken once.
     """
     intensities = np.asarray(intensities, dtype=float)
-    if intensities.shape != (system.n_leds, system.n, system.n):
+    n = system.n
+    if intensities.shape != (system.n_leds, n, n):
         raise ValueError("need one intensity frame per LED")
     unreliable = system.n_leds > 1 and spectral_overlap(system) == 0.0
 
     order = np.argsort(np.hypot(*np.asarray(system.offsets, dtype=float).T))
     seed_k = order[0]
-    est = np.fft.fft2(np.sqrt(intensities[seed_k]), norm="ortho")
-    est = np.roll(est * system.pupil, -system.offsets[seed_k], axis=(0, 1))
+    magnitudes = np.sqrt(intensities)
+    est = np.fft.fft2(magnitudes[seed_k], norm="ortho")
+    est = np.roll(est * system.pupil, -system.offsets[seed_k], axis=(0, 1)).ravel()
 
-    coverage = np.zeros((system.n, system.n), dtype=bool)
+    coverage = np.zeros((n, n), dtype=bool)
     for off in system.offsets:
         coverage |= np.roll(system.pupil, -off, axis=(0, 1))
 
+    # np.roll(est, off)[p] is est[(p - off) % n] on each axis
+    pupil_flat = np.flatnonzero(system.pupil)
+    pr, pc = np.divmod(pupil_flat, n)
+    passbands = [((pr - o0) % n) * n + (pc - o1) % n for o0, o1 in system.offsets]
+    low = np.zeros(n * n, dtype=complex)
     for _ in range(sweeps):
         for k in order:
-            shifted = np.roll(est, system.offsets[k], axis=(0, 1))
-            low = shifted * system.pupil
-            img = np.fft.ifft2(low, norm="ortho")
-            img = np.sqrt(intensities[k]) * _sign(img)
-            corrected = np.fft.fft2(img, norm="ortho")
-            shifted[system.pupil] = corrected[system.pupil]
-            est = np.roll(shifted, -system.offsets[k], axis=(0, 1))
+            low[pupil_flat] = est[passbands[k]]
+            img = np.fft.ifft2(low.reshape(n, n), norm="ortho")
+            corrected = np.fft.fft2(magnitudes[k] * _sign(img), norm="ortho")
+            est[passbands[k]] = corrected.ravel()[pupil_flat]
 
+    est = est.reshape(n, n)
     return FpRecovery(
         object_estimate=np.fft.ifft2(est, norm="ortho"),
         spectrum=est,

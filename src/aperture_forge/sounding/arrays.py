@@ -12,15 +12,17 @@ from ..core import C_LIGHT, Direction
 class SamplingLattice:
     """Planar spatial-sample lattice with an activity mask.
 
-    Built from an M x N rectangular grid centered on the origin of its
-    z-plane; a boolean mask marks which positions are actually occupied
-    so thinned (sparse) lattices share the representation.
+    Built from an M x N rectangular grid centered on the origin of the
+    z = 0 plane; a boolean mask marks which positions are actually
+    occupied so thinned (sparse) lattices share the representation.
     """
 
     def __init__(self, positions, d_x: float, d_y: float, shape, mask=None):
         self.positions = np.asarray(positions, dtype=float)
         if self.positions.ndim != 2 or self.positions.shape[1] != 3:
             raise ValueError("positions must be (P, 3)")
+        if np.any(self.positions[:, 2] != 0.0):
+            raise ValueError("lattice positions must lie in the z = 0 plane")
         self.d_x = float(d_x)
         self.d_y = float(d_y)
         if mask is None:
@@ -37,10 +39,6 @@ class SamplingLattice:
         xx, yy = np.meshgrid(ix, iy, indexing="ij")
         pos = np.column_stack([xx.ravel(), yy.ravel(), np.zeros(m * n)])
         return cls(pos, d_x, d_y, (m, n))
-
-    @property
-    def z_plane(self) -> float:
-        return float(self.positions[0, 2])
 
     def active_positions(self) -> np.ndarray:
         return self.positions[self.mask]
@@ -77,9 +75,15 @@ def _path_difference(pos, u, v):
 
 def _axis_ramps(pos, k, u, v):
     """Separable factors exp(jk*x*u) (P, len(u)) and exp(jk*y*v) (P, len(v))
-    of the planar steering phase on a (u, v) tensor grid."""
-    ex = np.exp(1j * k * pos[:, 0][:, None] * u[None, :])
-    ey = np.exp(1j * k * pos[:, 1][:, None] * v[None, :])
+    of the planar steering phase on a (u, v) tensor grid.
+
+    Each row is exponentiated once per distinct x (or y) coordinate and
+    gathered to the positions: an M x N lattice takes M + N rows of
+    exponentials, not 2MN, with the same bits."""
+    xs, ix = np.unique(pos[:, 0], return_inverse=True)
+    ys, iy = np.unique(pos[:, 1], return_inverse=True)
+    ex = np.exp(1j * k * xs[:, None] * u[None, :])[ix]
+    ey = np.exp(1j * k * ys[:, None] * v[None, :])[iy]
     return ex, ey
 
 
@@ -216,8 +220,10 @@ class SparseLatticeResult:
     met_bound: bool
 
 
-def _psl_db(pattern_abs, sidelobe_sel, peak):
-    return float(20.0 * np.log10(pattern_abs[sidelobe_sel].max() / peak))
+def _psl_db(pattern, side_idx, peak):
+    """Peak sidelobe of a complex pattern over the flat indices
+    ``side_idx``, in dB below ``peak``."""
+    return float(20.0 * np.log10(np.abs(pattern.ravel()[side_idx]).max() / peak))
 
 
 def optimize_sparse_lattice(
@@ -263,7 +269,7 @@ def optimize_sparse_lattice(
     visible = uu ** 2 + vv ** 2 <= 1.0
     m, n = full_lattice.shape
     null_radius = C_LIGHT / (f_eval * m * full_lattice.d_x)
-    sidelobe_sel = visible & (uu ** 2 + vv ** 2 > (1.25 * null_radius) ** 2)
+    side_idx = np.flatnonzero(visible & (uu ** 2 + vv ** 2 > (1.25 * null_radius) ** 2))
 
     ex, ey = _axis_ramps(pos, k, axis, axis)
 
@@ -271,8 +277,7 @@ def optimize_sparse_lattice(
         return ex[active_idx].T @ ey[active_idx]
 
     def psl_of(active_idx):
-        pat = np.abs(full_pattern(active_idx))
-        return _psl_db(pat, sidelobe_sel, len(active_idx))
+        return _psl_db(full_pattern(active_idx), side_idx, len(active_idx))
 
     if n_keep == n_total:
         idx = np.arange(n_total)
@@ -288,7 +293,7 @@ def optimize_sparse_lattice(
     temp = max(np.ptp(samples), 0.1)
 
     pattern = full_pattern(np.flatnonzero(active_set))
-    current = _psl_db(np.abs(pattern), sidelobe_sel, n_keep)
+    current = _psl_db(pattern, side_idx, n_keep)
     best_mask = active_set.copy()
     best = current
     for step in range(sched.n_steps):
@@ -298,9 +303,8 @@ def optimize_sparse_lattice(
         off = np.flatnonzero(~active_set)
         drop = on[rng.integers(len(on))]
         add = off[rng.integers(len(off))]
-        delta = np.outer(ex[add], ey[add]) - np.outer(ex[drop], ey[drop])
-        candidate = pattern + delta
-        cand_psl = _psl_db(np.abs(candidate), sidelobe_sel, n_keep)
+        candidate = pattern + (ex[add][:, None] * ey[add] - ex[drop][:, None] * ey[drop])
+        cand_psl = _psl_db(candidate, side_idx, n_keep)
         if cand_psl <= current or rng.random() < np.exp(-(cand_psl - current) / temp):
             pattern = candidate
             current = cand_psl
@@ -312,6 +316,6 @@ def optimize_sparse_lattice(
         if (step + 1) % 500 == 0:
             # resync the incrementally updated pattern against drift
             pattern = full_pattern(np.flatnonzero(active_set))
-            current = _psl_db(np.abs(pattern), sidelobe_sel, n_keep)
+            current = _psl_db(pattern, side_idx, n_keep)
     out = full_lattice.with_mask(best_mask)
     return SparseLatticeResult(out, best, best <= psl_bound_db)

@@ -15,8 +15,8 @@ from .grids import FrequencyGrid
 class ChannelRay:
     """One propagation path: plane wave from (u, v) or point source.
 
-    Plane-wave rays carry an explicit delay; point sources get theirs
-    from geometry (plus ``delay`` as an extra offset, usually zero).
+    Only plane-wave rays carry an explicit ``delay``; point sources get
+    theirs from geometry, and their ``delay`` stays 0.
     """
 
     kind: str
@@ -91,7 +91,7 @@ def synthesize_sweep(
             )
         else:
             d = np.linalg.norm(pos - np.asarray(ray.position), axis=1)
-            eff = d / C_LIGHT + ray.delay
+            eff = d / C_LIGHT
             if eff.min() < 0.0 or eff.max() >= grid.t_dur:
                 raise ValueError(
                     "point-source delay outside the unambiguous window"
@@ -197,9 +197,7 @@ def source_distances(
     """Distances from a virtual source at range ``r`` along ``direction``
     (referenced to the lattice center) to each active position."""
     w0 = np.sqrt(max(1.0 - direction.u ** 2 - direction.v ** 2, 0.0))
-    src = np.array(
-        [r * direction.u, r * direction.v, lattice.z_plane + r * w0]
-    )
+    src = np.array([r * direction.u, r * direction.v, r * w0])
     return np.linalg.norm(lattice.active_positions() - src, axis=1)
 
 

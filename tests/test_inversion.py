@@ -8,6 +8,8 @@ from aperture_forge.inversion import (
     PhaselessProblem,
     _adjoint,
     _forward,
+    _op_norm_sq,
+    _sign,
     af_gradient,
     af_objective,
     amplitude_flow,
@@ -200,6 +202,43 @@ def test_flow_objective_decreases_on_default_step():
     assert res.objective[-1] < res.objective[0]
 
 
+def _amplitude_flow_oracle(y, problem, init, steps):
+    """Amplitude flow written out plainly: |z| taken by the objective and
+    again by the sign, np.mean for the objective, fresh arrays each step."""
+    root_y = np.sqrt(np.asarray(y, dtype=float))
+    x = np.asarray(init, dtype=complex).copy()
+    lr = 0.1 / (2.0 * _op_norm_sq(problem) / problem.m)
+
+    def objective(z):
+        with np.errstate(over="ignore"):
+            return float(np.mean((root_y - np.abs(z)) ** 2))
+
+    z = _forward(problem, x)
+    history = [objective(z)]
+    for _ in range(steps):
+        grad = (2.0 / problem.m) * _adjoint(problem, z - root_y * _sign(z))
+        x = x - lr * grad
+        z = _forward(problem, x)
+        history.append(objective(z))
+        if not np.isfinite(history[-1]):
+            break
+    return x, np.asarray(history)
+
+
+@pytest.mark.parametrize("start", ["spectral", "huge"])
+def test_amplitude_flow_bits_match_plain_oracle(start):
+    x_true = random_signal(16, 19)
+    prob = gaussian_problem(96, 16, seed=20)
+    y = pr_forward(x_true, prob)
+    init = (spectral_init(y, prob) if start == "spectral"
+            else np.full(16, 1e200, dtype=complex))
+    res = amplitude_flow(y, prob, init, steps=60)
+    want_x, want_hist = _amplitude_flow_oracle(y, prob, init, steps=60)
+    assert res.diverged == (start == "huge")
+    assert np.array_equal(res.x, want_x)
+    assert np.array_equal(res.objective, want_hist)
+
+
 # --------------------------------------------------------- error reduction
 
 def test_error_reduction_fixed_point_at_truth():
@@ -251,6 +290,33 @@ def grid_system(n=96, radius=20, spacing=12, sigma=10.0, seed=31):
     offs = [(i, j) for i in (-spacing, 0, spacing) for j in (-spacing, 0, spacing)]
     return FpSystem(np.fft.fft2(u, norm="ortho"),
                     circular_pupil(n, radius), np.array(offs))
+
+
+def _fp_recover_oracle(intensities, system, sweeps):
+    """Ptychographic stitching written out plainly: roll the spectrum to
+    each LED, mask with the pupil, and roll back."""
+    order = np.argsort(np.hypot(*np.asarray(system.offsets, dtype=float).T))
+    est = np.fft.fft2(np.sqrt(intensities[order[0]]), norm="ortho")
+    est = np.roll(est * system.pupil, -system.offsets[order[0]], axis=(0, 1))
+    for _ in range(sweeps):
+        for k in order:
+            shifted = np.roll(est, system.offsets[k], axis=(0, 1))
+            img = np.fft.ifft2(shifted * system.pupil, norm="ortho")
+            img = np.sqrt(intensities[k]) * _sign(img)
+            corrected = np.fft.fft2(img, norm="ortho")
+            shifted[system.pupil] = corrected[system.pupil]
+            est = np.roll(shifted, -system.offsets[k], axis=(0, 1))
+    return est
+
+
+def test_fp_recover_bits_match_rolling_oracle():
+    # 9 LEDs on a 32-cell grid: every shifted pupil wraps across index 0
+    sys = grid_system(n=32, radius=5, spacing=4, sigma=4.0, seed=33)
+    frames = np.stack([fp_acquire(sys, k) for k in range(sys.n_leds)])
+    rec = fp_recover(frames, sys, sweeps=3)
+    want = _fp_recover_oracle(frames, sys, sweeps=3)
+    assert np.array_equal(rec.spectrum, want)
+    assert np.array_equal(rec.object_estimate, np.fft.ifft2(want, norm="ortho"))
 
 
 def test_pupil_radius_conversion():

@@ -22,6 +22,7 @@ from aperture_forge.sounding import (
     synthesize_sweep,
     two_ray_path_loss,
 )
+from aperture_forge.sounding.arrays import _axis_ramps
 from aperture_forge.sounding.padp import SweepData, _beam_series
 
 BORESIGHT = Direction(0.0, 0.0)
@@ -114,6 +115,28 @@ def test_array_factor_beamwidth_40ghz():
     width_u = u[above[-1]] - u[above[0]]
     width_deg = np.degrees(2 * np.arcsin(width_u / 2))
     assert width_deg == pytest.approx(2.9, abs=0.2)
+
+
+def _axis_ramps_oracle(pos, k, u, v):
+    """One exponential per position and direction, no deduplication."""
+    ex = np.exp(1j * k * pos[:, 0][:, None] * u[None, :])
+    ey = np.exp(1j * k * pos[:, 1][:, None] * v[None, :])
+    return ex, ey
+
+
+@pytest.mark.parametrize("thinned", [False, True])
+def test_axis_ramps_bits_match_per_position_oracle(thinned):
+    lam = C_LIGHT / 40e9
+    lat = SamplingLattice.rectangular(16, 16, lam / 2, 0.6 * lam)
+    if thinned:
+        lat = lat.with_mask(np.random.default_rng(3).random(256) < 0.4)
+    pos = lat.active_positions()
+    u = np.linspace(-0.1, 0.6, 301)
+    v = np.linspace(-1.0, 1.0, 65)
+    for f in (26.5e9, 33e9, 40e9):
+        k = 2.0 * np.pi * f / C_LIGHT
+        got, want = _axis_ramps(pos, k, u, v), _axis_ramps_oracle(pos, k, u, v)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_array_factor_width_scales_with_frequency():
@@ -426,12 +449,18 @@ def test_spherical_rejects_in_plane_source():
 
 
 def test_source_distances_boresight_center():
-    flat = SamplingLattice.rectangular(7, 7, 0.01, 0.01)
-    lat = SamplingLattice(flat.positions + [0.0, 0.0, 0.2], 0.01, 0.01, flat.shape)
+    lat = SamplingLattice.rectangular(7, 7, 0.01, 0.01)
     d = source_distances(lat, BORESIGHT, 1.5)
     assert d.min() == pytest.approx(1.5, rel=1e-12)  # center element
     corner = np.sqrt(1.5 ** 2 + 2 * (3 * 0.01) ** 2)
     assert d.max() == pytest.approx(corner, rel=1e-12)
+
+
+def test_lattice_rejects_positions_off_the_z0_plane():
+    flat = SamplingLattice.rectangular(3, 3, 0.01, 0.01)
+    lifted = flat.positions + [0.0, 0.0, 0.2]
+    with pytest.raises(ValueError, match="z = 0"):
+        SamplingLattice(lifted, 0.01, 0.01, flat.shape)
 
 
 # --------------------------------------------------- frequency-invariant beams
@@ -503,6 +532,62 @@ def test_decimated_lattice_grating_lobe():
     main = abs(array_factor(thin, w, 0.0, 0.0, 40e9))
     grating = abs(array_factor(thin, w, 1.0, 0.0, 40e9))
     assert 20 * np.log10(grating / main) > -1.0
+
+
+def _annealer_oracle(full, keep_fraction, sched, seed, f_eval=40e9, uv_points=97):
+    """The thinning annealer written out plainly: np.outer swap updates,
+    and |pattern| over the whole grid masked to the sidelobe region."""
+    rng = np.random.default_rng(seed)
+    pos = full.positions
+    n_total = len(pos)
+    n_keep = int(round(keep_fraction * n_total))
+    k = 2.0 * np.pi * f_eval / C_LIGHT
+    axis = np.linspace(-1.0, 1.0, uv_points)
+    uu, vv = np.meshgrid(axis, axis, indexing="ij")
+    null_radius = C_LIGHT / (f_eval * full.shape[0] * full.d_x)
+    sel = (uu ** 2 + vv ** 2 <= 1.0) & (uu ** 2 + vv ** 2 > (1.25 * null_radius) ** 2)
+    ex, ey = _axis_ramps_oracle(pos, k, axis, axis)
+
+    def full_pattern(idx):
+        return ex[idx].T @ ey[idx]
+
+    def psl(pattern):
+        return float(20.0 * np.log10(np.abs(pattern)[sel].max() / n_keep))
+
+    active_set = np.zeros(n_total, dtype=bool)
+    active_set[rng.permutation(n_total)[:n_keep]] = True
+    samples = [psl(full_pattern(rng.permutation(n_total)[:n_keep])) for _ in range(20)]
+    temp = max(np.ptp(samples), 0.1)
+    pattern = full_pattern(np.flatnonzero(active_set))
+    current = best = psl(pattern)
+    best_mask = active_set.copy()
+    for step in range(sched.n_steps):
+        if step and step % sched.cool_every == 0:
+            temp *= 0.95
+        on, off = np.flatnonzero(active_set), np.flatnonzero(~active_set)
+        drop = on[rng.integers(len(on))]
+        add = off[rng.integers(len(off))]
+        candidate = pattern + (np.outer(ex[add], ey[add]) - np.outer(ex[drop], ey[drop]))
+        cand_psl = psl(candidate)
+        if cand_psl <= current or rng.random() < np.exp(-(cand_psl - current) / temp):
+            pattern, current = candidate, cand_psl
+            active_set[drop], active_set[add] = False, True
+            if current < best:
+                best, best_mask = current, active_set.copy()
+        if (step + 1) % 500 == 0:
+            pattern = full_pattern(np.flatnonzero(active_set))
+            current = psl(pattern)
+    return best_mask, best
+
+
+def test_annealer_bits_match_plain_oracle():
+    lam = C_LIGHT / 40e9
+    full = SamplingLattice.rectangular(8, 8, 0.7 * lam, 0.7 * lam)
+    sched = AnnealSchedule(n_steps=1100, cool_every=100)
+    res = optimize_sparse_lattice(full, 0.5, schedule=sched, seed=4)
+    want_mask, want_psl = _annealer_oracle(full, 0.5, sched, seed=4)
+    assert np.array_equal(res.lattice.mask, want_mask)
+    assert res.psl_db == want_psl
 
 
 def test_annealer_validation():
