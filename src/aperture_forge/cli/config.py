@@ -127,9 +127,9 @@ def parse_config(path, scenario=None, seed=None, out_dir=None) -> RunConfig:
         if key not in scen.params:
             raise UnknownKeyError(f"unknown parameter '{key}' for scenario '{name}'")
     params = {}
-    for key, (expected, default) in scen.params.items():
+    for key, default in scen.params.items():
         if key in raw_params:
-            params[key] = _coerce(f"params.{key}", raw_params[key], expected)
+            params[key] = _coerce(f"params.{key}", raw_params[key], type(default))
         else:
             params[key] = default
             defaulted.append(f"params.{key}")

@@ -1,12 +1,16 @@
 """Scenario registry: canned simulate -> process -> measure pipelines.
 
 Each scenario is a small, fast, end-to-end exercise of one part of the
-toolkit.  A runner takes the validated parameter block, the seed and an
-artifact sink, and returns a flat name -> value metrics map; everything
-random flows from the explicit seed so a rerun of the same config is
-byte-identical, artifacts included.
+toolkit.  A runner takes the seed, an artifact sink and the validated
+parameters as keyword arguments, and returns a flat name -> value metrics
+map; everything random flows from the explicit seed so a rerun of the
+same config is byte-identical, artifacts included.  The runner's
+keyword-only parameters are the scenario's config schema: each default
+is the parameter's default, and its type is the type a config value must
+have.
 """
 
+import inspect
 import json
 import time
 from dataclasses import dataclass, field
@@ -115,13 +119,15 @@ from .artifacts import DB_NOTE, ArtifactSink
 from .config import CliError, MissingSeedError, RunConfig, ScenarioError
 
 
-@dataclass(frozen=True)
 class Scenario:
-    name: str
-    stochastic: bool
-    modules: tuple
-    params: dict  # name -> (type, default)
-    runner: object
+    """A runner and whether it draws random numbers; ``params`` maps each
+    keyword-only parameter of the runner to its default, in order."""
+
+    def __init__(self, runner, stochastic):
+        self.runner = runner
+        self.stochastic = stochastic
+        sig = inspect.signature(runner).parameters.values()
+        self.params = {p.name: p.default for p in sig if p.kind is p.KEYWORD_ONLY}
 
 
 @dataclass
@@ -187,9 +193,10 @@ def _half_power_width(u, cut):
 # --------------------------------------------------------------- sounding
 
 
-def _run_sound_constants(params, seed, sink):
-    grid = FrequencyGrid(params["f_start_hz"], params["f_stop_hz"], params["df_hz"])
-    checks = sampling_checks(grid, params["f_max_hz"], tol=params["tol"])
+def _run_sound_constants(seed, sink, *, f_start_hz=26.5e9, f_stop_hz=40e9, df_hz=10e6,
+                         f_max_hz=40e9, tol=0.05, aperture_m=0.102):
+    grid = FrequencyGrid(f_start_hz, f_stop_hz, df_hz)
+    checks = sampling_checks(grid, f_max_hz, tol=tol)
     sink.table("tones", {"f_hz": grid.frequencies()})
     return {
         "s_tones": grid.s,
@@ -197,42 +204,42 @@ def _run_sound_constants(params, seed, sink):
         "range_resolution_m": checks["range_resolution_m"],
         "t_dur_ns": checks["t_dur_s"] * 1e9,
         "max_range_m": checks["max_range_m"],
-        "bandpass_ratio": params["f_max_hz"] / grid.bandwidth,
+        "bandpass_ratio": f_max_hz / grid.bandwidth,
         "bandpass_q": checks["q"],
         "bandpass_ok": checks["bandpass_ok"],
-        "far_field_m": far_field_distance(params["aperture_m"], params["f_stop_hz"]),
+        "far_field_m": far_field_distance(aperture_m, f_stop_hz),
     }
 
 
-def _run_sound_padp(params, seed, sink):
-    if params["noise_sigma"] > 0.0:
+def _run_sound_padp(seed, sink, *, m=8, n=8, d_m=0.00545, f_start_hz=26.5e9,
+                    f_stop_hz=27.5e9, df_hz=25e6, u1=0.3, v1=0.0, tau1_ns=10.0, amp1=1.0,
+                    u2=-0.2, v2=0.1, tau2_ns=25.0, amp2=0.5, src_x_m=0.5, src_y_m=0.3,
+                    src_z_m=6.0, src_amp=0.8, r_start_m=3.0, r_stop_m=9.0, r_step_m=0.25,
+                    map_points=41, rho=0.4, phi_rad=2.0, noise_sigma=0.0):
+    if noise_sigma > 0.0:
         _require_seed(seed, "sound-padp with noise_sigma > 0")
-    d = params["d_m"]
-    lat = SamplingLattice.rectangular(params["m"], params["n"], d, d)
-    grid = FrequencyGrid(params["f_start_hz"], params["f_stop_hz"], params["df_hz"])
-    src = (params["src_x_m"], params["src_y_m"], params["src_z_m"])
+    lat = SamplingLattice.rectangular(m, n, d_m, d_m)
+    grid = FrequencyGrid(f_start_hz, f_stop_hz, df_hz)
+    src = (src_x_m, src_y_m, src_z_m)
     rays = [
-        ChannelRay.plane_wave(params["u1"], params["v1"], params["tau1_ns"] * 1e-9,
-                              params["amp1"]),
-        ChannelRay.plane_wave(params["u2"], params["v2"], params["tau2_ns"] * 1e-9,
-                              params["amp2"]),
-        ChannelRay.point_source(src, params["src_amp"]),
+        ChannelRay.plane_wave(u1, v1, tau1_ns * 1e-9, amp1),
+        ChannelRay.plane_wave(u2, v2, tau2_ns * 1e-9, amp2),
+        ChannelRay.point_source(src, src_amp),
     ]
-    sweep = synthesize_sweep(rays, lat, grid, params["noise_sigma"], seed)
-    look = Direction.from_sine_space(params["u1"], params["v1"])
+    sweep = synthesize_sweep(rays, lat, grid, noise_sigma, seed)
+    look = Direction.from_sine_space(u1, v1)
     pdp = padp(sweep, look)
     i_pk = int(np.argmax(pdp.power))
 
     # angle map at the strongest ray's delay bin (snapped to the lattice)
     n_bins = grid.s * grid.df
-    tau_bin = round(params["tau1_ns"] * 1e-9 * n_bins) / n_bins
-    uv = np.linspace(-0.8, 0.8, params["map_points"])
+    tau_bin = round(tau1_ns * 1e-9 * n_bins) / n_bins
+    uv = np.linspace(-0.8, 0.8, map_points)
     slc = delay_slice(sweep, uv, uv, tau_bin)
 
     src_range = float(np.linalg.norm(src))
     src_look = Direction.from_sine_space(src[0] / src_range, src[1] / src_range)
-    sph = spherical_padp(sweep, src_look, params["r_start_m"], params["r_stop_m"],
-                         params["r_step_m"])
+    sph = spherical_padp(sweep, src_look, r_start_m, r_stop_m, r_step_m)
     r_pk = int(np.unravel_index(np.argmax(sph.power), sph.power.shape)[0])
 
     # sanity check on the core field model: a sampled plane wave must
@@ -242,14 +249,14 @@ def _run_sound_padp(params, seed, sink):
     nx, nt = 32, 16
     t = np.arange(nt) / (4.0 * f_probe)
     s_xt = np.stack(
-        [plane_wave_field(FieldPoint(i * d, 0.0, 0.0), t, wave) for i in range(nx)]
+        [plane_wave_field(FieldPoint(i * d_m, 0.0, 0.0), t, wave) for i in range(nx)]
     )
-    spec = wavenumber_spectrum(ComplexGrid(s_xt, Axis(0.0, d, "m"),
+    spec = wavenumber_spectrum(ComplexGrid(s_xt, Axis(0.0, d_m, "m"),
                                            Axis(0.0, t[1], "s")))
     k_row = int(np.unravel_index(np.argmax(np.abs(spec.data)), spec.shape)[0])
     k_meas = spec.axis0_values()[k_row]
 
-    gain = two_ray_path_loss(params["rho"], params["phi_rad"])
+    gain = two_ray_path_loss(rho, phi_rad)
     sink.sweep("sweep", sweep)
     sink.table("pdp", {"delay_ns": pdp.delays * 1e9, "power": pdp.power})
     sink.image("delay_map", np.abs(slc), scale="field")
@@ -265,28 +272,27 @@ def _run_sound_padp(params, seed, sink):
     }
 
 
-def _run_sound_squint(params, seed, sink):
-    d = params["d_m"]
-    lat = SamplingLattice.rectangular(params["m"], params["n"], d, d)
-    look = Direction.from_sine_space(params["u0"], 0.0)
-    f0, f_hi = params["f_design_hz"], params["f_eval_hz"]
-    u = np.linspace(-0.1, params["u0"] + 0.2, params["n_u"])
-    w_nb = np.conj(steering_vector(lat, look, f_hi, "narrowband", f0=f0))
-    w_td = np.conj(steering_vector(lat, look, f_hi, "ttd"))
-    cut_nb = np.abs(array_factor(lat, w_nb, u, 0.0, f_hi))[:, 0]
-    cut_td = np.abs(array_factor(lat, w_td, u, 0.0, f_hi))[:, 0]
+def _run_sound_squint(seed, sink, *, m=16, n=16, d_m=0.00375, f_design_hz=26.51e9,
+                      f_eval_hz=40e9, f_start_hz=26.5e9, f_stop_hz=40e9, u0=0.4, n_u=801,
+                      map_tones=8, fib_m=8, fib_tones=11):
+    lat = SamplingLattice.rectangular(m, n, d_m, d_m)
+    look = Direction.from_sine_space(u0, 0.0)
+    u = np.linspace(-0.1, u0 + 0.2, n_u)
+    w_nb = np.conj(steering_vector(lat, look, f_eval_hz, "narrowband", f0=f_design_hz))
+    w_td = np.conj(steering_vector(lat, look, f_eval_hz, "ttd"))
+    cut_nb = np.abs(array_factor(lat, w_nb, u, 0.0, f_eval_hz))[:, 0]
+    cut_td = np.abs(array_factor(lat, w_td, u, 0.0, f_eval_hz))[:, 0]
 
     # squint walk across the band: one pattern cut per sampled tone
-    tones = np.linspace(f0, f_hi, params["map_tones"])
+    tones = np.linspace(f_design_hz, f_eval_hz, map_tones)
     walk = np.stack(
         [np.abs(array_factor(lat, w_nb, u, 0.0, f))[:, 0] for f in tones]
     )
 
     # per-tone equalized weights hold the beamwidth across the sweep
-    lat8 = SamplingLattice.rectangular(params["fib_m"], params["fib_m"], d, d)
-    span = params["f_stop_hz"] - params["f_start_hz"]
-    fib_grid = FrequencyGrid(params["f_start_hz"], params["f_stop_hz"],
-                             span / (params["fib_tones"] - 1))
+    lat8 = SamplingLattice.rectangular(fib_m, fib_m, d_m, d_m)
+    span = f_stop_hz - f_start_hz
+    fib_grid = FrequencyGrid(f_start_hz, f_stop_hz, span / (fib_tones - 1))
     target = 1.02 * natural_beamwidth(lat8, fib_grid.f_start)
     ws = fib_weights(lat8, fib_grid, Direction(0.0, 0.0), target)
     u_w = np.linspace(-0.45, 0.45, 601)
@@ -300,25 +306,24 @@ def _run_sound_squint(params, seed, sink):
     return {
         "peak_u_narrowband": u[np.argmax(cut_nb)],
         "peak_u_ttd": u[np.argmax(cut_td)],
-        "peak_u_predicted": params["u0"] * f0 / f_hi,
-        "natural_beamwidth_u": natural_beamwidth(lat, f_hi),
+        "peak_u_predicted": u0 * f_design_hz / f_eval_hz,
+        "natural_beamwidth_u": natural_beamwidth(lat, f_eval_hz),
         "fib_target_u": target,
         "fib_width_min_u": min(widths),
         "fib_width_max_u": max(widths),
     }
 
 
-def _run_sound_sparse(params, seed, sink):
-    d = params["d_m"]
-    full = SamplingLattice.rectangular(params["m"], params["n"], d, d)
-    sched = AnnealSchedule(n_steps=params["n_steps"],
-                           cool_every=params["cool_every"])
-    res = optimize_sparse_lattice(full, params["keep_fraction"], sched, seed,
-                                  params["f_eval_hz"], params["uv_points"],
-                                  params["psl_bound_db"])
-    uv = np.linspace(-1.0, 1.0, params["uv_points"])
+def _run_sound_sparse(seed, sink, *, m=16, n=16, d_m=0.00375, keep_fraction=0.5,
+                      n_steps=1200, cool_every=60, f_eval_hz=40e9, uv_points=65,
+                      psl_bound_db=-13.0):
+    full = SamplingLattice.rectangular(m, n, d_m, d_m)
+    sched = AnnealSchedule(n_steps=n_steps, cool_every=cool_every)
+    res = optimize_sparse_lattice(full, keep_fraction, sched, seed, f_eval_hz, uv_points,
+                                  psl_bound_db)
+    uv = np.linspace(-1.0, 1.0, uv_points)
     pattern = np.abs(array_factor(res.lattice, np.ones(res.lattice.n_active),
-                                  uv, uv, params["f_eval_hz"]))
+                                  uv, uv, f_eval_hz))
     sink.image("mask", res.lattice.mask.reshape(full.shape) * 1.0, scale="power",
                dynamic_range_db=20.0)
     sink.image("pattern", pattern, scale="field")
@@ -326,31 +331,30 @@ def _run_sound_sparse(params, seed, sink):
         "psl_db": res.psl_db,
         "met_bound": res.met_bound,
         "n_active": res.lattice.n_active,
-        "keep_fraction": params["keep_fraction"],
-        "alias_free": res.lattice.alias_free(C_LIGHT / params["f_eval_hz"]),
+        "keep_fraction": keep_fraction,
+        "alias_free": res.lattice.alias_free(C_LIGHT / f_eval_hz),
     }
 
 
 # -------------------------------------------------------------------- sar
 
 
-def _run_sar_point(params, seed, sink):
-    if params["noise_sigma"] > 0.0:
+def _run_sar_point(seed, sink, *, v_mps=100.0, prf_hz=400.0, t_coh_s=0.16, r1_m=999.75,
+                   wavelength_m=0.03, fc_hz=10e9, bandwidth_hz=150e6, duration_s=2.005e-6,
+                   f_s_hz=600e6, d_antenna_m=0.6, n_x=64, n_r=64, oversample=4.0,
+                   noise_sigma=0.0):
+    if noise_sigma > 0.0:
         _require_seed(seed, "sar-point with noise_sigma > 0")
-    geom = SarGeometry(params["v_mps"], params["prf_hz"], params["t_coh_s"],
-                       params["r1_m"], params["wavelength_m"])
-    chirp = LfmChirp(params["fc_hz"], params["bandwidth_hz"], params["duration_s"], 1.0)
-    scene = PointScene((Scatterer(0.0, params["r1_m"]),))
-    ph = simulate_phase_history(scene, geom, chirp, params["f_s_hz"],
-                                params["noise_sigma"], seed)
-    res = sar_resolutions(geom, chirp, params["d_antenna_m"])
+    geom = SarGeometry(v_mps, prf_hz, t_coh_s, r1_m, wavelength_m)
+    chirp = LfmChirp(fc_hz, bandwidth_hz, duration_s, 1.0)
+    scene = PointScene((Scatterer(0.0, r1_m),))
+    ph = simulate_phase_history(scene, geom, chirp, f_s_hz, noise_sigma, seed)
+    res = sar_resolutions(geom, chirp, d_antenna_m)
 
-    over = params["oversample"]
-    n_x, n_r = params["n_x"], params["n_r"]
-    dx = res["cross_range_resolution_m"] / over
-    dr = res["range_resolution_m"] / over
+    dx = res["cross_range_resolution_m"] / oversample
+    dr = res["range_resolution_m"] / oversample
     x_grid = (np.arange(n_x) - n_x // 2) * dx  # scatterer lands on a pixel
-    r_grid = params["r1_m"] + (np.arange(n_r) - n_r // 2) * dr
+    r_grid = r1_m + (np.arange(n_r) - n_r // 2) * dr
     img = backproject(ph, x_grid, r_grid)
     mag = img.magnitude
     row, col = img.peak_index()
@@ -361,10 +365,10 @@ def _run_sar_point(params, seed, sink):
         i, j = image.peak_index()
         x_pk = image.pixels.axis0_values()[i]
         r_pk = image.pixels.axis1_values()[j]
-        return float(np.hypot(x_pk, r_pk - params["r1_m"]))
+        return float(np.hypot(x_pk, r_pk - r1_m))
 
     err_wk = peak_offset(omega_k_focus(ph))
-    err_cs = peak_offset(chirp_scaling_focus(ph, params["r1_m"]))
+    err_cs = peak_offset(chirp_scaling_focus(ph, r1_m))
 
     f_ref = geom.prf / 4.0  # representative Doppler for the distortion report
     sink.image("image_bp", mag, scale="field")
@@ -389,17 +393,15 @@ def _run_sar_point(params, seed, sink):
     }
 
 
-def _run_sar_tomo(params, seed, sink):
-    n_s = params["n_s"]
-    step = params["s_step"]
-    axis = (np.arange(n_s) - (n_s - 1) / 2.0) * step
+def _run_sar_tomo(seed, sink, *, n_s=65, n_angles=90, radius_frac=0.35, s_step=1.0):
+    axis = (np.arange(n_s) - (n_s - 1) / 2.0) * s_step
     xx, yy = np.meshgrid(axis, axis, indexing="ij")
-    radius = params["radius_frac"] * (n_s / 2.0) * step
+    radius = radius_frac * (n_s / 2.0) * s_step
     phantom = (xx ** 2 + yy ** 2 <= radius ** 2).astype(float)
-    angles = np.linspace(0.0, np.pi, params["n_angles"], endpoint=False)
-    proj = project_image(phantom, angles, step)
-    rec_p = tomographic_reconstruct(proj, angles, step, "polar-interp")
-    rec_f = tomographic_reconstruct(proj, angles, step, "filtered-backprojection")
+    angles = np.linspace(0.0, np.pi, n_angles, endpoint=False)
+    proj = project_image(phantom, angles, s_step)
+    rec_p = tomographic_reconstruct(proj, angles, s_step, "polar-interp")
+    rec_f = tomographic_reconstruct(proj, angles, s_step, "filtered-backprojection")
     span = phantom.max() - phantom.min()
 
     def rmse(rec):
@@ -415,22 +417,19 @@ def _run_sar_tomo(params, seed, sink):
         "rmse_polar_frac": rmse(rec_p),
         "rmse_fbp_frac": rmse(rec_f),
         "ncc_methods": ncc,
-        "n_angles": params["n_angles"],
+        "n_angles": n_angles,
     }
 
 
-def _run_sar_capon(params, seed, sink):
-    sources = ((0.0, 0.0, 1.0), (params["src2_x_m"], params["src2_y_m"],
-                                 params["src2_amp"]))
-    z = synthesize_capon_data(sources, params["m"], params["n"], params["f_c_hz"],
-                              params["d_u_m"], params["d_f_hz"], params["r_ref_m"],
-                              params["noise_sigma"], seed)
-    loading = params["loading_rel"] * float(np.mean(np.abs(z) ** 2))
-    prob = CaponProblem(z, LinearPhaseSteering(params["f_c_hz"], params["d_u_m"],
-                                               params["d_f_hz"], params["r_ref_m"]),
-                        loading)
-    half = params["extent_m"]
-    grid = np.linspace(-half, half, params["n_grid"])
+def _run_sar_capon(seed, sink, *, m=32, n=32, f_c_hz=10e9, d_u_m=0.1, d_f_hz=1e6,
+                   r_ref_m=1000.0, src2_x_m=3.0, src2_y_m=-2.0, src2_amp=0.5,
+                   noise_sigma=0.05, loading_rel=0.01, extent_m=8.0, n_grid=41):
+    sources = ((0.0, 0.0, 1.0), (src2_x_m, src2_y_m, src2_amp))
+    z = synthesize_capon_data(sources, m, n, f_c_hz, d_u_m, d_f_hz, r_ref_m, noise_sigma,
+                              seed)
+    loading = loading_rel * float(np.mean(np.abs(z) ** 2))
+    prob = CaponProblem(z, LinearPhaseSteering(f_c_hz, d_u_m, d_f_hz, r_ref_m), loading)
+    grid = np.linspace(-extent_m, extent_m, n_grid)
     images = {
         "capon": capon_image(prob, grid, grid),
         "conventional": conventional_image(prob, grid, grid),
@@ -446,35 +445,34 @@ def _run_sar_capon(params, seed, sink):
     return metrics
 
 
-def _run_sar_speckle(params, seed, sink):
-    n = params["n_pix"]
-    y = np.ones((n, n))
-    q = n // 8
-    y[3 * q:4 * q, 3 * q:4 * q] = params["block_level"]
-    sp = apply_speckle(y, params["sigma_mu"], seed)
-    filt = lee_filter(sp.z, params["sigma_mu"], params["window"])
-    flat = np.zeros((n, n), dtype=bool)
+def _run_sar_speckle(seed, sink, *, n_pix=128, sigma_mu=0.3, window=7, block_level=5.0):
+    y = np.ones((n_pix, n_pix))
+    q = n_pix // 8
+    y[3 * q:4 * q, 3 * q:4 * q] = block_level
+    sp = apply_speckle(y, sigma_mu, seed)
+    filt = lee_filter(sp.z, sigma_mu, window)
+    flat = np.zeros((n_pix, n_pix), dtype=bool)
     flat[: 2 * q, :] = True  # far from the bright block
     metrics = {
         "var_in": float(np.var(sp.z[flat])),
         "var_out": float(np.var(filt[flat])),
         "var_ratio": float(np.var(filt[flat]) / np.var(sp.z[flat])),
         "mean_rel_err": float(abs(np.mean(filt[flat]) - 1.0)),
-        "sigma_mu": params["sigma_mu"],
+        "sigma_mu": sigma_mu,
     }
     sink.image("speckled", sp.z, scale="power", dynamic_range_db=30.0)
     sink.image("filtered", filt, scale="power", dynamic_range_db=30.0)
     return metrics
 
 
-def _run_qsar_budget(params, seed, sink):
-    p = QsarParams(params["power_w"], params["gain"], params["wavelength_m"],
-                   params["sigma0"], params["delta_r_m"], params["standoff_m"],
-                   params["t0_k"], params["noise_figure"], params["l_a_m"],
-                   params["v_mps"], params["theta_deg"])
+def _run_qsar_budget(seed, sink, *, power_w=5.0, gain=3162.0, wavelength_m=0.03, sigma0=0.1,
+                     delta_r_m=1.0, standoff_m=1e5, t0_k=290.0, noise_figure=2.0, l_a_m=3.0,
+                     v_mps=150.0, theta_deg=30.0, sweep_lo_db=-10.0, sweep_hi_db=15.0,
+                     n_sweep=26):
+    p = QsarParams(power_w, gain, wavelength_m, sigma0, delta_r_m, standoff_m, t0_k,
+                   noise_figure, l_a_m, v_mps, theta_deg)
     qm = qsar_metrics(p)
-    snr_db = np.linspace(params["sweep_lo_db"], params["sweep_hi_db"],
-                         params["n_sweep"])
+    snr_db = np.linspace(sweep_lo_db, sweep_hi_db, n_sweep)
     sweep = [detection_error_probabilities(s, unit="db") for s in snr_db]
     sink.table("error_probabilities", {
         "snr_db": snr_db,
@@ -487,38 +485,36 @@ def _run_qsar_budget(params, seed, sink):
 # -------------------------------------------------------------------- sas
 
 
-def _run_sas_recon(params, seed, sink):
-    geom = SasGeometry(params["v_p_mps"], params["tau_rec_s"], params["n_pings"],
-                       np.arange(params["n_rx"]) * params["rx_pitch_m"])
-    grid = FrequencyGrid(params["f_start_hz"], params["f_stop_hz"], params["df_hz"])
-    side = params["grid_side"]
-    r0 = params["r0_m"]
+def _run_sas_recon(seed, sink, *, v_p_mps=3.2, tau_rec_s=0.05, n_pings=8, n_rx=4,
+                   rx_pitch_m=0.04, f_start_hz=20e3, f_stop_hz=35e3, df_hz=1.5e3,
+                   grid_side=12, r0_m=30.0, dx_m=0.045, dy_m=0.35, target1=30, target2=95,
+                   amp2=0.7, noise_sigma=0.1, mu_frac=0.05, solver="fista", max_iter=300,
+                   d_transducer_m=0.04):
+    geom = SasGeometry(v_p_mps, tau_rec_s, n_pings, np.arange(n_rx) * rx_pitch_m)
+    grid = FrequencyGrid(f_start_hz, f_stop_hz, df_hz)
     y_c = geom.ping_positions().mean() + geom.rx_offsets.mean() / 2.0
-    gx = r0 + (np.arange(side) - (side - 1) / 2.0) * params["dx_m"]
-    gy = y_c + (np.arange(side) - (side - 1) / 2.0) * params["dy_m"]
+    gx = r0_m + (np.arange(grid_side) - (grid_side - 1) / 2.0) * dx_m
+    gy = y_c + (np.arange(grid_side) - (grid_side - 1) / 2.0) * dy_m
     pts = np.stack(np.meshgrid(gx, gy, indexing="ij"), axis=-1).reshape(-1, 2)
-    i1, i2 = params["target1"], params["target2"]
-    scene = SasScene(pts[[i1, i2]],
-                     np.array([1.0, params["amp2"] * np.exp(0.8j)]))
-    d = simulate_measurements(geom, scene, grid, params["noise_sigma"], seed)
+    scene = SasScene(pts[[target1, target2]], np.array([1.0, amp2 * np.exp(0.8j)]))
+    d = simulate_measurements(geom, scene, grid, noise_sigma, seed)
     model = build_sensing_model(geom, pts, grid)
     cbf = sas_cbf(d, model)
     i_cbf = int(np.argmax(np.abs(cbf)))
 
     mu_max = lasso_mu_max(d, model)
-    mu = params["mu_frac"] * mu_max
-    sp = sas_sparse(d, model, mu, solver=params["solver"],
-                    max_iter=params["max_iter"])
+    mu = mu_frac * mu_max
+    sp = sas_sparse(d, model, mu, solver=solver, max_iter=max_iter)
     top2 = set(np.argsort(np.abs(sp.s))[-2:].tolist())
 
     lam = C_SOUND / (0.5 * (grid.f_start + grid.f_stop))
-    res = sas_resolutions(grid.bandwidth, params["d_transducer_m"], lam, r0)
-    sink.image("cbf", np.abs(cbf).reshape(side, side), scale="field")
-    sink.image("sparse", np.abs(sp.s).reshape(side, side), scale="field")
+    res = sas_resolutions(grid.bandwidth, d_transducer_m, lam, r0_m)
+    sink.image("cbf", np.abs(cbf).reshape(grid_side, grid_side), scale="field")
+    sink.image("sparse", np.abs(sp.s).reshape(grid_side, grid_side), scale="field")
     return {
         "cbf_peak_index": i_cbf,
-        "cbf_peak_ok": i_cbf == i1,
-        "support_ok": top2 == {i1, i2},
+        "cbf_peak_ok": i_cbf == target1,
+        "support_ok": top2 == {target1, target2},
         "mu_used": mu,
         "mu_max": mu_max,
         "objective_final": sp.objective[-1],
@@ -533,19 +529,19 @@ def _run_sas_recon(params, seed, sink):
 # -------------------------------------------------------------- inversion
 
 
-def _run_pr_recover(params, seed, sink):
+def _run_pr_recover(seed, sink, *, n=64, oversampling=8.0, problem_kind="gaussian",
+                    n_masks=6, steps=2500, er_iters=100, noise_sigma=0.0):
     s_prob, s_truth, s_noise = np.random.SeedSequence(seed).spawn(3)
-    n = params["n"]
-    if params["problem_kind"] == "coded":
-        problem = coded_problem(n, params["n_masks"], s_prob)
+    if problem_kind == "coded":
+        problem = coded_problem(n, n_masks, s_prob)
     else:
-        problem = gaussian_problem(int(round(params["oversampling"] * n)), n, s_prob)
+        problem = gaussian_problem(int(round(oversampling * n)), n, s_prob)
     rng = np.random.default_rng(s_truth)
     x0 = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
-    y = pr_forward(x0, problem, params["noise_sigma"], s_noise)
+    y = pr_forward(x0, problem, noise_sigma, s_noise)
     init = spectral_init(y, problem)
-    flow = amplitude_flow(y, problem, init, steps=params["steps"])
-    er = error_reduction(y, problem, init, iters=params["er_iters"])
+    flow = amplitude_flow(y, problem, init, steps=steps)
+    er = error_reduction(y, problem, init, iters=er_iters)
     resid = np.asarray(er.residuals)
     sink.table("flow_objective", {
         "step": np.arange(len(flow.objective)),
@@ -567,18 +563,15 @@ def _run_pr_recover(params, seed, sink):
     }
 
 
-def _run_fp_demo(params, seed, sink):
-    n = params["n"]
-    radius = pupil_radius_bins(params["na"], params["wavelength_m"],
-                               params["dx_m"], n)
-    sp = params["led_spacing"]
-    g = params["grid_side"]
-    steps = (np.arange(g) - g // 2) * sp
+def _run_fp_demo(seed, sink, *, n=96, na=0.25, wavelength_m=0.5e-6, dx_m=4.1666667e-7,
+                 led_spacing=12, grid_side=3, sweeps=30, sigma_px=10.0):
+    radius = pupil_radius_bins(na, wavelength_m, dx_m, n)
+    steps = (np.arange(grid_side) - grid_side // 2) * led_spacing
     offsets = np.array([(i, j) for i in steps for j in steps])
 
     ix = np.arange(n) - n / 2
     gx, gy = np.meshgrid(ix, ix, indexing="ij")
-    amp = np.exp(-(gx ** 2 + gy ** 2) / (2.0 * params["sigma_px"] ** 2))
+    amp = np.exp(-(gx ** 2 + gy ** 2) / (2.0 * sigma_px ** 2))
     rng = np.random.default_rng(seed)
     ph = rng.standard_normal((n, n))
     ph = np.real(np.fft.ifft2(np.fft.fft2(ph) * circular_pupil(n, 3)))
@@ -587,7 +580,7 @@ def _run_fp_demo(params, seed, sink):
     system = FpSystem(np.fft.fft2(obj, norm="ortho"), circular_pupil(n, radius),
                       offsets)
     frames = [fp_acquire(system, k) for k in range(system.n_leds)]
-    rec = fp_recover(frames, system, sweeps=params["sweeps"])
+    rec = fp_recover(frames, system, sweeps=sweeps)
     cov = rec.coverage
     err = phase_invariant_dist(rec.spectrum[cov], system.object_spectrum[cov])
     sink.image("truth_mag", np.abs(obj), scale="field", dynamic_range_db=40.0)
@@ -607,26 +600,23 @@ def _run_fp_demo(params, seed, sink):
 # ------------------------------------------------------------- radiometry
 
 
-def _run_radiometry_roundtrip(params, seed, sink):
-    t_pk = params["t_peak_k"]
-    sig = params["sigma_l"]
+def _run_radiometry_roundtrip(seed, sink, *, n_u=17, du=0.45, sigma_l=0.15, n_theta=120,
+                              n_phi=240, t_peak_k=100.0, clip_negative=True, n_mrla=4):
     bmap = BrightnessMap.from_function(
-        lambda th, ph: t_pk * np.exp(-np.sin(th) ** 2 / (2.0 * sig ** 2)),
-        params["n_theta"], params["n_phi"],
+        lambda th, ph: t_peak_k * np.exp(-np.sin(th) ** 2 / (2.0 * sigma_l ** 2)),
+        n_theta, n_phi,
     )
-    n_u = params["n_u"]
-    baselines = BaselineSet.from_lattice(n_u, n_u, params["du"])
+    baselines = BaselineSet.from_lattice(n_u, n_u, du)
     vis = visibility_samples(bmap, baselines)
-    image = invert_visibilities(vis, baselines,
-                                clip_negative=params["clip_negative"])
+    image = invert_visibilities(vis, baselines, clip_negative=clip_negative)
     ll, mm = np.meshgrid(image.l, image.m, indexing="ij")
     rr = ll ** 2 + mm ** 2
     disc = rr < 1.0
-    ref = np.where(disc, t_pk * np.exp(-rr / (2.0 * sig ** 2)), 0.0)
+    ref = np.where(disc, t_peak_k * np.exp(-rr / (2.0 * sigma_l ** 2)), 0.0)
     err = float(np.linalg.norm(image.values[disc] - ref[disc])
                 / np.linalg.norm(ref[disc]))
     zero_row = int(np.where((baselines.uv == 0.0).all(axis=1))[0][0])
-    spacings = mrla_spacings(params["n_mrla"])
+    spacings = mrla_spacings(n_mrla)
     sink.image("brightness", bmap.values, scale="power", dynamic_range_db=40.0)
     sink.image("recovered", np.maximum(image.values, 0.0), scale="power",
                dynamic_range_db=40.0)
@@ -649,37 +639,38 @@ def _run_radiometry_roundtrip(params, seed, sink):
 # -------------------------------------------------------------- waveforms
 
 
-def _run_waveform_ambiguity(params, seed, sink):
-    chirp = LfmChirp(params["fc_hz"], params["bandwidth_hz"], params["duration_s"], 1.0)
-    f_s = params["f_s_hz"]
-    env = sample_lfm(chirp, f_s)
+def _run_waveform_ambiguity(seed, sink, *, fc_hz=1e9, bandwidth_hz=10e6,
+                            duration_s=10e-6, f_s_hz=25e6, n_delay=101, n_doppler=101,
+                            n_bins=200, sep_bins=12, ratio_db=40.0, rmmse_iterations=3,
+                            adc_bits=12):
+    chirp = LfmChirp(fc_hz, bandwidth_hz, duration_s, 1.0)
+    env = sample_lfm(chirp, f_s_hz)
     t_max = 0.8 * chirp.duration
     f_max = 1.5 / chirp.duration
-    delays = np.linspace(-t_max, t_max, params["n_delay"])
-    dopplers = np.linspace(-f_max, f_max, params["n_doppler"])
-    surf = ambiguity_surface(np.conj(env), delays, dopplers, f_s)
+    delays = np.linspace(-t_max, t_max, n_delay)
+    dopplers = np.linspace(-f_max, f_max, n_doppler)
+    surf = ambiguity_surface(np.conj(env), delays, dopplers, f_s_hz)
     want = lfm_ambiguity_closed_form(chirp, surf.delays[:, None],
                                      surf.dopplers[None, :])
     max_err = float(np.max(np.abs(surf.values - want)))
-    origin = ambiguity_surface(np.conj(env), [0.0], [0.0], f_s).values[0, 0]
+    origin = ambiguity_surface(np.conj(env), [0.0], [0.0], f_s_hz).values[0, 0]
 
     mf = np.abs(matched_filter(env, env))
     peak_idx = int(np.argmax(mf))
-    guard = int(np.ceil(4.0 * f_s / chirp.bandwidth))  # skip the mainlobe
+    guard = int(np.ceil(4.0 * f_s_hz / chirp.bandwidth))  # skip the mainlobe
     side = np.delete(mf, np.arange(peak_idx - guard, peak_idx + guard + 1))
     mf_psl_db = 20.0 * np.log10(side.max() / mf[peak_idx])
 
     # two-point compression: the weak return sits under the matched
     # filter's sidelobes but the adaptive weights dig it out
-    n_bins = params["n_bins"]
     refl = np.zeros(n_bins, dtype=complex)
     strong = n_bins // 3
-    weak = strong + params["sep_bins"]
-    weak_amp = 10.0 ** (-params["ratio_db"] / 20.0)
+    weak = strong + sep_bins
+    weak_amp = 10.0 ** (-ratio_db / 20.0)
     refl[strong] = 1.0
     refl[weak] = weak_amp
     y = np.convolve(refl, env)
-    rc = rmmse_compress(y, env, iterations=params["rmmse_iterations"])
+    rc = rmmse_compress(y, env, iterations=rmmse_iterations)
     mfp = np.abs(np.correlate(y, env, "valid")) / np.sum(np.abs(env) ** 2)
     # local residual: 10 bins either side of the weak return, with both
     # returns and their immediate shoulders excluded
@@ -691,7 +682,7 @@ def _run_waveform_ambiguity(params, seed, sink):
             resid[lo:hi] = 0.0
     margin = 20.0 * np.log10(np.abs(rc[weak]) / max(resid.max(), 1e-30))
 
-    adc = adc_metrics(AdcModel(params["adc_bits"], 1.0, f_s))
+    adc = adc_metrics(AdcModel(adc_bits, 1.0, f_s_hz))
     sink.image("ambiguity", surf.values, scale="power")
     sink.table("compression", {
         "bin": np.arange(n_bins),
@@ -704,7 +695,7 @@ def _run_waveform_ambiguity(params, seed, sink):
         "ambiguity_volume": surf.volume(),
         "mf_psl_db": float(mf_psl_db),
         "rmmse_weak_db": 20.0 * np.log10(np.abs(rc[weak])),
-        "rmmse_weak_true_db": -params["ratio_db"],
+        "rmmse_weak_true_db": -ratio_db,
         "rmmse_weak_margin_db": float(margin),
         "mf_weak_db": 20.0 * np.log10(mfp[weak]),
         "adc_snr_ideal_db": adc["snr_ideal_db"],
@@ -714,125 +705,21 @@ def _run_waveform_ambiguity(params, seed, sink):
 # ---------------------------------------------------------------- registry
 
 
-def _scenario(name, runner, stochastic, modules, **params):
-    return Scenario(name, stochastic, modules, params, runner)
-
-
 REGISTRY = {
-    s.name: s
-    for s in (
-        _scenario(
-            "sound-constants", _run_sound_constants, False, ("core", "sounding"),
-            f_start_hz=(float, 26.5e9), f_stop_hz=(float, 40e9),
-            df_hz=(float, 10e6), f_max_hz=(float, 40e9), tol=(float, 0.05),
-            aperture_m=(float, 0.102),
-        ),
-        _scenario(
-            "sound-padp", _run_sound_padp, False, ("core", "sounding"),
-            m=(int, 8), n=(int, 8), d_m=(float, 0.00545),
-            f_start_hz=(float, 26.5e9), f_stop_hz=(float, 27.5e9),
-            df_hz=(float, 25e6),
-            u1=(float, 0.3), v1=(float, 0.0), tau1_ns=(float, 10.0),
-            amp1=(float, 1.0),
-            u2=(float, -0.2), v2=(float, 0.1), tau2_ns=(float, 25.0),
-            amp2=(float, 0.5),
-            src_x_m=(float, 0.5), src_y_m=(float, 0.3), src_z_m=(float, 6.0),
-            src_amp=(float, 0.8),
-            r_start_m=(float, 3.0), r_stop_m=(float, 9.0), r_step_m=(float, 0.25),
-            map_points=(int, 41), rho=(float, 0.4), phi_rad=(float, 2.0),
-            noise_sigma=(float, 0.0),
-        ),
-        _scenario(
-            "sound-squint", _run_sound_squint, False, ("core", "sounding"),
-            m=(int, 16), n=(int, 16), d_m=(float, 0.00375),
-            f_design_hz=(float, 26.51e9), f_eval_hz=(float, 40e9),
-            f_start_hz=(float, 26.5e9), f_stop_hz=(float, 40e9),
-            u0=(float, 0.4), n_u=(int, 801), map_tones=(int, 8),
-            fib_m=(int, 8), fib_tones=(int, 11),
-        ),
-        _scenario(
-            "sound-sparse-lattice", _run_sound_sparse, True, ("core", "sounding"),
-            m=(int, 16), n=(int, 16), d_m=(float, 0.00375),
-            keep_fraction=(float, 0.5), n_steps=(int, 1200), cool_every=(int, 60),
-            f_eval_hz=(float, 40e9), uv_points=(int, 65),
-            psl_bound_db=(float, -13.0),
-        ),
-        _scenario(
-            "sar-point", _run_sar_point, False, ("core", "waveforms", "sar"),
-            v_mps=(float, 100.0), prf_hz=(float, 400.0), t_coh_s=(float, 0.16),
-            r1_m=(float, 999.75), wavelength_m=(float, 0.03),
-            fc_hz=(float, 10e9), bandwidth_hz=(float, 150e6),
-            duration_s=(float, 2.005e-6), f_s_hz=(float, 600e6),
-            d_antenna_m=(float, 0.6), n_x=(int, 64), n_r=(int, 64),
-            oversample=(float, 4.0), noise_sigma=(float, 0.0),
-        ),
-        _scenario(
-            "sar-tomo", _run_sar_tomo, False, ("sar",),
-            n_s=(int, 65), n_angles=(int, 90), radius_frac=(float, 0.35),
-            s_step=(float, 1.0),
-        ),
-        _scenario(
-            "sar-capon", _run_sar_capon, True, ("core", "sar"),
-            m=(int, 32), n=(int, 32), f_c_hz=(float, 10e9), d_u_m=(float, 0.1),
-            d_f_hz=(float, 1e6), r_ref_m=(float, 1000.0),
-            src2_x_m=(float, 3.0), src2_y_m=(float, -2.0), src2_amp=(float, 0.5),
-            noise_sigma=(float, 0.05), loading_rel=(float, 0.01),
-            extent_m=(float, 8.0), n_grid=(int, 41),
-        ),
-        _scenario(
-            "sar-speckle", _run_sar_speckle, True, ("sar",),
-            n_pix=(int, 128), sigma_mu=(float, 0.3), window=(int, 7),
-            block_level=(float, 5.0),
-        ),
-        _scenario(
-            "sas-recon", _run_sas_recon, True, ("core", "sounding", "sas"),
-            v_p_mps=(float, 3.2), tau_rec_s=(float, 0.05), n_pings=(int, 8),
-            n_rx=(int, 4), rx_pitch_m=(float, 0.04),
-            f_start_hz=(float, 20e3), f_stop_hz=(float, 35e3), df_hz=(float, 1.5e3),
-            grid_side=(int, 12), r0_m=(float, 30.0), dx_m=(float, 0.045),
-            dy_m=(float, 0.35), target1=(int, 30), target2=(int, 95),
-            amp2=(float, 0.7), noise_sigma=(float, 0.1), mu_frac=(float, 0.05),
-            solver=(str, "fista"), max_iter=(int, 300),
-            d_transducer_m=(float, 0.04),
-        ),
-        _scenario(
-            "pr-recover", _run_pr_recover, True, ("inversion",),
-            n=(int, 64), oversampling=(float, 8.0), problem_kind=(str, "gaussian"),
-            n_masks=(int, 6), steps=(int, 2500), er_iters=(int, 100),
-            noise_sigma=(float, 0.0),
-        ),
-        _scenario(
-            "fp-demo", _run_fp_demo, True, ("inversion",),
-            n=(int, 96), na=(float, 0.25), wavelength_m=(float, 0.5e-6),
-            dx_m=(float, 4.1666667e-7), led_spacing=(int, 12), grid_side=(int, 3),
-            sweeps=(int, 30), sigma_px=(float, 10.0),
-        ),
-        _scenario(
-            "radiometry-roundtrip", _run_radiometry_roundtrip, False,
-            ("radiometry",),
-            n_u=(int, 17), du=(float, 0.45), sigma_l=(float, 0.15),
-            n_theta=(int, 120), n_phi=(int, 240), t_peak_k=(float, 100.0),
-            clip_negative=(bool, True), n_mrla=(int, 4),
-        ),
-        _scenario(
-            "waveform-ambiguity", _run_waveform_ambiguity, False,
-            ("core", "waveforms"),
-            fc_hz=(float, 1e9), bandwidth_hz=(float, 10e6),
-            duration_s=(float, 10e-6), f_s_hz=(float, 25e6),
-            n_delay=(int, 101), n_doppler=(int, 101), n_bins=(int, 200),
-            sep_bins=(int, 12), ratio_db=(float, 40.0),
-            rmmse_iterations=(int, 3), adc_bits=(int, 12),
-        ),
-        _scenario(
-            "qsar-budget", _run_qsar_budget, False, ("sar",),
-            power_w=(float, 5.0), gain=(float, 3162.0), wavelength_m=(float, 0.03),
-            sigma0=(float, 0.1), delta_r_m=(float, 1.0), standoff_m=(float, 1e5),
-            t0_k=(float, 290.0), noise_figure=(float, 2.0), l_a_m=(float, 3.0),
-            v_mps=(float, 150.0), theta_deg=(float, 30.0),
-            sweep_lo_db=(float, -10.0), sweep_hi_db=(float, 15.0),
-            n_sweep=(int, 26),
-        ),
-    )
+    "sound-constants": Scenario(_run_sound_constants, False),
+    "sound-padp": Scenario(_run_sound_padp, False),
+    "sound-squint": Scenario(_run_sound_squint, False),
+    "sound-sparse-lattice": Scenario(_run_sound_sparse, True),
+    "sar-point": Scenario(_run_sar_point, False),
+    "sar-tomo": Scenario(_run_sar_tomo, False),
+    "sar-capon": Scenario(_run_sar_capon, True),
+    "sar-speckle": Scenario(_run_sar_speckle, True),
+    "sas-recon": Scenario(_run_sas_recon, True),
+    "pr-recover": Scenario(_run_pr_recover, True),
+    "fp-demo": Scenario(_run_fp_demo, True),
+    "radiometry-roundtrip": Scenario(_run_radiometry_roundtrip, False),
+    "waveform-ambiguity": Scenario(_run_waveform_ambiguity, False),
+    "qsar-budget": Scenario(_run_qsar_budget, False),
 }
 
 
@@ -851,7 +738,7 @@ def run(config: RunConfig) -> RunReport:
     sink = ArtifactSink(out, config.emit_images, config.emit_csv)
     t0 = time.perf_counter()
     try:
-        metrics = scen.runner(config.params, config.seed, sink)
+        metrics = scen.runner(config.seed, sink, **config.params)
     except CliError:
         raise
     except Exception as exc:

@@ -160,10 +160,6 @@ class WaveParams:
         s = direction.unit_vector() / (C_LIGHT / frequency)
         return cls(frequency, C_LIGHT, s[0], s[1], s[2])
 
-    @property
-    def wavelength(self) -> float:
-        return self.speed / self.frequency
-
 
 def plane_wave_field(point: FieldPoint, t, wave: WaveParams):
     """Complex plane-wave field exp(j*2*pi*(f*t - k.x)).

@@ -97,32 +97,28 @@ class BaselineSet:
         return cls(np.column_stack([gu.ravel(), gv.ravel()]))
 
 
-# complex entries per block of ramp tables; bounds the memory of a scattered set
+# complex entries per block of ramp tables; bounds the quadrature's working memory
 _RAMP_BLOCK = 1 << 20
 
 
 def visibility_samples(bmap: BrightnessMap, baselines: BaselineSet) -> np.ndarray:
     """V(u,v) = integral of T_r exp(+j 2 pi (u l + v m)) over solid angle.
 
-    The phase separates by axis: when the set fills at least half of its
-    u-by-v lattice, one ramp exp(j 2 pi u l) per distinct u and one ramp
-    exp(j 2 pi v m) per distinct v give every lattice visibility as one
-    matrix product, from which the requested entries are gathered.  A
-    scattered set keeps one ramp per baseline against the flat v = 0 ramp,
-    so it never pays for a lattice much larger than itself.  The
-    quadrature is walked in blocks of at most _RAMP_BLOCK table entries.
+    The phase separates by axis: one ramp exp(j 2 pi u l) per distinct u
+    and one ramp exp(j 2 pi v m) per distinct v give every visibility of
+    the set's u-by-v lattice as one matrix product, from which the
+    requested entries are gathered.  This is exact for any set, but a
+    scattered set costs len(u) * len(v) products per block, not one per
+    baseline.  The quadrature is walked in blocks of at most _RAMP_BLOCK
+    table entries.
     """
     l, m, w, t = bmap._quadrature()
     tw = t * w
     uv = baselines.uv
     u_ax, iu = np.unique(uv[:, 0], return_inverse=True)
     v_ax, iv = np.unique(uv[:, 1], return_inverse=True)
-    if len(u_ax) * len(v_ax) <= 2 * len(uv):
-        keys_a = np.column_stack([u_ax, np.zeros_like(u_ax)])
-        keys_b = np.column_stack([np.zeros_like(v_ax), v_ax])
-    else:
-        keys_a, iu = uv, np.arange(len(uv))
-        keys_b, iv = np.zeros((1, 2)), np.zeros(len(uv), dtype=int)
+    keys_a = np.column_stack([u_ax, np.zeros_like(u_ax)])
+    keys_b = np.column_stack([np.zeros_like(v_ax), v_ax])
     lm = np.stack([l, m])
     acc = np.zeros((len(keys_a), len(keys_b)), dtype=complex)
     step = max(_RAMP_BLOCK // (len(keys_a) + len(keys_b)), 1)

@@ -187,18 +187,19 @@ def fib_weights(
     side_path = _path_difference(pos, us, vs)
     main_path = _path_difference(pos, um, vm)
     freqs = grid.frequencies()
+    gamma = len(us) / max(len(um), 1)  # balance the two regions
     out = np.empty((len(freqs), p), dtype=complex)
     for i, f in enumerate(freqs):
         v0 = steering_vector(lattice, direction, f, mode="ttd")
         k = 2.0 * np.pi * f / C_LIGHT
         v_side = np.exp(1j * k * side_path)
         v_main = np.exp(1j * k * main_path)
-        gamma = len(us) / max(len(um), 1)  # balance the two regions
         g = v_side @ np.conj(v_side.T) + gamma * (v_main @ np.conj(v_main.T))
         g += 1e-4 * 2 * len(us) * np.eye(p)  # ridge keeps the solves well posed
         c = gamma * (v_main @ d_main)
-        w_ls = np.linalg.solve(g, c)
-        h = np.linalg.solve(g, v0)
+        # one factorization for both right-hand sides; the copy keeps the
+        # rows contiguous, as a strided dot below sums in another order
+        w_ls, h = np.linalg.solve(g, np.column_stack([c, v0])).T.copy()
         mu_lag = (1.0 - np.conj(v0) @ w_ls) / (np.conj(v0) @ h)
         out[i] = w_ls + mu_lag * h
     return out

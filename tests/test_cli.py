@@ -1,3 +1,5 @@
+import ast
+import inspect
 import json
 import os
 import pathlib
@@ -27,6 +29,7 @@ from aperture_forge.cli.main import main
 from aperture_forge.cli.scenarios import REGISTRY, run
 from aperture_forge.sounding import ChannelRay, FrequencyGrid, SamplingLattice, synthesize_sweep
 
+SCENARIOS_SRC = pathlib.Path(inspect.getsourcefile(run))
 ALL_MODULES = {"core", "waveforms", "sar", "sounding", "sas", "inversion",
                "radiometry", "cli"}
 
@@ -245,18 +248,35 @@ def test_registry_holds_exactly_the_published_scenarios():
 
 
 def test_every_module_is_reachable_from_some_scenario():
-    covered = set().union(*(s.modules for s in REGISTRY.values()))
+    tree = ast.parse(SCENARIOS_SRC.read_text())
+    covered = {node.module for node in tree.body
+               if isinstance(node, ast.ImportFrom) and node.level == 2}
     covered.add("cli")  # the front end itself
     assert covered == ALL_MODULES
 
 
-def test_declared_defaults_match_their_declared_types():
-    for scen in REGISTRY.values():
-        for name, (kind, default) in scen.params.items():
-            if kind is float:
-                assert isinstance(default, (int, float)), (scen.name, name)
-            else:
-                assert isinstance(default, kind), (scen.name, name)
+def test_each_runner_signature_is_its_scenario_schema():
+    defs = {node.name: node for node in ast.parse(SCENARIOS_SRC.read_text()).body
+            if isinstance(node, ast.FunctionDef)}
+    for name, scen in REGISTRY.items():
+        sig = inspect.signature(scen.runner).parameters.values()
+        assert [p.name for p in sig][:2] == ["seed", "sink"], name
+        assert all(p.kind is p.KEYWORD_ONLY for p in list(sig)[2:]), name
+        for key, default in scen.params.items():
+            assert type(default) in (float, int, bool, str), (name, key)
+        # a parameter the body never reads is a config key that changes nothing
+        body = defs[scen.runner.__name__].body
+        read = {node.id for stmt in body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        assert set(scen.params) <= read, (name, sorted(set(scen.params) - read))
+
+
+def test_defaulted_keys_follow_the_runner_signature(tmp_path):
+    cfg = parse_config(write_config(tmp_path, {"scenario": "sound-constants"}))
+    assert cfg.defaulted == (
+        "params.f_start_hz", "params.f_stop_hz", "params.df_hz", "params.f_max_hz",
+        "params.tol", "params.aperture_m", "out", "emit_images", "emit_csv",
+    )
 
 
 # ------------------------------------------------------------------ running

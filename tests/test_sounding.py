@@ -22,7 +22,7 @@ from aperture_forge.sounding import (
     synthesize_sweep,
     two_ray_path_loss,
 )
-from aperture_forge.sounding.arrays import _axis_ramps
+from aperture_forge.sounding.arrays import _axis_ramps, _path_difference
 from aperture_forge.sounding.padp import SweepData, _beam_series
 
 BORESIGHT = Direction(0.0, 0.0)
@@ -487,6 +487,53 @@ def test_fib_width_spread_under_five_percent():
     for i, f in enumerate(grid.frequencies()):
         v0 = steering_vector(lat, BORESIGHT, f)
         assert np.conj(ws[i]) @ v0 == pytest.approx(1.0, abs=1e-9)
+
+
+def _fib_weights_two_solves(lattice, grid, direction, beamwidth_target):
+    """fib_weights as it was with one solve per right-hand side and gamma
+    recomputed per tone: the oracle for the factor-once form."""
+    pos = lattice.active_positions()
+    p = len(pos)
+    r_mask = 0.75 * beamwidth_target
+    axis = np.linspace(-1.0, 1.0, 48)
+    uu, vv = np.meshgrid(axis, axis, indexing="ij")
+    off_sq = (uu - direction.u) ** 2 + (vv - direction.v) ** 2
+    sel = (uu ** 2 + vv ** 2 <= 1.0) & (off_sq > r_mask ** 2)
+    us, vs = uu[sel], vv[sel]
+    fine = np.linspace(-r_mask, r_mask, 13)
+    mu, mv = np.meshgrid(direction.u + fine, direction.v + fine, indexing="ij")
+    m_off_sq = (mu - direction.u) ** 2 + (mv - direction.v) ** 2
+    m_sel = (m_off_sq <= r_mask ** 2) & (mu ** 2 + mv ** 2 <= 1.0) & (m_off_sq > 0)
+    um, vm = mu[m_sel], mv[m_sel]
+    d_main = np.exp2(-0.5 * (2.0 * np.sqrt(m_off_sq[m_sel]) / beamwidth_target) ** 2)
+    side_path = _path_difference(pos, us, vs)
+    main_path = _path_difference(pos, um, vm)
+    freqs = grid.frequencies()
+    out = np.empty((len(freqs), p), dtype=complex)
+    for i, f in enumerate(freqs):
+        v0 = steering_vector(lattice, direction, f, mode="ttd")
+        k = 2.0 * np.pi * f / C_LIGHT
+        v_side = np.exp(1j * k * side_path)
+        v_main = np.exp(1j * k * main_path)
+        gamma = len(us) / max(len(um), 1)
+        g = v_side @ np.conj(v_side.T) + gamma * (v_main @ np.conj(v_main.T))
+        g += 1e-4 * 2 * len(us) * np.eye(p)
+        c = gamma * (v_main @ d_main)
+        w_ls = np.linalg.solve(g, c)
+        h = np.linalg.solve(g, v0)
+        mu_lag = (1.0 - np.conj(v0) @ w_ls) / (np.conj(v0) @ h)
+        out[i] = w_ls + mu_lag * h
+    return out
+
+
+def test_fib_weights_match_one_solve_per_right_hand_side():
+    # sound-squint's equalized lattice and sweep: 8 x 8, 11 tones
+    lat = SamplingLattice.rectangular(8, 8, 0.00375, 0.00375)
+    grid = FrequencyGrid(26.5e9, 40e9, 13.5e9 / 10)
+    target = 1.02 * natural_beamwidth(lat, grid.f_start)
+    got = fib_weights(lat, grid, BORESIGHT, target)
+    assert got.shape == (11, 64)
+    assert np.array_equal(got, _fib_weights_two_solves(lat, grid, BORESIGHT, target))
 
 
 def test_unequalized_width_shrinks_33_percent():
