@@ -26,11 +26,10 @@ _HORIZON_EPS = 1e-12
 
 @dataclass(frozen=True)
 class Axis:
-    """Uniform sample axis described by start, step and unit label."""
+    """Uniform sample axis described by start and step."""
 
     start: float
     step: float
-    unit: str = ""
 
     def __post_init__(self):
         if not (np.isfinite(self.start) and np.isfinite(self.step)):
@@ -178,21 +177,32 @@ def far_field_distance(aperture_d: float, frequency: float) -> float:
     return 2.0 * aperture_d ** 2 * frequency / C_LIGHT
 
 
+def seeded_rng(seed, why):
+    """``default_rng(seed)``.  A None seed raises ValueError naming
+    ``why``: nothing is ever drawn from unseeded entropy."""
+    if seed is None:
+        raise ValueError(f"seed is required when {why}")
+    return np.random.default_rng(seed)
+
+
+def noise_rng(sigma, seed, name):
+    """The generator for noise of strength ``sigma``, or None when
+    ``sigma == 0``.  A negative or NaN ``sigma``, or a positive one
+    without a seed, raises ValueError naming the parameter ``name``."""
+    if not sigma >= 0.0:
+        raise ValueError(f"{name} must be nonnegative")
+    return None if sigma == 0.0 else seeded_rng(seed, f"{name} > 0")
+
+
 def add_complex_noise(x, sigma, seed):
     """``x`` plus circular complex white noise of standard deviation ``sigma``.
 
     Draws the real parts, then the imaginary parts, from
-    ``default_rng(seed)``.  ``sigma == 0`` returns ``x`` itself.  A
-    negative ``sigma``, or a positive one without a seed, raises
-    ValueError: noise is never drawn from unseeded entropy.
+    ``noise_rng(sigma, seed, ...)``; ``sigma == 0`` returns ``x`` itself.
     """
-    if not sigma >= 0.0:
-        raise ValueError("noise_sigma must be nonnegative")
-    if sigma == 0.0:
+    rng = noise_rng(sigma, seed, "noise_sigma")
+    if rng is None:
         return x
-    if seed is None:
-        raise ValueError("seed is required when noise_sigma > 0")
-    rng = np.random.default_rng(seed)
     return x + sigma / np.sqrt(2.0) * (
         rng.standard_normal(x.shape) + 1j * rng.standard_normal(x.shape)
     )
@@ -257,6 +267,6 @@ def wavenumber_spectrum(grid: ComplexGrid) -> ComplexGrid:
     f_step = 1.0 / (nt * grid.axis1.step)
     return ComplexGrid(
         spec,
-        Axis(-(nx // 2) * k_step, k_step, "cycles/m"),
-        Axis(-(nt // 2) * f_step, f_step, "Hz"),
+        Axis(-(nx // 2) * k_step, k_step),
+        Axis(-(nt // 2) * f_step, f_step),
     )

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import power_iteration
+from .core import noise_rng, power_iteration
 
 
 @dataclass(frozen=True)
@@ -97,15 +97,16 @@ def _sign(z):
 def pr_forward(x, problem, noise_sigma=0.0, seed=None) -> np.ndarray:
     """Phaseless measurements |A x|^2, optionally with additive noise
     (clipped at zero to keep the vector physical).  Raises ValueError on
-    a non-finite ``x``."""
+    a non-finite ``x``, and on a negative ``noise_sigma`` or a positive
+    one without a seed."""
     x = np.asarray(x, dtype=complex)
     if x.shape != (problem.n,):
         raise ValueError("x length does not match the problem dimension")
     if not np.all(np.isfinite(x)):
         raise ValueError("x must be finite")
     y = np.abs(_forward(problem, x)) ** 2
-    if noise_sigma > 0.0:
-        rng = np.random.default_rng(seed)
+    rng = noise_rng(noise_sigma, seed, "noise_sigma")
+    if rng is not None:
         y = np.maximum(y + noise_sigma * rng.standard_normal(y.shape), 0.0)
     return y
 

@@ -30,35 +30,24 @@ class BrightnessMap:
 
     @classmethod
     def from_function(cls, fn, n_theta=180, n_phi=360):
-        th = (np.arange(n_theta) + 0.5) * (np.pi / 2 / n_theta)
-        ph = (np.arange(n_phi) + 0.5) * (2 * np.pi / n_phi)
-        gt, gp = np.meshgrid(th, ph, indexing="ij")
-        return cls(fn(gt, gp))
-
-    @property
-    def n_theta(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_phi(self) -> int:
-        return self.values.shape[1]
-
-    def theta_centers(self) -> np.ndarray:
-        return (np.arange(self.n_theta) + 0.5) * (np.pi / 2 / self.n_theta)
-
-    def phi_centers(self) -> np.ndarray:
-        return (np.arange(self.n_phi) + 0.5) * (2 * np.pi / self.n_phi)
+        return cls(fn(*_midpoints(n_theta, n_phi)))
 
     def _quadrature(self):
         """Flattened direction cosines and solid-angle weights."""
-        th = self.theta_centers()
-        ph = self.phi_centers()
-        d_omega = (np.pi / 2 / self.n_theta) * (2 * np.pi / self.n_phi)
-        gt, gp = np.meshgrid(th, ph, indexing="ij")
+        n_theta, n_phi = self.values.shape
+        gt, gp = _midpoints(n_theta, n_phi)
+        d_omega = (np.pi / 2 / n_theta) * (2 * np.pi / n_phi)
         l = np.sin(gt) * np.cos(gp)
         m = np.sin(gt) * np.sin(gp)
         w = np.sin(gt) * d_omega
         return l.ravel(), m.ravel(), w.ravel(), self.values.ravel()
+
+
+def _midpoints(n_theta, n_phi):
+    """(theta, phi) cell centres of the hemisphere grid, each (n_theta, n_phi)."""
+    th = (np.arange(n_theta) + 0.5) * (np.pi / 2 / n_theta)
+    ph = (np.arange(n_phi) + 0.5) * (2 * np.pi / n_phi)
+    return np.meshgrid(th, ph, indexing="ij")
 
 
 def measured_temperature(bmap: BrightnessMap) -> float:
@@ -69,32 +58,40 @@ def measured_temperature(bmap: BrightnessMap) -> float:
 
 @dataclass(frozen=True)
 class BaselineSet:
-    """Dimensionless (u, v) = (D_x, D_y) / lambda antenna spacings.
+    """An n_u by n_v lattice of dimensionless (u, v) = (D_x, D_y) / lambda
+    antenna spacings, with spacing du on both axes.
 
-    The zero baseline must be present: it anchors V(0,0) = T_m and the
-    total-power calibration.
+    Index n // 2 of each axis sits at zero, so the zero baseline that
+    anchors V(0,0) = T_m and the total-power calibration is always there.
     """
 
-    uv: np.ndarray
+    n_u: int
+    n_v: int
+    du: float
 
     def __post_init__(self):
-        uv = np.atleast_2d(np.asarray(self.uv, dtype=float))
-        if uv.ndim != 2 or uv.shape[1] != 2:
-            raise ValueError("uv must be (K, 2)")
-        if not np.isfinite(uv).all():
-            raise ValueError("baselines must be finite")
-        if not np.any(np.all(np.abs(uv) < 1e-12, axis=1)):
-            raise ValueError("the zero baseline (0, 0) is required")
-        object.__setattr__(self, "uv", uv)
+        if self.n_u < 1 or self.n_v < 1:
+            raise ValueError("a baseline lattice needs n_u, n_v >= 1")
+        if not (np.isfinite(self.du) and self.du > 0):
+            raise ValueError("du must be finite and positive")
 
     @classmethod
     def from_lattice(cls, n_u, n_v, du):
-        """n_u by n_v lattice with spacing du on both axes; index n // 2
-        of each axis sits at zero."""
-        iu = np.arange(n_u) - n_u // 2
-        iv = np.arange(n_v) - n_v // 2
-        gu, gv = np.meshgrid(iu * du, iv * du, indexing="ij")
-        return cls(np.column_stack([gu.ravel(), gv.ravel()]))
+        return cls(n_u, n_v, du)
+
+    @property
+    def u(self) -> np.ndarray:
+        return (np.arange(self.n_u) - self.n_u // 2) * self.du
+
+    @property
+    def v(self) -> np.ndarray:
+        return (np.arange(self.n_v) - self.n_v // 2) * self.du
+
+    @property
+    def uv(self) -> np.ndarray:
+        """(n_u * n_v, 2) baselines, u-major: the order of every visibility vector."""
+        gu, gv = np.meshgrid(self.u, self.v, indexing="ij")
+        return np.column_stack([gu.ravel(), gv.ravel()])
 
 
 # complex entries per block of ramp tables; bounds the quadrature's working memory
@@ -102,32 +99,24 @@ _RAMP_BLOCK = 1 << 20
 
 
 def visibility_samples(bmap: BrightnessMap, baselines: BaselineSet) -> np.ndarray:
-    """V(u,v) = integral of T_r exp(+j 2 pi (u l + v m)) over solid angle.
+    """V(u,v) = integral of T_r exp(+j 2 pi (u l + v m)) over solid angle,
+    u-major over the baseline lattice.
 
-    The phase separates by axis: one ramp exp(j 2 pi u l) per distinct u
-    and one ramp exp(j 2 pi v m) per distinct v give every visibility of
-    the set's u-by-v lattice as one matrix product, from which the
-    requested entries are gathered.  This is exact for any set, but a
-    scattered set costs len(u) * len(v) products per block, not one per
-    baseline.  The quadrature is walked in blocks of at most _RAMP_BLOCK
+    The phase separates by axis: one ramp exp(j 2 pi u l) per u and one
+    ramp exp(j 2 pi v m) per v give the whole lattice as one matrix
+    product.  The quadrature is walked in blocks of at most _RAMP_BLOCK
     table entries.
     """
     l, m, w, t = bmap._quadrature()
     tw = t * w
-    uv = baselines.uv
-    u_ax, iu = np.unique(uv[:, 0], return_inverse=True)
-    v_ax, iv = np.unique(uv[:, 1], return_inverse=True)
-    keys_a = np.column_stack([u_ax, np.zeros_like(u_ax)])
-    keys_b = np.column_stack([np.zeros_like(v_ax), v_ax])
-    lm = np.stack([l, m])
-    acc = np.zeros((len(keys_a), len(keys_b)), dtype=complex)
-    step = max(_RAMP_BLOCK // (len(keys_a) + len(keys_b)), 1)
-    for q0 in range(0, lm.shape[1], step):
-        block = lm[:, q0:q0 + step]
-        ramp_a = np.exp(2j * np.pi * (keys_a @ block))
-        ramp_b = np.exp(2j * np.pi * (keys_b @ block)) * tw[q0:q0 + step]
-        acc += ramp_a @ ramp_b.T
-    return acc[iu, iv]
+    u, v = baselines.u, baselines.v
+    acc = np.zeros((len(u), len(v)), dtype=complex)
+    step = max(_RAMP_BLOCK // (len(u) + len(v)), 1)
+    for q0 in range(0, len(l), step):
+        ramp_u = np.exp(2j * np.pi * np.outer(u, l[q0:q0 + step]))
+        ramp_v = np.exp(2j * np.pi * np.outer(v, m[q0:q0 + step])) * tw[q0:q0 + step]
+        acc += ramp_u @ ramp_v.T
+    return acc.ravel()
 
 
 @dataclass(frozen=True)
@@ -138,56 +127,29 @@ class TemperatureImage:
     info: dict = field(default_factory=dict)
 
 
-def _lattice_axes(coords, what):
-    vals = np.unique(np.round(coords / 1e-9) * 1e-9)
-    if len(vals) > 1:
-        steps = np.diff(vals)
-        if np.max(steps) - np.min(steps) > 1e-9 * max(np.max(np.abs(vals)), 1.0):
-            raise ValueError(f"irregular {what} lattice; grid the samples first")
-    return vals
-
-
 def invert_visibilities(values, baselines: BaselineSet,
                         clip_negative=False) -> TemperatureImage:
     """Discrete inverse Fourier transform of lattice visibilities.
 
-    The samples must tile a complete regular (u, v) lattice with spacing
-    at most 0.5, else direction-cosine space aliases.  The raw transform
+    ``values`` is u-major over the lattice, whose spacing must be at most
+    0.5, else direction-cosine space aliases.  The raw transform
     returns T_r / cos(theta); the Jacobian correction multiplies by
     cos(theta) to undo the solid-angle-to-disc change of variables.
     Pixels outside the unit disc are not physical directions and are
     zeroed.  Negative ringing is reported, and clipped only on request.
     """
     v_in = np.asarray(values, dtype=complex)
-    uv = baselines.uv
-    if v_in.shape != (len(uv),):
+    n_u, n_v, du = baselines.n_u, baselines.n_v, baselines.du
+    if v_in.shape != (n_u * n_v,):
         raise ValueError("one visibility per baseline required")
-    u_ax = _lattice_axes(uv[:, 0], "u")
-    v_ax = _lattice_axes(uv[:, 1], "v")
-    n_u, n_v = len(u_ax), len(v_ax)
-    if n_u * n_v != len(uv):
-        raise ValueError("irregular (u, v) lattice; grid the samples first")
-    du = u_ax[1] - u_ax[0] if n_u > 1 else 0.5
-    dv = v_ax[1] - v_ax[0] if n_v > 1 else 0.5
-    if du > 0.5 + 1e-12 or dv > 0.5 + 1e-12:
+    if du > 0.5 + 1e-12:
         raise ValueError("lattice spacing above 0.5 aliases the unit disc")
 
-    grid = np.zeros((n_u, n_v), dtype=complex)
-    seen = np.zeros((n_u, n_v), dtype=bool)
-    iu = np.searchsorted(u_ax, uv[:, 0] - 1e-10)
-    iv = np.searchsorted(v_ax, uv[:, 1] - 1e-10)
-    if np.any(seen[iu, iv]):
-        raise ValueError("duplicate lattice samples")
-    grid[iu, iv] = v_in
-    seen[iu, iv] = True
-    if not seen.all():
-        raise ValueError("incomplete (u, v) lattice; grid the samples first")
-
     l_ax = (np.arange(n_u) - n_u // 2) / (n_u * du)
-    m_ax = (np.arange(n_v) - n_v // 2) / (n_v * dv)
-    phase_u = np.exp(-2j * np.pi * np.outer(l_ax, u_ax))
-    phase_v = np.exp(-2j * np.pi * np.outer(m_ax, v_ax))
-    t_c = (phase_u @ grid @ phase_v.T) * du * dv
+    m_ax = (np.arange(n_v) - n_v // 2) / (n_v * du)
+    phase_u = np.exp(-2j * np.pi * np.outer(l_ax, baselines.u))
+    phase_v = np.exp(-2j * np.pi * np.outer(m_ax, baselines.v))
+    t_c = (phase_u @ v_in.reshape(n_u, n_v) @ phase_v.T) * du * du
 
     scale = np.max(np.abs(t_c))
     imag_residual = float(np.max(np.abs(t_c.imag)) / scale) if scale > 0 else 0.0

@@ -92,7 +92,7 @@ def backproject(ph: PhaseHistory, x_grid, r_grid) -> SarImage:
         big_r = np.sqrt(rr ** 2 + (ph.geometry.v * t_p - xx) ** 2)
         m = ((2.0 * big_r / C_LIGHT) - tau_c0) * ph.f_s
         image += _interp_complex(m, rows, rc[:, p]) * np.exp(1j * 4.0 * np.pi * big_r / lam)
-    grid = ComplexGrid(image, Axis(x_grid[0], dx, "m"), Axis(r_grid[0], dr, "m"))
+    grid = ComplexGrid(image, Axis(x_grid[0], dx), Axis(r_grid[0], dr))
     return SarImage(grid)
 
 
@@ -150,8 +150,8 @@ def omega_k_focus(ph: PhaseHistory) -> SarImage:
     t0 = ph.data.axis1.start
     grid = ComplexGrid(
         image.T,
-        Axis(ph.geometry.v * t0, d_x, "m"),
-        Axis(z_start, C_LIGHT / (2.0 * f_s), "m"),
+        Axis(ph.geometry.v * t0, d_x),
+        Axis(z_start, C_LIGHT / (2.0 * f_s)),
     )
     return SarImage(grid, {"evanescent_bins": evanescent})
 
@@ -245,7 +245,7 @@ def chirp_scaling_focus(ph: PhaseHistory, r_ref: float) -> SarImage:
     t0 = ph.data.axis1.start
     grid = ComplexGrid(
         image.T,
-        Axis(v * t0, v / ph.geometry.prf, "m"),
-        Axis(C_LIGHT * ph.tau0 / 2.0, C_LIGHT / (2.0 * f_s), "m"),
+        Axis(v * t0, v / ph.geometry.prf),
+        Axis(C_LIGHT * ph.tau0 / 2.0, C_LIGHT / (2.0 * f_s)),
     )
     return SarImage(grid, {"clamped_bins": clamped})

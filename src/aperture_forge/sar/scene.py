@@ -154,8 +154,8 @@ def simulate_phase_history(
         )
     grid = ComplexGrid(
         add_complex_noise(data, noise_sigma, seed),
-        Axis(tau0, 1.0 / f_s, "s"),
-        Axis(t[0], 1.0 / geom.prf, "s"),
+        Axis(tau0, 1.0 / f_s),
+        Axis(t[0], 1.0 / geom.prf),
     )
     return PhaseHistory(grid, chirp, geom)
 

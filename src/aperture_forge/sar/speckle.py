@@ -4,6 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core import noise_rng
+
 
 @dataclass(frozen=True)
 class SpeckledImage:
@@ -24,14 +26,9 @@ def apply_speckle(y, sigma_mu, seed) -> SpeckledImage:
     untouched with zeta = 1 everywhere.
     """
     y = np.asarray(y, dtype=float)
-    if sigma_mu < 0.0:
-        raise ValueError("sigma_mu must be nonnegative")
-    if sigma_mu == 0.0:
-        zeta = np.ones_like(y)
-        return SpeckledImage(y, zeta, y.copy())
-    if seed is None:
-        raise ValueError("seed is required when sigma_mu > 0")
-    rng = np.random.default_rng(seed)
+    rng = noise_rng(sigma_mu, seed, "sigma_mu")
+    if rng is None:
+        return SpeckledImage(y, np.ones_like(y), y.copy())
     shape = 1.0 / sigma_mu ** 2
     zeta = rng.gamma(shape, scale=sigma_mu ** 2, size=y.shape)
     return SpeckledImage(y, zeta, y * zeta)

@@ -109,9 +109,6 @@ class SensingModel:
                 "grid extends beyond the maximum swath "
                 f"c*tau_rec/2 = {geometry.r_max:.3f} m"
             )
-        self.geometry = geometry
-        self.points = points
-        self.frequencies = freqs
         phase = (-2j * np.pi / C_SOUND) * 2.0 \
             * freqs[None, :, None, None] * dist[:, None, :, :]
         self.tensor = np.exp(phase)

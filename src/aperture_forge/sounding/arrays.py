@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import C_LIGHT, Direction
+from ..core import C_LIGHT, Direction, seeded_rng
 
 
 class SamplingLattice:
@@ -252,12 +252,13 @@ def optimize_sparse_lattice(
 
     The pattern is maintained by rank-one updates (a swap only moves two
     elements) with periodic full recomputation.  ``met_bound`` reports
-    whether the final peak sidelobe clears ``psl_bound_db``.
+    whether the final peak sidelobe clears ``psl_bound_db``.  A None
+    ``seed`` raises ValueError.
     """
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError("keep_fraction must be in (0, 1]")
     sched = schedule or AnnealSchedule()
-    rng = np.random.default_rng(seed)
+    rng = seeded_rng(seed, "thinning a lattice")
     pos = full_lattice.positions
     n_total = len(pos)
     n_keep = int(round(keep_fraction * n_total))

@@ -435,6 +435,22 @@ def test_non_finite_metric_exits_6_without_a_report(tmp_path, capsys, scenario, 
     assert not (tmp_path / "out" / "report.json").exists()
 
 
+@pytest.mark.parametrize("scenario,params,message", [
+    ("pr-recover", {"noise_sigma": -0.1}, "noise_sigma must be nonnegative"),
+    ("radiometry-roundtrip", {"n_u": 1, "du": 0.6}, "above 0.5 aliases"),
+])
+def test_invalid_library_input_exits_6_without_a_report(tmp_path, capsys, scenario, params,
+                                                        message):
+    cfg = write_config(tmp_path, {"scenario": scenario, "params": params})
+    code = main([scenario, "--config", str(cfg), "--seed", "1",
+                 "--out", str(tmp_path / "out")])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 6
+    assert err["error"]["kind"] == "ScenarioError"
+    assert message in err["error"]["message"]
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
 def test_non_finite_config_number_exits_4_without_a_report(tmp_path, capsys):
     # Python's json reads the NaN and Infinity tokens as floats
     for key, token in (("tol", "NaN"), ("f_max_hz", "Infinity")):

@@ -66,6 +66,20 @@ def test_forward_rejects_non_finite_signal(bad):
         pr_forward(x, prob)
 
 
+def test_forward_noise_follows_the_seed_rule():
+    prob = gaussian_problem(32, 8, seed=0)
+    x = random_signal(8, 1)
+    clean = pr_forward(x, prob)
+    assert np.array_equal(pr_forward(x, prob, 0.0, None), clean)
+    for sigma in (-0.1, np.nan):
+        with pytest.raises(ValueError, match="nonnegative"):
+            pr_forward(x, prob, sigma, 1)
+    with pytest.raises(ValueError, match="seed is required"):
+        pr_forward(x, prob, 0.1, None)
+    want = np.maximum(clean + 0.1 * np.random.default_rng(3).standard_normal(32), 0.0)
+    assert np.array_equal(pr_forward(x, prob, 0.1, 3), want)
+
+
 def test_zero_signal_zero_measurements():
     prob = gaussian_problem(32, 8, seed=0)
     assert np.all(pr_forward(np.zeros(8), prob) == 0)

@@ -642,3 +642,8 @@ def test_annealer_validation():
         optimize_sparse_lattice(_lattice_35(), 0.0, seed=0)
     with pytest.raises(ValueError):
         optimize_sparse_lattice(_lattice_35(), 1.2, seed=0)
+
+
+def test_annealer_requires_a_seed():
+    with pytest.raises(ValueError, match="seed is required"):
+        optimize_sparse_lattice(_lattice_35(), 0.5)
