@@ -271,14 +271,19 @@ def _run_sound_padp(seed, sink, *, m=8, n=8, d_m=0.00545, f_start_hz=26.5e9,
     }
 
 
+# tones of the equalized sweep; the reported width extremes fall on the band
+# edges, which every tone grid holds
+FIB_TONES = 11
+
+
 def _run_sound_squint(seed, sink, *, m=16, n=16, d_m=0.00375, f_design_hz=26.51e9,
                       f_eval_hz=40e9, f_start_hz=26.5e9, f_stop_hz=40e9, u0=0.4, n_u=801,
-                      map_tones=8, fib_m=8, fib_tones=11):
+                      map_tones=8, fib_m=8):
     lat = SamplingLattice.rectangular(m, n, d_m, d_m)
     look = Direction.from_sine_space(u0, 0.0)
     u = np.linspace(-0.1, u0 + 0.2, n_u)
-    w_nb = np.conj(steering_vector(lat, look, f_eval_hz, "narrowband", f0=f_design_hz))
-    w_td = np.conj(steering_vector(lat, look, f_eval_hz, "ttd"))
+    w_nb = np.conj(steering_vector(lat, look, f_design_hz))  # phases frozen at f_design
+    w_td = np.conj(steering_vector(lat, look, f_eval_hz))
     cut_nb = np.abs(array_factor(lat, w_nb, u, 0.0, f_eval_hz))[:, 0]
     cut_td = np.abs(array_factor(lat, w_td, u, 0.0, f_eval_hz))[:, 0]
 
@@ -291,7 +296,7 @@ def _run_sound_squint(seed, sink, *, m=16, n=16, d_m=0.00375, f_design_hz=26.51e
     # per-tone equalized weights hold the beamwidth across the sweep
     lat8 = SamplingLattice.rectangular(fib_m, fib_m, d_m, d_m)
     span = f_stop_hz - f_start_hz
-    fib_grid = FrequencyGrid(f_start_hz, f_stop_hz, span / (fib_tones - 1))
+    fib_grid = FrequencyGrid(f_start_hz, f_stop_hz, span / (FIB_TONES - 1))
     target = 1.02 * natural_beamwidth(lat8, fib_grid.f_start)
     ws = fib_weights(lat8, fib_grid, Direction(0.0, 0.0), target)
     u_w = np.linspace(-0.45, 0.45, 601)
@@ -339,16 +344,16 @@ def _run_sound_sparse(seed, sink, *, m=16, n=16, d_m=0.00375, keep_fraction=0.5,
 
 
 def _run_sar_point(seed, sink, *, v_mps=100.0, prf_hz=400.0, t_coh_s=0.16, r1_m=999.75,
-                   wavelength_m=0.03, fc_hz=10e9, bandwidth_hz=150e6, duration_s=2.005e-6,
-                   f_s_hz=600e6, d_antenna_m=0.6, n_x=64, n_r=64, oversample=4.0,
+                   wavelength_m=0.03, bandwidth_hz=150e6, duration_s=2.005e-6,
+                   f_s_hz=600e6, n_x=64, n_r=64, oversample=4.0,
                    noise_sigma=0.0):
     if noise_sigma > 0.0:
         _require_seed(seed, "sar-point with noise_sigma > 0")
     geom = SarGeometry(v_mps, prf_hz, t_coh_s, r1_m, wavelength_m)
-    chirp = LfmChirp(fc_hz, bandwidth_hz, duration_s, 1.0)
+    chirp = LfmChirp(C_LIGHT / wavelength_m, bandwidth_hz, duration_s, 1.0)
     scene = PointScene((Scatterer(0.0, r1_m),))
     ph = simulate_phase_history(scene, geom, chirp, f_s_hz, noise_sigma, seed)
-    res = sar_resolutions(geom, chirp, d_antenna_m)
+    res = sar_resolutions(geom, chirp)
 
     dx = res["cross_range_resolution_m"] / oversample
     dr = res["range_resolution_m"] / oversample
@@ -371,12 +376,10 @@ def _run_sar_point(seed, sink, *, v_mps=100.0, prf_hz=400.0, t_coh_s=0.16, r1_m=
 
     f_ref = geom.prf / 4.0  # representative Doppler for the distortion report
     sink.image("image_bp", mag, scale="field")
-    sink.table("cuts", {
-        "range_offset_m": (np.arange(n_r) - n_r // 2) * dr,
-        "range_cut": mag[row, :],
-        "xr_offset_m": (np.arange(n_x) - n_x // 2) * dx,
-        "xr_cut": mag[:, col],
-    })
+    sink.table("range_cut", {"range_offset_m": (np.arange(n_r) - n_r // 2) * dr,
+                             "range_cut": mag[row, :]})
+    sink.table("xr_cut", {"xr_offset_m": (np.arange(n_x) - n_x // 2) * dx,
+                          "xr_cut": mag[:, col]})
     return {
         "peak_pixel": f"({row}, {col})",
         "peak_x_m": x_grid[row],
@@ -489,6 +492,10 @@ def _run_sas_recon(seed, sink, *, v_p_mps=3.2, tau_rec_s=0.05, n_pings=8, n_rx=4
                    grid_side=12, r0_m=30.0, dx_m=0.045, dy_m=0.35, target1=30, target2=95,
                    amp2=0.7, noise_sigma=0.1, mu_frac=0.05, solver="fista", max_iter=300,
                    d_transducer_m=0.04):
+    for key, target in (("target1", target1), ("target2", target2)):
+        if not 0 <= target < grid_side ** 2:
+            raise ValueError(f"{key} {target} is not a cell of the {grid_side} x {grid_side}"
+                             f" grid (0 to {grid_side ** 2 - 1})")
     geom = SasGeometry(v_p_mps, tau_rec_s, n_pings, np.arange(n_rx) * rx_pitch_m)
     grid = FrequencyGrid(f_start_hz, f_stop_hz, df_hz)
     y_c = geom.ping_positions().mean() + geom.rx_offsets.mean() / 2.0
@@ -530,6 +537,8 @@ def _run_sas_recon(seed, sink, *, v_p_mps=3.2, tau_rec_s=0.05, n_pings=8, n_rx=4
 
 def _run_pr_recover(seed, sink, *, n=64, oversampling=8.0, problem_kind="gaussian",
                     n_masks=6, steps=2500, er_iters=100, noise_sigma=0.0):
+    if problem_kind not in ("gaussian", "coded"):
+        raise ValueError(f"problem_kind must be 'gaussian' or 'coded', not {problem_kind!r}")
     s_prob, s_truth, s_noise = np.random.SeedSequence(seed).spawn(3)
     if problem_kind == "coded":
         problem = coded_problem(n, n_masks, s_prob)
@@ -637,11 +646,10 @@ def _run_radiometry_roundtrip(seed, sink, *, n_u=17, du=0.45, sigma_l=0.15, n_th
 # -------------------------------------------------------------- waveforms
 
 
-def _run_waveform_ambiguity(seed, sink, *, fc_hz=1e9, bandwidth_hz=10e6,
-                            duration_s=10e-6, f_s_hz=25e6, n_delay=101, n_doppler=101,
-                            n_bins=200, sep_bins=12, ratio_db=40.0, rmmse_iterations=3,
-                            adc_bits=12):
-    chirp = LfmChirp(fc_hz, bandwidth_hz, duration_s, 1.0)
+def _run_waveform_ambiguity(seed, sink, *, bandwidth_hz=10e6, duration_s=10e-6,
+                            f_s_hz=25e6, n_delay=101, n_doppler=101, n_bins=200,
+                            sep_bins=12, ratio_db=40.0, rmmse_iterations=3, adc_bits=12):
+    chirp = LfmChirp(0.0, bandwidth_hz, duration_s, 1.0)  # baseband
     env = sample_lfm(chirp, f_s_hz)
     t_max = 0.8 * chirp.duration
     f_max = 1.5 / chirp.duration

@@ -160,17 +160,14 @@ def simulate_phase_history(
     return PhaseHistory(grid, chirp, geom)
 
 
-def sar_resolutions(geom: SarGeometry, chirp: LfmChirp, d_antenna: float) -> dict:
+def sar_resolutions(geom: SarGeometry, chirp: LfmChirp) -> dict:
     """Resolution and aperture-limit bookkeeping for one geometry.
 
     range: c/2B.  cross-range: lambda*R1/(2L), equivalently lambda over
     twice the integrated angle.  The Doppler cell matching that
-    cross-range cell is 2*omega*dx/lambda.  Aperture limits: sqrt(R1*
-    lambda) unfocused (quarter-wave phase sag at the ends), lambda*R1/D
-    focused (beam-limited dwell).
+    cross-range cell is 2*omega*dx/lambda.  The unfocused aperture limit
+    is sqrt(R1*lambda) (quarter-wave phase sag at the ends).
     """
-    if d_antenna <= 0:
-        raise ValueError("antenna size must be positive")
     if geom.v == 0:
         raise ValueError("resolution laws need a moving platform (v > 0)")
     l_sa = geom.aperture_length
@@ -180,5 +177,4 @@ def sar_resolutions(geom: SarGeometry, chirp: LfmChirp, d_antenna: float) -> dic
         "cross_range_resolution_m": dx,
         "doppler_resolution_hz": 2.0 * geom.rotation_rate * dx / geom.wavelength,
         "unfocused_aperture_m": float(np.sqrt(geom.r1 * geom.wavelength)),
-        "focused_aperture_m": geom.wavelength * geom.r1 / d_antenna,
     }

@@ -1,6 +1,6 @@
-"""Positioner lattices and array-factor math: pattern evaluation, beam
-steering (narrowband and true time delay), frequency-invariant weight
-design, and simulated-annealing lattice thinning."""
+"""Positioner lattices and array-factor math: pattern evaluation,
+true-time-delay beam steering, frequency-invariant weight design, and
+simulated-annealing lattice thinning."""
 
 from dataclasses import dataclass
 
@@ -65,17 +65,13 @@ class SamplingLattice:
         return worst <= lambda_min / 2.0
 
 
-def _path_difference(pos, u, v):
-    """x*u + y*v of each position (rows) toward each sine-space direction
-    (columns): the planar steering phase per unit wavenumber."""
-    u = np.atleast_1d(u)
-    v = np.atleast_1d(v)
-    return pos[:, 0][:, None] * u[None, :] + pos[:, 1][:, None] * v[None, :]
-
-
 def _axis_ramps(pos, k, u, v):
     """Separable factors exp(jk*x*u) (P, len(u)) and exp(jk*y*v) (P, len(v))
     of the planar steering phase on a (u, v) tensor grid.
+
+    The one home for planar steering: every steering vector, beam and
+    weight design in the package multiplies these factors, on the grid or
+    gathered to (u, v) pairs, and exponentiates no steering phase itself.
 
     Each row is exponentiated once per distinct x (or y) coordinate and
     gathered to the positions: an M x N lattice takes M + N rows of
@@ -107,30 +103,15 @@ def array_factor(lattice: SamplingLattice, weights, u, v, f: float):
     return out[0, 0] if scalar else out
 
 
-def steering_vector(
-    lattice: SamplingLattice,
-    direction: Direction,
-    f: float,
-    mode: str = "ttd",
-    f0: float | None = None,
-) -> np.ndarray:
-    """Per-element steering phasors for beamforming via w^H y.
-
-    ``ttd`` scales the phase with the actual tone frequency (a true time
-    delay, squint-free); ``narrowband`` freezes the phase at the design
-    frequency ``f0`` no matter which tone it is applied to, reproducing
-    hardware phase-shifter squint.
+def steering_vector(lattice: SamplingLattice, direction: Direction, f: float) -> np.ndarray:
+    """Per-element true-time-delay steering phasors at tone ``f``, for
+    beamforming via w^H y.  A narrowband phase shifter is this vector at
+    its design tone, applied unchanged to every other tone (beam squint).
     """
-    if mode not in ("ttd", "narrowband"):
-        raise ValueError("mode must be 'ttd' or 'narrowband'")
-    if mode == "narrowband":
-        if f0 is None:
-            raise ValueError("narrowband mode needs the design frequency f0")
-        f_used = f0
-    else:
-        f_used = f
-    path = _path_difference(lattice.active_positions(), direction.u, direction.v)
-    return np.exp(1j * (2.0 * np.pi * f_used / C_LIGHT * path[:, 0]))
+    k = 2.0 * np.pi * f / C_LIGHT
+    u, v = np.array([direction.u]), np.array([direction.v])
+    ex, ey = _axis_ramps(lattice.active_positions(), k, u, v)
+    return ex[:, 0] * ey[:, 0]
 
 
 def natural_beamwidth(lattice: SamplingLattice, f: float) -> float:
@@ -173,29 +154,29 @@ def fib_weights(
     axis = np.linspace(-1.0, 1.0, 48)  # coarse sidelobe grid over visible space
     uu, vv = np.meshgrid(axis, axis, indexing="ij")
     off_sq = (uu - direction.u) ** 2 + (vv - direction.v) ** 2
-    sel = (uu ** 2 + vv ** 2 <= 1.0) & (off_sq > r_mask ** 2)
-    us, vs = uu[sel], vv[sel]
+    side = np.nonzero((uu ** 2 + vv ** 2 <= 1.0) & (off_sq > r_mask ** 2))
     # dedicated fine patch over the mainlobe disc; the coarse sidelobe
     # grid cannot resolve the fit region for large lattices
     fine = np.linspace(-r_mask, r_mask, 13)
     mu, mv = np.meshgrid(direction.u + fine, direction.v + fine, indexing="ij")
     m_off_sq = (mu - direction.u) ** 2 + (mv - direction.v) ** 2
     m_sel = (m_off_sq <= r_mask ** 2) & (mu ** 2 + mv ** 2 <= 1.0) & (m_off_sq > 0)
-    um, vm = mu[m_sel], mv[m_sel]
+    main = np.nonzero(m_sel)
     # |d|^2 = 2^-(2r/target)^2: half power exactly at r = target/2
     d_main = np.exp2(-0.5 * (2.0 * np.sqrt(m_off_sq[m_sel]) / beamwidth_target) ** 2)
-    side_path = _path_difference(pos, us, vs)
-    main_path = _path_difference(pos, um, vm)
     freqs = grid.frequencies()
-    gamma = len(us) / max(len(um), 1)  # balance the two regions
+    n_side = len(side[0])
+    gamma = n_side / max(len(main[0]), 1)  # balance the two regions
     out = np.empty((len(freqs), p), dtype=complex)
     for i, f in enumerate(freqs):
-        v0 = steering_vector(lattice, direction, f, mode="ttd")
+        v0 = steering_vector(lattice, direction, f)
         k = 2.0 * np.pi * f / C_LIGHT
-        v_side = np.exp(1j * k * side_path)
-        v_main = np.exp(1j * k * main_path)
+        ex, ey = _axis_ramps(pos, k, axis, axis)
+        v_side = ex[:, side[0]] * ey[:, side[1]]
+        ex, ey = _axis_ramps(pos, k, mu[:, 0], mv[0])
+        v_main = ex[:, main[0]] * ey[:, main[1]]
         g = v_side @ np.conj(v_side.T) + gamma * (v_main @ np.conj(v_main.T))
-        g += 1e-4 * 2 * len(us) * np.eye(p)  # ridge keeps the solves well posed
+        g += 1e-4 * 2 * n_side * np.eye(p)  # ridge keeps the solves well posed
         c = gamma * (v_main @ d_main)
         # one factorization for both right-hand sides; the copy keeps the
         # rows contiguous, as a strided dot below sums in another order

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core import C_LIGHT, Direction, add_complex_noise
-from .arrays import SamplingLattice, _path_difference
+from .arrays import SamplingLattice, array_factor
 from .grids import FrequencyGrid
 
 
@@ -127,13 +127,19 @@ class Pdp:
         return np.abs(self.amplitude) ** 2
 
 
+def _beam_maps(sweep: SweepData, u, v) -> np.ndarray:
+    """b(f_s; u, v) = w^H(f_s) y(f_s) with true-time-delay steering, one
+    beam map per tone: shape (S, len(u), len(v)), or (S,) for scalar u, v.
+    """
+    return np.conj([
+        array_factor(sweep.lattice, np.conj(sweep.s21[:, i]), u, v, f)
+        for i, f in enumerate(sweep.grid.frequencies())
+    ])
+
+
 def _beam_series(sweep: SweepData, direction: Direction) -> np.ndarray:
     """b(f_k) = w^H(f_k) y(f_k) with true-time-delay steering per tone."""
-    path = _path_difference(sweep.lattice.active_positions(), direction.u, direction.v)
-    f = sweep.grid.frequencies()
-    phase = 2.0 * np.pi / C_LIGHT * path[:, 0]
-    w = np.exp(1j * phase[:, None] * f[None, :])
-    return np.sum(np.conj(w) * sweep.s21, axis=0)
+    return _beam_maps(sweep, direction.u, direction.v)
 
 
 def _profile(b, grid: FrequencyGrid):
@@ -174,21 +180,8 @@ def delay_slice(sweep: SweepData, u_axis, v_axis, tau: float) -> np.ndarray:
             f"tau {tau} is not a bin of the unpadded delay grid (step"
             f" {1.0 / (s * sweep.grid.df)})"
         )
-    pos = sweep.lattice.active_positions()
-    f = sweep.grid.frequencies()
     idft = np.exp(1j * 2.0 * np.pi * m * np.arange(s) / s) / s
-    uu, vv = np.meshgrid(u_axis, v_axis, indexing="ij")
-    spatial = _path_difference(pos, uu.ravel(), vv.ravel())
-    # per-tone steering matrices differ by one elementwise phase step, so
-    # build the first and advance multiplicatively instead of re-exponentiating
-    w_angle = np.exp(-1j * 2.0 * np.pi * f[0] / C_LIGHT * spatial)
-    step = np.exp(-1j * 2.0 * np.pi * sweep.grid.df / C_LIGHT * spatial)
-    amp = np.zeros(uu.size, dtype=complex)
-    for s_idx in range(s):
-        amp += idft[s_idx] * (sweep.s21[:, s_idx] @ w_angle)
-        if s_idx + 1 < s:
-            w_angle = w_angle * step
-    return amp.reshape(uu.shape)
+    return np.tensordot(idft, _beam_maps(sweep, u_axis, v_axis), 1)
 
 
 def source_distances(

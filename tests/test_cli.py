@@ -438,6 +438,9 @@ def test_non_finite_metric_exits_6_without_a_report(tmp_path, capsys, scenario, 
 @pytest.mark.parametrize("scenario,params,message", [
     ("pr-recover", {"noise_sigma": -0.1}, "noise_sigma must be nonnegative"),
     ("radiometry-roundtrip", {"n_u": 1, "du": 0.6}, "above 0.5 aliases"),
+    ("pr-recover", {"problem_kind": "bogus"}, "problem_kind must be"),
+    ("sas-recon", {"target2": 190}, "target2 190 is not a cell"),
+    ("sas-recon", {"target1": -1}, "target1 -1 is not a cell"),
 ])
 def test_invalid_library_input_exits_6_without_a_report(tmp_path, capsys, scenario, params,
                                                         message):
@@ -449,6 +452,15 @@ def test_invalid_library_input_exits_6_without_a_report(tmp_path, capsys, scenar
     assert err["error"]["kind"] == "ScenarioError"
     assert message in err["error"]["message"]
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_sar_point_runs_with_unequal_cut_lengths(tmp_path):
+    cfg = write_config(tmp_path, {"scenario": "sar-point", "params": {"n_x": 32}})
+    out = tmp_path / "out"
+    assert main(["sar-point", "--config", str(cfg), "--out", str(out)]) == 0
+    for name, rows in (("range_cut", 64), ("xr_cut", 32)):
+        lines = (out / f"{name}.csv").read_text().splitlines()
+        assert len([ln for ln in lines if not ln.startswith("#")]) == rows
 
 
 def test_non_finite_config_number_exits_4_without_a_report(tmp_path, capsys):

@@ -163,11 +163,10 @@ def test_noise_is_seeded():
 def test_resolution_calculator_values():
     geom = SarGeometry(v=100.0, prf=400.0, t_coh=1.0, r1=10e3, wavelength=0.03)
     chirp = LfmChirp(fc=10e9, bandwidth=150e6, duration=2e-6, amplitude=1.0)
-    res = sar_resolutions(geom, chirp, d_antenna=1.0)
+    res = sar_resolutions(geom, chirp)
     assert res["range_resolution_m"] == pytest.approx(0.999308, abs=1e-5)
     assert res["cross_range_resolution_m"] == pytest.approx(1.5, rel=1e-12)
     assert res["unfocused_aperture_m"] == pytest.approx(17.3205, abs=1e-3)
-    assert res["focused_aperture_m"] == pytest.approx(300.0, rel=1e-12)
     # Doppler resolution collapses to V / L for broadside strip mapping
     assert res["doppler_resolution_hz"] == pytest.approx(geom.v / geom.aperture_length)
 

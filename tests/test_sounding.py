@@ -22,7 +22,7 @@ from aperture_forge.sounding import (
     synthesize_sweep,
     two_ray_path_loss,
 )
-from aperture_forge.sounding.arrays import _axis_ramps, _path_difference
+from aperture_forge.sounding.arrays import _axis_ramps
 from aperture_forge.sounding.padp import SweepData, _beam_series
 
 BORESIGHT = Direction(0.0, 0.0)
@@ -168,24 +168,21 @@ def test_steered_taper_moves_peak():
 def test_steering_vector_modes():
     lat = SamplingLattice.rectangular(5, 5, 0.004, 0.004)
     d = Direction.from_sine_space(0.4, 0.0)
-    ttd_26 = steering_vector(lat, d, 26.5e9, mode="ttd")
-    ttd_40 = steering_vector(lat, d, 40e9, mode="ttd")
-    nb_40 = steering_vector(lat, d, 40e9, mode="narrowband", f0=26.5e9)
-    assert_allclose(nb_40, ttd_26, atol=1e-12)  # frozen at the design tone
+    ttd_26 = steering_vector(lat, d, 26.5e9)
+    ttd_40 = steering_vector(lat, d, 40e9)
+    pos = lat.active_positions()
+    k = 2.0 * np.pi * 26.5e9 / C_LIGHT
+    assert_allclose(ttd_26, np.exp(1j * k * (pos[:, 0] * 0.4 + pos[:, 1] * 0.0)), atol=1e-12)
     assert not np.allclose(ttd_40, ttd_26)
     center = len(lat.positions) // 2  # element at the origin
     assert ttd_40[center] == pytest.approx(1.0 + 0.0j)
-    with pytest.raises(ValueError):
-        steering_vector(lat, d, 40e9, mode="narrowband")
-    with pytest.raises(ValueError):
-        steering_vector(lat, d, 40e9, mode="hybrid")
 
 
 def test_beam_squint_law():
-    # narrowband phases designed at f0 peak where u*f = u0*f0
+    # narrowband phases (TTD frozen at f0) peak where u*f = u0*f0
     lat = _lattice_35(f=40e9)
     f0, f_hi, u0 = 26.51e9, 40e9, 0.4
-    w = np.conj(steering_vector(lat, Direction.from_sine_space(u0, 0.0), f_hi, "narrowband", f0=f0))
+    w = np.conj(steering_vector(lat, Direction.from_sine_space(u0, 0.0), f0))
     u = np.linspace(0.2, 0.45, 501)
     pat = np.abs(array_factor(lat, w, u, 0.0, f_hi))[:, 0]
     u_peak = u[np.argmax(pat)]
@@ -346,6 +343,33 @@ def test_delay_slice_matches_padp_column():
         assert sl[idx, idx] == pytest.approx(prof[m_bin], rel=1e-10)
 
 
+def test_beam_maps_match_direct_sum_on_sound_padp_sweep():
+    # sound-padp's default sweep: 8 x 8 lattice, 41 tones, three rays;
+    # oracle b(f; u, v) = sum_p exp(-jk(x_p u + y_p v)) s21_p written out
+    lat = SamplingLattice.rectangular(8, 8, 0.00545, 0.00545)
+    grid = FrequencyGrid(26.5e9, 27.5e9, 25e6)
+    rays = [ChannelRay.plane_wave(0.3, 0.0, 10e-9, 1.0),
+            ChannelRay.plane_wave(-0.2, 0.1, 25e-9, 0.5),
+            ChannelRay.point_source((0.5, 0.3, 6.0), 0.8)]
+    sw = synthesize_sweep(rays, lat, grid)
+    assert sw.s21.shape == (64, 41)
+    pos = lat.active_positions()
+    uv = np.linspace(-0.8, 0.8, 41)
+    uu, vv = np.meshgrid(uv, uv, indexing="ij")
+    path = pos[:, 0][:, None] * uu.ravel() + pos[:, 1][:, None] * vv.ravel()
+    k = 2.0 * np.pi * grid.frequencies() / C_LIGHT
+    direct = np.stack([sw.s21[:, i] @ np.exp(-1j * k[i] * path) for i in range(grid.s)])
+    m_bin = 10
+    want = np.exp(2j * np.pi * m_bin * np.arange(grid.s) / grid.s) @ direct / grid.s
+    got = delay_slice(sw, uv, uv, m_bin / (grid.s * grid.df))
+    assert np.max(np.abs(got.ravel() - want)) <= 1e-12 * np.max(np.abs(want))
+    for u, v in ((0.0, 0.0), (0.3, 0.0), (-0.2, 0.1)):  # boresight and the plane-wave rays
+        d = Direction.from_sine_space(u, v)
+        col = np.sum(np.exp(-1j * k[:, None] * (pos[:, 0] * d.u + pos[:, 1] * d.v))
+                     * sw.s21.T, axis=1)
+        assert np.max(np.abs(_beam_series(sw, d) - col)) <= 1e-12 * np.max(np.abs(direct))
+
+
 def test_aggregate_parseval():
     lat, grid = _small_setup(s=24, m=4)
     rng_dirs = np.linspace(-0.3, 0.3, 5)
@@ -499,25 +523,24 @@ def _fib_weights_two_solves(lattice, grid, direction, beamwidth_target):
     uu, vv = np.meshgrid(axis, axis, indexing="ij")
     off_sq = (uu - direction.u) ** 2 + (vv - direction.v) ** 2
     sel = (uu ** 2 + vv ** 2 <= 1.0) & (off_sq > r_mask ** 2)
-    us, vs = uu[sel], vv[sel]
     fine = np.linspace(-r_mask, r_mask, 13)
     mu, mv = np.meshgrid(direction.u + fine, direction.v + fine, indexing="ij")
     m_off_sq = (mu - direction.u) ** 2 + (mv - direction.v) ** 2
     m_sel = (m_off_sq <= r_mask ** 2) & (mu ** 2 + mv ** 2 <= 1.0) & (m_off_sq > 0)
-    um, vm = mu[m_sel], mv[m_sel]
     d_main = np.exp2(-0.5 * (2.0 * np.sqrt(m_off_sq[m_sel]) / beamwidth_target) ** 2)
-    side_path = _path_difference(pos, us, vs)
-    main_path = _path_difference(pos, um, vm)
+    (i_s, j_s), (i_m, j_m) = np.nonzero(sel), np.nonzero(m_sel)
     freqs = grid.frequencies()
     out = np.empty((len(freqs), p), dtype=complex)
     for i, f in enumerate(freqs):
-        v0 = steering_vector(lattice, direction, f, mode="ttd")
+        v0 = steering_vector(lattice, direction, f)
         k = 2.0 * np.pi * f / C_LIGHT
-        v_side = np.exp(1j * k * side_path)
-        v_main = np.exp(1j * k * main_path)
-        gamma = len(us) / max(len(um), 1)
+        ex, ey = _axis_ramps(pos, k, axis, axis)
+        v_side = ex[:, i_s] * ey[:, j_s]
+        ex, ey = _axis_ramps(pos, k, mu[:, 0], mv[0])
+        v_main = ex[:, i_m] * ey[:, j_m]
+        gamma = len(i_s) / max(len(i_m), 1)
         g = v_side @ np.conj(v_side.T) + gamma * (v_main @ np.conj(v_main.T))
-        g += 1e-4 * 2 * len(us) * np.eye(p)
+        g += 1e-4 * 2 * len(i_s) * np.eye(p)
         c = gamma * (v_main @ d_main)
         w_ls = np.linalg.solve(g, c)
         h = np.linalg.solve(g, v0)
