@@ -19,12 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from ..core import (
-    Axis,
     C_LIGHT,
-    ComplexGrid,
     Direction,
-    FieldPoint,
-    WaveParams,
     far_field_distance,
     plane_wave_field,
     wavenumber_spectrum,
@@ -227,7 +223,7 @@ def _run_sound_padp(seed, sink, *, m=8, n=8, d_m=0.00545, f_start_hz=26.5e9,
         ChannelRay.point_source(src, src_amp),
     ]
     sweep = synthesize_sweep(rays, lat, grid, noise_sigma, seed)
-    look = Direction.from_sine_space(u1, v1)
+    look = Direction(u1, v1)
     pdp = padp(sweep, look)
     i_pk = int(np.argmax(pdp.power))
 
@@ -238,24 +234,20 @@ def _run_sound_padp(seed, sink, *, m=8, n=8, d_m=0.00545, f_start_hz=26.5e9,
     slc = delay_slice(sweep, uv, uv, tau_bin)
 
     src_range = float(np.linalg.norm(src))
-    src_look = Direction.from_sine_space(src[0] / src_range, src[1] / src_range)
+    src_look = Direction(src[0] / src_range, src[1] / src_range)
     sph = spherical_padp(sweep, src_look, r_start_m, r_stop_m, r_step_m)
     r_pk = int(np.unravel_index(np.argmax(sph.power), sph.power.shape)[0])
 
     # sanity check on the core field model: a sampled plane wave must
     # land at its own spatial frequency u*f/c
     f_probe = grid.f_stop
-    wave = WaveParams.from_direction(f_probe, look)
     nx, nt = 32, 16
     t = np.arange(nt) / (4.0 * f_probe)
-    s_xt = np.stack(
-        [plane_wave_field(FieldPoint(i * d_m, 0.0, 0.0), t, wave) for i in range(nx)]
-    )
-    spec = wavenumber_spectrum(ComplexGrid(s_xt, Axis(0.0, d_m), Axis(0.0, t[1])))
-    k_row = int(np.unravel_index(np.argmax(np.abs(spec.data)), spec.shape)[0])
-    k_meas = spec.axis0_values()[k_row]
+    s_xt = plane_wave_field(np.arange(nx)[:, None] * [d_m, 0.0, 0.0], t, f_probe, look)
+    spec, k_axis, _ = wavenumber_spectrum(s_xt, d_m, t[1])
+    k_meas = k_axis[int(np.unravel_index(np.argmax(np.abs(spec)), spec.shape)[0])]
 
-    gain = two_ray_path_loss(rho, phi_rad)
+    beta_sq = two_ray_path_loss(rho, phi_rad)
     sink.sweep("sweep", sweep)
     sink.table("pdp", {"delay_ns": pdp.delays * 1e9, "power": pdp.power})
     sink.image("delay_map", np.abs(slc), scale="field")
@@ -266,7 +258,7 @@ def _run_sound_padp(seed, sink, *, m=8, n=8, d_m=0.00545, f_start_hz=26.5e9,
         "src_range_m": src_range,
         "field_k_pred_cyc_m": look.u * f_probe / C_LIGHT,
         "field_k_meas_cyc_m": k_meas,
-        "two_ray_gain_db": 10.0 * np.log10(gain["beta_sq"]),
+        "two_ray_gain_db": 10.0 * np.log10(beta_sq),
         "t_dur_ns": grid.t_dur * 1e9,
     }
 
@@ -280,7 +272,7 @@ def _run_sound_squint(seed, sink, *, m=16, n=16, d_m=0.00375, f_design_hz=26.51e
                       f_eval_hz=40e9, f_start_hz=26.5e9, f_stop_hz=40e9, u0=0.4, n_u=801,
                       map_tones=8, fib_m=8):
     lat = SamplingLattice.rectangular(m, n, d_m, d_m)
-    look = Direction.from_sine_space(u0, 0.0)
+    look = Direction(u0, 0.0)
     u = np.linspace(-0.1, u0 + 0.2, n_u)
     w_nb = np.conj(steering_vector(lat, look, f_design_hz))  # phases frozen at f_design
     w_td = np.conj(steering_vector(lat, look, f_eval_hz))
@@ -367,9 +359,7 @@ def _run_sar_point(seed, sink, *, v_mps=100.0, prf_hz=400.0, t_coh_s=0.16, r1_m=
 
     def peak_offset(image):
         i, j = image.peak_index()
-        x_pk = image.pixels.axis0_values()[i]
-        r_pk = image.pixels.axis1_values()[j]
-        return float(np.hypot(x_pk, r_pk - r1_m))
+        return float(np.hypot(image.x[i], image.r[j] - r1_m))
 
     err_wk = peak_offset(omega_k_focus(ph))
     err_cs = peak_offset(chirp_scaling_focus(ph, r1_m))

@@ -1,6 +1,6 @@
-"""Shared numerical substrate: uniform complex grids, physical constants,
-direction-cosine coordinate handling, propagating-wave field evaluation,
-seeded complex noise, FFT convolution and power iteration.
+"""Shared numerical substrate: physical constants, sine-space directions,
+propagating-wave field evaluation, wavenumber spectra, seeded complex
+noise, FFT convolution and power iteration.
 
 Sign conventions used throughout the package
 --------------------------------------------
@@ -13,8 +13,6 @@ compensation applies the conjugate ``exp(+j*...)``.  Discrete Fourier
 transforms are unscaled forward and carry 1/N on the inverse.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 C_LIGHT = 299792458.0
@@ -24,149 +22,36 @@ K_BOLTZMANN = 1.380649e-23
 _HORIZON_EPS = 1e-12
 
 
-@dataclass(frozen=True)
-class Axis:
-    """Uniform sample axis described by start and step."""
-
-    start: float
-    step: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.start) and np.isfinite(self.step)):
-            raise ValueError("axis start/step must be finite")
-        if self.step <= 0:
-            raise ValueError("axis step must be positive")
-
-    def values(self, n: int) -> np.ndarray:
-        return self.start + self.step * np.arange(n)
-
-
-class ComplexGrid:
-    """2-D complex samples on a uniform lattice.
-
-    Parameters
-    ----------
-    data : array_like
-        Complex matrix, row-major; rows run along ``axis0``.
-    axis0, axis1 : Axis
-        Sampling descriptions of the two dimensions.
-
-    The sample array is frozen after construction; derived products are
-    always new grids.
-    """
-
-    def __init__(self, data, axis0: Axis, axis1: Axis):
-        arr = np.array(data, dtype=complex)
-        if arr.ndim != 2:
-            raise ValueError("ComplexGrid data must be 2-D")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("ComplexGrid data must be finite")
-        arr.setflags(write=False)
-        self.data = arr
-        self.axis0 = axis0
-        self.axis1 = axis1
-
-    @property
-    def shape(self):
-        return self.data.shape
-
-    def axis0_values(self) -> np.ndarray:
-        return self.axis0.values(self.data.shape[0])
-
-    def axis1_values(self) -> np.ndarray:
-        return self.axis1.values(self.data.shape[1])
-
-
 class Direction:
-    """Pointing direction relative to array boresight (+z).
+    """Pointing direction relative to array boresight (+z), held in sine
+    space: the direction cosines ``u`` and ``v`` along x and y, with
+    ``w`` the cosine along z.  ``Direction(0.0, 0.0)`` is boresight."""
 
-    ``theta`` is the polar angle off boresight, ``phi`` the angle in the
-    aperture plane.  Sine-space coordinates follow
-
-        u = sin(theta)*cos(phi),    v = sin(theta)*sin(phi)
-    """
-
-    def __init__(self, theta: float, phi: float):
-        if not (0.0 <= theta <= np.pi):
-            raise ValueError("theta must lie in [0, pi]")
-        if not (-np.pi <= phi <= np.pi):
-            raise ValueError("phi must lie in [-pi, pi]")
-        self.theta = float(theta)
-        self.phi = float(phi)
-
-    @classmethod
-    def from_sine_space(cls, u: float, v: float) -> "Direction":
-        r2 = u * u + v * v
-        if r2 > 1.0 + _HORIZON_EPS:
+    def __init__(self, u: float, v: float):
+        if not (np.isfinite(u) and np.isfinite(v)):
+            raise ValueError("(u, v) must be finite")
+        if u * u + v * v > 1.0 + _HORIZON_EPS:
             raise ValueError("(u, v) outside visible space: u^2 + v^2 > 1")
-        theta = np.arcsin(min(np.sqrt(r2), 1.0))
-        phi = np.arctan2(v, u) if r2 > 0.0 else 0.0
-        return cls(theta, phi)
+        self.u = float(u)
+        self.v = float(v)
 
     @property
-    def u(self) -> float:
-        return np.sin(self.theta) * np.cos(self.phi)
-
-    @property
-    def v(self) -> float:
-        return np.sin(self.theta) * np.sin(self.phi)
-
-    def unit_vector(self) -> np.ndarray:
-        """Cartesian unit propagation vector (x, y, z)."""
-        st = np.sin(self.theta)
-        return np.array(
-            [st * np.cos(self.phi), st * np.sin(self.phi), np.cos(self.theta)]
-        )
-
-    def __repr__(self):
-        return f"Direction(theta={self.theta:.6f}, phi={self.phi:.6f})"
+    def w(self) -> float:
+        return float(np.sqrt(max(1.0 - self.u ** 2 - self.v ** 2, 0.0)))
 
 
-@dataclass(frozen=True)
-class FieldPoint:
-    """Cartesian observation or source point, meters."""
-
-    x: float
-    y: float
-    z: float
-
-    def __post_init__(self):
-        if not all(np.isfinite(c) for c in (self.x, self.y, self.z)):
-            raise ValueError("coordinates must be finite")
-
-
-@dataclass(frozen=True)
-class WaveParams:
-    """Monochromatic wave description: frequency, speed and the spatial
-    frequency vector ``(kx, ky, kz)`` in cycles per meter."""
-
-    frequency: float
-    speed: float
-    kx: float
-    ky: float
-    kz: float
-
-    def __post_init__(self):
-        if self.frequency <= 0 or self.speed <= 0:
-            raise ValueError("frequency and speed must be positive")
-        k_norm = np.sqrt(self.kx ** 2 + self.ky ** 2 + self.kz ** 2)
-        if abs(self.speed * k_norm - self.frequency) > 1e-6 * self.frequency:
-            raise ValueError("inconsistent wave: f != c*|k|")
-
-    @classmethod
-    def from_direction(cls, frequency: float, direction: Direction) -> "WaveParams":
-        """Wave of ``frequency`` travelling along ``direction`` at the speed of light."""
-        s = direction.unit_vector() / (C_LIGHT / frequency)
-        return cls(frequency, C_LIGHT, s[0], s[1], s[2])
-
-
-def plane_wave_field(point: FieldPoint, t, wave: WaveParams):
-    """Complex plane-wave field exp(j*2*pi*(f*t - k.x)).
-
-    ``t`` may be scalar or array; the result is unimodular either way.
-    """
-    k_dot_x = wave.kx * point.x + wave.ky * point.y + wave.kz * point.z
-    return np.exp(1j * (2.0 * np.pi * (wave.frequency * t - k_dot_x)))
+def plane_wave_field(pos, t, f, direction: Direction) -> np.ndarray:
+    """Complex plane-wave field exp(j*2*pi*(f*t - k.x)) of a wave of
+    frequency ``f`` travelling along ``direction`` at the speed of light,
+    as a (P, len(t)) array for the (P, 3) positions ``pos``."""
+    pos = np.asarray(pos, dtype=float)
+    if not (np.isfinite(f) and f > 0 and np.all(np.isfinite(pos))):
+        raise ValueError("f must be finite and positive, and positions finite")
+    lam = C_LIGHT / f
+    k_dot_x = (direction.u / lam * pos[:, 0] + direction.v / lam * pos[:, 1]
+               + direction.w / lam * pos[:, 2])
+    t = np.asarray(t, dtype=float)
+    return np.exp(1j * (2.0 * np.pi * (f * t[None, :] - k_dot_x[:, None])))
 
 
 def far_field_distance(aperture_d: float, frequency: float) -> float:
@@ -250,23 +135,27 @@ def power_iteration(apply, n, n_iter):
     return lam, v
 
 
-def wavenumber_spectrum(grid: ComplexGrid) -> ComplexGrid:
+def wavenumber_spectrum(s_xt, dx: float, dt: float):
     """Space/time field to wavenumber/frequency spectrum.
 
-    ``grid`` holds s(x, t) with axis0 = space (m) and axis1 = time (s).
-    The temporal transform is a forward DFT so a wave exp(+j*2*pi*f*t)
-    lands at +f; the spatial transform uses the conjugate kernel (inverse
-    DFT scaled by N) so the propagation phase exp(-j*2*pi*k*x) lands at
-    +k.  Axes of the result are centered via fftshift.
+    ``s_xt`` holds s(x, t) with rows in space (step ``dx``, m) and
+    columns in time (step ``dt``, s).  The temporal transform is a
+    forward DFT so a wave exp(+j*2*pi*f*t) lands at +f; the spatial
+    transform uses the conjugate kernel (inverse DFT scaled by N) so the
+    propagation phase exp(-j*2*pi*k*x) lands at +k.  The spectrum is
+    centered via fftshift; returns ``(spec, k_axis, f_axis)``.
     """
-    nx, nt = grid.shape
-    spec = np.fft.fft(grid.data, axis=1)
+    s_xt = np.asarray(s_xt)
+    if s_xt.ndim != 2:
+        raise ValueError("s_xt must be 2-D")
+    if not (np.isfinite(dx) and dx > 0 and np.isfinite(dt) and dt > 0):
+        raise ValueError("dx and dt must be finite and positive")
+    nx, nt = s_xt.shape
+    spec = np.fft.fft(s_xt, axis=1)
     spec = np.fft.ifft(spec, axis=0) * nx
     spec = np.fft.fftshift(spec)
-    k_step = 1.0 / (nx * grid.axis0.step)
-    f_step = 1.0 / (nt * grid.axis1.step)
-    return ComplexGrid(
-        spec,
-        Axis(-(nx // 2) * k_step, k_step),
-        Axis(-(nt // 2) * f_step, f_step),
-    )
+    k_step = 1.0 / (nx * dx)
+    f_step = 1.0 / (nt * dt)
+    k_axis = -(nx // 2) * k_step + k_step * np.arange(nx)
+    f_axis = -(nt // 2) * f_step + f_step * np.arange(nt)
+    return spec, k_axis, f_axis

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import noise_rng, power_iteration
+from .core import noise_rng, power_iteration, seeded_rng
 
 
 @dataclass(frozen=True)
@@ -53,16 +53,18 @@ class PhaselessProblem:
 
 
 def gaussian_problem(m, n, seed) -> PhaselessProblem:
-    """Standard complex Gaussian sampling vectors, unit entry variance."""
-    rng = np.random.default_rng(seed)
+    """Standard complex Gaussian sampling vectors, unit entry variance.
+    A None ``seed`` raises ValueError."""
+    rng = seeded_rng(seed, "drawing Gaussian sampling vectors")
     a = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2.0)
     return PhaselessProblem(n=n, vectors=a)
 
 
 def coded_problem(n, n_masks, seed) -> PhaselessProblem:
     """Unimodular random-phase masks; statistics are not prescribed by
-    the physics, uniform phases are the conventional choice."""
-    rng = np.random.default_rng(seed)
+    the physics, uniform phases are the conventional choice.  A None
+    ``seed`` raises ValueError."""
+    rng = seeded_rng(seed, "drawing coded masks")
     masks = np.exp(2j * np.pi * rng.random((n_masks, n)))
     return PhaselessProblem(n=n, masks=masks)
 

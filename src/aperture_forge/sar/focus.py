@@ -8,25 +8,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import Axis, C_LIGHT, ComplexGrid, fft_convolve
+from ..core import C_LIGHT, fft_convolve
 from .scene import PhaseHistory
 
 
 @dataclass(frozen=True)
 class SarImage:
-    """Focused complex image; axis0 cross-range (m), axis1 slant range (m)."""
+    """Focused complex image: rows at cross-range ``x`` (m), columns at
+    slant range ``r`` (m)."""
 
-    pixels: ComplexGrid
+    pixels: np.ndarray
+    x: np.ndarray
+    r: np.ndarray
     info: dict = field(default_factory=dict)
 
     @property
     def magnitude(self) -> np.ndarray:
-        return np.abs(self.pixels.data)
+        return np.abs(self.pixels)
 
     def peak_index(self):
         """(row, col) of the magnitude maximum; ties go to the lowest
         linear index (plain argmax order)."""
-        flat = int(np.argmax(np.abs(self.pixels.data)))
+        flat = int(np.argmax(np.abs(self.pixels)))
         return np.unravel_index(flat, self.pixels.shape)
 
 
@@ -41,19 +44,23 @@ def _range_compress(ph: PhaseHistory):
     # echo convention: the received envelope carries the conjugate sweep
     replica = ph.chirp.amplitude * np.exp(-1j * np.pi * ph.chirp.rate * t ** 2)
     kernel = np.conj(replica[::-1])[:, None]
-    rc = fft_convolve(ph.data.data, kernel)
+    rc = fft_convolve(ph.data, kernel)
     tau_c0 = ph.tau0 - (len(replica) - 1) / (2.0 * ph.f_s)
     return rc, tau_c0
 
 
-def _uniform_spacing(grid, name):
+def _uniform_grid(grid, name):
+    """``grid`` as a float array; it must be finite, increasing and
+    uniformly spaced."""
     grid = np.asarray(grid, dtype=float)
     if grid.size < 2:
         raise ValueError(f"{name} needs at least two points")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError(f"{name} must be finite")
     steps = np.diff(grid)
-    if np.any(np.abs(steps - steps[0]) > 1e-9 * abs(steps[0])):
-        raise ValueError(f"{name} must be uniformly spaced")
-    return grid, float(steps[0])
+    if steps[0] <= 0 or np.any(np.abs(steps - steps[0]) > 1e-9 * steps[0]):
+        raise ValueError(f"{name} must be increasing and uniformly spaced")
+    return grid
 
 
 def _interp_complex(x, xp, fp):
@@ -71,8 +78,8 @@ def backproject(ph: PhaseHistory, x_grid, r_grid) -> SarImage:
     that exact geometry and accumulated.  A unit point target therefore
     integrates to n_pulses * chirp energy at its own pixel.
     """
-    x_grid, dx = _uniform_spacing(x_grid, "x_grid")
-    r_grid, dr = _uniform_spacing(r_grid, "r_grid")
+    x_grid = _uniform_grid(x_grid, "x_grid")
+    r_grid = _uniform_grid(r_grid, "r_grid")
     n_fast = ph.data.shape[0]
     tau_lo = ph.tau0
     tau_hi = ph.tau0 + (n_fast - 1) / ph.f_s
@@ -83,7 +90,7 @@ def backproject(ph: PhaseHistory, x_grid, r_grid) -> SarImage:
             f"[{C_LIGHT * tau_lo / 2:.1f}, {C_LIGHT * tau_hi / 2:.1f}] m"
         )
     rc, tau_c0 = _range_compress(ph)
-    t = ph.data.axis1_values()
+    t = ph.geometry.slow_times()
     lam = ph.geometry.wavelength
     rows = np.arange(rc.shape[0])
     image = np.zeros((len(x_grid), len(r_grid)), dtype=complex)
@@ -92,8 +99,7 @@ def backproject(ph: PhaseHistory, x_grid, r_grid) -> SarImage:
         big_r = np.sqrt(rr ** 2 + (ph.geometry.v * t_p - xx) ** 2)
         m = ((2.0 * big_r / C_LIGHT) - tau_c0) * ph.f_s
         image += _interp_complex(m, rows, rc[:, p]) * np.exp(1j * 4.0 * np.pi * big_r / lam)
-    grid = ComplexGrid(image, Axis(x_grid[0], dx), Axis(r_grid[0], dr))
-    return SarImage(grid)
+    return SarImage(image, x_grid, r_grid)
 
 
 def omega_k_focus(ph: PhaseHistory) -> SarImage:
@@ -147,13 +153,9 @@ def omega_k_focus(ph: PhaseHistory) -> SarImage:
     stolt *= np.exp(1j * kz_target * (z_start - z_ref))[:, None]
     image = np.fft.ifft(np.fft.ifft(stolt, axis=0), axis=1)
 
-    t0 = ph.data.axis1.start
-    grid = ComplexGrid(
-        image.T,
-        Axis(ph.geometry.v * t0, d_x),
-        Axis(z_start, C_LIGHT / (2.0 * f_s)),
-    )
-    return SarImage(grid, {"evanescent_bins": evanescent})
+    x = ph.geometry.v * ph.geometry.slow_times()[0] + d_x * np.arange(n_x)
+    r = z_start + C_LIGHT / (2.0 * f_s) * np.arange(n_z)
+    return SarImage(image.T, x, r, {"evanescent_bins": evanescent})
 
 
 def curvature_factor(f_dop, v, wavelength):
@@ -189,13 +191,13 @@ def chirp_scaling_focus(ph: PhaseHistory, r_ref: float) -> SarImage:
     """
     if r_ref <= 0:
         raise ValueError("reference range must be positive")
-    data = ph.data.data
+    data = ph.data
     n_fast, n_pulses = data.shape
     f_s = ph.f_s
     lam = ph.geometry.wavelength
     v = ph.geometry.v
     k_rate = ph.chirp.rate
-    tau = ph.data.axis0_values()
+    tau = ph.tau0 + 1.0 / f_s * np.arange(n_fast)
 
     f_dop = np.fft.fftfreq(n_pulses, d=1.0 / ph.geometry.prf)
     ok = np.abs(lam * f_dop / (2.0 * v)) < 1.0
@@ -242,10 +244,6 @@ def chirp_scaling_focus(ph: PhaseHistory, r_ref: float) -> SarImage:
     rd *= phi3
 
     image = np.fft.ifft(rd, axis=1)
-    t0 = ph.data.axis1.start
-    grid = ComplexGrid(
-        image.T,
-        Axis(v * t0, v / ph.geometry.prf),
-        Axis(C_LIGHT * ph.tau0 / 2.0, C_LIGHT / (2.0 * f_s)),
-    )
-    return SarImage(grid, {"clamped_bins": clamped})
+    x = v * ph.geometry.slow_times()[0] + v / ph.geometry.prf * np.arange(n_pulses)
+    r = C_LIGHT * ph.tau0 / 2.0 + C_LIGHT / (2.0 * f_s) * np.arange(n_fast)
+    return SarImage(image.T, x, r, {"clamped_bins": clamped})

@@ -4,7 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import Axis, C_LIGHT, ComplexGrid, add_complex_noise
+from ..core import C_LIGHT, add_complex_noise
 from ..waveforms import LfmChirp
 
 
@@ -47,8 +47,7 @@ class SarGeometry:
 
     The platform flies along x at speed ``v`` radiating at ``prf`` for a
     coherent interval ``t_coh``, standing off at ``r1``.  The synthetic
-    aperture length and apparent rotation rate follow directly and are
-    exposed as properties.
+    aperture length follows directly and is exposed as a property.
     """
 
     v: float
@@ -67,10 +66,6 @@ class SarGeometry:
         return self.v * self.t_coh
 
     @property
-    def rotation_rate(self) -> float:
-        return self.v / self.r1
-
-    @property
     def n_pulses(self) -> int:
         return int(round(self.t_coh * self.prf))
 
@@ -83,21 +78,25 @@ class SarGeometry:
 class PhaseHistory:
     """Raw fast-time x slow-time samples plus what produced them.
 
-    axis0 of ``data`` is fast time (delay, step 1/f_s), axis1 is slow
-    time (step 1/PRF).
+    Rows of ``data`` are fast time (delay ``tau0 + m / f_s``), columns
+    slow time (the geometry's pulse times).
     """
 
-    data: ComplexGrid
+    data: np.ndarray
+    tau0: float
+    f_s: float
     chirp: LfmChirp
     geometry: SarGeometry
 
-    @property
-    def f_s(self) -> float:
-        return 1.0 / self.data.axis0.step
-
-    @property
-    def tau0(self) -> float:
-        return self.data.axis0.start
+    def __post_init__(self):
+        if np.ndim(self.data) != 2:
+            raise ValueError("phase history data must be 2-D")
+        if not np.all(np.isfinite(self.data)):
+            raise ValueError("phase history data must be finite")
+        if not np.isfinite(self.tau0):
+            raise ValueError("tau0 must be finite")
+        if not (np.isfinite(self.f_s) and self.f_s > 0):
+            raise ValueError("f_s must be finite and positive")
 
 
 def slant_range_history(scatterer: Scatterer, geom: SarGeometry) -> np.ndarray:
@@ -152,21 +151,14 @@ def simulate_phase_history(
         data += scat.reflectivity * pulse * np.exp(
             -1j * 4.0 * np.pi * r_of_t[None, :] / lam
         )
-    grid = ComplexGrid(
-        add_complex_noise(data, noise_sigma, seed),
-        Axis(tau0, 1.0 / f_s),
-        Axis(t[0], 1.0 / geom.prf),
-    )
-    return PhaseHistory(grid, chirp, geom)
+    return PhaseHistory(add_complex_noise(data, noise_sigma, seed), tau0, f_s, chirp, geom)
 
 
 def sar_resolutions(geom: SarGeometry, chirp: LfmChirp) -> dict:
-    """Resolution and aperture-limit bookkeeping for one geometry.
+    """Resolution bookkeeping for one geometry.
 
     range: c/2B.  cross-range: lambda*R1/(2L), equivalently lambda over
-    twice the integrated angle.  The Doppler cell matching that
-    cross-range cell is 2*omega*dx/lambda.  The unfocused aperture limit
-    is sqrt(R1*lambda) (quarter-wave phase sag at the ends).
+    twice the integrated angle.
     """
     if geom.v == 0:
         raise ValueError("resolution laws need a moving platform (v > 0)")
@@ -175,6 +167,4 @@ def sar_resolutions(geom: SarGeometry, chirp: LfmChirp) -> dict:
     return {
         "range_resolution_m": C_LIGHT / (2.0 * chirp.bandwidth),
         "cross_range_resolution_m": dx,
-        "doppler_resolution_hz": 2.0 * geom.rotation_rate * dx / geom.wavelength,
-        "unfocused_aperture_m": float(np.sqrt(geom.r1 * geom.wavelength)),
     }

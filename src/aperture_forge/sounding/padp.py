@@ -101,18 +101,15 @@ def synthesize_sweep(
     return SweepData(add_complex_noise(s21, noise_sigma, seed), lattice, grid)
 
 
-def two_ray_path_loss(rho: float, phi: float) -> dict:
-    """Gain and phase of a direct ray summed with one reflection.
+def two_ray_path_loss(rho: float, phi: float) -> float:
+    """Power gain beta^2 of a direct ray summed with one reflection.
 
     The reflected ray has relative amplitude ``rho`` and relative phase
-    ``phi``; the combined field gain is beta^2 = 1 + 2*rho*cos(phi) +
-    rho^2 with resultant phase atan2(rho*sin(phi), 1 + rho*cos(phi)).
+    ``phi``; beta^2 = 1 + 2*rho*cos(phi) + rho^2.
     """
     if rho < 0:
         raise ValueError("rho must be nonnegative")
-    beta_sq = 1.0 + 2.0 * rho * np.cos(phi) + rho ** 2
-    theta = float(np.arctan2(rho * np.sin(phi), 1.0 + rho * np.cos(phi)))
-    return {"beta_sq": float(beta_sq), "theta": theta}
+    return float(1.0 + 2.0 * rho * np.cos(phi) + rho ** 2)
 
 
 @dataclass(frozen=True)
@@ -137,11 +134,6 @@ def _beam_maps(sweep: SweepData, u, v) -> np.ndarray:
     ])
 
 
-def _beam_series(sweep: SweepData, direction: Direction) -> np.ndarray:
-    """b(f_k) = w^H(f_k) y(f_k) with true-time-delay steering per tone."""
-    return _beam_maps(sweep, direction.u, direction.v)
-
-
 def _profile(b, grid: FrequencyGrid):
     """Delay axis and Hamming-tapered, 4x zero-padded inverse DFT of a
     beam series b(f_s).  The transform keeps the 1/S normalization
@@ -158,7 +150,7 @@ def padp(sweep: SweepData, direction: Direction) -> Pdp:
     Beamforms every tone with true-time-delay steering, then tapers,
     zero-pads and inverse-DFTs to delay (see _profile).
     """
-    delays, amp = _profile(_beam_series(sweep, direction), sweep.grid)
+    delays, amp = _profile(_beam_maps(sweep, direction.u, direction.v), sweep.grid)
     return Pdp(delays=delays, amplitude=amp)
 
 
@@ -189,8 +181,7 @@ def source_distances(
 ) -> np.ndarray:
     """Distances from a virtual source at range ``r`` along ``direction``
     (referenced to the lattice center) to each active position."""
-    w0 = np.sqrt(max(1.0 - direction.u ** 2 - direction.v ** 2, 0.0))
-    src = np.array([r * direction.u, r * direction.v, r * w0])
+    src = np.array([r * direction.u, r * direction.v, r * direction.w])
     return np.linalg.norm(lattice.active_positions() - src, axis=1)
 
 
@@ -224,9 +215,8 @@ def spherical_padp(
     """
     if r_start <= 0 or r_stop < r_start or r_step <= 0:
         raise ValueError("need 0 < r_start <= r_stop and r_step > 0")
-    w0 = np.sqrt(max(1.0 - direction.u ** 2 - direction.v ** 2, 0.0))
     ranges = np.arange(r_start, r_stop + r_step / 2.0, r_step)
-    if np.any(np.abs(ranges * w0) < 1e-9):
+    if np.any(np.abs(ranges * direction.w) < 1e-9):
         raise ValueError("virtual source falls in the lattice plane")
     f = sweep.grid.frequencies()
     out = np.empty((len(ranges), 4 * sweep.grid.s), dtype=complex)

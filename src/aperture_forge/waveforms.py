@@ -155,28 +155,11 @@ class AdcModel:
         if self.v_fs <= 0 or self.f_s <= 0:
             raise ValueError("v_fs and f_s must be positive")
 
-    @property
-    def lsb(self) -> float:
-        return self.v_fs / 2 ** self.bits
-
-    @property
-    def n_qu(self) -> float:
-        return self.lsb ** 2 / 12.0
-
 
 def adc_metrics(model: AdcModel) -> dict:
-    """Ideal SNR and quantization noise.
-
-    snr_ideal follows the full-scale sinusoid rule 6.02*B + 1.76 dB; the
-    rule is only approximate below 4 bits, which the ``low_bit_caveat``
-    flag reports.
-    """
-    return {
-        "snr_ideal_db": 6.02 * model.bits + 1.76,
-        "lsb": model.lsb,
-        "n_qu": model.n_qu,
-        "low_bit_caveat": model.bits < 4,
-    }
+    """Ideal SNR by the full-scale sinusoid rule 6.02*B + 1.76 dB (only
+    approximate below 4 bits)."""
+    return {"snr_ideal_db": 6.02 * model.bits + 1.76}
 
 
 # Covariance rows filled per GEMM: the outer-product scratch is then

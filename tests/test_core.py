@@ -1,14 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 from numpy.testing import assert_allclose
 
 from aperture_forge.core import (
-    Axis,
-    ComplexGrid,
+    C_LIGHT,
     Direction,
-    FieldPoint,
-    WaveParams,
     _next_fast_len,
     add_complex_noise,
     far_field_distance,
@@ -33,79 +30,57 @@ from aperture_forge.sounding import (
 from aperture_forge.waveforms import LfmChirp
 
 
-def test_axis_validation():
-    with pytest.raises(ValueError):
-        Axis(0.0, 0.0)
-    with pytest.raises(ValueError):
-        Axis(np.nan, 1.0)
-    ax = Axis(-2.0, 0.5)
-    assert_allclose(ax.values(5), [-2.0, -1.5, -1.0, -0.5, 0.0])
-
-
-def test_complex_grid_invariants():
-    ax = Axis(0.0, 1.0)
-    with pytest.raises(ValueError):
-        ComplexGrid(np.zeros(4), ax, ax)  # not 2-D
-    with pytest.raises(ValueError):
-        ComplexGrid(np.array([[np.inf, 0.0], [0.0, 0.0]]), ax, ax)
-    g = ComplexGrid(np.ones((2, 3)), ax, ax)
-    assert g.shape == (2, 3)
-    with pytest.raises(ValueError):
-        g.data[0, 0] = 5.0  # frozen after construction
-
-
 def test_direction_boresight_identity():
     d = Direction(0.0, 0.0)
-    assert d.u == 0.0 and d.v == 0.0
-
-
-def test_direction_from_sine_space_frozen_values():
-    # sin^2(theta) = 0.4^2 + 0.3^2 = 0.25, tan(phi) = 0.3/0.4
-    d = Direction.from_sine_space(0.4, 0.3)
-    assert_allclose(np.degrees(d.theta), 30.0, atol=1e-9)
-    assert_allclose(np.degrees(d.phi), 36.86989764584402, atol=1e-9)
+    assert d.u == 0.0 and d.v == 0.0 and d.w == 1.0
 
 
 def test_direction_rejects_invisible_space():
     with pytest.raises(ValueError):
-        Direction.from_sine_space(0.8, 0.7)
+        Direction(0.8, 0.7)
+
+
+@pytest.mark.parametrize("u, v", [(np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0)])
+def test_direction_rejects_non_finite(u, v):
+    with pytest.raises(ValueError):
+        Direction(u, v)
 
 
 @given(
-    theta=st.floats(0.0, np.radians(89.0)),
-    phi=st.floats(-np.pi, np.pi),
+    u=st.floats(-1.0, 1.0),
+    v=st.floats(-1.0, 1.0),
 )
-def test_direction_round_trips(theta, phi):
-    d = Direction(theta, phi)
-    back = Direction.from_sine_space(d.u, d.v)
-    assert_allclose(back.unit_vector(), d.unit_vector(), atol=1e-12)
-    assert abs(back.theta - d.theta) < 1e-12
-
-
-def test_wave_params_consistency():
-    d = Direction(np.radians(20.0), np.radians(45.0))
-    w = WaveParams.from_direction(10e9, d)
-    assert_allclose(w.speed * np.linalg.norm([w.kx, w.ky, w.kz]), w.frequency, rtol=1e-12)
-    with pytest.raises(ValueError):
-        WaveParams(10e9, 299792458.0, 1.0, 0.0, 0.0)  # f != c|k|
+def test_direction_round_trips(u, v):
+    # (u, v) are stored exactly and w completes the unit vector
+    assume(u * u + v * v <= 1.0)
+    d = Direction(u, v)
+    assert d.u == u and d.v == v
+    assert d.u ** 2 + d.v ** 2 + d.w ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_plane_wave_zero_phase_and_unimodularity():
-    w = WaveParams.from_direction(1e9, Direction(0.3, 0.7))
-    assert plane_wave_field(FieldPoint(0, 0, 0), 0.0, w) == pytest.approx(1.0 + 0.0j)
+    d = Direction(0.3, 0.7)
+    assert plane_wave_field(np.zeros((1, 3)), [0.0], 1e9, d)[0, 0] == pytest.approx(1.0 + 0.0j)
     rng = np.random.default_rng(0)
-    for _ in range(20):
-        p = FieldPoint(*rng.uniform(-5, 5, 3))
-        val = plane_wave_field(p, rng.uniform(0, 1e-6), w)
-        assert abs(abs(val) - 1.0) < 1e-12
+    val = plane_wave_field(rng.uniform(-5, 5, (20, 3)), rng.uniform(0, 1e-6, 7), 1e9, d)
+    assert val.shape == (20, 7)
+    assert np.max(np.abs(np.abs(val) - 1.0)) < 1e-12
+
+
+def test_plane_wave_rejects_bad_input():
+    d = Direction(0.0, 0.0)
+    for f in (0.0, -1e9, np.nan):
+        with pytest.raises(ValueError):
+            plane_wave_field(np.zeros((1, 3)), [0.0], f, d)
+    with pytest.raises(ValueError):
+        plane_wave_field(np.array([[0.0, np.nan, 0.0]]), [0.0], 1e9, d)
 
 
 def test_plane_wave_half_cycle():
     # k.x = 0.5 cycles at t = 0 gives exp(-j*pi) = -1
-    w = WaveParams.from_direction(1e9, Direction(0.0, 0.0))
-    lam = w.speed / w.frequency
-    val = plane_wave_field(FieldPoint(0.0, 0.0, 0.5 * lam), 0.0, w)
-    assert_allclose(val, -1.0 + 0.0j, atol=1e-12)
+    lam = C_LIGHT / 1e9
+    val = plane_wave_field(np.array([[0.0, 0.0, 0.5 * lam]]), [0.0], 1e9, Direction(0.0, 0.0))
+    assert_allclose(val[0, 0], -1.0 + 0.0j, atol=1e-12)
 
 
 def test_far_field_distance_frozen_values():
@@ -126,41 +101,46 @@ def test_far_field_distance_monotone(scale):
     assert far_field_distance(1.0, scale * 1e9) > base
 
 
-def _plane_wave_grid(k0, f0, nx, nt, dx, dt, amp=1.0):
+def _plane_wave(k0, f0, nx, nt, dx, dt, amp=1.0):
     x = dx * np.arange(nx)
     t = dt * np.arange(nt)
-    field = amp * np.exp(1j * 2 * np.pi * (f0 * t[None, :] - k0 * x[:, None]))
-    return ComplexGrid(field, Axis(0.0, dx), Axis(0.0, dt))
+    return amp * np.exp(1j * 2 * np.pi * (f0 * t[None, :] - k0 * x[:, None]))
 
 
 def test_wavenumber_spectrum_single_wave():
     nx, nt, dx, dt = 32, 64, 0.01, 1e-9
     k0 = 4 / (nx * dx)  # on-grid wavenumber, cycles/m
     f0 = 10 / (nt * dt)
-    spec = wavenumber_spectrum(_plane_wave_grid(k0, f0, nx, nt, dx, dt))
-    power = np.abs(spec.data) ** 2
+    spec, kv, fv = wavenumber_spectrum(_plane_wave(k0, f0, nx, nt, dx, dt), dx, dt)
+    power = np.abs(spec) ** 2
     ik, jf = np.unravel_index(np.argmax(power), power.shape)
-    assert_allclose(spec.axis0_values()[ik], k0, rtol=1e-12)
-    assert_allclose(spec.axis1_values()[jf], f0, rtol=1e-12)
+    assert_allclose(kv[ik], k0, rtol=1e-12)
+    assert_allclose(fv[jf], f0, rtol=1e-12)
     assert power[ik, jf] / power.sum() > 0.99
 
 
 def test_wavenumber_spectrum_zero_field():
-    ax = Axis(0.0, 1.0)
-    g = ComplexGrid(np.zeros((8, 8)), ax, ax)
-    assert np.all(wavenumber_spectrum(g).data == 0.0)
+    spec, _, _ = wavenumber_spectrum(np.zeros((8, 8)), 1.0, 1.0)
+    assert np.all(spec == 0.0)
+
+
+def test_wavenumber_spectrum_rejects_bad_input():
+    for s_xt in (np.zeros(8), np.zeros((2, 2, 2))):
+        with pytest.raises(ValueError, match="2-D"):
+            wavenumber_spectrum(s_xt, 1.0, 1.0)
+    for dx, dt in ((0.0, 1.0), (1.0, -1.0), (np.nan, 1.0), (1.0, np.inf)):
+        with pytest.raises(ValueError, match="dx and dt"):
+            wavenumber_spectrum(np.zeros((4, 4)), dx, dt)
 
 
 def test_wavenumber_spectrum_two_waves():
     nx, nt, dx, dt = 32, 64, 0.01, 1e-9
-    g1 = _plane_wave_grid(3 / (nx * dx), 7 / (nt * dt), nx, nt, dx, dt)
-    g2 = _plane_wave_grid(-5 / (nx * dx), 20 / (nt * dt), nx, nt, dx, dt, amp=0.5)
-    g = ComplexGrid(g1.data + g2.data, g1.axis0, g1.axis1)
-    spec = wavenumber_spectrum(g)
-    power = np.abs(spec.data) ** 2
+    g = (_plane_wave(3 / (nx * dx), 7 / (nt * dt), nx, nt, dx, dt)
+         + _plane_wave(-5 / (nx * dx), 20 / (nt * dt), nx, nt, dx, dt, amp=0.5))
+    spec, kv, fv = wavenumber_spectrum(g, dx, dt)
+    power = np.abs(spec) ** 2
     flat = np.argsort(power, axis=None)[::-1]
     tops = [np.unravel_index(i, power.shape) for i in flat[:2]]
-    kv, fv = spec.axis0_values(), spec.axis1_values()
     found = sorted((kv[i], fv[j]) for i, j in tops)
     want = sorted([(3 / (nx * dx), 7 / (nt * dt)), (-5 / (nx * dx), 20 / (nt * dt))])
     assert_allclose(found, want, rtol=1e-9)
@@ -168,10 +148,10 @@ def test_wavenumber_spectrum_two_waves():
     x = dx * np.arange(nx)
     t = dt * np.arange(nt)
     kernel = np.exp(-1j * 2 * np.pi * (want[1][1] * t[None, :] - want[1][0] * x[:, None]))
-    oracle = np.sum(g.data * kernel)
+    oracle = np.sum(g * kernel)
     i = np.argmin(np.abs(kv - want[1][0]))
     j = np.argmin(np.abs(fv - want[1][1]))
-    assert_allclose(spec.data[i, j], oracle, rtol=1e-9)
+    assert_allclose(spec[i, j], oracle, rtol=1e-9)
 
 
 def test_complex_noise_draw_order():

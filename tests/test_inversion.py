@@ -66,6 +66,23 @@ def test_forward_rejects_non_finite_signal(bad):
         pr_forward(x, prob)
 
 
+def test_gaussian_problem_follows_the_seed_rule():
+    with pytest.raises(ValueError, match="seed is required"):
+        gaussian_problem(12, 4, None)
+    for seed in (5, np.random.SeedSequence(5).spawn(2)[1]):
+        rng = np.random.default_rng(seed)
+        want = (rng.standard_normal((12, 4)) + 1j * rng.standard_normal((12, 4))) / np.sqrt(2.0)
+        assert np.array_equal(gaussian_problem(12, 4, seed).vectors, want)
+
+
+def test_coded_problem_follows_the_seed_rule():
+    with pytest.raises(ValueError, match="seed is required"):
+        coded_problem(8, 3, None)
+    for seed in (5, np.random.SeedSequence(5).spawn(2)[1]):
+        want = np.exp(2j * np.pi * np.random.default_rng(seed).random((3, 8)))
+        assert np.array_equal(coded_problem(8, 3, seed).masks, want)
+
+
 def test_forward_noise_follows_the_seed_rule():
     prob = gaussian_problem(32, 8, seed=0)
     x = random_signal(8, 1)

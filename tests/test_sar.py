@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
-from aperture_forge.core import C_LIGHT, ComplexGrid
+from aperture_forge.core import C_LIGHT
 from aperture_forge.waveforms import LfmChirp
 from aperture_forge.sar import (
     CaponProblem,
@@ -106,8 +106,8 @@ def test_zero_velocity_constant_range():
     assert np.all(ranges == r0)
     ph = simulate_phase_history(PointScene((sc,)), geom, CHIRP, F_S)
     # every pulse identical: no platform motion, no Doppler
-    ref = ph.data.data[:, 0]
-    assert np.allclose(ph.data.data, ref[:, None])
+    ref = ph.data[:, 0]
+    assert np.allclose(ph.data, ref[:, None])
 
 
 def test_closest_approach_zero_doppler():
@@ -149,6 +149,20 @@ def test_simulate_rejects_bad_inputs():
         simulate_phase_history(scene, fast, CHIRP, F_S)  # range ambiguous
 
 
+def test_phase_history_rejects_bad_samples():
+    ph, _ = point_history()
+    good = dict(data=ph.data, tau0=ph.tau0, f_s=ph.f_s, chirp=ph.chirp, geometry=ph.geometry)
+    nan_data = ph.data.copy()
+    nan_data[3, 2] = np.nan
+    inf_data = ph.data.copy()
+    inf_data[0, 0] = np.inf
+    for bad in (dict(data=ph.data[:, 0]), dict(data=nan_data), dict(data=inf_data),
+                dict(f_s=0.0), dict(f_s=-F_S), dict(f_s=np.nan), dict(tau0=np.nan)):
+        with pytest.raises(ValueError):
+            PhaseHistory(**{**good, **bad})
+    PhaseHistory(**good)
+
+
 def test_noise_is_seeded():
     ph, r0 = point_history()
     geom = ph.geometry
@@ -156,8 +170,8 @@ def test_noise_is_seeded():
     a = simulate_phase_history(scene, geom, CHIRP, F_S, noise_sigma=0.5, seed=9)
     b = simulate_phase_history(scene, geom, CHIRP, F_S, noise_sigma=0.5, seed=9)
     c = simulate_phase_history(scene, geom, CHIRP, F_S, noise_sigma=0.5, seed=10)
-    assert np.array_equal(a.data.data, b.data.data)
-    assert not np.array_equal(a.data.data, c.data.data)
+    assert np.array_equal(a.data, b.data)
+    assert not np.array_equal(a.data, c.data)
 
 
 def test_resolution_calculator_values():
@@ -166,9 +180,6 @@ def test_resolution_calculator_values():
     res = sar_resolutions(geom, chirp)
     assert res["range_resolution_m"] == pytest.approx(0.999308, abs=1e-5)
     assert res["cross_range_resolution_m"] == pytest.approx(1.5, rel=1e-12)
-    assert res["unfocused_aperture_m"] == pytest.approx(17.3205, abs=1e-3)
-    # Doppler resolution collapses to V / L for broadside strip mapping
-    assert res["doppler_resolution_hz"] == pytest.approx(geom.v / geom.aperture_length)
 
 
 # ----------------------------------------------------------- backprojection
@@ -185,12 +196,9 @@ def test_backprojection_peak_at_true_pixel():
 
 def test_backprojection_zero_input_zero_image():
     ph, r0 = point_history()
-    zero = PhaseHistory(
-        ComplexGrid(np.zeros_like(ph.data.data), ph.data.axis0, ph.data.axis1),
-        ph.chirp, ph.geometry,
-    )
+    zero = PhaseHistory(np.zeros_like(ph.data), ph.tau0, ph.f_s, ph.chirp, ph.geometry)
     img = backproject(zero, np.array([-1.0, 0.0, 1.0]), r0 + np.arange(3) * DR_CELL)
-    assert np.all(img.pixels.data == 0.0)
+    assert np.all(img.pixels == 0.0)
 
 
 def test_backprojection_energy_bookkeeping():
@@ -200,7 +208,7 @@ def test_backprojection_energy_bookkeeping():
     geom = SarGeometry(v=100.0, prf=400.0, t_coh=0.0625, r1=r0, wavelength=0.03)
     ph = simulate_phase_history(PointScene((Scatterer(0.0, r0),)), geom, CHIRP, F_S)
     img = backproject(ph, np.array([-0.5, 0.0, 0.5]), r0 + np.arange(-1, 2) * DR_CELL)
-    peak = np.abs(img.pixels.data[1, 1])
+    peak = np.abs(img.pixels[1, 1])
     expected = geom.n_pulses * N_C  # pulses x chirp sample energy
     assert peak == pytest.approx(expected, rel=0.01)
 
@@ -209,6 +217,16 @@ def test_backprojection_rejects_out_of_swath_grid():
     ph, r0 = point_history()
     with pytest.raises(ValueError):
         backproject(ph, np.array([0.0, 1.0]), np.array([r0 + 500.0, r0 + 501.0]))
+
+
+def test_backprojection_rejects_bad_pixel_grids():
+    ph, r0 = point_history()
+    r_ok = r0 + np.arange(3) * DR_CELL
+    for x_grid in ([0.0], [1.0, 0.0, -1.0], [0.0, 0.0, 0.0], [0.0, 1.0, 3.0], [np.nan, 1.0]):
+        with pytest.raises(ValueError, match="x_grid"):
+            backproject(ph, np.array(x_grid), r_ok)
+    with pytest.raises(ValueError, match="r_grid"):
+        backproject(ph, np.array([0.0, 1.0]), np.array([r0, np.nan]))
 
 
 def test_cross_range_width_tracks_aperture_law():
@@ -221,7 +239,7 @@ def test_cross_range_width_tracks_aperture_law():
         law = geom.wavelength * r0 / (2.0 * geom.aperture_length)
         x_grid = np.arange(-2.5 * law, 2.5 * law + 1e-9, law / 10.0)
         img = backproject(ph, x_grid, np.array([r0, r0 + DR_CELL]))
-        width = width_at_half_power(x_grid, np.abs(img.pixels.data[:, 0]))
+        width = width_at_half_power(x_grid, np.abs(img.pixels[:, 0]))
         assert 0.80 <= width / law <= 0.97
 
 
@@ -238,7 +256,7 @@ def test_range_width_tracks_bandwidth_law():
         law = C_LIGHT / (2.0 * bw)
         r_grid = r0 + np.arange(-25, 26) * (law / 10.0)
         img = backproject(ph, np.array([0.0, 0.5]), r_grid)
-        width = width_at_half_power(r_grid, np.abs(img.pixels.data[0, :]))
+        width = width_at_half_power(r_grid, np.abs(img.pixels[0, :]))
         assert 0.80 <= width / law <= 0.97
 
 
@@ -248,8 +266,8 @@ def test_omega_k_point_target_matches_backprojection():
     ph, r0 = point_history()
     img = omega_k_focus(ph)
     assert img.info["evanescent_bins"] == 0
-    x = img.pixels.axis0_values()
-    z = img.pixels.axis1_values()
+    x = img.x
+    z = img.r
     pk = img.peak_index()
     # on-axis (kx = 0) Stolt mapping is the identity, so the range cell
     # is exact; the even-length pulse grid has no x = 0 sample, so the
@@ -268,12 +286,12 @@ def test_omega_k_point_target_matches_backprojection():
 def test_omega_k_five_scatterers_agree_with_backprojection():
     ph, r0 = five_scatterer_history()
     img = omega_k_focus(ph)
-    x = img.pixels.axis0_values()
-    z = img.pixels.axis1_values()
+    x = img.x
+    z = img.r
     zi = int(np.argmin(np.abs(z - (r0 - 20.0))))
     sel = slice(zi, zi + 56)
     bp = backproject(ph, x, z[sel])
-    rho = ncc(np.abs(bp.pixels.data), np.abs(img.pixels.data[:, sel]))
+    rho = ncc(np.abs(bp.pixels), np.abs(img.pixels[:, sel]))
     assert rho >= 0.9
 
 
@@ -286,7 +304,7 @@ def test_omega_k_reports_evanescent_bins():
     ph = simulate_phase_history(PointScene((Scatterer(0.0, r0),)), geom, chirp, F_S)
     img = omega_k_focus(ph)
     assert img.info["evanescent_bins"] > 0
-    assert np.all(np.isfinite(img.pixels.data))
+    assert np.all(np.isfinite(img.pixels))
 
 
 # ----------------------------------------------------------- chirp scaling
@@ -312,8 +330,8 @@ def test_chirp_scaling_point_at_reference_matches_backprojection():
     ph, r0 = point_history()
     img = chirp_scaling_focus(ph, r_ref=r0)
     assert img.info["clamped_bins"] == 0
-    x = img.pixels.axis0_values()
-    z = img.pixels.axis1_values()
+    x = img.x
+    z = img.r
     pk = img.peak_index()
     assert abs(z[pk[1]] - r0) < DR_CELL / 2
     zi = int(np.argmin(np.abs(z - (r0 - 6.0))))
@@ -327,12 +345,12 @@ def test_chirp_scaling_point_at_reference_matches_backprojection():
 def test_chirp_scaling_five_scatterers_agree_with_backprojection():
     ph, r0 = five_scatterer_history()
     img = chirp_scaling_focus(ph, r_ref=r0)
-    x = img.pixels.axis0_values()
-    z = img.pixels.axis1_values()
+    x = img.x
+    z = img.r
     zi = int(np.argmin(np.abs(z - (r0 - 20.0))))
     sel = slice(zi, zi + 56)
     bp = backproject(ph, x, z[sel])
-    rho = ncc(np.abs(bp.pixels.data), np.abs(img.pixels.data[:, sel]))
+    rho = ncc(np.abs(bp.pixels), np.abs(img.pixels[:, sel]))
     assert rho >= 0.9
 
 
@@ -343,7 +361,7 @@ def test_chirp_scaling_reports_clamped_doppler_bins():
     ph = simulate_phase_history(PointScene((Scatterer(0.0, r0),)), geom, CHIRP, F_S)
     img = chirp_scaling_focus(ph, r_ref=r0)
     assert img.info["clamped_bins"] > 0
-    assert np.all(np.isfinite(img.pixels.data))
+    assert np.all(np.isfinite(img.pixels))
     with pytest.raises(ValueError):
         chirp_scaling_focus(ph, r_ref=-5.0)
 

@@ -171,16 +171,12 @@ def test_closed_form_special_points():
 def test_adc_frozen_values():
     m = adc_metrics(AdcModel(bits=12, v_fs=2.0, f_s=1e6))
     assert m["snr_ideal_db"] == pytest.approx(74.0, abs=1e-9)
-    assert m["lsb"] == pytest.approx(2.0 / 4096)
-    assert m["n_qu"] == pytest.approx((2.0 / 4096) ** 2 / 12)
-    assert m["low_bit_caveat"] is False
-    assert sorted(m) == ["low_bit_caveat", "lsb", "n_qu", "snr_ideal_db"]
+    assert sorted(m) == ["snr_ideal_db"]
 
 
 def test_adc_low_bit_caveat():
     m = adc_metrics(AdcModel(bits=1, v_fs=1.0, f_s=1e6))
     assert m["snr_ideal_db"] == pytest.approx(7.78)
-    assert m["low_bit_caveat"] is True
     with pytest.raises(ValueError):
         AdcModel(bits=0, v_fs=1.0, f_s=1e6)
 
