@@ -26,9 +26,8 @@ from ..core import (
     wavenumber_spectrum,
 )
 from ..waveforms import (
-    AdcModel,
     LfmChirp,
-    adc_metrics,
+    adc_snr_ideal_db,
     ambiguity_surface,
     lfm_ambiguity_closed_form,
     matched_filter,
@@ -36,7 +35,6 @@ from ..waveforms import (
     sample_lfm,
 )
 from ..sounding import (
-    AnnealSchedule,
     ChannelRay,
     FrequencyGrid,
     SamplingLattice,
@@ -55,7 +53,6 @@ from ..sounding import (
 from ..sar import (
     CaponProblem,
     LinearPhaseSteering,
-    PointScene,
     QsarParams,
     SarGeometry,
     Scatterer,
@@ -83,7 +80,6 @@ from ..sas import (
     SasScene,
     build_sensing_model,
     lasso_mu_max,
-    sas_cbf,
     sas_resolutions,
     sas_sparse,
     simulate_measurements,
@@ -314,21 +310,19 @@ def _run_sound_sparse(seed, sink, *, m=16, n=16, d_m=0.00375, keep_fraction=0.5,
                       n_steps=1200, cool_every=60, f_eval_hz=40e9, uv_points=65,
                       psl_bound_db=-13.0):
     full = SamplingLattice.rectangular(m, n, d_m, d_m)
-    sched = AnnealSchedule(n_steps=n_steps, cool_every=cool_every)
-    res = optimize_sparse_lattice(full, keep_fraction, sched, seed, f_eval_hz, uv_points,
-                                  psl_bound_db)
+    thin, psl_db = optimize_sparse_lattice(full, keep_fraction, n_steps, cool_every, seed,
+                                           f_eval_hz, uv_points)
     uv = np.linspace(-1.0, 1.0, uv_points)
-    pattern = np.abs(array_factor(res.lattice, np.ones(res.lattice.n_active),
-                                  uv, uv, f_eval_hz))
-    sink.image("mask", res.lattice.mask.reshape(full.shape) * 1.0, scale="power",
+    pattern = np.abs(array_factor(thin, np.ones(thin.n_active), uv, uv, f_eval_hz))
+    sink.image("mask", thin.mask.reshape(full.shape) * 1.0, scale="power",
                dynamic_range_db=20.0)
     sink.image("pattern", pattern, scale="field")
     return {
-        "psl_db": res.psl_db,
-        "met_bound": res.met_bound,
-        "n_active": res.lattice.n_active,
+        "psl_db": psl_db,
+        "met_bound": psl_db <= psl_bound_db,
+        "n_active": thin.n_active,
         "keep_fraction": keep_fraction,
-        "alias_free": res.lattice.alias_free(C_LIGHT / f_eval_hz),
+        "alias_free": thin.alias_free(C_LIGHT / f_eval_hz),
     }
 
 
@@ -343,8 +337,8 @@ def _run_sar_point(seed, sink, *, v_mps=100.0, prf_hz=400.0, t_coh_s=0.16, r1_m=
         _require_seed(seed, "sar-point with noise_sigma > 0")
     geom = SarGeometry(v_mps, prf_hz, t_coh_s, r1_m, wavelength_m)
     chirp = LfmChirp(C_LIGHT / wavelength_m, bandwidth_hz, duration_s, 1.0)
-    scene = PointScene((Scatterer(0.0, r1_m),))
-    ph = simulate_phase_history(scene, geom, chirp, f_s_hz, noise_sigma, seed)
+    ph = simulate_phase_history([Scatterer(0.0, r1_m)], geom, chirp, f_s_hz, noise_sigma,
+                                seed)
     res = sar_resolutions(geom, chirp)
 
     dx = res["cross_range_resolution_m"] / oversample
@@ -441,18 +435,18 @@ def _run_sar_speckle(seed, sink, *, n_pix=128, sigma_mu=0.3, window=7, block_lev
     y = np.ones((n_pix, n_pix))
     q = n_pix // 8
     y[3 * q:4 * q, 3 * q:4 * q] = block_level
-    sp = apply_speckle(y, sigma_mu, seed)
-    filt = lee_filter(sp.z, sigma_mu, window)
+    z = apply_speckle(y, sigma_mu, seed)
+    filt = lee_filter(z, sigma_mu, window)
     flat = np.zeros((n_pix, n_pix), dtype=bool)
     flat[: 2 * q, :] = True  # far from the bright block
     metrics = {
-        "var_in": float(np.var(sp.z[flat])),
+        "var_in": float(np.var(z[flat])),
         "var_out": float(np.var(filt[flat])),
-        "var_ratio": float(np.var(filt[flat]) / np.var(sp.z[flat])),
+        "var_ratio": float(np.var(filt[flat]) / np.var(z[flat])),
         "mean_rel_err": float(abs(np.mean(filt[flat]) - 1.0)),
         "sigma_mu": sigma_mu,
     }
-    sink.image("speckled", sp.z, scale="power", dynamic_range_db=30.0)
+    sink.image("speckled", z, scale="power", dynamic_range_db=30.0)
     sink.image("filtered", filt, scale="power", dynamic_range_db=30.0)
     return metrics
 
@@ -465,7 +459,7 @@ def _run_qsar_budget(seed, sink, *, power_w=5.0, gain=3162.0, wavelength_m=0.03,
                    noise_figure, l_a_m, v_mps, theta_deg)
     qm = qsar_metrics(p)
     snr_db = np.linspace(sweep_lo_db, sweep_hi_db, n_sweep)
-    sweep = [detection_error_probabilities(s, unit="db") for s in snr_db]
+    sweep = [detection_error_probabilities(10.0 ** (s / 10.0)) for s in snr_db]
     sink.table("error_probabilities", {
         "snr_db": snr_db,
         "epsilon_c": np.array([e["epsilon_c"] for e in sweep]),
@@ -495,7 +489,7 @@ def _run_sas_recon(seed, sink, *, v_p_mps=3.2, tau_rec_s=0.05, n_pings=8, n_rx=4
     scene = SasScene(pts[[target1, target2]], np.array([1.0, amp2 * np.exp(0.8j)]))
     d = simulate_measurements(geom, scene, grid, noise_sigma, seed)
     model = build_sensing_model(geom, pts, grid)
-    cbf = sas_cbf(d, model)
+    cbf = model.adjoint(d)
     i_cbf = int(np.argmax(np.abs(cbf)))
 
     mu_max = lasso_mu_max(d, model)
@@ -578,20 +572,21 @@ def _run_fp_demo(seed, sink, *, n=96, na=0.25, wavelength_m=0.5e-6, dx_m=4.16666
     system = FpSystem(np.fft.fft2(obj, norm="ortho"), circular_pupil(n, radius),
                       offsets)
     frames = [fp_acquire(system, k) for k in range(system.n_leds)]
-    rec = fp_recover(frames, system, sweeps=sweeps)
-    cov = rec.coverage
-    err = phase_invariant_dist(rec.spectrum[cov], system.object_spectrum[cov])
+    spectrum = fp_recover(frames, system, sweeps=sweeps)
+    cov = system.coverage
+    err = phase_invariant_dist(spectrum[cov], system.object_spectrum[cov])
+    overlap = spectral_overlap(system)
     sink.image("truth_mag", np.abs(obj), scale="field", dynamic_range_db=40.0)
-    sink.image("recovered_mag", np.abs(rec.object_estimate), scale="field",
+    sink.image("recovered_mag", np.abs(np.fft.ifft2(spectrum, norm="ortho")), scale="field",
                dynamic_range_db=40.0)
     sink.image("frame0", frames[0], scale="power", dynamic_range_db=40.0)
     return {
         "pupil_radius_bins": radius,
         "n_leds": system.n_leds,
-        "spectral_overlap": spectral_overlap(system),
+        "spectral_overlap": overlap,
         "coverage_frac": float(cov.mean()),
         "band_recovery_err": err,
-        "unreliable": rec.unreliable,
+        "unreliable": overlap == 0.0,
     }
 
 
@@ -604,7 +599,7 @@ def _run_radiometry_roundtrip(seed, sink, *, n_u=17, du=0.45, sigma_l=0.15, n_th
         lambda th, ph: t_peak_k * np.exp(-np.sin(th) ** 2 / (2.0 * sigma_l ** 2)),
         n_theta, n_phi,
     )
-    baselines = BaselineSet.from_lattice(n_u, n_u, du)
+    baselines = BaselineSet(n_u, n_u, du)
     vis = visibility_samples(bmap, baselines)
     image = invert_visibilities(vis, baselines, clip_negative=clip_negative)
     ll, mm = np.meshgrid(image.l, image.m, indexing="ij")
@@ -641,6 +636,12 @@ def _run_waveform_ambiguity(seed, sink, *, bandwidth_hz=10e6, duration_s=10e-6,
                             sep_bins=12, ratio_db=40.0, rmmse_iterations=3, adc_bits=12):
     chirp = LfmChirp(0.0, bandwidth_hz, duration_s, 1.0)  # baseband
     env = sample_lfm(chirp, f_s_hz)
+    guard = int(np.ceil(4.0 * f_s_hz / chirp.bandwidth))  # skip the mainlobe
+    if guard > env.size - 2:
+        raise ValueError(
+            f"the pulse has {env.size} samples (duration_s * f_s_hz), too few to leave"
+            f" sidelobes outside the {guard}-sample mainlobe guard"
+            f" (4 * f_s_hz / bandwidth_hz); need at least {guard + 2}")
     t_max = 0.8 * chirp.duration
     f_max = 1.5 / chirp.duration
     delays = np.linspace(-t_max, t_max, n_delay)
@@ -653,7 +654,6 @@ def _run_waveform_ambiguity(seed, sink, *, bandwidth_hz=10e6, duration_s=10e-6,
 
     mf = np.abs(matched_filter(env, env))
     peak_idx = int(np.argmax(mf))
-    guard = int(np.ceil(4.0 * f_s_hz / chirp.bandwidth))  # skip the mainlobe
     side = np.delete(mf, np.arange(peak_idx - guard, peak_idx + guard + 1))
     mf_psl_db = 20.0 * np.log10(side.max() / mf[peak_idx])
 
@@ -678,7 +678,6 @@ def _run_waveform_ambiguity(seed, sink, *, bandwidth_hz=10e6, duration_s=10e-6,
             resid[lo:hi] = 0.0
     margin = 20.0 * np.log10(np.abs(rc[weak]) / max(resid.max(), 1e-30))
 
-    adc = adc_metrics(AdcModel(adc_bits, 1.0, f_s_hz))
     sink.image("ambiguity", surf.values, scale="power")
     sink.table("compression", {
         "bin": np.arange(n_bins),
@@ -694,7 +693,7 @@ def _run_waveform_ambiguity(seed, sink, *, bandwidth_hz=10e6, duration_s=10e-6,
         "rmmse_weak_true_db": -ratio_db,
         "rmmse_weak_margin_db": float(margin),
         "mf_weak_db": 20.0 * np.log10(mfp[weak]),
-        "adc_snr_ideal_db": adc["snr_ideal_db"],
+        "adc_snr_ideal_db": adc_snr_ideal_db(adc_bits),
     }
 
 

@@ -284,6 +284,15 @@ class FpSystem:
     def n_leds(self) -> int:
         return self.offsets.shape[0]
 
+    @property
+    def coverage(self) -> np.ndarray:
+        """Spectral cells inside at least one shifted pupil: the band a
+        recovery can fill."""
+        cov = np.zeros((self.n, self.n), dtype=bool)
+        for off in self.offsets:
+            cov |= np.roll(self.pupil, -off, axis=(0, 1))
+        return cov
+
 
 def fp_acquire(system: FpSystem, k) -> np.ndarray:
     """Intensity under the k-th oblique plane wave: the object spectrum
@@ -309,23 +318,15 @@ def spectral_overlap(system: FpSystem) -> float:
     return worst
 
 
-@dataclass(frozen=True)
-class FpRecovery:
-    object_estimate: np.ndarray
-    spectrum: np.ndarray
-    coverage: np.ndarray
-    unreliable: bool = False
-
-
-def fp_recover(intensities, system: FpSystem, sweeps=50) -> FpRecovery:
-    """Stitch a synthetic spectrum by alternating projections.
+def fp_recover(intensities, system: FpSystem, sweeps=50) -> np.ndarray:
+    """Stitch a synthetic object spectrum by alternating projections.
 
     Per LED: shift the working spectrum, keep the pupil passband,
     inverse transform, impose the measured magnitudes without touching
     the phase, transform back, and write the passband into place.  The
     on-axis (or first) measurement seeds the estimate.  Disjoint pupils
-    cannot exchange phase information, so that geometry is only flagged,
-    not repaired.
+    cannot exchange phase information; ``spectral_overlap(system) == 0``
+    marks that geometry, which is not repaired.
 
     The working spectrum is never rolled: each LED's passband is read
     and written through a flat index into it, computed once per LED, and
@@ -335,17 +336,12 @@ def fp_recover(intensities, system: FpSystem, sweeps=50) -> FpRecovery:
     n = system.n
     if intensities.shape != (system.n_leds, n, n):
         raise ValueError("need one intensity frame per LED")
-    unreliable = system.n_leds > 1 and spectral_overlap(system) == 0.0
 
     order = np.argsort(np.hypot(*np.asarray(system.offsets, dtype=float).T))
     seed_k = order[0]
     magnitudes = np.sqrt(intensities)
     est = np.fft.fft2(magnitudes[seed_k], norm="ortho")
     est = np.roll(est * system.pupil, -system.offsets[seed_k], axis=(0, 1)).ravel()
-
-    coverage = np.zeros((n, n), dtype=bool)
-    for off in system.offsets:
-        coverage |= np.roll(system.pupil, -off, axis=(0, 1))
 
     # np.roll(est, off)[p] is est[(p - off) % n] on each axis
     pupil_flat = np.flatnonzero(system.pupil)
@@ -359,10 +355,4 @@ def fp_recover(intensities, system: FpSystem, sweeps=50) -> FpRecovery:
             corrected = np.fft.fft2(magnitudes[k] * _sign(img), norm="ortho")
             est[passbands[k]] = corrected.ravel()[pupil_flat]
 
-    est = est.reshape(n, n)
-    return FpRecovery(
-        object_estimate=np.fft.ifft2(est, norm="ortho"),
-        spectrum=est,
-        coverage=coverage,
-        unreliable=unreliable,
-    )
+    return est.reshape(n, n)

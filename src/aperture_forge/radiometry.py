@@ -75,10 +75,6 @@ class BaselineSet:
         if not (np.isfinite(self.du) and self.du > 0):
             raise ValueError("du must be finite and positive")
 
-    @classmethod
-    def from_lattice(cls, n_u, n_v, du):
-        return cls(n_u, n_v, du)
-
     @property
     def u(self) -> np.ndarray:
         return (np.arange(self.n_u) - self.n_u // 2) * self.du

@@ -3,7 +3,6 @@ tomographic imaging, speckle handling, and link-budget metrics."""
 
 from .scene import (
     PhaseHistory,
-    PointScene,
     SarGeometry,
     Scatterer,
     sar_resolutions,
@@ -27,7 +26,7 @@ from .capon import (
     matched_image,
     synthesize_capon_data,
 )
-from .speckle import SpeckledImage, apply_speckle, lee_filter
+from .speckle import apply_speckle, lee_filter
 from .qsar import (
     QsarParams,
     detection_error_probabilities,

@@ -60,18 +60,11 @@ def snr_linear(p: QsarParams) -> float:
     return num / den
 
 
-def detection_error_probabilities(snr, unit="linear") -> dict:
-    """Classical vs entangled single-shot error bounds.
-
-    eps_c = exp(-snr/4)/2, eps_q = exp(-snr)/2; both consume the linear
-    ratio, so dB inputs must say so via unit="db".
+def detection_error_probabilities(snr) -> dict:
+    """Classical vs entangled single-shot error bounds at the linear
+    ``snr``: eps_c = exp(-snr/4)/2, eps_q = exp(-snr)/2.
     """
-    if unit == "db":
-        s = 10.0 ** (snr / 10.0)
-    elif unit == "linear":
-        s = float(snr)
-    else:
-        raise ValueError("unit must be 'linear' or 'db'")
+    s = float(snr)
     if s < 0.0:
         raise ValueError("snr must be nonnegative")
     return {
@@ -87,7 +80,7 @@ def qsar_metrics(p: QsarParams) -> dict:
     which imagery is considered unusable.
     """
     s = snr_linear(p)
-    eps = detection_error_probabilities(s, unit="linear")
+    eps = detection_error_probabilities(s)
     snr_db = 10.0 * np.log10(s)
     return {
         "snr_linear": s,

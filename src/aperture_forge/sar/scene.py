@@ -1,6 +1,6 @@
 """Point-scatterer scenes and the stop-and-hop phase-history simulator."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,16 +29,6 @@ class Scatterer:
     @property
     def slant_range(self) -> float:
         return abs(float(self.y0))
-
-
-@dataclass(frozen=True)
-class PointScene:
-    scatterers: tuple = field(default_factory=tuple)
-
-    def __post_init__(self):
-        object.__setattr__(self, "scatterers", tuple(self.scatterers))
-        if not self.scatterers:
-            raise ValueError("scene needs at least one scatterer")
 
 
 @dataclass(frozen=True)
@@ -106,14 +96,15 @@ def slant_range_history(scatterer: Scatterer, geom: SarGeometry) -> np.ndarray:
 
 
 def simulate_phase_history(
-    scene: PointScene,
+    scatterers,
     geom: SarGeometry,
     chirp: LfmChirp,
     f_s: float,
     noise_sigma: float = 0.0,
     seed: int | None = None,
 ) -> PhaseHistory:
-    """Forward-model the raw data matrix under stop-and-hop collection.
+    """Forward-model the raw data matrix of a sequence of ``Scatterer``s
+    under stop-and-hop collection.
 
     Each pulse sees every scatterer as a delayed copy of the transmit
     envelope at 2R/c with the echo chirp phase exp(-j*pi*K*(tau-2R/c)^2)
@@ -123,10 +114,13 @@ def simulate_phase_history(
     Scatterers whose round trip would spill past the pulse repetition
     interval are rejected as range-ambiguous.
     """
+    scatterers = tuple(scatterers)
+    if not scatterers:
+        raise ValueError("scene needs at least one scatterer")
     if f_s < chirp.bandwidth:
         raise ValueError("f_s must cover the chirp bandwidth")
     t = geom.slow_times()
-    histories = [slant_range_history(s, geom) for s in scene.scatterers]
+    histories = [slant_range_history(s, geom) for s in scatterers]
     r_min = min(h.min() for h in histories)
     r_max = max(h.max() for h in histories)
     pri = 1.0 / geom.prf
@@ -143,7 +137,7 @@ def simulate_phase_history(
     k_rate = chirp.rate
     lam = geom.wavelength
     data = np.zeros((n_fast, len(t)), dtype=complex)
-    for scat, r_of_t in zip(scene.scatterers, histories):
+    for scat, r_of_t in zip(scatterers, histories):
         delays = 2.0 * r_of_t / C_LIGHT
         arg = tau[:, None] - delays[None, :]
         envelope = np.abs(arg) <= half

@@ -1,37 +1,26 @@
 """Multiplicative speckle synthesis and local-statistics despeckling."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..core import noise_rng
 
 
-@dataclass(frozen=True)
-class SpeckledImage:
-    """Clean image y, unit-mean noise field zeta, and product z."""
-
-    y: np.ndarray
-    zeta: np.ndarray
-    z: np.ndarray
-
-
-def apply_speckle(y, sigma_mu, seed) -> SpeckledImage:
-    """Multiply y by i.i.d. unit-mean noise with variance sigma_mu**2.
+def apply_speckle(y, sigma_mu, seed) -> np.ndarray:
+    """The speckled image y * zeta, zeta i.i.d. unit-mean noise with
+    variance sigma_mu**2.
 
     The noise field is Gamma(1/sigma_mu**2, scale=sigma_mu**2): always
     positive, mean exactly 1, and for sigma_mu = 1/sqrt(looks) it is the
     usual multi-look intensity speckle.  The seed is mandatory so every
-    speckled product can be regenerated.  sigma_mu = 0 returns y
-    untouched with zeta = 1 everywhere.
+    speckled product can be regenerated.  sigma_mu = 0 returns a copy of
+    y.
     """
     y = np.asarray(y, dtype=float)
     rng = noise_rng(sigma_mu, seed, "sigma_mu")
     if rng is None:
-        return SpeckledImage(y, np.ones_like(y), y.copy())
+        return y.copy()
     shape = 1.0 / sigma_mu ** 2
-    zeta = rng.gamma(shape, scale=sigma_mu ** 2, size=y.shape)
-    return SpeckledImage(y, zeta, y * zeta)
+    return y * rng.gamma(shape, scale=sigma_mu ** 2, size=y.shape)
 
 
 def _box_mean(x, w):

@@ -124,6 +124,9 @@ class SensingModel:
         return np.einsum("pfmn,n->pfm", self.tensor, s)
 
     def adjoint(self, d_stack) -> np.ndarray:
+        """Delay-and-sum image: the coherent sum over pings and
+        frequencies.  A unit scatterer on a grid node integrates to exactly
+        P*F*M there."""
         d = np.asarray(d_stack, dtype=complex)
         if d.shape != self.tensor.shape[:3]:
             raise ValueError("data stack shape does not match the model")
@@ -147,13 +150,6 @@ def simulate_measurements(geom: SasGeometry, scene: SasScene, grid,
     """d(p, f) stacks over all receivers: A s plus complex white noise."""
     model = build_sensing_model(geom, scene.points, grid)
     return add_complex_noise(model.forward(scene.amplitudes), noise_sigma, seed)
-
-
-def sas_cbf(d_stack, model: SensingModel) -> np.ndarray:
-    """Delay-and-sum estimate: coherent adjoint sum over pings and
-    frequencies.  A unit scatterer on a grid node integrates to exactly
-    P*F*M there."""
-    return model.adjoint(d_stack)
 
 
 def _soft_threshold(s, t):

@@ -1,9 +1,7 @@
 """Synthetic-aperture channel sounding: sweeps, lattices, beams, PADPs."""
 
 from .arrays import (
-    AnnealSchedule,
     SamplingLattice,
-    SparseLatticeResult,
     array_factor,
     fib_weights,
     natural_beamwidth,

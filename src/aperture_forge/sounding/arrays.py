@@ -2,8 +2,6 @@
 true-time-delay beam steering, frequency-invariant weight design, and
 simulated-annealing lattice thinning."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..core import C_LIGHT, Direction, seeded_rng
@@ -186,22 +184,6 @@ def fib_weights(
     return out
 
 
-@dataclass(frozen=True)
-class AnnealSchedule:
-    """Cooling plan for the lattice thinning annealer: ``n_steps`` moves,
-    the temperature cut by 5% every ``cool_every`` of them."""
-
-    n_steps: int = 4000
-    cool_every: int = 100
-
-
-@dataclass
-class SparseLatticeResult:
-    lattice: SamplingLattice
-    psl_db: float
-    met_bound: bool
-
-
 def _psl_db(pattern, side_idx, peak):
     """Peak sidelobe of a complex pattern over the flat indices
     ``side_idx``, in dB below ``peak``."""
@@ -211,12 +193,12 @@ def _psl_db(pattern, side_idx, peak):
 def optimize_sparse_lattice(
     full_lattice: SamplingLattice,
     keep_fraction: float,
-    schedule: AnnealSchedule | None = None,
+    n_steps: int = 4000,
+    cool_every: int = 100,
     seed: int | None = None,
     f_eval: float = 40e9,
     uv_points: int = 97,
-    psl_bound_db: float = -13.0,
-) -> SparseLatticeResult:
+) -> tuple[SamplingLattice, float]:
     """Thin a rectangular lattice by simulated annealing on peak sidelobe.
 
     Keeps ``round(keep_fraction * M * N)`` elements active and proposes
@@ -228,17 +210,16 @@ def optimize_sparse_lattice(
     ``uv_points``-square sine-space grid.  A mainlobe disc of 1.25
     first-null radii is excluded; the default odd grid size keeps the
     principal cuts and the u = +-1 rim on the grid.  Uphill moves are
-    accepted with the Metropolis probability under geometric cooling; the
-    best mask seen wins.
+    accepted with the Metropolis probability over ``n_steps`` moves, the
+    temperature cut by 5% every ``cool_every`` of them; the best mask seen
+    wins.  Returns the thinned lattice and its peak sidelobe in dB.
 
     The pattern is maintained by rank-one updates (a swap only moves two
-    elements) with periodic full recomputation.  ``met_bound`` reports
-    whether the final peak sidelobe clears ``psl_bound_db``.  A None
-    ``seed`` raises ValueError.
+    elements) with periodic full recomputation.  A None ``seed`` raises
+    ValueError.
     """
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError("keep_fraction must be in (0, 1]")
-    sched = schedule or AnnealSchedule()
     rng = seeded_rng(seed, "thinning a lattice")
     pos = full_lattice.positions
     n_total = len(pos)
@@ -263,9 +244,7 @@ def optimize_sparse_lattice(
         return _psl_db(full_pattern(active_idx), side_idx, len(active_idx))
 
     if n_keep == n_total:
-        idx = np.arange(n_total)
-        psl = psl_of(idx)
-        return SparseLatticeResult(full_lattice, psl, psl <= psl_bound_db)
+        return full_lattice, psl_of(np.arange(n_total))
 
     active = rng.permutation(n_total)[:n_keep]
     active_set = np.zeros(n_total, dtype=bool)
@@ -279,8 +258,8 @@ def optimize_sparse_lattice(
     current = _psl_db(pattern, side_idx, n_keep)
     best_mask = active_set.copy()
     best = current
-    for step in range(sched.n_steps):
-        if step and step % sched.cool_every == 0:
+    for step in range(n_steps):
+        if step and step % cool_every == 0:
             temp *= 0.95
         on = np.flatnonzero(active_set)
         off = np.flatnonzero(~active_set)
@@ -300,5 +279,4 @@ def optimize_sparse_lattice(
             # resync the incrementally updated pattern against drift
             pattern = full_pattern(np.flatnonzero(active_set))
             current = _psl_db(pattern, side_idx, n_keep)
-    out = full_lattice.with_mask(best_mask)
-    return SparseLatticeResult(out, best, best <= psl_bound_db)
+    return full_lattice.with_mask(best_mask), best

@@ -29,8 +29,8 @@ class ChannelRay:
     def __post_init__(self):
         if self.kind not in ("plane", "point"):
             raise ValueError("kind must be 'plane' or 'point'")
-        if self.kind == "plane" and self.u ** 2 + self.v ** 2 > 1.0 + 1e-12:
-            raise ValueError("plane-wave ray outside visible space")
+        if self.kind == "plane":
+            Direction(self.u, self.v)  # rejects non-finite or invisible (u, v)
         if self.kind == "point" and self.position is None:
             raise ValueError("point ray needs a position")
 

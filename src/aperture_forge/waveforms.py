@@ -141,25 +141,12 @@ def lfm_ambiguity_closed_form(chirp: LfmChirp, tau, f_d):
     return out if out.shape else float(out)
 
 
-@dataclass(frozen=True)
-class AdcModel:
-    """Ideal ADC description: bit depth, full-scale voltage, sample rate."""
-
-    bits: int
-    v_fs: float
-    f_s: float
-
-    def __post_init__(self):
-        if self.bits < 1:
-            raise ValueError("bits must be >= 1")
-        if self.v_fs <= 0 or self.f_s <= 0:
-            raise ValueError("v_fs and f_s must be positive")
-
-
-def adc_metrics(model: AdcModel) -> dict:
-    """Ideal SNR by the full-scale sinusoid rule 6.02*B + 1.76 dB (only
-    approximate below 4 bits)."""
-    return {"snr_ideal_db": 6.02 * model.bits + 1.76}
+def adc_snr_ideal_db(bits: int) -> float:
+    """Ideal SNR of a ``bits``-bit ADC by the full-scale sinusoid rule
+    6.02*B + 1.76 dB (only approximate below 4 bits)."""
+    if bits < 1:
+        raise ValueError("bits must be >= 1")
+    return 6.02 * bits + 1.76
 
 
 # Covariance rows filled per GEMM: the outer-product scratch is then

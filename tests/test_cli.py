@@ -441,6 +441,7 @@ def test_non_finite_metric_exits_6_without_a_report(tmp_path, capsys, scenario, 
     ("pr-recover", {"problem_kind": "bogus"}, "problem_kind must be"),
     ("sas-recon", {"target2": 190}, "target2 190 is not a cell"),
     ("sas-recon", {"target1": -1}, "target1 -1 is not a cell"),
+    ("waveform-ambiguity", {"duration_s": 4.4e-7}, "duration_s"),
 ])
 def test_invalid_library_input_exits_6_without_a_report(tmp_path, capsys, scenario, params,
                                                         message):

@@ -14,7 +14,6 @@ from aperture_forge.core import (
     wavenumber_spectrum,
 )
 from aperture_forge.sar import (
-    PointScene,
     SarGeometry,
     Scatterer,
     simulate_phase_history,
@@ -206,7 +205,7 @@ def test_fft_convolve_matches_scipy_along_axis0(n_rows, n_kernel, n_cols):
 
 def _phase_history(sigma, seed):
     geom = SarGeometry(v=100.0, prf=400.0, t_coh=0.02, r1=1000.0, wavelength=0.03)
-    scene = PointScene((Scatterer(0.0, 1000.0),))
+    scene = [Scatterer(0.0, 1000.0)]
     return simulate_phase_history(scene, geom, LfmChirp(10e9, 150e6, 2e-6), 200e6,
                                   sigma, seed)
 

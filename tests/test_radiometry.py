@@ -60,32 +60,32 @@ def negation_closed(uv):
 
 
 def test_lattice_negation_closure():
-    assert negation_closed(BaselineSet.from_lattice(5, 5, 0.5).uv)
+    assert negation_closed(BaselineSet(5, 5, 0.5).uv)
     # even count puts -N/2 on the grid without its mirror
-    assert not negation_closed(BaselineSet.from_lattice(4, 4, 0.5).uv)
+    assert not negation_closed(BaselineSet(4, 4, 0.5).uv)
 
 
 def test_baseline_validation():
     for n_u, n_v in [(0, 5), (5, 0)]:
         with pytest.raises(ValueError, match="n_u, n_v >= 1"):
-            BaselineSet.from_lattice(n_u, n_v, 0.5)
+            BaselineSet(n_u, n_v, 0.5)
     for du in [0.0, -0.5, np.inf, np.nan]:
         with pytest.raises(ValueError, match="du must be finite and positive"):
-            BaselineSet.from_lattice(5, 5, du)
+            BaselineSet(5, 5, du)
 
 
 # ------------------------------------------------------------- visibility
 
 def test_boresight_point_source_flat_visibility():
     bmap = boresight_point_map(t_total=50.0)
-    bl = BaselineSet.from_lattice(9, 9, 0.5)
+    bl = BaselineSet(9, 9, 0.5)
     v = visibility_samples(bmap, bl)
     assert np.allclose(v, 50.0, rtol=1e-3)
 
 
 def test_zero_baseline_visibility_is_total_temperature():
     bmap = gaussian_blob_map(n_theta=40, n_phi=80)
-    bl = BaselineSet.from_lattice(5, 4, 0.5)
+    bl = BaselineSet(5, 4, 0.5)
     zero = (5 // 2) * 4 + 4 // 2  # u-major index of (n_u // 2, n_v // 2)
     assert np.array_equal(bl.uv[zero], [0.0, 0.0])
     v = visibility_samples(bmap, bl)
@@ -97,7 +97,7 @@ def test_hermitian_symmetry_for_real_maps():
     rng = np.random.default_rng(3)
     vals = rng.random((30, 60)) + 0.2
     bmap = BrightnessMap(vals)
-    bl = BaselineSet.from_lattice(5, 5, 0.4)
+    bl = BaselineSet(5, 5, 0.4)
     assert negation_closed(bl.uv)
     v = visibility_samples(bmap, bl)
     scale = np.max(np.abs(v))
@@ -112,7 +112,7 @@ def test_visibility_linear_in_brightness(c):
     rng = np.random.default_rng(4)
     a = rng.random((20, 40))
     b = rng.random((20, 40))
-    bl = BaselineSet.from_lattice(4, 3, 0.75)
+    bl = BaselineSet(4, 3, 0.75)
     v_sum = visibility_samples(BrightnessMap(a + c * b), bl)
     v_a = visibility_samples(BrightnessMap(a), bl)
     v_b = visibility_samples(BrightnessMap(b), bl)
@@ -120,7 +120,7 @@ def test_visibility_linear_in_brightness(c):
 
 
 @pytest.mark.parametrize("block", [None, 1000])
-@pytest.mark.parametrize("make_set", [lambda: BaselineSet.from_lattice(9, 7, 0.45)],
+@pytest.mark.parametrize("make_set", [lambda: BaselineSet(9, 7, 0.45)],
                          ids=["lattice"])
 def test_visibilities_match_direct_quadrature(make_set, block, monkeypatch):
     if block is not None:  # walk the quadrature in several ragged blocks
@@ -139,7 +139,7 @@ def test_visibility_peak_memory_at_scenario_defaults():
     # 120 x 240 map and 17 x 17 lattice as in radiometry-roundtrip; a
     # table of one ramp per baseline would take 289 * 28800 * 16 B = 133 MB
     bmap = gaussian_blob_map()
-    bl = BaselineSet.from_lattice(17, 17, 0.45)
+    bl = BaselineSet(17, 17, 0.45)
     tracemalloc.start()
     try:
         visibility_samples(bmap, bl)
@@ -152,7 +152,7 @@ def test_visibility_peak_memory_at_scenario_defaults():
 # -------------------------------------------------------------- inversion
 
 def test_zero_visibilities_zero_image():
-    bl = BaselineSet.from_lattice(9, 9, 0.5)
+    bl = BaselineSet(9, 9, 0.5)
     img = invert_visibilities(np.zeros(81), bl)
     assert np.all(img.values == 0)
     assert img.info["negative_fraction"] == 0.0
@@ -160,7 +160,7 @@ def test_zero_visibilities_zero_image():
 
 def test_point_source_inverts_to_boresight_peak():
     bmap = boresight_point_map(t_total=10.0, n_theta=500)
-    bl = BaselineSet.from_lattice(17, 17, 0.5)
+    bl = BaselineSet(17, 17, 0.5)
     img = invert_visibilities(visibility_samples(bmap, bl), bl)
     peak = np.unravel_index(np.argmax(img.values), img.values.shape)
     assert peak == (8, 8)
@@ -170,13 +170,13 @@ def test_point_source_inverts_to_boresight_peak():
 def test_blob_roundtrip_and_extent_sweep():
     sigma_l = 0.15
     bmap = gaussian_blob_map(sigma_l)
-    big = BaselineSet.from_lattice(32, 32, 0.5)
+    big = BaselineSet(32, 32, 0.5)
     v_big = visibility_samples(bmap, big).reshape(32, 32)
 
     def roundtrip_error(n):
         # the n-point lattice is a centered subset of the 32-point one
         lo = 16 - n // 2
-        bl = BaselineSet.from_lattice(n, n, 0.5)
+        bl = BaselineSet(n, n, 0.5)
         img = invert_visibilities(v_big[lo:lo + n, lo:lo + n].ravel(), bl)
         truth = np.exp(-(img.l[:, None] ** 2 + img.m[None, :] ** 2)
                        / (2 * sigma_l ** 2))
@@ -191,7 +191,7 @@ def test_blob_roundtrip_and_extent_sweep():
 
 def test_negative_ringing_reported_and_clipped_on_request():
     bmap = gaussian_blob_map(n_theta=60, n_phi=120)
-    bl = BaselineSet.from_lattice(16, 16, 0.5)
+    bl = BaselineSet(16, 16, 0.5)
     v = visibility_samples(bmap, bl)
     raw = invert_visibilities(v, bl)
     clipped = invert_visibilities(v, bl, clip_negative=True)
@@ -204,7 +204,7 @@ def test_negative_ringing_reported_and_clipped_on_request():
 def test_jacobian_correction_scales_off_axis():
     # the raw inverse DFT returns T_r / cos(theta); the image is that
     # times cos(theta) = sqrt(1 - l^2 - m^2) on the disc, zero off it
-    bl = BaselineSet.from_lattice(9, 9, 0.5)
+    bl = BaselineSet(9, 9, 0.5)
     v = np.random.default_rng(0).standard_normal(81) + 0j
     img = invert_visibilities(v, bl)
     raw = np.array([[0.25 * np.sum(v * np.exp(-2j * np.pi * (l * bl.uv[:, 0]
@@ -219,8 +219,8 @@ def test_jacobian_correction_scales_off_axis():
 
 def test_inversion_rejects_bad_lattices():
     with pytest.raises(ValueError, match="one visibility per baseline"):
-        invert_visibilities(np.zeros(24), BaselineSet.from_lattice(5, 5, 0.5))
-    coarse = BaselineSet.from_lattice(5, 5, 0.6)
+        invert_visibilities(np.zeros(24), BaselineSet(5, 5, 0.5))
+    coarse = BaselineSet(5, 5, 0.6)
     with pytest.raises(ValueError, match="0.5"):
         invert_visibilities(np.zeros(25), coarse)
 

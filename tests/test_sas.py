@@ -11,7 +11,6 @@ from aperture_forge.sas import (
     SensingModel,
     build_sensing_model,
     lasso_mu_max,
-    sas_cbf,
     sas_resolutions,
     sas_sparse,
     simulate_measurements,
@@ -186,19 +185,19 @@ def test_simulation_rejects_scene_beyond_swath():
 def test_cbf_peaks_exactly_on_true_node():
     idx = 90
     d = simulate_measurements(GEOM, one_point_scene(idx), GRID)
-    s_hat = sas_cbf(d, default_model())
+    s_hat = default_model().adjoint(d)
     assert int(np.argmax(np.abs(s_hat))) == idx
     assert s_hat[idx] == pytest.approx(PFM, rel=1e-12)
 
 
 def test_cbf_zero_data_zero_image():
-    s_hat = sas_cbf(np.zeros((16, 16, 8), dtype=complex), default_model())
+    s_hat = default_model().adjoint(np.zeros((16, 16, 8), dtype=complex))
     assert np.all(s_hat == 0)
 
 
 def test_cbf_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        sas_cbf(np.zeros((16, 16, 7), dtype=complex), default_model())
+        default_model().adjoint(np.zeros((16, 16, 7), dtype=complex))
 
 
 def test_cbf_width_tracks_transducer_size():
@@ -219,7 +218,7 @@ def test_cbf_width_tracks_transducer_size():
         model = SensingModel(g, pts, np.array([f0]))
         scene = SasScene(pts, (np.arange(161) == 80).astype(complex))
         d = simulate_measurements(g, scene, np.array([f0]))
-        width = width_at_half_power(sas_cbf(d, model), dy)
+        width = width_at_half_power(model.adjoint(d), dy)
         assert width == pytest.approx(d_t / 2.0, rel=0.15)
 
 
@@ -239,7 +238,7 @@ def test_cbf_noise_floor_scales_with_stack_size():
         for draw in range(4):
             d = simulate_measurements(g, scene, GRID, noise_sigma=sigma,
                                       seed=100 * i + draw)
-            acc.append(np.mean(np.abs(sas_cbf(d, model)) ** 2))
+            acc.append(np.mean(np.abs(model.adjoint(d)) ** 2))
         powers.append(np.mean(acc))
     powers = np.asarray(powers)
     expected = sigma ** 2 * pings * GRID.s * GEOM.n_receivers

@@ -6,9 +6,8 @@ from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
 from aperture_forge.waveforms import (
-    AdcModel,
     LfmChirp,
-    adc_metrics,
+    adc_snr_ideal_db,
     ambiguity_surface,
     lfm_ambiguity_closed_form,
     matched_filter,
@@ -169,22 +168,19 @@ def test_closed_form_special_points():
 
 
 def test_adc_frozen_values():
-    m = adc_metrics(AdcModel(bits=12, v_fs=2.0, f_s=1e6))
-    assert m["snr_ideal_db"] == pytest.approx(74.0, abs=1e-9)
-    assert sorted(m) == ["snr_ideal_db"]
+    assert adc_snr_ideal_db(12) == pytest.approx(74.0, abs=1e-9)
 
 
 def test_adc_low_bit_caveat():
-    m = adc_metrics(AdcModel(bits=1, v_fs=1.0, f_s=1e6))
-    assert m["snr_ideal_db"] == pytest.approx(7.78)
+    assert adc_snr_ideal_db(1) == pytest.approx(7.78)
     with pytest.raises(ValueError):
-        AdcModel(bits=0, v_fs=1.0, f_s=1e6)
+        adc_snr_ideal_db(0)
 
 
 @given(bits=st.integers(1, 24))
 def test_adc_affine_in_bits(bits):
-    lo = adc_metrics(AdcModel(bits=bits, v_fs=1.0, f_s=1.0))["snr_ideal_db"]
-    hi = adc_metrics(AdcModel(bits=bits + 1, v_fs=1.0, f_s=1.0))["snr_ideal_db"]
+    lo = adc_snr_ideal_db(bits)
+    hi = adc_snr_ideal_db(bits + 1)
     assert hi - lo == pytest.approx(6.02, abs=1e-12)
 
 
