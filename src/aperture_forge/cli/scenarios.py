@@ -210,7 +210,7 @@ def _run_sound_padp(seed, sink, *, m=8, n=8, d_m=0.00545, f_start_hz=26.5e9,
                     map_points=41, rho=0.4, phi_rad=2.0, noise_sigma=0.0):
     if noise_sigma > 0.0:
         _require_seed(seed, "sound-padp with noise_sigma > 0")
-    lat = SamplingLattice.rectangular(m, n, d_m, d_m)
+    lat = SamplingLattice(m, n, d_m, d_m)
     grid = FrequencyGrid(f_start_hz, f_stop_hz, df_hz)
     src = (src_x_m, src_y_m, src_z_m)
     rays = [
@@ -223,11 +223,9 @@ def _run_sound_padp(seed, sink, *, m=8, n=8, d_m=0.00545, f_start_hz=26.5e9,
     pdp = padp(sweep, look)
     i_pk = int(np.argmax(pdp.power))
 
-    # angle map at the strongest ray's delay bin (snapped to the lattice)
-    n_bins = grid.s * grid.df
-    tau_bin = round(tau1_ns * 1e-9 * n_bins) / n_bins
+    # angle map at the unpadded delay bin nearest the strongest ray
     uv = np.linspace(-0.8, 0.8, map_points)
-    slc = delay_slice(sweep, uv, uv, tau_bin)
+    slc = delay_slice(sweep, uv, uv, round(tau1_ns * 1e-9 * grid.s * grid.df))
 
     src_range = float(np.linalg.norm(src))
     src_look = Direction(src[0] / src_range, src[1] / src_range)
@@ -267,7 +265,7 @@ FIB_TONES = 11
 def _run_sound_squint(seed, sink, *, m=16, n=16, d_m=0.00375, f_design_hz=26.51e9,
                       f_eval_hz=40e9, f_start_hz=26.5e9, f_stop_hz=40e9, u0=0.4, n_u=801,
                       map_tones=8, fib_m=8):
-    lat = SamplingLattice.rectangular(m, n, d_m, d_m)
+    lat = SamplingLattice(m, n, d_m, d_m)
     look = Direction(u0, 0.0)
     u = np.linspace(-0.1, u0 + 0.2, n_u)
     w_nb = np.conj(steering_vector(lat, look, f_design_hz))  # phases frozen at f_design
@@ -282,7 +280,7 @@ def _run_sound_squint(seed, sink, *, m=16, n=16, d_m=0.00375, f_design_hz=26.51e
     )
 
     # per-tone equalized weights hold the beamwidth across the sweep
-    lat8 = SamplingLattice.rectangular(fib_m, fib_m, d_m, d_m)
+    lat8 = SamplingLattice(fib_m, fib_m, d_m, d_m)
     span = f_stop_hz - f_start_hz
     fib_grid = FrequencyGrid(f_start_hz, f_stop_hz, span / (FIB_TONES - 1))
     target = 1.02 * natural_beamwidth(lat8, fib_grid.f_start)
@@ -309,7 +307,7 @@ def _run_sound_squint(seed, sink, *, m=16, n=16, d_m=0.00375, f_design_hz=26.51e
 def _run_sound_sparse(seed, sink, *, m=16, n=16, d_m=0.00375, keep_fraction=0.5,
                       n_steps=1200, cool_every=60, f_eval_hz=40e9, uv_points=65,
                       psl_bound_db=-13.0):
-    full = SamplingLattice.rectangular(m, n, d_m, d_m)
+    full = SamplingLattice(m, n, d_m, d_m)
     thin, psl_db = optimize_sparse_lattice(full, keep_fraction, n_steps, cool_every, seed,
                                            f_eval_hz, uv_points)
     uv = np.linspace(-1.0, 1.0, uv_points)

@@ -8,35 +8,29 @@ from ..core import C_LIGHT, Direction, seeded_rng
 
 
 class SamplingLattice:
-    """Planar spatial-sample lattice with an activity mask.
+    """Planar M x N positioner grid with an activity mask.
 
-    Built from an M x N rectangular grid centered on the origin of the
-    z = 0 plane; a boolean mask marks which positions are actually
-    occupied so thinned (sparse) lattices share the representation.
+    The axes ``x`` and ``y`` are centered on the origin of the z = 0 plane,
+    and point i*N + j sits at (x[i], y[j], 0).  A boolean mask marks which
+    points are occupied, so thinned (sparse) lattices share the grid.
     """
 
-    def __init__(self, positions, d_x: float, d_y: float, shape, mask=None):
-        self.positions = np.asarray(positions, dtype=float)
-        if self.positions.ndim != 2 or self.positions.shape[1] != 3:
-            raise ValueError("positions must be (P, 3)")
-        if np.any(self.positions[:, 2] != 0.0):
-            raise ValueError("lattice positions must lie in the z = 0 plane")
-        self.d_x = float(d_x)
-        self.d_y = float(d_y)
-        if mask is None:
-            mask = np.ones(len(self.positions), dtype=bool)
-        self.mask = np.asarray(mask, dtype=bool)
-        if self.mask.shape != (len(self.positions),):
-            raise ValueError("mask length must match positions")
-        self.shape = tuple(shape)
+    def __init__(self, m: int, n: int, d_x: float, d_y: float, mask=None):
+        if not (m >= 1 and n >= 1 and 0 < d_x < np.inf and 0 < d_y < np.inf):
+            raise ValueError(f"lattice needs m, n >= 1 and finite d_x, d_y > 0"
+                             f" (got m={m}, n={n}, d_x={d_x}, d_y={d_y})")
+        self.shape = (m, n)
+        self.d_x, self.d_y = float(d_x), float(d_y)
+        self.x = (np.arange(m) - (m - 1) / 2.0) * d_x
+        self.y = (np.arange(n) - (n - 1) / 2.0) * d_y
+        self.mask = np.ones(m * n, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+        if self.mask.shape != (m * n,):
+            raise ValueError("mask length must match m * n")
 
-    @classmethod
-    def rectangular(cls, m: int, n: int, d_x: float, d_y: float) -> "SamplingLattice":
-        ix = (np.arange(m) - (m - 1) / 2.0) * d_x
-        iy = (np.arange(n) - (n - 1) / 2.0) * d_y
-        xx, yy = np.meshgrid(ix, iy, indexing="ij")
-        pos = np.column_stack([xx.ravel(), yy.ravel(), np.zeros(m * n)])
-        return cls(pos, d_x, d_y, (m, n))
+    @property
+    def positions(self) -> np.ndarray:
+        xx, yy = np.meshgrid(self.x, self.y, indexing="ij")
+        return np.column_stack([xx.ravel(), yy.ravel(), np.zeros(xx.size)])
 
     def active_positions(self) -> np.ndarray:
         return self.positions[self.mask]
@@ -46,7 +40,7 @@ class SamplingLattice:
         return int(self.mask.sum())
 
     def with_mask(self, mask) -> "SamplingLattice":
-        return SamplingLattice(self.positions, self.d_x, self.d_y, self.shape, mask)
+        return SamplingLattice(*self.shape, self.d_x, self.d_y, mask)
 
     def alias_free(self, lambda_min: float) -> bool:
         """True when the largest nearest-neighbor gap is at most lambda/2."""
@@ -63,21 +57,21 @@ class SamplingLattice:
         return worst <= lambda_min / 2.0
 
 
-def _axis_ramps(pos, k, u, v):
+def _axis_ramps(lattice: SamplingLattice, f: float, u, v):
     """Separable factors exp(jk*x*u) (P, len(u)) and exp(jk*y*v) (P, len(v))
-    of the planar steering phase on a (u, v) tensor grid.
+    of the planar steering phase at tone ``f`` on a (u, v) tensor grid.
 
     The one home for planar steering: every steering vector, beam and
     weight design in the package multiplies these factors, on the grid or
     gathered to (u, v) pairs, and exponentiates no steering phase itself.
 
-    Each row is exponentiated once per distinct x (or y) coordinate and
-    gathered to the positions: an M x N lattice takes M + N rows of
+    Each row is exponentiated once per axis coordinate and gathered to
+    the active elements: an M x N lattice takes M + N rows of
     exponentials, not 2MN, with the same bits."""
-    xs, ix = np.unique(pos[:, 0], return_inverse=True)
-    ys, iy = np.unique(pos[:, 1], return_inverse=True)
-    ex = np.exp(1j * k * xs[:, None] * u[None, :])[ix]
-    ey = np.exp(1j * k * ys[:, None] * v[None, :])[iy]
+    k = 2.0 * np.pi * f / C_LIGHT
+    ix, iy = np.divmod(np.flatnonzero(lattice.mask), lattice.shape[1])
+    ex = np.exp(1j * k * lattice.x[:, None] * u[None, :])[ix]
+    ey = np.exp(1j * k * lattice.y[:, None] * v[None, :])[iy]
     return ex, ey
 
 
@@ -88,15 +82,13 @@ def array_factor(lattice: SamplingLattice, weights, u, v, f: float):
     pattern on their tensor grid, shape (len(u), len(v)).  Weights run
     over the active elements only.
     """
-    pos = lattice.active_positions()
     w = np.asarray(weights, dtype=complex)
-    if w.shape != (len(pos),):
+    if w.shape != (lattice.n_active,):
         raise ValueError("weights must match the active element count")
-    k = 2.0 * np.pi * f / C_LIGHT
     scalar = np.isscalar(u) and np.isscalar(v)
     u = np.atleast_1d(np.asarray(u, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    ex, ey = _axis_ramps(pos, k, u, v)
+    ex, ey = _axis_ramps(lattice, f, u, v)
     out = ex.T @ (w[:, None] * ey)
     return out[0, 0] if scalar else out
 
@@ -106,9 +98,8 @@ def steering_vector(lattice: SamplingLattice, direction: Direction, f: float) ->
     beamforming via w^H y.  A narrowband phase shifter is this vector at
     its design tone, applied unchanged to every other tone (beam squint).
     """
-    k = 2.0 * np.pi * f / C_LIGHT
     u, v = np.array([direction.u]), np.array([direction.v])
-    ex, ey = _axis_ramps(lattice.active_positions(), k, u, v)
+    ex, ey = _axis_ramps(lattice, f, u, v)
     return ex[:, 0] * ey[:, 0]
 
 
@@ -146,8 +137,7 @@ def fib_weights(
         )
     if beamwidth_target >= 1.0:
         raise ValueError("target width must be well inside visible space")
-    pos = lattice.active_positions()
-    p = len(pos)
+    p = lattice.n_active
     r_mask = 0.75 * beamwidth_target
     axis = np.linspace(-1.0, 1.0, 48)  # coarse sidelobe grid over visible space
     uu, vv = np.meshgrid(axis, axis, indexing="ij")
@@ -168,10 +158,9 @@ def fib_weights(
     out = np.empty((len(freqs), p), dtype=complex)
     for i, f in enumerate(freqs):
         v0 = steering_vector(lattice, direction, f)
-        k = 2.0 * np.pi * f / C_LIGHT
-        ex, ey = _axis_ramps(pos, k, axis, axis)
+        ex, ey = _axis_ramps(lattice, f, axis, axis)
         v_side = ex[:, side[0]] * ey[:, side[1]]
-        ex, ey = _axis_ramps(pos, k, mu[:, 0], mv[0])
+        ex, ey = _axis_ramps(lattice, f, mu[:, 0], mv[0])
         v_main = ex[:, main[0]] * ey[:, main[1]]
         g = v_side @ np.conj(v_side.T) + gamma * (v_main @ np.conj(v_main.T))
         g += 1e-4 * 2 * n_side * np.eye(p)  # ridge keeps the solves well posed
@@ -199,7 +188,7 @@ def optimize_sparse_lattice(
     f_eval: float = 40e9,
     uv_points: int = 97,
 ) -> tuple[SamplingLattice, float]:
-    """Thin a rectangular lattice by simulated annealing on peak sidelobe.
+    """Thin an M x N lattice by simulated annealing on peak sidelobe.
 
     Keeps ``round(keep_fraction * M * N)`` elements active and proposes
     count-preserving swaps of one active with one inactive element.  The
@@ -221,21 +210,23 @@ def optimize_sparse_lattice(
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError("keep_fraction must be in (0, 1]")
     rng = seeded_rng(seed, "thinning a lattice")
-    pos = full_lattice.positions
-    n_total = len(pos)
+    n_total = full_lattice.mask.size
     n_keep = int(round(keep_fraction * n_total))
     if n_keep < 2:
         raise ValueError("keep_fraction keeps fewer than two elements")
 
-    k = 2.0 * np.pi * f_eval / C_LIGHT
     axis = np.linspace(-1.0, 1.0, uv_points)
     uu, vv = np.meshgrid(axis, axis, indexing="ij")
     visible = uu ** 2 + vv ** 2 <= 1.0
-    m, n = full_lattice.shape
-    null_radius = C_LIGHT / (f_eval * m * full_lattice.d_x)
+    null_radius = C_LIGHT / (f_eval * full_lattice.shape[0] * full_lattice.d_x)
     side_idx = np.flatnonzero(visible & (uu ** 2 + vv ** 2 > (1.25 * null_radius) ** 2))
+    if side_idx.size == 0:
+        raise ValueError(
+            f"uv_points={uv_points} puts no sine-space cell outside the mainlobe disc"
+        )
 
-    ex, ey = _axis_ramps(pos, k, axis, axis)
+    # ramps over the whole grid, whatever the input mask
+    ex, ey = _axis_ramps(full_lattice.with_mask(None), f_eval, axis, axis)
 
     def full_pattern(active_idx):
         return ex[active_idx].T @ ey[active_idx]

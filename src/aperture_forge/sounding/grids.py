@@ -17,11 +17,12 @@ class FrequencyGrid:
     df: float
 
     def __post_init__(self):
+        got = f"f_start={self.f_start}, f_stop={self.f_stop}, df={self.df}"
         if self.f_start <= 0 or self.df <= 0 or self.f_stop <= self.f_start:
-            raise ValueError("need 0 < f_start < f_stop and df > 0")
+            raise ValueError(f"need 0 < f_start < f_stop and df > 0 (got {got})")
         n = (self.f_stop - self.f_start) / self.df
         if abs(n - round(n)) > 1e-6:
-            raise ValueError("span must be an integer number of steps")
+            raise ValueError(f"span is {n:.6g} steps, not a whole number (got {got})")
 
     @property
     def s(self) -> int:

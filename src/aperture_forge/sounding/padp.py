@@ -154,24 +154,18 @@ def padp(sweep: SweepData, direction: Direction) -> Pdp:
     return Pdp(delays=delays, amplitude=amp)
 
 
-def delay_slice(sweep: SweepData, u_axis, v_axis, tau: float) -> np.ndarray:
-    """Evaluate the untapered delay-domain IDFT at one bin over an angle
-    grid, as a complex (len(u_axis), len(v_axis)) map.
+def delay_slice(sweep: SweepData, u_axis, v_axis, m: int) -> np.ndarray:
+    """Evaluate the untapered delay-domain IDFT at bin ``m`` of the
+    unpadded delay grid (step 1/(S df)) over an angle grid, as a complex
+    (len(u_axis), len(v_axis)) map.
 
-    x(tau_m; u, v) = (1/S) sum_s b(f_s; u, v) exp(j*2*pi*m*s/S), where m
-    is ``tau`` expressed on the unpadded delay grid.  Off-grid delays are
-    rejected; interpolation is the caller's decision, not a silent one.
+    x(tau_m; u, v) = (1/S) sum_s b(f_s; u, v) exp(j*2*pi*m*s/S).
     """
     u_axis = np.atleast_1d(np.asarray(u_axis, dtype=float))
     v_axis = np.atleast_1d(np.asarray(v_axis, dtype=float))
     s = sweep.grid.s
-    m_float = tau * s * sweep.grid.df
-    m = int(round(m_float))
-    if abs(m_float - m) > 1e-6 or not 0 <= m < s:
-        raise ValueError(
-            f"tau {tau} is not a bin of the unpadded delay grid (step"
-            f" {1.0 / (s * sweep.grid.df)})"
-        )
+    if not 0 <= m < s:
+        raise ValueError(f"delay bin {m} outside the unpadded delay grid [0, {s})")
     idft = np.exp(1j * 2.0 * np.pi * m * np.arange(s) / s) / s
     return np.tensordot(idft, _beam_maps(sweep, u_axis, v_axis), 1)
 

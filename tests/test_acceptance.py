@@ -141,7 +141,7 @@ def test_01_sounding_grid_constants(capsys):
 def test_02_array_beamwidth_and_peak(capsys):
     t0 = time.perf_counter()
     lam = C_LIGHT / 40e9
-    lat = SamplingLattice.rectangular(35, 35, lam / 2.0, lam / 2.0)
+    lat = SamplingLattice(35, 35, lam / 2.0, lam / 2.0)
     u = np.linspace(-0.06, 0.06, 4801)
     cut = np.abs(array_factor(lat, np.ones(lat.n_active), u, 0.0, 40e9))[:, 0]
     width_u = _half_power_width(u, cut)
@@ -285,7 +285,7 @@ def test_06_tomography_phantom(capsys):
 
 def test_07_beam_squint_law(capsys):
     lam_hi = C_LIGHT / 40e9
-    lat = SamplingLattice.rectangular(16, 16, lam_hi / 2.0, lam_hi / 2.0)
+    lat = SamplingLattice(16, 16, lam_hi / 2.0, lam_hi / 2.0)
     look = Direction(0.4, 0.0)
     f0, f_hi = 26.51e9, 40e9
     failures = []
@@ -318,7 +318,7 @@ def test_08_sparse_lattice_annealer(capsys):
     t0 = time.perf_counter()
     lam = C_LIGHT / 40e9
     d = lam / 2.0
-    full = SamplingLattice.rectangular(35, 35, d, d)
+    full = SamplingLattice(35, 35, d, d)
     _, psl_db = optimize_sparse_lattice(full, keep_fraction=0.5, seed=1)
     failures = []
     if psl_db > -13.0:

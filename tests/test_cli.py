@@ -218,7 +218,7 @@ def test_rendered_pixels_span_at_most_the_dynamic_range(rows, cols, seed):
 
 
 def test_sweep_export_matches_interchange_layout(tmp_path):
-    lat = SamplingLattice.rectangular(2, 2, 0.005, 0.005)
+    lat = SamplingLattice(2, 2, 0.005, 0.005)
     grid = FrequencyGrid(1e9, 1.1e9, 50e6)
     ray = ChannelRay.plane_wave(0.2, 0.0, 4e-9, 1.0)
     sweep = synthesize_sweep([ray], lat, grid)
@@ -442,6 +442,13 @@ def test_non_finite_metric_exits_6_without_a_report(tmp_path, capsys, scenario, 
     ("sas-recon", {"target2": 190}, "target2 190 is not a cell"),
     ("sas-recon", {"target1": -1}, "target1 -1 is not a cell"),
     ("waveform-ambiguity", {"duration_s": 4.4e-7}, "duration_s"),
+    ("sound-sparse-lattice", {"d_m": -0.00375}, "d_x=-0.00375"),
+    ("sound-squint", {"m": 0}, "got m=0"),
+    ("sound-squint", {"d_m": 0.0}, "d_x=0.0"),
+    ("sound-padp", {"m": 0}, "got m=0"),
+    ("sound-padp", {"d_m": 0.0}, "d_x=0.0"),
+    ("sound-sparse-lattice", {"uv_points": 2}, "uv_points=2"),
+    ("sound-padp", {"df_hz": 2.675e7}, "df="),
 ])
 def test_invalid_library_input_exits_6_without_a_report(tmp_path, capsys, scenario, params,
                                                         message):

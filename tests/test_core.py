@@ -211,7 +211,7 @@ def _phase_history(sigma, seed):
 
 
 def _sweep(sigma, seed):
-    lattice = SamplingLattice.rectangular(2, 2, 0.05, 0.05)
+    lattice = SamplingLattice(2, 2, 0.05, 0.05)
     grid = FrequencyGrid(1e9, 1.1e9, 1e7)
     return synthesize_sweep([ChannelRay.plane_wave(0.1, 0.0, 1e-9)], lattice, grid,
                             sigma, seed)

@@ -66,11 +66,11 @@ def test_sampling_checks_rejects_far_from_integer():
 
 def _lattice_35(f=40e9):
     lam = C_LIGHT / f
-    return SamplingLattice.rectangular(35, 35, lam / 2, lam / 2)
+    return SamplingLattice(35, 35, lam / 2, lam / 2)
 
 
 def test_rectangular_lattice_geometry():
-    lat = SamplingLattice.rectangular(4, 3, 0.01, 0.02)
+    lat = SamplingLattice(4, 3, 0.01, 0.02)
     assert lat.positions.shape == (12, 3)
     assert_allclose(lat.positions.mean(axis=0), [0.0, 0.0, 0.0], atol=1e-15)
     assert lat.n_active == 12
@@ -79,7 +79,7 @@ def test_rectangular_lattice_geometry():
 
 def test_alias_flagging():
     lam = C_LIGHT / 40e9
-    lat = SamplingLattice.rectangular(8, 8, lam / 2, lam / 2)
+    lat = SamplingLattice(8, 8, lam / 2, lam / 2)
     assert lat.alias_free(lam)
     assert not lat.alias_free(lam / 2)
     # checkerboard thinning pushes nearest neighbors to sqrt(2) * d
@@ -123,18 +123,20 @@ def _axis_ramps_oracle(pos, k, u, v):
     return ex, ey
 
 
-@pytest.mark.parametrize("thinned", [False, True])
-def test_axis_ramps_bits_match_per_position_oracle(thinned):
+@pytest.mark.parametrize("m,n,thinned", [(16, 16, False), (16, 16, True), (12, 20, True)],
+                         ids=["False", "True", "non-square-True"])
+def test_axis_ramps_bits_match_per_position_oracle(m, n, thinned):
+    # the non-square case tells the gather's row length from its column count
     lam = C_LIGHT / 40e9
-    lat = SamplingLattice.rectangular(16, 16, lam / 2, 0.6 * lam)
+    lat = SamplingLattice(m, n, lam / 2, 0.6 * lam)
     if thinned:
-        lat = lat.with_mask(np.random.default_rng(3).random(256) < 0.4)
+        lat = lat.with_mask(np.random.default_rng(3).random(m * n) < 0.4)
     pos = lat.active_positions()
     u = np.linspace(-0.1, 0.6, 301)
     v = np.linspace(-1.0, 1.0, 65)
     for f in (26.5e9, 33e9, 40e9):
         k = 2.0 * np.pi * f / C_LIGHT
-        got, want = _axis_ramps(pos, k, u, v), _axis_ramps_oracle(pos, k, u, v)
+        got, want = _axis_ramps(lat, f, u, v), _axis_ramps_oracle(pos, k, u, v)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
@@ -165,7 +167,7 @@ def test_steered_taper_moves_peak():
 
 
 def test_steering_vector_modes():
-    lat = SamplingLattice.rectangular(5, 5, 0.004, 0.004)
+    lat = SamplingLattice(5, 5, 0.004, 0.004)
     d = Direction(0.4, 0.0)
     ttd_26 = steering_vector(lat, d, 26.5e9)
     ttd_40 = steering_vector(lat, d, 40e9)
@@ -193,7 +195,7 @@ def test_beam_squint_law():
 
 def _small_setup(s=101, m=8, f_hi=2e9):
     lam = C_LIGHT / f_hi
-    lat = SamplingLattice.rectangular(m, m, lam / 2, lam / 2)
+    lat = SamplingLattice(m, m, lam / 2, lam / 2)
     grid = FrequencyGrid(1e9, 1e9 + (s - 1) * 1e7, 1e7)
     return lat, grid
 
@@ -311,19 +313,20 @@ def test_delay_slice_finds_ray():
     tau = m_bin / (grid.s * grid.df)
     sw = synthesize_sweep([ChannelRay.plane_wave(0.2, -0.1, tau)], lat, grid)
     u = np.linspace(-0.4, 0.4, 17)
-    sl = np.abs(delay_slice(sw, u, u, tau))
+    sl = np.abs(delay_slice(sw, u, u, m_bin))
     i, j = np.unravel_index(np.argmax(sl), sl.shape)
     assert abs(u[i] - 0.2) <= 0.05 / 2 + 1e-12
     assert abs(u[j] + 0.1) <= 0.05 / 2 + 1e-12
 
 
-def test_delay_slice_rejects_off_grid():
+def test_delay_slice_rejects_out_of_range_bins():
     lat, grid = _small_setup(s=21, m=3)
     sw = synthesize_sweep([], lat, grid)
-    good = 5 / (grid.s * grid.df)
-    delay_slice(sw, [0.0], [0.0], good)
-    with pytest.raises(ValueError):
-        delay_slice(sw, [0.0], [0.0], good * 1.05)
+    delay_slice(sw, [0.0], [0.0], 0)
+    delay_slice(sw, [0.0], [0.0], grid.s - 1)
+    for m_bin in (-1, grid.s):
+        with pytest.raises(ValueError, match="delay bin"):
+            delay_slice(sw, [0.0], [0.0], m_bin)
 
 
 def test_delay_slice_matches_padp_column():
@@ -336,9 +339,8 @@ def test_delay_slice_matches_padp_column():
         seed=3,
     )
     m_bin = 7
-    tau = m_bin / (grid.s * grid.df)
     dirs = [(0.0, 0.0), (0.1, 0.2), (-0.3, 0.05)]
-    sl = delay_slice(sw, [d[0] for d in dirs], [d[1] for d in dirs], tau)
+    sl = delay_slice(sw, [d[0] for d in dirs], [d[1] for d in dirs], m_bin)
     for idx, (du, dv) in enumerate(dirs):
         prof = np.fft.ifft(_beam_maps(sw, du, dv))
         assert sl[idx, idx] == pytest.approx(prof[m_bin], rel=1e-10)
@@ -347,7 +349,7 @@ def test_delay_slice_matches_padp_column():
 def test_beam_maps_match_direct_sum_on_sound_padp_sweep():
     # sound-padp's default sweep: 8 x 8 lattice, 41 tones, three rays;
     # oracle b(f; u, v) = sum_p exp(-jk(x_p u + y_p v)) s21_p written out
-    lat = SamplingLattice.rectangular(8, 8, 0.00545, 0.00545)
+    lat = SamplingLattice(8, 8, 0.00545, 0.00545)
     grid = FrequencyGrid(26.5e9, 27.5e9, 25e6)
     rays = [ChannelRay.plane_wave(0.3, 0.0, 10e-9, 1.0),
             ChannelRay.plane_wave(-0.2, 0.1, 25e-9, 0.5),
@@ -362,7 +364,7 @@ def test_beam_maps_match_direct_sum_on_sound_padp_sweep():
     direct = np.stack([sw.s21[:, i] @ np.exp(-1j * k[i] * path) for i in range(grid.s)])
     m_bin = 10
     want = np.exp(2j * np.pi * m_bin * np.arange(grid.s) / grid.s) @ direct / grid.s
-    got = delay_slice(sw, uv, uv, m_bin / (grid.s * grid.df))
+    got = delay_slice(sw, uv, uv, m_bin)
     assert np.max(np.abs(got.ravel() - want)) <= 1e-12 * np.max(np.abs(want))
     for u, v in ((0.0, 0.0), (0.3, 0.0), (-0.2, 0.1)):  # boresight and the plane-wave rays
         col = np.sum(np.exp(-1j * k[:, None] * (pos[:, 0] * u + pos[:, 1] * v))
@@ -377,8 +379,7 @@ def test_aggregate_parseval():
         [ChannelRay.plane_wave(0.1, 0.0, 20e-9)], lat, grid, noise_sigma=0.2, seed=5
     )
     slices = [
-        delay_slice(sw, rng_dirs, rng_dirs, m / (grid.s * grid.df))
-        for m in range(grid.s)
+        delay_slice(sw, rng_dirs, rng_dirs, m) for m in range(grid.s)
     ]
     # total received power per delay bin, summed over each slice's angles
     r = np.array([np.sum(np.abs(sl) ** 2) for sl in slices])
@@ -395,7 +396,7 @@ def test_aggregate_noise_is_flat():
     sw = synthesize_sweep([], lat, grid, noise_sigma=1.0, seed=2)
     axis = np.linspace(-1.0, 1.0, 13)
     slices = [
-        delay_slice(sw, axis, axis, m / (grid.s * grid.df)) for m in range(grid.s)
+        delay_slice(sw, axis, axis, m) for m in range(grid.s)
     ]
     r = np.array([np.sum(np.abs(sl) ** 2) for sl in slices])
     spread_db = 10 * np.log10(r.max() / np.median(r))
@@ -411,7 +412,7 @@ def test_sweep_synthesis_dot_product(m, n, s, u, v, data, seed):
     # A^H the TTD beam series summed against the ray's delay phase, or
     # equivalently S times the unwindowed delay slice at its bin
     m_bin = data.draw(st.integers(0, s - 1), label="m_bin")
-    lat = SamplingLattice.rectangular(m, n, 0.05, 0.04)
+    lat = SamplingLattice(m, n, 0.05, 0.04)
     grid = FrequencyGrid(1e9, 1e9 + (s - 1) * 1e7, 1e7)
     tau = m_bin / (s * grid.df)
     rng = np.random.default_rng(seed)
@@ -424,7 +425,7 @@ def test_sweep_synthesis_dot_product(m, n, s, u, v, data, seed):
     beams = _beam_maps(y, u, v)
     via_beams = np.conj(amp) * np.sum(np.exp(2j * np.pi * f * tau) * beams)
     via_slice = (np.conj(amp) * np.exp(2j * np.pi * f[0] * tau) * s
-                 * delay_slice(y, [u], [v], tau)[0, 0])
+                 * delay_slice(y, [u], [v], m_bin)[0, 0])
     bound = 1e-10 * np.linalg.norm(ray.s21) * np.linalg.norm(y.s21)
     assert abs(lhs - via_beams) <= bound
     assert abs(lhs - via_slice) <= bound
@@ -473,18 +474,24 @@ def test_spherical_rejects_in_plane_source():
 
 
 def test_source_distances_boresight_center():
-    lat = SamplingLattice.rectangular(7, 7, 0.01, 0.01)
+    lat = SamplingLattice(7, 7, 0.01, 0.01)
     d = source_distances(lat, BORESIGHT, 1.5)
     assert d.min() == pytest.approx(1.5, rel=1e-12)  # center element
     corner = np.sqrt(1.5 ** 2 + 2 * (3 * 0.01) ** 2)
     assert d.max() == pytest.approx(corner, rel=1e-12)
 
 
-def test_lattice_rejects_positions_off_the_z0_plane():
-    flat = SamplingLattice.rectangular(3, 3, 0.01, 0.01)
-    lifted = flat.positions + [0.0, 0.0, 0.2]
-    with pytest.raises(ValueError, match="z = 0"):
-        SamplingLattice(lifted, 0.01, 0.01, flat.shape)
+@pytest.mark.parametrize("m,n,d_x,d_y", [
+    (0, 3, 0.01, 0.01),
+    (3, 0, 0.01, 0.01),
+    (3, 3, 0.0, 0.01),
+    (3, 3, 0.01, -0.01),
+    (3, 3, np.nan, 0.01),
+    (3, 3, 0.01, np.inf),
+])
+def test_lattice_rejects_empty_or_non_positive_grid(m, n, d_x, d_y):
+    with pytest.raises(ValueError, match=f"got m={m}, n={n}, d_x={d_x}, d_y={d_y}"):
+        SamplingLattice(m, n, d_x, d_y)
 
 
 # --------------------------------------------------- frequency-invariant beams
@@ -533,10 +540,9 @@ def _fib_weights_two_solves(lattice, grid, direction, beamwidth_target):
     out = np.empty((len(freqs), p), dtype=complex)
     for i, f in enumerate(freqs):
         v0 = steering_vector(lattice, direction, f)
-        k = 2.0 * np.pi * f / C_LIGHT
-        ex, ey = _axis_ramps(pos, k, axis, axis)
+        ex, ey = _axis_ramps(lattice, f, axis, axis)
         v_side = ex[:, i_s] * ey[:, j_s]
-        ex, ey = _axis_ramps(pos, k, mu[:, 0], mv[0])
+        ex, ey = _axis_ramps(lattice, f, mu[:, 0], mv[0])
         v_main = ex[:, i_m] * ey[:, j_m]
         gamma = len(i_s) / max(len(i_m), 1)
         g = v_side @ np.conj(v_side.T) + gamma * (v_main @ np.conj(v_main.T))
@@ -551,7 +557,7 @@ def _fib_weights_two_solves(lattice, grid, direction, beamwidth_target):
 
 def test_fib_weights_match_one_solve_per_right_hand_side():
     # sound-squint's equalized lattice and sweep: 8 x 8, 11 tones
-    lat = SamplingLattice.rectangular(8, 8, 0.00375, 0.00375)
+    lat = SamplingLattice(8, 8, 0.00375, 0.00375)
     grid = FrequencyGrid(26.5e9, 40e9, 13.5e9 / 10)
     target = 1.02 * natural_beamwidth(lat, grid.f_start)
     got = fib_weights(lat, grid, BORESIGHT, target)
@@ -651,7 +657,7 @@ def _annealer_oracle(full, keep_fraction, n_steps, cool_every, seed, f_eval=40e9
 
 def test_annealer_bits_match_plain_oracle():
     lam = C_LIGHT / 40e9
-    full = SamplingLattice.rectangular(8, 8, 0.7 * lam, 0.7 * lam)
+    full = SamplingLattice(8, 8, 0.7 * lam, 0.7 * lam)
     lattice, psl_db = optimize_sparse_lattice(full, 0.5, n_steps=1100, cool_every=100,
                                               seed=4)
     want_mask, want_psl = _annealer_oracle(full, 0.5, 1100, 100, seed=4)
