@@ -4,18 +4,17 @@ A config file is a JSON object with at most these top-level keys:
 
     scenario     name of the scenario to run (optional if given on the
                  command line; when both are present they must agree)
-    seed         integer seed, required for any scenario that draws
-                 random numbers
+    seed         integer seed, required for any run that draws random
+                 numbers (the run refuses a missing one at its first draw)
     out          output directory (default runs/<scenario>)
     emit_images  write PGM images (default true)
     emit_csv     write CSV tables (default true)
     params       scenario parameter block, validated against the
                  scenario's schema
 
-Parsing is strict: unknown keys, wrong types and a missing seed on a
-stochastic scenario each fail with their own exit code so scripts can
-tell the failures apart.  Every field that falls back to its default is
-recorded on the returned config.
+Parsing is strict: unknown keys and wrong types each fail with their own
+exit code so scripts can tell the failures apart.  Every field that falls
+back to its default is recorded on the returned config.
 """
 
 import json
@@ -138,10 +137,6 @@ def parse_config(path, scenario=None, seed=None, out_dir=None) -> RunConfig:
         seed = _coerce("seed", raw["seed"], int)
     if seed is not None and not 0 <= seed < 2 ** 64:
         raise TypeMismatchError("seed must fit in an unsigned 64-bit integer")
-    if seed is None and scen.stochastic:
-        raise MissingSeedError(
-            f"scenario '{name}' draws random numbers; an explicit seed is required"
-        )
 
     if out_dir is None:
         if "out" in raw:

@@ -21,8 +21,10 @@ import numpy as np
 from ..core import (
     C_LIGHT,
     Direction,
+    SeedRequired,
     far_field_distance,
     plane_wave_field,
+    seeded_rng,
     wavenumber_spectrum,
 )
 from ..waveforms import (
@@ -112,12 +114,11 @@ from .config import CliError, MissingSeedError, RunConfig, ScenarioError
 
 
 class Scenario:
-    """A runner and whether it draws random numbers; ``params`` maps each
-    keyword-only parameter of the runner to its default, in order."""
+    """A runner; ``params`` maps each keyword-only parameter of the runner
+    to its default, in order."""
 
-    def __init__(self, runner, stochastic):
+    def __init__(self, runner):
         self.runner = runner
-        self.stochastic = stochastic
         sig = inspect.signature(runner).parameters.values()
         self.params = {p.name: p.default for p in sig if p.kind is p.KEYWORD_ONLY}
 
@@ -162,12 +163,6 @@ def _clean(value):
     return value
 
 
-def _require_seed(seed, why):
-    if seed is None:
-        raise MissingSeedError(f"{why} draws random numbers; an explicit seed is required")
-    return seed
-
-
 def _null_distance(line, i0, step):
     """Distance from the peak to the first local minimum along +index."""
     j = i0
@@ -208,8 +203,6 @@ def _run_sound_padp(seed, sink, *, m=8, n=8, d_m=0.00545, f_start_hz=26.5e9,
                     u2=-0.2, v2=0.1, tau2_ns=25.0, amp2=0.5, src_x_m=0.5, src_y_m=0.3,
                     src_z_m=6.0, src_amp=0.8, r_start_m=3.0, r_stop_m=9.0, r_step_m=0.25,
                     map_points=41, rho=0.4, phi_rad=2.0, noise_sigma=0.0):
-    if noise_sigma > 0.0:
-        _require_seed(seed, "sound-padp with noise_sigma > 0")
     lat = SamplingLattice(m, n, d_m, d_m)
     grid = FrequencyGrid(f_start_hz, f_stop_hz, df_hz)
     src = (src_x_m, src_y_m, src_z_m)
@@ -331,8 +324,6 @@ def _run_sar_point(seed, sink, *, v_mps=100.0, prf_hz=400.0, t_coh_s=0.16, r1_m=
                    wavelength_m=0.03, bandwidth_hz=150e6, duration_s=2.005e-6,
                    f_s_hz=600e6, n_x=64, n_r=64, oversample=4.0,
                    noise_sigma=0.0):
-    if noise_sigma > 0.0:
-        _require_seed(seed, "sar-point with noise_sigma > 0")
     geom = SarGeometry(v_mps, prf_hz, t_coh_s, r1_m, wavelength_m)
     chirp = LfmChirp(C_LIGHT / wavelength_m, bandwidth_hz, duration_s, 1.0)
     ph = simulate_phase_history([Scatterer(0.0, r1_m)], geom, chirp, f_s_hz, noise_sigma,
@@ -409,10 +400,10 @@ def _run_sar_capon(seed, sink, *, m=32, n=32, f_c_hz=10e9, d_u_m=0.1, d_f_hz=1e6
                    r_ref_m=1000.0, src2_x_m=3.0, src2_y_m=-2.0, src2_amp=0.5,
                    noise_sigma=0.05, loading_rel=0.01, extent_m=8.0, n_grid=41):
     sources = ((0.0, 0.0, 1.0), (src2_x_m, src2_y_m, src2_amp))
-    z = synthesize_capon_data(sources, m, n, f_c_hz, d_u_m, d_f_hz, r_ref_m, noise_sigma,
-                              seed)
+    steering = LinearPhaseSteering(f_c_hz, d_u_m, d_f_hz, r_ref_m)
+    z = synthesize_capon_data(sources, steering, m, n, noise_sigma, seed)
     loading = loading_rel * float(np.mean(np.abs(z) ** 2))
-    prob = CaponProblem(z, LinearPhaseSteering(f_c_hz, d_u_m, d_f_hz, r_ref_m), loading)
+    prob = CaponProblem(z, steering, loading)
     grid = np.linspace(-extent_m, extent_m, n_grid)
     images = {
         "capon": capon_image(prob, grid, grid),
@@ -521,13 +512,12 @@ def _run_pr_recover(seed, sink, *, n=64, oversampling=8.0, problem_kind="gaussia
                     n_masks=6, steps=2500, er_iters=100, noise_sigma=0.0):
     if problem_kind not in ("gaussian", "coded"):
         raise ValueError(f"problem_kind must be 'gaussian' or 'coded', not {problem_kind!r}")
-    s_prob, s_truth, s_noise = np.random.SeedSequence(seed).spawn(3)
+    s_prob, s_truth, s_noise = seeded_rng(seed, "drawing the pr-recover problem").spawn(3)
     if problem_kind == "coded":
         problem = coded_problem(n, n_masks, s_prob)
     else:
         problem = gaussian_problem(int(round(oversampling * n)), n, s_prob)
-    rng = np.random.default_rng(s_truth)
-    x0 = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) / np.sqrt(2.0)
+    x0 = (s_truth.standard_normal(n) + 1j * s_truth.standard_normal(n)) / np.sqrt(2.0)
     y = pr_forward(x0, problem, noise_sigma, s_noise)
     init = spectral_init(y, problem)
     flow = amplitude_flow(y, problem, init, steps=steps)
@@ -562,8 +552,7 @@ def _run_fp_demo(seed, sink, *, n=96, na=0.25, wavelength_m=0.5e-6, dx_m=4.16666
     ix = np.arange(n) - n / 2
     gx, gy = np.meshgrid(ix, ix, indexing="ij")
     amp = np.exp(-(gx ** 2 + gy ** 2) / (2.0 * sigma_px ** 2))
-    rng = np.random.default_rng(seed)
-    ph = rng.standard_normal((n, n))
+    ph = seeded_rng(seed, "drawing the fp-demo object phase").standard_normal((n, n))
     ph = np.real(np.fft.ifft2(np.fft.fft2(ph) * circular_pupil(n, 3)))
     obj = amp * np.exp(1j * 0.8 * ph / np.max(np.abs(ph)))
 
@@ -699,20 +688,20 @@ def _run_waveform_ambiguity(seed, sink, *, bandwidth_hz=10e6, duration_s=10e-6,
 
 
 REGISTRY = {
-    "sound-constants": Scenario(_run_sound_constants, False),
-    "sound-padp": Scenario(_run_sound_padp, False),
-    "sound-squint": Scenario(_run_sound_squint, False),
-    "sound-sparse-lattice": Scenario(_run_sound_sparse, True),
-    "sar-point": Scenario(_run_sar_point, False),
-    "sar-tomo": Scenario(_run_sar_tomo, False),
-    "sar-capon": Scenario(_run_sar_capon, True),
-    "sar-speckle": Scenario(_run_sar_speckle, True),
-    "sas-recon": Scenario(_run_sas_recon, True),
-    "pr-recover": Scenario(_run_pr_recover, True),
-    "fp-demo": Scenario(_run_fp_demo, True),
-    "radiometry-roundtrip": Scenario(_run_radiometry_roundtrip, False),
-    "waveform-ambiguity": Scenario(_run_waveform_ambiguity, False),
-    "qsar-budget": Scenario(_run_qsar_budget, False),
+    "sound-constants": Scenario(_run_sound_constants),
+    "sound-padp": Scenario(_run_sound_padp),
+    "sound-squint": Scenario(_run_sound_squint),
+    "sound-sparse-lattice": Scenario(_run_sound_sparse),
+    "sar-point": Scenario(_run_sar_point),
+    "sar-tomo": Scenario(_run_sar_tomo),
+    "sar-capon": Scenario(_run_sar_capon),
+    "sar-speckle": Scenario(_run_sar_speckle),
+    "sas-recon": Scenario(_run_sas_recon),
+    "pr-recover": Scenario(_run_pr_recover),
+    "fp-demo": Scenario(_run_fp_demo),
+    "radiometry-roundtrip": Scenario(_run_radiometry_roundtrip),
+    "waveform-ambiguity": Scenario(_run_waveform_ambiguity),
+    "qsar-budget": Scenario(_run_qsar_budget),
 }
 
 
@@ -734,6 +723,8 @@ def run(config: RunConfig) -> RunReport:
         metrics = scen.runner(config.seed, sink, **config.params)
     except CliError:
         raise
+    except SeedRequired as exc:
+        raise MissingSeedError(f"{config.scenario}: {exc}") from exc
     except Exception as exc:
         raise ScenarioError(f"{config.scenario}: {exc}") from exc
     metrics = {k: _clean(v) for k, v in metrics.items()}

@@ -62,11 +62,15 @@ def far_field_distance(aperture_d: float, frequency: float) -> float:
     return 2.0 * aperture_d ** 2 * frequency / C_LIGHT
 
 
+class SeedRequired(ValueError):
+    """A draw was asked for without a seed."""
+
+
 def seeded_rng(seed, why):
-    """``default_rng(seed)``.  A None seed raises ValueError naming
+    """``default_rng(seed)``.  A None seed raises SeedRequired naming
     ``why``: nothing is ever drawn from unseeded entropy."""
     if seed is None:
-        raise ValueError(f"seed is required when {why}")
+        raise SeedRequired(f"seed is required when {why}")
     return np.random.default_rng(seed)
 
 

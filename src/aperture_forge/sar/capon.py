@@ -140,16 +140,16 @@ def matched_image(problem: CaponProblem, x_grid, y_grid) -> np.ndarray:
     return np.abs(a_x.conj().T @ problem.z @ a_y.conj()) ** 2
 
 
-def synthesize_capon_data(sources, m, n, f_c, d_u, d_f, r_ref,
-                          noise_sigma=0.0, seed=None) -> np.ndarray:
+def synthesize_capon_data(sources, steering, m, n, noise_sigma=0.0,
+                          seed=None) -> np.ndarray:
     """Build an (m, n) data matrix from point sources plus noise.
 
     sources: iterable of (x, y, complex amplitude); source k adds
     amplitude * sqrt(m n) * A_x[p, k] * A_y[l, k] at (p, l), with the
-    ramps of LinearPhaseSteering at full size, so recovered positions
-    line up with the imaging grid by construction.
+    ramps of ``steering`` (a LinearPhaseSteering) at full size, so
+    recovered positions line up with the imaging grid by construction.
     """
     xs, ys, amps = zip(*sources)
-    a_x, a_y = LinearPhaseSteering(f_c, d_u, d_f, r_ref).ramps(xs, ys, (m, n))
+    a_x, a_y = steering.ramps(xs, ys, (m, n))
     z = np.sqrt(m * n) * (a_x * np.asarray(amps)) @ a_y.T
     return add_complex_noise(z, noise_sigma, seed)

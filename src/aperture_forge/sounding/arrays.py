@@ -43,18 +43,21 @@ class SamplingLattice:
         return SamplingLattice(*self.shape, self.d_x, self.d_y, mask)
 
     def alias_free(self, lambda_min: float) -> bool:
-        """True when the largest nearest-neighbor gap is at most lambda/2."""
-        act = self.active_positions()
-        if len(act) < 2:
-            return False
-        if self.mask.all():
-            worst = max(self.d_x, self.d_y)
-        else:
-            # sparse: brute-force nearest neighbor over active elements
-            d2 = np.sum((act[:, None, :] - act[None, :, :]) ** 2, axis=-1)
-            np.fill_diagonal(d2, np.inf)
-            worst = float(np.sqrt(d2.min(axis=1).max()))
-        return worst <= lambda_min / 2.0
+        """True when every active point has another active point within
+        lambda/2: the mask, shifted by each grid offset inside that radius,
+        covers every active point, in O(MN) memory whatever the mask."""
+        r = lambda_min / 2.0
+        m, n = self.shape
+        a_max = int(np.clip(r / self.d_x, 0, m - 1))
+        b_max = int(np.clip(r / self.d_y, 0, n - 1))
+        grid = self.mask.reshape(m, n)
+        pad = np.pad(grid, ((a_max, a_max), (b_max, b_max)))
+        near = np.zeros_like(grid)
+        for a in range(-a_max, a_max + 1):
+            for b in range(-b_max, b_max + 1):
+                if (a or b) and np.hypot(a * self.d_x, b * self.d_y) <= r:
+                    near |= pad[a_max + a:a_max + a + m, b_max + b:b_max + b + n]
+        return self.n_active > 0 and bool(np.all(near[grid]))
 
 
 def _axis_ramps(lattice: SamplingLattice, f: float, u, v):

@@ -27,6 +27,7 @@ from aperture_forge.cli.config import (
 )
 from aperture_forge.cli.main import main
 from aperture_forge.cli.scenarios import REGISTRY, run
+from aperture_forge.core import SeedRequired
 from aperture_forge.sounding import ChannelRay, FrequencyGrid, SamplingLattice, synthesize_sweep
 
 SCENARIOS_SRC = pathlib.Path(inspect.getsourcefile(run))
@@ -122,11 +123,15 @@ def test_float_rejected_where_int_expected(tmp_path):
         parse_config(path)
 
 
-def test_stochastic_scenario_requires_seed(tmp_path):
+def test_run_refuses_a_missing_seed_at_the_first_draw(tmp_path):
     path = write_config(tmp_path, {"scenario": "sar-speckle"})
-    with pytest.raises(MissingSeedError) as err:
-        parse_config(path)
+    config = parse_config(path, out_dir=tmp_path / "out")
+    assert config.seed is None
+    with pytest.raises(MissingSeedError, match="sar-speckle: .*sigma_mu") as err:
+        run(config)
     assert err.value.code == 5
+    assert isinstance(err.value.__cause__, SeedRequired)
+    assert list((tmp_path / "out").iterdir()) == []
 
 
 def test_seed_from_argv_satisfies_stochastic(tmp_path):
@@ -345,12 +350,44 @@ def test_module_error_is_wrapped_with_scenario_context(tmp_path):
 
 
 def test_noise_without_seed_fails_at_run_time(tmp_path):
-    path = write_config(tmp_path, {
-        "scenario": "sound-padp",
-        "params": {"noise_sigma": 0.1},
-    })
-    with pytest.raises(MissingSeedError):
-        run(parse_config(path, out_dir=tmp_path / "out"))
+    for scenario in ("sound-padp", "sar-point"):
+        path = write_config(tmp_path, {
+            "scenario": scenario,
+            "params": {"noise_sigma": 0.1},
+        })
+        with pytest.raises(MissingSeedError, match=f"{scenario}: .*noise_sigma"):
+            run(parse_config(path, out_dir=tmp_path / scenario))
+        assert list((tmp_path / scenario).iterdir()) == []
+
+
+# the scenarios whose default configs draw random numbers
+DRAWS_AT_DEFAULTS = {"sound-sparse-lattice", "sar-capon", "sar-speckle", "sas-recon",
+                     "pr-recover", "fp-demo"}
+
+
+@pytest.mark.parametrize("scenario", sorted(REGISTRY))
+def test_seedless_default_run_exits_5_only_where_it_draws(tmp_path, capsys, scenario):
+    # the short pulse the liveness guard runs keeps waveform-ambiguity fast
+    params = {"duration_s": 2e-6} if scenario == "waveform-ambiguity" else {}
+    cfg = write_config(tmp_path, {"scenario": scenario, "params": params})
+    out = tmp_path / "out"
+    code = main([scenario, "--config", str(cfg), "--out", str(out)])
+    if scenario in DRAWS_AT_DEFAULTS:
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert code == 5
+        assert err["kind"] == "MissingSeedError"
+        assert err["message"].startswith(f"{scenario}: seed is required when ")
+        assert list(out.iterdir()) == []
+    else:
+        assert code == 0
+
+
+@pytest.mark.parametrize("scenario", ["sar-capon", "sas-recon"])
+def test_zero_noise_runs_without_a_seed(tmp_path, scenario):
+    path = write_config(tmp_path, {"scenario": scenario, "params": {"noise_sigma": 0.0}})
+    seedless = run(parse_config(path, out_dir=tmp_path / "none"))
+    seeded = run(parse_config(path, seed=3, out_dir=tmp_path / "seeded"))
+    assert seedless.metrics == seeded.metrics
 
 
 # --------------------------------------------------------------- entry point

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -14,6 +17,7 @@ from aperture_forge.core import (
     wavenumber_spectrum,
 )
 from aperture_forge.sar import (
+    LinearPhaseSteering,
     SarGeometry,
     Scatterer,
     simulate_phase_history,
@@ -225,7 +229,8 @@ def _sonar(sigma, seed):
 
 
 def _capon(sigma, seed):
-    return synthesize_capon_data([(0.0, 0.0, 1.0)], 8, 8, 10e9, 0.1, 1e6, 1000.0,
+    return synthesize_capon_data([(0.0, 0.0, 1.0)],
+                                 LinearPhaseSteering(10e9, 0.1, 1e6, 1000.0), 8, 8,
                                  sigma, seed)
 
 
@@ -238,3 +243,32 @@ def test_simulators_share_the_seed_rule(simulate):
     with pytest.raises(ValueError, match="seed is required"):
         simulate(0.1, None)
 
+
+
+def _np_random_uses(tree):
+    """Line numbers where ``tree`` reaches numpy's random module."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            hit = (node.attr == "random" and isinstance(node.value, ast.Name)
+                   and node.value.id in ("np", "numpy"))
+        elif isinstance(node, ast.ImportFrom):
+            hit = node.module == "numpy.random" or (
+                node.module == "numpy" and any(a.name == "random" for a in node.names))
+        elif isinstance(node, ast.Import):
+            hit = any(a.name == "numpy.random" for a in node.names)
+        else:
+            continue
+        if hit:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_core_touches_np_random():
+    """Every draw goes through core's seed rule, so no other module may
+    build a generator or a seed sequence of its own."""
+    package = Path(__file__).resolve().parents[1] / "src" / "aperture_forge"
+    found = [f"{path.relative_to(package)}:{line}"
+             for path in sorted(package.rglob("*.py")) if path.name != "core.py"
+             for line in _np_random_uses(ast.parse(path.read_text()))]
+    assert found == []

@@ -440,9 +440,10 @@ CAPON_KW = dict(f_c=10e9, d_u=0.15, d_f=2e6, r_ref=1000.0)
 
 
 def capon_case(noise_sigma, seed, loading, sources=((3.0, -2.0, 1.0),)):
-    z = synthesize_capon_data(list(sources), 32, 32, noise_sigma=noise_sigma,
-                              seed=seed, **CAPON_KW)
-    return CaponProblem(z, LinearPhaseSteering(**CAPON_KW), loading=loading)
+    steering = LinearPhaseSteering(**CAPON_KW)
+    z = synthesize_capon_data(list(sources), steering, 32, 32, noise_sigma=noise_sigma,
+                              seed=seed)
+    return CaponProblem(z, steering, loading=loading)
 
 
 def direct_ramp(x, y, shape):
@@ -531,7 +532,7 @@ def test_steering_columns_are_the_two_way_phase_ramp():
 
 def test_capon_data_sums_full_size_ramps():
     sources = ((3.0, -2.0, 1.0), (-4.0, 5.5, 0.5 - 0.25j))
-    z = synthesize_capon_data(sources, 12, 14, **CAPON_KW)
+    z = synthesize_capon_data(sources, LinearPhaseSteering(**CAPON_KW), 12, 14)
     want = sum(amp * np.sqrt(12 * 14) * direct_ramp(x, y, (12, 14)) for x, y, amp in sources)
     assert_allclose(z, want.reshape(12, 14), rtol=1e-12, atol=1e-12)
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -91,6 +93,42 @@ def test_alias_flagging():
     cols = np.ones(64, dtype=bool)
     cols[8:16] = False
     assert lat.with_mask(cols).alias_free(lam)
+
+
+def test_alias_free_is_the_nearest_neighbor_rule_on_every_mask():
+    # full non-square lattices: every element has a neighbor 0.4 away,
+    # though the x spacing is wider than lambda/2
+    lat = SamplingLattice(4, 4, 0.6, 0.4)
+    corner = np.ones(16, dtype=bool)
+    corner[0] = False
+    assert lat.alias_free(1.0) and lat.with_mask(corner).alias_free(1.0)
+    assert SamplingLattice(1, 5, 2.0, 0.4).alias_free(1.0)
+    assert not SamplingLattice(1, 5, 2.0, 0.4).alias_free(0.7)
+    assert not SamplingLattice(1, 1, 0.4, 0.4).alias_free(1.0)
+    # brute-force nearest neighbor over the active elements of random masks
+    rng = np.random.default_rng(5)
+    for m, n, d_x, d_y in ((6, 9, 0.3, 0.5), (7, 4, 0.45, 0.2)):
+        for keep in (1.0, 0.6, 0.3, 0.1):
+            thin = SamplingLattice(m, n, d_x, d_y, rng.random(m * n) < keep)
+            act = thin.active_positions()
+            gap = np.linalg.norm(act[:, None, :] - act[None, :, :], axis=-1)
+            np.fill_diagonal(gap, np.inf)
+            for lam in (0.7, 1.1, 1.4, 2.0):
+                want = len(act) > 1 and gap.min(axis=1).max() <= lam / 2
+                assert thin.alias_free(lam) == want, (m, n, keep, lam)
+
+
+def test_alias_free_memory_does_not_grow_with_the_active_count():
+    lam = C_LIGHT / 40e9
+    lat = SamplingLattice(128, 128, lam / 2, lam / 2,
+                          np.random.default_rng(1).random(128 * 128) < 0.5)
+    tracemalloc.start()
+    try:
+        lat.alias_free(2.0 * lam)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6
 
 
 # -------------------------------------------------------------- array factor
