@@ -1,3 +1,7 @@
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -5,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 from numpy.testing import assert_allclose
 
+from aperture_forge import waveforms
 from aperture_forge.waveforms import (
     LfmChirp,
     adc_snr_ideal_db,
@@ -202,6 +207,15 @@ def test_rmmse_rejects_underflowing_default_floor():
         rmmse_compress(1e-170 * y, s)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_rmmse_rejects_overflowing_peak_power():
+    # |x|^2 of a 1e160 return overflows to inf, which would fill the
+    # covariances with inf and NaN
+    y, s = _noiseless_one_target()
+    with pytest.raises(ValueError, match="overflows"):
+        rmmse_compress(1e160 * y, s)
+
+
 def test_rmmse_zero_input():
     s = sample_lfm(LfmChirp(0.0, 5e6, 4e-6), 10e6)
     out = rmmse_compress(np.zeros(120, dtype=complex), s)
@@ -271,8 +285,7 @@ def _rmmse_dense_oracle(y, s, iterations):
     return x_hat
 
 
-@pytest.mark.parametrize("scene", ["dense", "two-point"])
-def test_rmmse_matches_dense_outer_product_oracle(scene):
+def _oracle_scene(scene):
     rng = np.random.default_rng(21)
     s = sample_lfm(LfmChirp(0.0, 5e6, 4e-6), 10e6)  # 40 samples
     if scene == "dense":
@@ -285,8 +298,82 @@ def test_rmmse_matches_dense_outer_product_oracle(scene):
         noise = 10 ** (-80 / 20.0)
     y = np.convolve(x, s)
     y = y + noise * (rng.standard_normal(y.size) + 1j * rng.standard_normal(y.size)) / np.sqrt(2)
+    return y, s
+
+
+@pytest.mark.parametrize("scene", ["dense", "two-point"])
+def test_rmmse_matches_dense_outer_product_oracle(scene):
+    y, s = _oracle_scene(scene)
     out = rmmse_compress(y, s, iterations=3)
     assert_allclose(out, _rmmse_dense_oracle(y, s, iterations=3), rtol=1e-12, atol=0.0)
+
+
+def _record_solves(monkeypatch, fail_on=None):
+    """Record the batch size of every np.linalg.solve call; the call
+    numbered ``fail_on`` (from 1) raises LinAlgError instead."""
+    solve = np.linalg.solve
+    sizes = []
+
+    def recording(a, b):
+        sizes.append(a.shape[0])
+        if len(sizes) == fail_on:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", recording)
+    return sizes
+
+
+# (bins per budget, chunk sizes of one iteration) for the 160-bin, M = 40
+# oracle scenes: one chunk, two, three uneven ones, and the smallest chunks
+# (a budget of one bin still fills two at a time)
+CHUNK_LAYOUTS = [(160, [160]), (80, [80, 80]), (54, [53, 53, 54]), (1, [2] * 80)]
+
+
+@pytest.mark.parametrize("budget_bins,layout", CHUNK_LAYOUTS)
+@pytest.mark.parametrize("scene", ["dense", "two-point"])
+def test_rmmse_chunk_layout_changes_no_bits(monkeypatch, scene, budget_bins, layout):
+    y, s = _oracle_scene(scene)
+    want = rmmse_compress(y, s)  # one chunk under the default budget
+    monkeypatch.setattr(waveforms, "_COV_BUDGET_BYTES", budget_bins * s.size ** 2 * 16)
+    sizes = _record_solves(monkeypatch)
+    got = rmmse_compress(y, s)
+    assert sizes == layout * 3
+    assert np.array_equal(got, want)
+
+
+def test_rmmse_chunk_layout_changes_no_bits_at_one_blas_thread(tmp_path):
+    y, s = _oracle_scene("dense")
+    np.save(tmp_path / "y.npy", y)
+    np.save(tmp_path / "s.npy", s)
+    code = ("import sys\n"
+            "import numpy as np\n"
+            "from aperture_forge import waveforms\n"
+            "y, s = np.load(sys.argv[1]), np.load(sys.argv[2])\n"
+            "one = waveforms.rmmse_compress(y, s)\n"
+            "waveforms._COV_BUDGET_BYTES = 54 * s.size ** 2 * 16\n"
+            "print(np.array_equal(waveforms.rmmse_compress(y, s), one))\n")
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "y.npy"), str(tmp_path / "s.npy")],
+        capture_output=True, text=True, check=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1"))
+    assert done.stdout.strip() == "True"
+
+
+def test_rmmse_singular_chunk_loads_every_chunk(monkeypatch):
+    # one singular bin reloads the whole iteration, whatever chunk holds it
+    y, s = _oracle_scene("dense")
+    plain = rmmse_compress(y, s)
+    with monkeypatch.context() as one_chunk:
+        _record_solves(one_chunk, fail_on=1)
+        want = rmmse_compress(y, s)
+    monkeypatch.setattr(waveforms, "_COV_BUDGET_BYTES", 54 * s.size ** 2 * 16)
+    sizes = _record_solves(monkeypatch, fail_on=3)  # the chunk holding the last bin
+    got = rmmse_compress(y, s)
+    assert sizes == [53, 53, 54] * 4
+    assert not np.array_equal(want, plain)
+    assert np.array_equal(got, want)
 
 
 def test_rmmse_peak_memory_excludes_outer_product_tensor():
@@ -304,3 +391,22 @@ def test_rmmse_peak_memory_excludes_outer_product_tensor():
     # the covariance stack plus a quarter of the (2M-1)*M*M outer-product tensor
     budget = n_bins * m * m * 16 + (2 * m - 1) * m * m * 16 // 4
     assert peak < budget
+
+
+def test_rmmse_chunked_peak_memory_excludes_full_stack(monkeypatch):
+    rng = np.random.default_rng(8)
+    s = sample_lfm(LfmChirp(0.0, 5e6, 10e-6), 10e6)
+    m, n_bins, chunk = s.size, 400, 25
+    y = np.convolve(rng.standard_normal(n_bins) + 1j * rng.standard_normal(n_bins), s)
+    monkeypatch.setattr(waveforms, "_COV_BUDGET_BYTES", chunk * m * m * 16)
+    tracemalloc.start()
+    try:
+        rmmse_compress(y, s, iterations=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # one chunk's stack, the row-block scratch, and a few (n_bins + 2M, M)
+    # vectors: the shift matrix and its conjugate, the weights, temporaries
+    budget = chunk * m * m * 16 + (2 * m - 1) * 8 * m * 16 + 4 * (n_bins + 2 * m) * m * 16
+    assert peak < budget
+    assert peak < n_bins * m * m * 16 // 4
