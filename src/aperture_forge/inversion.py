@@ -93,7 +93,7 @@ def _op_norm_sq(problem):
 
 def _sign(z):
     mag = np.abs(z)
-    return np.where(mag > 0.0, z / np.where(mag > 0.0, mag, 1.0), 0.0)
+    return np.divide(z, mag, out=np.zeros_like(z), where=mag > 0.0)
 
 
 def pr_forward(x, problem, noise_sigma=0.0, seed=None) -> np.ndarray:
@@ -330,16 +330,20 @@ def fp_recover(intensities, system: FpSystem, sweeps=50) -> np.ndarray:
 
     The working spectrum is never rolled: each LED's passband is read
     and written through a flat index into it, computed once per LED, and
-    the measured magnitudes sqrt(intensities) are taken once.
+    the measured magnitudes sqrt(intensities) are taken once, with no
+    second copy of the intensities.  The 2-D transforms run axis by axis
+    in numpy's fft2 order (last axis first) and skip the 1-D transforms
+    whose input is known zero or whose output is never read: the inverse
+    transforms only the pupil's rows along axis 1, the forward only the
+    pupil's columns along axis 0.
     """
-    intensities = np.asarray(intensities, dtype=float)
     n = system.n
-    if intensities.shape != (system.n_leds, n, n):
+    magnitudes = np.sqrt(np.asarray(intensities, dtype=float))
+    if magnitudes.shape != (system.n_leds, n, n):
         raise ValueError("need one intensity frame per LED")
 
     order = np.argsort(np.hypot(*np.asarray(system.offsets, dtype=float).T))
     seed_k = order[0]
-    magnitudes = np.sqrt(intensities)
     est = np.fft.fft2(magnitudes[seed_k], norm="ortho")
     est = np.roll(est * system.pupil, -system.offsets[seed_k], axis=(0, 1)).ravel()
 
@@ -347,12 +351,17 @@ def fp_recover(intensities, system: FpSystem, sweeps=50) -> np.ndarray:
     pupil_flat = np.flatnonzero(system.pupil)
     pr, pc = np.divmod(pupil_flat, n)
     passbands = [((pr - o0) % n) * n + (pc - o1) % n for o0, o1 in system.offsets]
-    low = np.zeros(n * n, dtype=complex)
+    # the pupil's rows and columns, and each pupil cell's place among them
+    rows, row_of = np.unique(pr, return_inverse=True)
+    cols, col_of = np.unique(pc, return_inverse=True)
+    low = np.zeros((len(rows), n), dtype=complex)
+    half = np.zeros((n, n), dtype=complex)
     for _ in range(sweeps):
         for k in order:
-            low[pupil_flat] = est[passbands[k]]
-            img = np.fft.ifft2(low.reshape(n, n), norm="ortho")
-            corrected = np.fft.fft2(magnitudes[k] * _sign(img), norm="ortho")
-            est[passbands[k]] = corrected.ravel()[pupil_flat]
+            low[row_of, pc] = est[passbands[k]]
+            half[rows] = np.fft.ifft(low, axis=1, norm="ortho")
+            img = magnitudes[k] * _sign(np.fft.ifft(half, axis=0, norm="ortho"))
+            spec = np.fft.fft(img, axis=1, norm="ortho")[:, cols]
+            est[passbands[k]] = np.fft.fft(spec, axis=0, norm="ortho")[pr, col_of]
 
     return est.reshape(n, n)

@@ -90,8 +90,29 @@ class BaselineSet:
         return np.column_stack([gu.ravel(), gv.ravel()])
 
 
-# complex entries per block of ramp tables; bounds the quadrature's working memory
+# complex entries per block of the two ramp tables; the quadrature's working
+# memory is the two table buffers, at most max(_RAMP_BLOCK, n_u + n_v) * 16 B,
+# plus one float row of phases
 _RAMP_BLOCK = 1 << 20
+
+
+def _fill_ramps(out, axis, coords):
+    """out[i] = exp(j 2 pi axis[i] coords), row by row and in place.
+
+    ``axis`` is a lattice axis centred at index c = n // 2, so
+    axis[c - k] == -axis[c + k] exactly and row c - k is the conjugate of
+    row c + k: the row form of V(-u, -v) = V*(u, v).  Only rows c..n-1,
+    and row 0 of an even axis, which has no mirror, are exponentiated.
+    """
+    n = len(axis)
+    c = n // 2
+    for i in range(n - 1, -1, -1):  # a mirror row 2c - i > c is filled first
+        row = out[i]
+        if i < c and 2 * c - i < n:
+            np.conjugate(out[2 * c - i], out=row)
+        else:
+            np.multiply(2j * np.pi, axis[i] * coords, out=row)
+            np.exp(row, out=row)
 
 
 def visibility_samples(bmap: BrightnessMap, baselines: BaselineSet) -> np.ndarray:
@@ -100,17 +121,28 @@ def visibility_samples(bmap: BrightnessMap, baselines: BaselineSet) -> np.ndarra
 
     The phase separates by axis: one ramp exp(j 2 pi u l) per u and one
     ramp exp(j 2 pi v m) per v give the whole lattice as one matrix
-    product.  The quadrature is walked in blocks of at most _RAMP_BLOCK
-    table entries.
+    product.  The quadrature is walked in blocks of step =
+    max(_RAMP_BLOCK // (n_u + n_v), 1) points, whose tables are written
+    in place into two buffers of n_u * step and n_v * step entries,
+    allocated once; rows for negative baselines are the conjugates of
+    their mirrors, so about half the exponentials are taken.
     """
     l, m, w, t = bmap._quadrature()
     tw = t * w
     u, v = baselines.u, baselines.v
     acc = np.zeros((len(u), len(v)), dtype=complex)
     step = max(_RAMP_BLOCK // (len(u) + len(v)), 1)
+    buf_u = np.empty(len(u) * min(step, len(l)), dtype=complex)
+    buf_v = np.empty(len(v) * min(step, len(l)), dtype=complex)
     for q0 in range(0, len(l), step):
-        ramp_u = np.exp(2j * np.pi * np.outer(u, l[q0:q0 + step]))
-        ramp_v = np.exp(2j * np.pi * np.outer(v, m[q0:q0 + step])) * tw[q0:q0 + step]
+        q1 = min(q0 + step, len(l))
+        # contiguous heads of the buffers: a ragged last block has the
+        # memory layout of a full one
+        ramp_u = buf_u[:len(u) * (q1 - q0)].reshape(len(u), q1 - q0)
+        ramp_v = buf_v[:len(v) * (q1 - q0)].reshape(len(v), q1 - q0)
+        _fill_ramps(ramp_u, u, l[q0:q1])
+        _fill_ramps(ramp_v, v, m[q0:q1])
+        ramp_v *= tw[q0:q1]
         acc += ramp_u @ ramp_v.T
     return acc.ravel()
 

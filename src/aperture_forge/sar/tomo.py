@@ -118,6 +118,13 @@ def project_image(image, angles, s_step):
     Rotates the image by -theta with bilinear resampling and sums along
     the second axis, matching the integral convention used by
     tomographic_reconstruct.
+
+    This projector and the smear step of the filtered backprojection are
+    not an adjoint pair: P^T would scatter each projection sample back
+    through these bilinear image weights, while the smear B gathers each
+    pixel by linear interpolation along the projection.  On a 15 x 15
+    image with 12 angles, the best scale c leaves ||P^T - c B|| / ||P^T||
+    at 0.35, and at 0.62 when B includes the |omega| filter.
     """
     image = np.asarray(image, dtype=float)
     n = image.shape[0]

@@ -210,7 +210,8 @@ def rmmse_compress(received, waveform, iterations: int = 3) -> np.ndarray:
     with every bin diagonally loaded at 1e-3 * trace/M.  A peak power that
     underflows the noise term to zero would leave empty bins singular, and
     one that overflows would fill the covariances with inf and NaN, so
-    either raises ValueError.
+    either raises ValueError; so does a finite peak power whose
+    covariance sums overflow, caught in the profile an iteration returns.
 
     Memory: one reused stack of at most ``_COV_BUDGET_BYTES`` (rounded up
     to whole bins, two at least), through which the covariances are filled
@@ -269,4 +270,6 @@ def rmmse_compress(received, waveform, iterations: int = 3) -> np.ndarray:
         except np.linalg.LinAlgError:
             solve_all(rho_windows, sigma2, loaded=True)
         x_hat = np.sum(np.conj(rho[:, None] * w) * windows, axis=1)
+        if not np.all(np.isfinite(x_hat)):
+            raise ValueError("the covariance sums overflow; rescale the received data")
     return x_hat

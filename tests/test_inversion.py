@@ -324,9 +324,24 @@ def grid_system(n=96, radius=20, spacing=12, sigma=10.0, seed=31):
                     circular_pupil(n, radius), np.array(offs))
 
 
+def _sign_where(z):
+    """z / |z|, 0 where z == 0, by masking the divisor."""
+    mag = np.abs(z)
+    return np.where(mag > 0.0, z / np.where(mag > 0.0, mag, 1.0), 0.0)
+
+
+def test_sign_bits_match_masked_divisor():
+    rng = np.random.default_rng(12)
+    z = rng.standard_normal(300) + 1j * rng.standard_normal(300)
+    z[::7] = 0.0
+    z[1::11] = complex(0.0, -2.5)
+    assert np.array_equal(_sign(z), _sign_where(z))
+    assert np.array_equal(_sign(z) == 0, z == 0)
+
+
 def _fp_recover_oracle(intensities, system, sweeps):
     """Ptychographic stitching written out plainly: roll the spectrum to
-    each LED, mask with the pupil, and roll back."""
+    each LED, mask with the pupil, full 2-D transforms, and roll back."""
     order = np.argsort(np.hypot(*np.asarray(system.offsets, dtype=float).T))
     est = np.fft.fft2(np.sqrt(intensities[order[0]]), norm="ortho")
     est = np.roll(est * system.pupil, -system.offsets[order[0]], axis=(0, 1))
@@ -334,20 +349,37 @@ def _fp_recover_oracle(intensities, system, sweeps):
         for k in order:
             shifted = np.roll(est, system.offsets[k], axis=(0, 1))
             img = np.fft.ifft2(shifted * system.pupil, norm="ortho")
-            img = np.sqrt(intensities[k]) * _sign(img)
+            img = np.sqrt(intensities[k]) * _sign_where(img)
             corrected = np.fft.fft2(img, norm="ortho")
             shifted[system.pupil] = corrected[system.pupil]
             est = np.roll(shifted, -system.offsets[k], axis=(0, 1))
     return est
 
 
+def _two_by_four_system():
+    u = gaussian_object(64, 8.0, seed=35, complex_phase=True)
+    offs = [(i, j) for i in (-6, 6) for j in (-15, -5, 5, 15)]
+    return FpSystem(np.fft.fft2(u, norm="ortho"), circular_pupil(64, 8.5), np.array(offs))
+
+
+def _assert_fp_recover_matches_oracle(sys, sweeps):
+    frames = np.stack([fp_acquire(sys, k) for k in range(sys.n_leds)])
+    spectrum = fp_recover(frames, sys, sweeps=sweeps)
+    assert np.array_equal(spectrum, _fp_recover_oracle(frames, sys, sweeps=sweeps))
+
+
 def test_fp_recover_bits_match_rolling_oracle():
     # 9 LEDs on a 32-cell grid: every shifted pupil wraps across index 0
-    sys = grid_system(n=32, radius=5, spacing=4, sigma=4.0, seed=33)
-    frames = np.stack([fp_acquire(sys, k) for k in range(sys.n_leds)])
-    spectrum = fp_recover(frames, sys, sweeps=3)
-    want = _fp_recover_oracle(frames, sys, sweeps=3)
-    assert np.array_equal(spectrum, want)
+    _assert_fp_recover_matches_oracle(
+        grid_system(n=32, radius=5, spacing=4, sigma=4.0, seed=33), sweeps=3)
+
+
+@pytest.mark.parametrize("make_system,sweeps", [
+    (grid_system, 30),  # fp-demo's defaults: 96 cells, 3 x 3 LEDs, 30 sweeps
+    (_two_by_four_system, 5),  # a 2 x 4 LED layout on a pupil of 17 rows
+], ids=["fp-demo", "two-by-four"])
+def test_fp_recover_pruned_transforms_match_full_ones(make_system, sweeps):
+    _assert_fp_recover_matches_oracle(make_system(), sweeps)
 
 
 def test_pupil_radius_conversion():

@@ -1,4 +1,8 @@
 import itertools
+import os
+import pathlib
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -135,9 +139,56 @@ def test_visibilities_match_direct_quadrature(make_set, block, monkeypatch):
     assert np.max(np.abs(got - direct)) <= 1e-12 * np.sum(np.abs(t * w))
 
 
+def _outer_visibilities(bmap, bl):
+    """visibility_samples as one np.outer table per axis and block, every
+    row exponentiated: the reference the in-place tables must match bit
+    for bit."""
+    l, m, w, t = bmap._quadrature()
+    tw = t * w
+    acc = np.zeros((bl.n_u, bl.n_v), dtype=complex)
+    step = max(radiometry._RAMP_BLOCK // (bl.n_u + bl.n_v), 1)
+    for q0 in range(0, len(l), step):
+        ramp_u = np.exp(2j * np.pi * np.outer(bl.u, l[q0:q0 + step]))
+        ramp_v = np.exp(2j * np.pi * np.outer(bl.v, m[q0:q0 + step])) * tw[q0:q0 + step]
+        acc += ramp_u @ ramp_v.T
+    return acc.ravel()
+
+
+@pytest.mark.parametrize("block", [None, 1000])
+@pytest.mark.parametrize("shape", [(17, 17), (9, 7), (32, 32), (4, 4), (1, 1)])
+def test_mirrored_ramps_match_outer_formula_bitwise(shape, block, monkeypatch):
+    # odd, even and one-point axes; block 1000 walks ragged blocks
+    if block is not None:
+        monkeypatch.setattr(radiometry, "_RAMP_BLOCK", block)
+    bl = BaselineSet(*shape, 0.45)
+    rng = np.random.default_rng(7)
+    coords = rng.uniform(-1.0, 1.0, 500)
+    for axis in (bl.u, bl.v):
+        table = np.empty((len(axis), coords.size), dtype=complex)
+        radiometry._fill_ramps(table, axis, coords)
+        assert np.array_equal(table, np.exp(2j * np.pi * np.outer(axis, coords)))
+    for bmap in (gaussian_blob_map(), BrightnessMap(rng.random((40, 80)))):
+        assert np.array_equal(visibility_samples(bmap, bl), _outer_visibilities(bmap, bl))
+
+
+def test_mirrored_ramps_match_outer_formula_bitwise_at_one_blas_thread():
+    # conj(exp(z)) == exp(conj(z)) bit for bit is a property of the libm
+    # under numpy, and the GEMM's summation order of the BLAS threads
+    root = pathlib.Path(__file__).resolve().parent.parent
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{__file__}::test_mirrored_ramps_match_outer_formula_bitwise"],
+        capture_output=True, text=True, timeout=120, cwd=root,
+        env=dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1"))
+    assert done.returncode == 0, done.stdout[-2000:]
+    assert "10 passed" in done.stdout
+
+
 def test_visibility_peak_memory_at_scenario_defaults():
     # 120 x 240 map and 17 x 17 lattice as in radiometry-roundtrip; a
-    # table of one ramp per baseline would take 289 * 28800 * 16 B = 133 MB
+    # table of one ramp per baseline would take 289 * 28800 * 16 B = 133 MB.
+    # The two per-axis tables (one block) take 15.7 MB; allow 3 MB beside
+    # them for the quadrature vectors and one row of phases.
     bmap = gaussian_blob_map()
     bl = BaselineSet(17, 17, 0.45)
     tracemalloc.start()
@@ -146,7 +197,7 @@ def test_visibility_peak_memory_at_scenario_defaults():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 40e6
+    assert peak < 2 * 17 * 120 * 240 * 16 + 3e6
 
 
 # -------------------------------------------------------------- inversion

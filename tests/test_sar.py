@@ -562,6 +562,28 @@ def test_capon_scans_match_per_pixel_oracle():
     assert_allclose(matched_image(prob, xg, yg), mat, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("m,n,n_x,n_y,seed", [(32, 32, 7, 5, 1), (12, 20, 3, 9, 2),
+                                                (9, 4, 1, 1, 3)])
+def test_capon_data_matched_field_dot_product(m, n, n_x, n_y, seed):
+    # <F a, z> = <a, F^H z>, with F a the noiseless data of one source per
+    # pixel (synthesize_capon_data) and F^H z = sqrt(m n) A_x^H z conj(A_y),
+    # the matched field before matched_image takes its modulus, both from
+    # the same LinearPhaseSteering.ramps
+    steering = LinearPhaseSteering(**CAPON_KW)
+    rng = np.random.default_rng(seed)
+    xg = rng.uniform(-9.0, 9.0, n_x)
+    yg = rng.uniform(-7.0, 8.0, n_y)
+    a = rng.standard_normal((n_x, n_y)) + 1j * rng.standard_normal((n_x, n_y))
+    z = rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+    sources = [(x, y, a[i, j]) for i, x in enumerate(xg) for j, y in enumerate(yg)]
+    fa = synthesize_capon_data(sources, steering, m, n, noise_sigma=0.0)
+    a_x, a_y = steering.ramps(xg, yg, (m, n))
+    fh_z = np.sqrt(m * n) * (a_x.conj().T @ z @ a_y.conj())
+    lhs = np.vdot(fa, z)
+    rhs = np.vdot(a, fh_z)
+    assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(fa) * np.linalg.norm(z)
+
+
 # ----------------------------------------------------------------- speckle
 
 def test_speckle_zero_sigma_is_exact_copy():

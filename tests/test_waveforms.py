@@ -216,6 +216,16 @@ def test_rmmse_rejects_overflowing_peak_power():
         rmmse_compress(1e160 * y, s)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_rmmse_rejects_overflowing_covariance():
+    # |x|^2 of a 1e154 return is finite, but the sum of 2M-1 shifted
+    # products in a bin's covariance overflows; with one iteration no
+    # later peak-power check would see the NaN bins it leaves
+    y, s = _noiseless_one_target()
+    with pytest.raises(ValueError, match="covariance sums overflow"):
+        rmmse_compress(1e154 * y, s, iterations=1)
+
+
 def test_rmmse_zero_input():
     s = sample_lfm(LfmChirp(0.0, 5e6, 4e-6), 10e6)
     out = rmmse_compress(np.zeros(120, dtype=complex), s)
