@@ -13,16 +13,26 @@ import numpy as np
 DB_NOTE = "dB convention: 10*log10 for power quantities, 20*log10 for field quantities"
 
 
+def _checked_grid(grid, dynamic_range_db, scale):
+    """A float copy of ``grid``, or ValueError if it cannot be drawn."""
+    grid = np.array(grid, dtype=float)
+    if grid.ndim != 2 or grid.size == 0:
+        raise ValueError("image grid must be 2-D and non-empty")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("image grid must be finite")
+    if dynamic_range_db <= 0:
+        raise ValueError("dynamic_range_db must be positive")
+    if scale not in ("db", "power", "field"):
+        raise ValueError("scale must be 'db', 'power' or 'field'")
+    return grid
+
+
 def _to_db(grid, scale):
     if scale == "db":
         return grid
     with np.errstate(divide="ignore"):
         mag = np.log10(np.abs(grid))
-    if scale == "power":
-        return 10.0 * mag
-    if scale == "field":
-        return 20.0 * mag
-    raise ValueError("scale must be 'db', 'power' or 'field'")
+    return (10.0 if scale == "power" else 20.0) * mag
 
 
 def render_image(grid, path, dynamic_range_db=60.0, scale="db"):
@@ -33,13 +43,7 @@ def render_image(grid, path, dynamic_range_db=60.0, scale="db"):
     the input: already in dB, linear power, or linear field amplitude.
     Returns the (pgm, csv) paths.
     """
-    grid = np.asarray(grid, dtype=float)
-    if grid.ndim != 2 or grid.size == 0:
-        raise ValueError("image grid must be 2-D and non-empty")
-    if not np.all(np.isfinite(grid)):
-        raise ValueError("image grid must be finite")
-    if dynamic_range_db <= 0:
-        raise ValueError("dynamic_range_db must be positive")
+    grid = _checked_grid(grid, dynamic_range_db, scale)
     db = _to_db(grid, scale)
     peak = float(db.max())
     if np.isfinite(peak):
@@ -112,41 +116,37 @@ def sha256_file(path) -> str:
 
 
 class ArtifactSink:
-    """Collects the files one scenario writes, for the run manifest.
-
-    Emission honors the config's emit flags; a disabled class of
-    artifact is simply skipped and never appears in the manifest.
+    """Checks and keeps each artifact a scenario makes, at the call;
+    `manifest` writes them all, so none reaches disk before the run has
+    succeeded.  A class of artifact whose emit flag is off is not kept.
     """
 
     def __init__(self, out_dir, emit_images=True, emit_csv=True):
         self.out_dir = Path(out_dir)
         self.emit_images = emit_images
         self.emit_csv = emit_csv
-        self.paths = {}
+        self._writes = []  # (file names, writer of the first) in call order
 
     def image(self, name, grid, dynamic_range_db=60.0, scale="db"):
-        if not self.emit_images:
-            return
-        pgm, csv = render_image(
-            grid, self.out_dir / f"{name}.pgm", dynamic_range_db, scale=scale
-        )
-        self.paths[pgm.name] = pgm
-        self.paths[csv.name] = csv
+        if self.emit_images:
+            grid = _checked_grid(grid, dynamic_range_db, scale)
+            self._writes.append(((f"{name}.pgm", f"{name}.csv"), lambda path: render_image(
+                grid, path, dynamic_range_db, scale)))
 
     def table(self, name, columns):
-        if not self.emit_csv:
-            return
-        p = write_table(self.out_dir / f"{name}.csv", columns)
-        self.paths[p.name] = p
+        if self.emit_csv:
+            data = np.column_stack([np.asarray(columns[k], dtype=float) for k in columns])
+            kept = dict(zip(columns, data.T))
+            self._writes.append(((f"{name}.csv",), lambda path: write_table(path, kept)))
 
     def sweep(self, name, sweep):
-        if not self.emit_csv:
-            return
-        p = write_sweep(self.out_dir / f"{name}.csv", sweep)
-        self.paths[p.name] = p
+        if self.emit_csv:
+            self._writes.append(((f"{name}.csv",), lambda path: write_sweep(path, sweep)))
 
     def manifest(self) -> dict:
-        return {
-            name: {"path": name, "sha256": sha256_file(p)}
-            for name, p in sorted(self.paths.items())
-        }
+        """Create ``out_dir``, write the kept artifacts in call order, hash them."""
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        for files, write in self._writes:
+            write(self.out_dir / files[0])
+        names = sorted({name for files, _ in self._writes for name in files})
+        return {name: {"path": name, "sha256": sha256_file(self.out_dir / name)} for name in names}

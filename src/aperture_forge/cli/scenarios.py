@@ -12,6 +12,7 @@ have.
 
 import inspect
 import json
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -706,23 +707,22 @@ REGISTRY = {
 
 
 def run(config: RunConfig) -> RunReport:
-    """Execute one configured scenario and write its report.
+    """Execute one configured scenario, then write its artifacts and report.
 
-    Artifacts land in the config's output directory; the returned report
-    carries the metrics, the artifact manifest with checksums, and the
-    wall-clock runtime (kept off disk so reruns stay byte-identical).  A
-    NaN or infinite metric raises ScenarioError naming it, and no report
-    is written.
+    The returned report carries the metrics, the artifact manifest with
+    checksums, and the wall-clock runtime (kept off disk so reruns stay
+    byte-identical).  A failed run, including a NaN or infinite metric
+    (a ScenarioError naming it), creates no output directory.
     """
     scen = REGISTRY[config.scenario]
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    existing = next(p for p in (out, *out.parents) if os.path.lexists(p))
+    if not os.path.isdir(existing):
+        raise CliError(f"cannot write to {out}: {existing} is not a directory")
     sink = ArtifactSink(out, config.emit_images, config.emit_csv)
     t0 = time.perf_counter()
     try:
         metrics = scen.runner(config.seed, sink, **config.params)
-    except CliError:
-        raise
     except SeedRequired as exc:
         raise MissingSeedError(f"{config.scenario}: {exc}") from exc
     except Exception as exc:
@@ -732,13 +732,16 @@ def run(config: RunConfig) -> RunReport:
            if isinstance(v, float) and not np.isfinite(v)]
     if bad:
         raise ScenarioError(f"{config.scenario}: non-finite metrics: {', '.join(bad)}")
-    report = RunReport(
-        scenario=config.scenario,
-        seed=config.seed,
-        metrics=metrics,
-        artifacts=sink.manifest(),
-        defaulted=config.defaulted,
-        runtime_s=time.perf_counter() - t0,
-    )
-    report.write(out / "report.json")
+    try:
+        report = RunReport(
+            scenario=config.scenario,
+            seed=config.seed,
+            metrics=metrics,
+            artifacts=sink.manifest(),
+            defaulted=config.defaulted,
+            runtime_s=time.perf_counter() - t0,
+        )
+        report.write(out / "report.json")
+    except OSError as exc:
+        raise CliError(f"cannot write to {out}: {exc}") from exc
     return report

@@ -171,6 +171,8 @@ def amplitude_flow(y, problem, init, steps=500) -> FlowResult:
     and the next gradient; the sign, residual and objective terms are
     written into buffers allocated once.
     """
+    if steps < 0:
+        raise ValueError(f"steps must be nonnegative, got steps={steps}")
     root_y = np.sqrt(np.asarray(y, dtype=float))
     x = np.asarray(init, dtype=complex).copy()
     m = problem.m
@@ -210,6 +212,8 @@ def error_reduction(y, problem, init, iters=200) -> ErrorReductionResult:
     magnitudes by sqrt(y), keep the phase) and the range of the forward
     operator.  Both are closest-point projections, so the residual
     ||sqrt(y) - |A x||| never increases."""
+    if iters < 0:
+        raise ValueError(f"iters must be nonnegative, got iters={iters}")
     y = np.asarray(y, dtype=float)
     root_y = np.sqrt(y)
     x = np.asarray(init, dtype=complex).copy()
@@ -335,10 +339,17 @@ def fp_recover(intensities, system: FpSystem, sweeps=50) -> np.ndarray:
     in numpy's fft2 order (last axis first) and skip the 1-D transforms
     whose input is known zero or whose output is never read: the inverse
     transforms only the pupil's rows along axis 1, the forward only the
-    pupil's columns along axis 0.
+    pupil's columns along axis 0.  Raises ValueError on a negative or
+    non-finite intensity sample.
     """
+    if sweeps < 0:
+        raise ValueError(f"sweeps must be nonnegative, got sweeps={sweeps}")
     n = system.n
-    magnitudes = np.sqrt(np.asarray(intensities, dtype=float))
+    intensities = np.asarray(intensities, dtype=float)
+    bad = np.count_nonzero(~np.isfinite(intensities) | (intensities < 0.0))
+    if bad:
+        raise ValueError(f"intensities must be finite and nonnegative; {bad} samples are not")
+    magnitudes = np.sqrt(intensities)
     if magnitudes.shape != (system.n_leds, n, n):
         raise ValueError("need one intensity frame per LED")
 

@@ -180,6 +180,8 @@ def sas_sparse(d_stack, model: SensingModel, mu, solver="ista",
         raise ValueError("mu must be positive")
     if solver not in ("ista", "fista"):
         raise ValueError("solver must be 'ista' or 'fista'")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be nonnegative, got max_iter={max_iter}")
     d = np.asarray(d_stack, dtype=complex)
     if not np.all(np.isfinite(d)):
         raise ValueError("d_stack must be finite")

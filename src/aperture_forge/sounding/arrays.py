@@ -212,6 +212,9 @@ def optimize_sparse_lattice(
     """
     if not 0.0 < keep_fraction <= 1.0:
         raise ValueError("keep_fraction must be in (0, 1]")
+    if n_steps < 0 or cool_every < 1:
+        raise ValueError("need n_steps >= 0 and cool_every >= 1"
+                         f" (got n_steps={n_steps}, cool_every={cool_every})")
     rng = seeded_rng(seed, "thinning a lattice")
     n_total = full_lattice.mask.size
     n_keep = int(round(keep_fraction * n_total))

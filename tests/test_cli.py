@@ -6,6 +6,7 @@ import pathlib
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -131,7 +132,7 @@ def test_run_refuses_a_missing_seed_at_the_first_draw(tmp_path):
         run(config)
     assert err.value.code == 5
     assert isinstance(err.value.__cause__, SeedRequired)
-    assert list((tmp_path / "out").iterdir()) == []
+    assert not (tmp_path / "out").exists()
 
 
 def test_seed_from_argv_satisfies_stochastic(tmp_path):
@@ -357,7 +358,7 @@ def test_noise_without_seed_fails_at_run_time(tmp_path):
         })
         with pytest.raises(MissingSeedError, match=f"{scenario}: .*noise_sigma"):
             run(parse_config(path, out_dir=tmp_path / scenario))
-        assert list((tmp_path / scenario).iterdir()) == []
+        assert not (tmp_path / scenario).exists()
 
 
 # the scenarios whose default configs draw random numbers
@@ -377,7 +378,7 @@ def test_seedless_default_run_exits_5_only_where_it_draws(tmp_path, capsys, scen
         assert code == 5
         assert err["kind"] == "MissingSeedError"
         assert err["message"].startswith(f"{scenario}: seed is required when ")
-        assert list(out.iterdir()) == []
+        assert not out.exists()
     else:
         assert code == 0
 
@@ -469,7 +470,7 @@ def test_non_finite_metric_exits_6_without_a_report(tmp_path, capsys, scenario, 
     assert code == 6
     assert err["error"]["kind"] == "ScenarioError"
     assert "non-finite metrics" in err["error"]["message"]
-    assert not (tmp_path / "out" / "report.json").exists()
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("scenario,params,message", [
@@ -486,6 +487,16 @@ def test_non_finite_metric_exits_6_without_a_report(tmp_path, capsys, scenario, 
     ("sound-padp", {"d_m": 0.0}, "d_x=0.0"),
     ("sound-sparse-lattice", {"uv_points": 2}, "uv_points=2"),
     ("sound-padp", {"df_hz": 2.675e7}, "df="),
+    ("sound-constants", {"aperture_m": 0.0}, "aperture size and frequency must be positive"),
+    ("sound-squint", {"f_eval_hz": 0.0}, "sound-squint: "),  # names no input yet
+    ("sar-point", {"v_mps": 0.1}, "Doppler outside the support"),
+    ("waveform-ambiguity", {"adc_bits": 0, "duration_s": 2e-6}, "bits must be >= 1"),
+    ("pr-recover", {"steps": -1}, "steps=-1"),
+    ("pr-recover", {"er_iters": -1}, "iters=-1"),
+    ("fp-demo", {"sweeps": -1}, "sweeps=-1"),
+    ("sas-recon", {"max_iter": -1}, "max_iter=-1"),
+    ("sound-sparse-lattice", {"n_steps": -1}, "n_steps=-1"),
+    ("sound-sparse-lattice", {"cool_every": 0}, "cool_every=0"),
 ])
 def test_invalid_library_input_exits_6_without_a_report(tmp_path, capsys, scenario, params,
                                                         message):
@@ -496,7 +507,107 @@ def test_invalid_library_input_exits_6_without_a_report(tmp_path, capsys, scenar
     assert code == 6
     assert err["error"]["kind"] == "ScenarioError"
     assert message in err["error"]["message"]
-    assert not (tmp_path / "out" / "report.json").exists()
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("scenario", sorted(REGISTRY))
+def test_a_run_that_fails_after_its_runner_creates_no_directory(tmp_path, capsys,
+                                                                 monkeypatch, scenario):
+    runner = REGISTRY[scenario].runner
+
+    def fails_after(seed, sink, **params):
+        runner(seed, sink, **params)
+        raise RuntimeError("failed after the runner")
+
+    monkeypatch.setattr(REGISTRY[scenario], "runner", fails_after)
+    params = {"duration_s": 2e-6} if scenario == "waveform-ambiguity" else {}
+    cfg = write_config(tmp_path, {"scenario": scenario, "params": params})
+    out = tmp_path / "out"
+    code = main([scenario, "--config", str(cfg), "--seed", "1", "--out", str(out)])
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert code == 6
+    assert err["message"] == f"{scenario}: failed after the runner"
+    assert not out.exists()
+
+
+def test_a_failed_run_leaves_an_existing_directory_as_it_was(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "old.csv").write_text("kept\n")
+    cfg = write_config(tmp_path, {"scenario": "sar-point", "params": {"v_mps": 0.1}})
+    assert main(["sar-point", "--config", str(cfg), "--out", str(out)]) == 6
+    assert [p.name for p in out.iterdir()] == ["old.csv"]
+    assert (out / "old.csv").read_text() == "kept\n"
+
+
+def _one_json_error_line(text):
+    assert text.count("\n") == 1, text
+    return json.loads(text)["error"]
+
+
+@pytest.mark.parametrize("blocked", ["file", "file/sub", "dangling-link"])
+def test_an_out_path_that_cannot_be_a_directory_exits_1_before_the_run(tmp_path, capsys,
+                                                                       monkeypatch, blocked):
+    def never(seed, sink, **params):
+        raise AssertionError("the runner was called")
+
+    monkeypatch.setattr(REGISTRY["sound-constants"], "runner", never)
+    (tmp_path / "file").write_text("kept\n")
+    (tmp_path / "dangling-link").symlink_to(tmp_path / "nowhere")
+    out = tmp_path / blocked
+    cfg = write_config(tmp_path, {"scenario": "sound-constants"})
+    code = main(["sound-constants", "--config", str(cfg), "--out", str(out)])
+    err = _one_json_error_line(capsys.readouterr().err)
+    assert code == 1
+    assert err["kind"] == "CliError"
+    assert str(out) in err["message"]
+    assert (tmp_path / "file").read_text() == "kept\n"
+    assert not (tmp_path / "nowhere").exists()
+
+
+def test_a_write_stage_failure_exits_1_naming_the_path(tmp_path, capsys, monkeypatch):
+    runner = REGISTRY["sound-constants"].runner
+    out = tmp_path / "out"
+
+    def takes_the_out_path(seed, sink, **params):
+        out.write_text("")  # a file lands where the directory goes while the run works
+        return runner(seed, sink, **params)
+
+    monkeypatch.setattr(REGISTRY["sound-constants"], "runner", takes_the_out_path)
+    cfg = write_config(tmp_path, {"scenario": "sound-constants"})
+    code = main(["sound-constants", "--config", str(cfg), "--out", str(out)])
+    err = _one_json_error_line(capsys.readouterr().err)
+    assert code == 1
+    assert err["kind"] == "CliError"
+    assert str(out) in err["message"]
+
+
+def test_a_failed_run_prints_its_warnings_inside_one_json_line(tmp_path):
+    """A subprocess, because pytest would intercept the warnings."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    cfg = write_config(tmp_path, {"scenario": "sar-speckle", "params": {"sigma_mu": 0.0}})
+    done = subprocess.run([sys.executable, "-m", "aperture_forge.cli.main", "sar-speckle",
+                           "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+    assert done.returncode == 6
+    err = _one_json_error_line(done.stderr)
+    assert err["message"] == "sar-speckle: non-finite metrics: var_ratio"
+    assert len(err["warnings"]) == 1 and "invalid value" in err["warnings"][0]
+
+
+def test_a_successful_run_shows_its_warnings(tmp_path, capsys, monkeypatch):
+    runner = REGISTRY["sound-constants"].runner
+
+    def warns(seed, sink, **params):
+        warnings.warn("from the runner", RuntimeWarning)
+        return runner(seed, sink, **params)
+
+    monkeypatch.setattr(REGISTRY["sound-constants"], "runner", warns)
+    cfg = write_config(tmp_path, {"scenario": "sound-constants"})
+    with pytest.warns(RuntimeWarning, match="from the runner"):
+        assert main(["sound-constants", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_sar_point_runs_with_unequal_cut_lengths(tmp_path):
@@ -519,7 +630,7 @@ def test_non_finite_config_number_exits_4_without_a_report(tmp_path, capsys):
         assert code == 4
         assert err["error"]["kind"] == "TypeMismatchError"
         assert f"params.{key}" in err["error"]["message"]
-        assert not (out / "report.json").exists()
+        assert not out.exists()
 
 
 def test_main_reports_machine_readable_errors(tmp_path, capsys):

@@ -447,6 +447,16 @@ def test_disjoint_pupils_flagged():
     assert spectral_overlap(sys) == 0.0
 
 
+@pytest.mark.parametrize("bad", [-1e-3, np.nan, np.inf])
+def test_fp_recover_rejects_negative_or_non_finite_intensities(bad):
+    sys = grid_system()
+    frames = np.stack([fp_acquire(sys, k) for k in range(sys.n_leds)])
+    frames[0, 3, 5] = bad
+    frames[2, 0, 0] = bad
+    with pytest.raises(ValueError, match="intensities .*; 2 samples are not"):
+        fp_recover(frames, sys, sweeps=2)
+
+
 def test_shifted_pupil_must_stay_in_band():
     n = 64
     with pytest.raises(ValueError, match="band edge"):
