@@ -259,6 +259,9 @@ FIB_TONES = 11
 def _run_sound_squint(seed, sink, *, m=16, n=16, d_m=0.00375, f_design_hz=26.51e9,
                       f_eval_hz=40e9, f_start_hz=26.5e9, f_stop_hz=40e9, u0=0.4, n_u=801,
                       map_tones=8, fib_m=8):
+    for key, f in (("f_design_hz", f_design_hz), ("f_eval_hz", f_eval_hz)):
+        if not (np.isfinite(f) and f > 0):
+            raise ValueError(f"{key} must be finite and positive, got {key}={f}")
     lat = SamplingLattice(m, n, d_m, d_m)
     look = Direction(u0, 0.0)
     u = np.linspace(-0.1, u0 + 0.2, n_u)
@@ -622,6 +625,13 @@ def _run_radiometry_roundtrip(seed, sink, *, n_u=17, du=0.45, sigma_l=0.15, n_th
 def _run_waveform_ambiguity(seed, sink, *, bandwidth_hz=10e6, duration_s=10e-6,
                             f_s_hz=25e6, n_delay=101, n_doppler=101, n_bins=200,
                             sep_bins=12, ratio_db=40.0, rmmse_iterations=3, adc_bits=12):
+    for key, count in (("n_delay", n_delay), ("n_doppler", n_doppler)):
+        if count < 1:
+            raise ValueError(f"{key} must be >= 1, got {key}={count}")
+    strong, weak = n_bins // 3, n_bins // 3 + sep_bins
+    if not 10 <= weak <= n_bins - 11:
+        raise ValueError(f"n_bins={n_bins} and sep_bins={sep_bins} put the weak return at bin"
+                         f" n_bins // 3 + sep_bins = {weak}, within 10 bins of an edge")
     chirp = LfmChirp(0.0, bandwidth_hz, duration_s, 1.0)  # baseband
     env = sample_lfm(chirp, f_s_hz)
     guard = int(np.ceil(4.0 * f_s_hz / chirp.bandwidth))  # skip the mainlobe
@@ -648,8 +658,6 @@ def _run_waveform_ambiguity(seed, sink, *, bandwidth_hz=10e6, duration_s=10e-6,
     # two-point compression: the weak return sits under the matched
     # filter's sidelobes but the adaptive weights dig it out
     refl = np.zeros(n_bins, dtype=complex)
-    strong = n_bins // 3
-    weak = strong + sep_bins
     weak_amp = 10.0 ** (-ratio_db / 20.0)
     refl[strong] = 1.0
     refl[weak] = weak_amp

@@ -70,7 +70,10 @@ def _axis_ramps(lattice: SamplingLattice, f: float, u, v):
 
     Each row is exponentiated once per axis coordinate and gathered to
     the active elements: an M x N lattice takes M + N rows of
-    exponentials, not 2MN, with the same bits."""
+    exponentials, not 2MN, with the same bits.  Raises ValueError unless
+    ``f`` is finite and positive."""
+    if not (np.isfinite(f) and f > 0):
+        raise ValueError(f"f must be finite and positive, got f={f}")
     k = 2.0 * np.pi * f / C_LIGHT
     ix, iy = np.divmod(np.flatnonzero(lattice.mask), lattice.shape[1])
     ex = np.exp(1j * k * lattice.x[:, None] * u[None, :])[ix]
@@ -215,6 +218,8 @@ def optimize_sparse_lattice(
     if n_steps < 0 or cool_every < 1:
         raise ValueError("need n_steps >= 0 and cool_every >= 1"
                          f" (got n_steps={n_steps}, cool_every={cool_every})")
+    if not (np.isfinite(f_eval) and f_eval > 0):
+        raise ValueError(f"f_eval must be finite and positive, got f_eval={f_eval}")
     rng = seeded_rng(seed, "thinning a lattice")
     n_total = full_lattice.mask.size
     n_keep = int(round(keep_fraction * n_total))

@@ -149,54 +149,33 @@ def adc_snr_ideal_db(bits: int) -> float:
     return 6.02 * bits + 1.76
 
 
-# Covariance rows filled per GEMM: the outer-product scratch is then
-# (2M-1)*8*M complex values (16 MB at M = 250) instead of (2M-1)*M*M.
-_COV_BLOCK_ROWS = 8
-
 # Bytes of covariance stack filled and solved at once; more bins than fit
-# are split into balanced chunks (two of 100 at the defaults, 200 bins and
-# M = 250).  Each chunk rebuilds the row-block outer products and narrows
-# the GEMMs: two chunks cost about +11% time, four about +22% (2 cores).
-_COV_BUDGET_BYTES = 128 * 2**20
+# are split into balanced chunks (four of 50 at the defaults, 200 bins and
+# M = 250).  The outer-product table is built once per call, so a chunk
+# costs only narrower GEMMs: at the defaults a compression took 3.1 s in
+# one chunk, 3.3 s in two or four and 4.0 s in eight (2 cores).
+_COV_BUDGET_BYTES = 64 * 2**20
 
 
-def _shift_matrix(waveform: np.ndarray) -> np.ndarray:
-    """Rows s_k for k = -(M-1)..(M-1), s_k the k-shifted, zero-filled waveform."""
-    m = waveform.size
-    shifts = np.zeros((2 * m - 1, m), dtype=complex)
-    for idx, k in enumerate(range(-(m - 1), m)):
-        if k >= 0:
-            shifts[idx, k:] = waveform[: m - k]
-        else:
-            shifts[idx, : m + k] = waveform[-k:]
-    return shifts
+def _outer_product_table(waveform: np.ndarray) -> np.ndarray:
+    """Read-only (M, 2M-1, M) view ``T[i, k, j] = s_k[i] * conj(s_k[j])``.
 
-
-def _structured_covariance(rho_windows, shifts, out):
-    """Fill ``out[l] = sum_k rho_windows[l, k] * s_k s_k^H`` one row block at a time.
-
-    Every block GEMM spans all 2M-1 shifts, so each entry is summed in the
-    same order as one GEMM against the whole (2M-1, M*M) outer-product
-    tensor, which is never built.  Products that are zero because s_k is
-    zero at the row are stored as zeros instead of being multiplied out,
-    which leaves every nonzero sum unchanged.
+    s_k is the waveform shifted by k - (M-1) and zero-filled.  All of them
+    are windows of one zero-padded copy ``pad`` (length W = 3M-2, the
+    waveform at [M-1, 2M-1)), so every product is an entry of the (W, W)
+    table ``pad[::-1] pad^H`` and T is a strided view of it, not the
+    (2M-1)*M*M tensor.  Each T[i] is a (2M-1, M) matrix with unit column
+    stride, which matmul hands to BLAS as it is.
     """
-    n_shifts, m = shifts.shape
-    out_flat = out.reshape(out.shape[0], m * m)
-    shifts_conj = np.conj(shifts)[:, None, :]
-    rows = _COV_BLOCK_ROWS
-    block = np.zeros((n_shifts, rows, m), dtype=complex)
-    for i0 in range(0, m, rows):
-        i1 = min(i0 + rows, m)
-        if i1 - i0 < rows:
-            block = np.zeros((n_shifts, i1 - i0, m), dtype=complex)
-        # s_k (by index k) is nonzero at row i only for k = i..i+M-1:
-        # multiply those shifts, and clear the ones the previous block
-        # reached but this one does not
-        block[max(i0 - rows, 0) : i0] = 0
-        live = slice(i0, i1 + m - 1)
-        np.multiply(shifts[live, i0:i1, None], shifts_conj[live], out=block[live])
-        np.matmul(rho_windows, block.reshape(n_shifts, -1), out=out_flat[:, i0 * m : i1 * m])
+    m = waveform.size
+    width = 3 * m - 2
+    pad = np.zeros(width, dtype=complex)
+    pad[m - 1 : 2 * m - 1] = waveform
+    table = np.multiply(pad[::-1, None], np.conj(pad)[None, :])
+    item = table.itemsize
+    return np.lib.stride_tricks.as_strided(
+        table.reshape(-1)[(m - 1) * width + 2 * m - 2 :], shape=(m, 2 * m - 1, m),
+        strides=(-width * item, (width - 1) * item, item), writeable=False)
 
 
 def rmmse_compress(received, waveform, iterations: int = 3) -> np.ndarray:
@@ -216,9 +195,9 @@ def rmmse_compress(received, waveform, iterations: int = 3) -> np.ndarray:
     Memory: one reused stack of at most ``_COV_BUDGET_BYTES`` (rounded up
     to whole bins, two at least), through which the covariances are filled
     and solved in ceil(n_bins*M*M*16 / _COV_BUDGET_BYTES) balanced chunks
-    of bins without changing a bit, plus one block of (2M-1)*8*M
-    outer-product entries outside that budget: 16 MB at M = 250, 256 MB at
-    M = 1000.  The (2M-1)*M*M tensor of shifted outer products is never formed.
+    of bins without changing a bit, plus the (3M-2)**2 outer-product table
+    outside that budget: 9 MB at M = 250, 144 MB at M = 1000.  The
+    (2M-1)*M*M tensor of shifted outer products is never formed.
     Raises ValueError on non-finite ``received`` or ``waveform``.
     """
     y = np.asarray(received, dtype=complex)
@@ -237,9 +216,11 @@ def rmmse_compress(received, waveform, iterations: int = 3) -> np.ndarray:
     if not np.any(x_hat):
         return np.zeros(n_bins, dtype=complex)
 
-    shifts = _shift_matrix(s)
+    outers = _outer_product_table(s)
     # two bins a chunk at least: a one-row fill runs as a matrix-vector
-    # product (GEMV), which sums in another order than a wider chunk's GEMM
+    # product (GEMV), which sums in another order than a wider chunk's GEMM.
+    # At 2 BLAS threads a GEMM small enough to run on one thread may round
+    # apart from a threaded one; the budget's chunks are far above that size
     n_chunks = min(-(-n_bins * m * m * 16 // _COV_BUDGET_BYTES), max(n_bins // 2, 1))
     edges = [i * n_bins // n_chunks for i in range(n_chunks + 1)]
     cov = np.empty((-(-n_bins // n_chunks), m, m), dtype=complex)
@@ -248,7 +229,8 @@ def rmmse_compress(received, waveform, iterations: int = 3) -> np.ndarray:
     def solve_all(rho_windows, sigma2, loaded):
         for b0, b1 in zip(edges, edges[1:]):
             c = cov[: b1 - b0]
-            _structured_covariance(rho_windows[b0:b1], shifts, c)
+            # one GEMM per covariance row i: c[:, i, :] = rho_windows @ T[i]
+            np.matmul(rho_windows[b0:b1].astype(complex), outers, out=c.transpose(1, 0, 2))
             diag = c.reshape(b1 - b0, m * m)[:, :: m + 1]
             diag += sigma2
             if loaded:

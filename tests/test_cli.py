@@ -488,7 +488,8 @@ def test_non_finite_metric_exits_6_without_a_report(tmp_path, capsys, scenario, 
     ("sound-sparse-lattice", {"uv_points": 2}, "uv_points=2"),
     ("sound-padp", {"df_hz": 2.675e7}, "df="),
     ("sound-constants", {"aperture_m": 0.0}, "aperture size and frequency must be positive"),
-    ("sound-squint", {"f_eval_hz": 0.0}, "sound-squint: "),  # names no input yet
+    ("sound-squint", {"f_eval_hz": 0.0},
+     "sound-squint: f_eval_hz must be finite and positive, got f_eval_hz=0.0"),
     ("sar-point", {"v_mps": 0.1}, "Doppler outside the support"),
     ("waveform-ambiguity", {"adc_bits": 0, "duration_s": 2e-6}, "bits must be >= 1"),
     ("pr-recover", {"steps": -1}, "steps=-1"),
@@ -497,6 +498,18 @@ def test_non_finite_metric_exits_6_without_a_report(tmp_path, capsys, scenario, 
     ("sas-recon", {"max_iter": -1}, "max_iter=-1"),
     ("sound-sparse-lattice", {"n_steps": -1}, "n_steps=-1"),
     ("sound-sparse-lattice", {"cool_every": 0}, "cool_every=0"),
+    ("sound-squint", {"f_eval_hz": -40e9}, "got f_eval_hz=-40000000000.0"),
+    ("sound-squint", {"f_design_hz": 0.0}, "got f_design_hz=0.0"),
+    ("sound-squint", {"f_design_hz": -26.51e9}, "got f_design_hz=-26510000000.0"),
+    ("sound-sparse-lattice", {"f_eval_hz": 0.0}, "got f_eval=0.0"),
+    ("sound-sparse-lattice", {"f_eval_hz": -40e9}, "got f_eval=-40000000000.0"),
+    # keys only the runner reads, checked before any work
+    ("waveform-ambiguity", {"n_delay": 0}, "n_delay=0"),
+    ("waveform-ambiguity", {"n_doppler": -1}, "n_doppler=-1"),
+    ("waveform-ambiguity", {"n_bins": 2}, "n_bins=2"),
+    ("waveform-ambiguity", {"n_bins": -1}, "n_bins=-1"),
+    ("waveform-ambiguity", {"sep_bins": 124}, "sep_bins=124"),
+    ("waveform-ambiguity", {"sep_bins": -57}, "sep_bins=-57"),
 ])
 def test_invalid_library_input_exits_6_without_a_report(tmp_path, capsys, scenario, params,
                                                         message):

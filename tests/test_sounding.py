@@ -178,6 +178,16 @@ def test_axis_ramps_bits_match_per_position_oracle(m, n, thinned):
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+@pytest.mark.parametrize("f", [0.0, -40e9, np.nan, np.inf])
+def test_axis_ramps_rejects_a_tone_that_is_not_positive(f):
+    lat = SamplingLattice(4, 4, 0.004, 0.004)
+    axis = np.linspace(-1.0, 1.0, 5)
+    with pytest.raises(ValueError, match=f"got f={f}"):
+        _axis_ramps(lat, f, axis, axis)
+    with pytest.raises(ValueError, match=f"got f={f}"):
+        steering_vector(lat, Direction(0.0, 0.0), f)
+
+
 def test_array_factor_width_scales_with_frequency():
     lat = _lattice_35()
     w = np.ones(1225)
@@ -708,6 +718,9 @@ def test_annealer_validation():
         optimize_sparse_lattice(_lattice_35(), 0.0, seed=0)
     with pytest.raises(ValueError):
         optimize_sparse_lattice(_lattice_35(), 1.2, seed=0)
+    for f_eval in (0.0, -40e9, np.nan):
+        with pytest.raises(ValueError, match=f"got f_eval={f_eval}"):
+            optimize_sparse_lattice(_lattice_35(), 0.5, seed=0, f_eval=f_eval)
 
 
 def test_annealer_requires_a_seed():

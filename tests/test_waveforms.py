@@ -275,13 +275,19 @@ def test_rmmse_rejects_non_finite_input(bad):
         rmmse_compress(np.ones(120, dtype=complex), s_bad)
 
 
+def _shift_rows(s):
+    """Rows s_k for k = -(M-1)..(M-1): s shifted by k and zero-filled."""
+    m = s.size
+    src = np.arange(m)[None, :] - np.arange(-(m - 1), m)[:, None]
+    return np.where((src >= 0) & (src < m), s[np.clip(src, 0, m - 1)], 0.0)
+
+
 def _rmmse_dense_oracle(y, s, iterations):
     """RMMSE with each bin's covariance taken from the full (2M-1, M, M)
     stack of shifted outer products s_k s_k^H."""
     m = s.size
     n_bins = y.size - m + 1
-    src = np.arange(m)[None, :] - np.arange(-(m - 1), m)[:, None]
-    shifts = np.where((src >= 0) & (src < m), s[np.clip(src, 0, m - 1)], 0.0)
+    shifts = _shift_rows(s)
     outers = (shifts[:, :, None] * np.conj(shifts[:, None, :])).reshape(2 * m - 1, m * m)
     windows = np.lib.stride_tricks.sliding_window_view(y, m)
     x_hat = (windows @ np.conj(s)) / np.sum(np.abs(s) ** 2)
@@ -295,9 +301,9 @@ def _rmmse_dense_oracle(y, s, iterations):
     return x_hat
 
 
-def _oracle_scene(scene):
+def _oracle_scene(scene, m=40):
     rng = np.random.default_rng(21)
-    s = sample_lfm(LfmChirp(0.0, 5e6, 4e-6), 10e6)  # 40 samples
+    s = sample_lfm(LfmChirp(0.0, 5e6, m * 1e-7), 10e6)  # m samples
     if scene == "dense":
         x = (rng.standard_normal(160) + 1j * rng.standard_normal(160)) / np.sqrt(2)
         noise = 1e-2
@@ -316,6 +322,40 @@ def test_rmmse_matches_dense_outer_product_oracle(scene):
     y, s = _oracle_scene(scene)
     out = rmmse_compress(y, s, iterations=3)
     assert_allclose(out, _rmmse_dense_oracle(y, s, iterations=3), rtol=1e-12, atol=0.0)
+
+
+# A Hermitian fill (one triangle of the table, then its mirror) would
+# change bits: numpy's complex multiply uses FMA, so a*conj(b) is not
+# bitwise conj(b*conj(a)), and s*conj(s) has a nonzero imaginary part.
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 40, 41])
+def test_outer_product_table_holds_every_shifted_product(m):
+    rng = np.random.default_rng(m)
+    s = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    shifts = _shift_rows(s)
+    table = waveforms._outer_product_table(s)
+    assert table.shape == (m, 2 * m - 1, m)
+    want = shifts.T[:, :, None] * np.conj(shifts)[None, :, :]  # [i, k, j]
+    live = np.broadcast_to((shifts.T != 0)[:, :, None], want.shape)
+    assert table[live].tobytes() == want[live].tobytes()
+    assert np.all(table[~live] == 0)
+
+
+@pytest.mark.parametrize("m", [1, 2, 41])
+def test_outer_product_table_is_a_read_only_view_inside_its_table(m):
+    table = waveforms._outer_product_table(np.ones(m, dtype=complex))
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[0, 0, 0] = 1.0
+    base = table.base
+    while base.base is not None:
+        base = base.base
+    assert base.size == (3 * m - 2) ** 2
+    reach = np.multiply(table.strides, np.subtract(table.shape, 1))
+    start = table.__array_interface__["data"][0]
+    lowest = start + reach[reach < 0].sum()
+    highest = start + reach[reach > 0].sum() + table.itemsize
+    base_start = base.__array_interface__["data"][0]
+    assert base_start <= lowest and highest <= base_start + base.nbytes
 
 
 def _record_solves(monkeypatch, fail_on=None):
@@ -353,22 +393,31 @@ def test_rmmse_chunk_layout_changes_no_bits(monkeypatch, scene, budget_bins, lay
 
 
 def test_rmmse_chunk_layout_changes_no_bits_at_one_blas_thread(tmp_path):
-    y, s = _oracle_scene("dense")
-    np.save(tmp_path / "y.npy", y)
-    np.save(tmp_path / "s.npy", s)
+    # an even and an odd pulse; three uneven chunks and the two-bin layout
+    # against one chunk
+    for m in (40, 41):
+        y, s = _oracle_scene("dense", m)
+        assert s.size == m
+        np.save(tmp_path / f"y{m}.npy", y)
+        np.save(tmp_path / f"s{m}.npy", s)
     code = ("import sys\n"
             "import numpy as np\n"
             "from aperture_forge import waveforms\n"
-            "y, s = np.load(sys.argv[1]), np.load(sys.argv[2])\n"
-            "one = waveforms.rmmse_compress(y, s)\n"
-            "waveforms._COV_BUDGET_BYTES = 54 * s.size ** 2 * 16\n"
-            "print(np.array_equal(waveforms.rmmse_compress(y, s), one))\n")
+            "budget = waveforms._COV_BUDGET_BYTES\n"
+            "for m in (40, 41):\n"
+            "    y = np.load(f'{sys.argv[1]}/y{m}.npy')\n"
+            "    s = np.load(f'{sys.argv[1]}/s{m}.npy')\n"
+            "    waveforms._COV_BUDGET_BYTES = budget  # one chunk\n"
+            "    one = waveforms.rmmse_compress(y, s)\n"
+            "    for bins in (54, 1):\n"
+            "        waveforms._COV_BUDGET_BYTES = bins * s.size ** 2 * 16\n"
+            "        print(np.array_equal(waveforms.rmmse_compress(y, s), one))\n")
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
     done = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path / "y.npy"), str(tmp_path / "s.npy")],
+        [sys.executable, "-c", code, str(tmp_path)],
         capture_output=True, text=True, check=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1"))
-    assert done.stdout.strip() == "True"
+    assert done.stdout.split() == ["True"] * 4
 
 
 def test_rmmse_singular_chunk_loads_every_chunk(monkeypatch):
@@ -398,8 +447,9 @@ def test_rmmse_peak_memory_excludes_outer_product_tensor():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the covariance stack plus a quarter of the (2M-1)*M*M outer-product tensor
-    budget = n_bins * m * m * 16 + (2 * m - 1) * m * m * 16 // 4
+    # the covariance stack, the (3M-2)**2 outer-product table and a few
+    # (n_bins + 2M, M) vectors: the weights and the profile's temporaries
+    budget = n_bins * m * m * 16 + (3 * m - 2) ** 2 * 16 + 3 * (n_bins + 2 * m) * m * 16
     assert peak < budget
 
 
@@ -415,8 +465,8 @@ def test_rmmse_chunked_peak_memory_excludes_full_stack(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one chunk's stack, the row-block scratch, and a few (n_bins + 2M, M)
-    # vectors: the shift matrix and its conjugate, the weights, temporaries
-    budget = chunk * m * m * 16 + (2 * m - 1) * 8 * m * 16 + 4 * (n_bins + 2 * m) * m * 16
+    # one chunk's stack, the (3M-2)**2 outer-product table and a few
+    # (n_bins + 2M, M) vectors: the weights and the profile's temporaries
+    budget = chunk * m * m * 16 + (3 * m - 2) ** 2 * 16 + 3 * (n_bins + 2 * m) * m * 16
     assert peak < budget
     assert peak < n_bins * m * m * 16 // 4
