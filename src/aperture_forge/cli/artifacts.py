@@ -6,6 +6,7 @@ matrix at full float64 precision (%.17g round-trips exactly).
 """
 
 import hashlib
+import io
 from pathlib import Path
 
 import numpy as np
@@ -13,18 +14,11 @@ import numpy as np
 DB_NOTE = "dB convention: 10*log10 for power quantities, 20*log10 for field quantities"
 
 
-def _checked_grid(grid, dynamic_range_db, scale):
-    """A float copy of ``grid``, or ValueError if it cannot be drawn."""
-    grid = np.array(grid, dtype=float)
-    if grid.ndim != 2 or grid.size == 0:
-        raise ValueError("image grid must be 2-D and non-empty")
-    if not np.all(np.isfinite(grid)):
-        raise ValueError("image grid must be finite")
-    if dynamic_range_db <= 0:
-        raise ValueError("dynamic_range_db must be positive")
-    if scale not in ("db", "power", "field"):
-        raise ValueError("scale must be 'db', 'power' or 'field'")
-    return grid
+def _savetxt(rows, **kwargs) -> str:
+    """What ``np.savetxt`` would write to a file, as text."""
+    buf = io.StringIO()
+    np.savetxt(buf, rows, **kwargs)
+    return buf.getvalue()
 
 
 def _to_db(grid, scale):
@@ -35,15 +29,24 @@ def _to_db(grid, scale):
     return (10.0 if scale == "power" else 20.0) * mag
 
 
-def render_image(grid, path, dynamic_range_db=60.0, scale="db"):
-    """Write ``grid`` as an 8-bit ASCII graymap plus a raw-value CSV.
+def render_image(grid, dynamic_range_db=60.0, scale="db"):
+    """``grid`` as an 8-bit ASCII graymap plus a raw-value CSV.
 
     The top ``dynamic_range_db`` decibels below the peak map linearly to
     [0, 255]; anything deeper clips to black.  ``scale`` says how to read
     the input: already in dB, linear power, or linear field amplitude.
-    Returns the (pgm, csv) paths.
+    Returns the (pgm, csv) texts; raises ValueError if ``grid`` is not
+    2-D, non-empty and finite, or the range or scale is invalid.
     """
-    grid = _checked_grid(grid, dynamic_range_db, scale)
+    grid = np.asarray(grid, dtype=float)
+    if grid.ndim != 2 or grid.size == 0:
+        raise ValueError("image grid must be 2-D and non-empty")
+    if not np.all(np.isfinite(grid)):
+        raise ValueError("image grid must be finite")
+    if dynamic_range_db <= 0:
+        raise ValueError("dynamic_range_db must be positive")
+    if scale not in ("db", "power", "field"):
+        raise ValueError("scale must be 'db', 'power' or 'field'")
     db = _to_db(grid, scale)
     peak = float(db.max())
     if np.isfinite(peak):
@@ -53,7 +56,6 @@ def render_image(grid, path, dynamic_range_db=60.0, scale="db"):
     else:
         pixels = np.zeros(grid.shape, dtype=int)
 
-    path = Path(path)
     lines = [
         "P2",
         f"# [{peak - dynamic_range_db:.6g}, {peak:.6g}] dB -> [0, 255]; {DB_NOTE}",
@@ -61,26 +63,20 @@ def render_image(grid, path, dynamic_range_db=60.0, scale="db"):
         "255",
     ]
     lines.extend(" ".join(str(v) for v in row) for row in pixels)
-    path.write_text("\n".join(lines) + "\n")
-
-    csv_path = path.with_suffix(".csv")
-    np.savetxt(csv_path, grid, delimiter=",", fmt="%.17g")
-    return path, csv_path
+    return "\n".join(lines) + "\n", _savetxt(grid, delimiter=",", fmt="%.17g")
 
 
-def write_table(path, columns):
+def render_table(columns) -> str:
     """CSV with a '# name,name' header row.
 
     ``columns`` maps column name to a 1-D array; all must be equal
     length.  Values print as %.17g so floats survive a round trip.
     """
-    names = list(columns)
-    data = np.column_stack([np.asarray(columns[k], dtype=float) for k in names])
-    np.savetxt(path, data, delimiter=",", fmt="%.17g", header=",".join(names))
-    return Path(path)
+    data = np.column_stack([np.asarray(col, dtype=float) for col in columns.values()])
+    return _savetxt(data, delimiter=",", fmt="%.17g", header=",".join(columns))
 
 
-def write_sweep(path, sweep):
+def render_sweep(sweep) -> str:
     """Sweep interchange file: lattice and tone header, then one row
     `position_index, x, y, z, f_Hz, re, im` per (position, tone)."""
     lat, grid = sweep.lattice, sweep.grid
@@ -103,50 +99,42 @@ def write_sweep(path, sweep):
         ]
     )
     fmt = ["%d"] + ["%.17g"] * 6
-    np.savetxt(path, rows, delimiter=", ", fmt=fmt, header=header)
-    return Path(path)
-
-
-def sha256_file(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
+    return _savetxt(rows, delimiter=", ", fmt=fmt, header=header)
 
 
 class ArtifactSink:
-    """Checks and keeps each artifact a scenario makes, at the call;
-    `manifest` writes them all, so none reaches disk before the run has
-    succeeded.  A class of artifact whose emit flag is off is not kept.
-    """
+    """Renders each artifact a scenario makes at the call, so a bad one
+    fails inside the runner, and keeps its text by file name (a later
+    call under the same name wins); `manifest` writes them all, so none
+    reaches disk before the run has succeeded.  A class of artifact whose
+    emit flag is off is not rendered."""
 
     def __init__(self, out_dir, emit_images=True, emit_csv=True):
         self.out_dir = Path(out_dir)
         self.emit_images = emit_images
         self.emit_csv = emit_csv
-        self._writes = []  # (file names, writer of the first) in call order
+        self._texts = {}  # file name -> rendered text, in call order
 
     def image(self, name, grid, dynamic_range_db=60.0, scale="db"):
         if self.emit_images:
-            grid = _checked_grid(grid, dynamic_range_db, scale)
-            self._writes.append(((f"{name}.pgm", f"{name}.csv"), lambda path: render_image(
-                grid, path, dynamic_range_db, scale)))
+            pgm, csv = render_image(grid, dynamic_range_db, scale)
+            self._texts[f"{name}.pgm"], self._texts[f"{name}.csv"] = pgm, csv
 
     def table(self, name, columns):
         if self.emit_csv:
-            data = np.column_stack([np.asarray(columns[k], dtype=float) for k in columns])
-            kept = dict(zip(columns, data.T))
-            self._writes.append(((f"{name}.csv",), lambda path: write_table(path, kept)))
+            self._texts[f"{name}.csv"] = render_table(columns)
 
     def sweep(self, name, sweep):
         if self.emit_csv:
-            self._writes.append(((f"{name}.csv",), lambda path: write_sweep(path, sweep)))
+            self._texts[f"{name}.csv"] = render_sweep(sweep)
 
     def manifest(self) -> dict:
-        """Create ``out_dir``, write the kept artifacts in call order, hash them."""
+        """Create ``out_dir``, write the rendered artifacts in call order
+        and hash the bytes written."""
         self.out_dir.mkdir(parents=True, exist_ok=True)
-        for files, write in self._writes:
-            write(self.out_dir / files[0])
-        names = sorted({name for files, _ in self._writes for name in files})
-        return {name: {"path": name, "sha256": sha256_file(self.out_dir / name)} for name in names}
+        digests = {}
+        for name, text in self._texts.items():
+            data = text.encode()
+            (self.out_dir / name).write_bytes(data)
+            digests[name] = hashlib.sha256(data).hexdigest()
+        return {name: {"path": name, "sha256": digests[name]} for name in sorted(digests)}

@@ -328,6 +328,8 @@ def _run_sar_point(seed, sink, *, v_mps=100.0, prf_hz=400.0, t_coh_s=0.16, r1_m=
                    wavelength_m=0.03, bandwidth_hz=150e6, duration_s=2.005e-6,
                    f_s_hz=600e6, n_x=64, n_r=64, oversample=4.0,
                    noise_sigma=0.0):
+    if not (np.isfinite(oversample) and oversample > 0):
+        raise ValueError(f"oversample must be finite and positive, got oversample={oversample}")
     geom = SarGeometry(v_mps, prf_hz, t_coh_s, r1_m, wavelength_m)
     chirp = LfmChirp(C_LIGHT / wavelength_m, bandwidth_hz, duration_s, 1.0)
     ph = simulate_phase_history([Scatterer(0.0, r1_m)], geom, chirp, f_s_hz, noise_sigma,

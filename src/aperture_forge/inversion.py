@@ -54,7 +54,9 @@ class PhaselessProblem:
 
 def gaussian_problem(m, n, seed) -> PhaselessProblem:
     """Standard complex Gaussian sampling vectors, unit entry variance.
-    A None ``seed`` raises ValueError."""
+    A None ``seed`` or fewer than one vector (``m`` < 1) raises ValueError."""
+    if m < 1:
+        raise ValueError(f"m must be >= 1, got m={m}")
     rng = seeded_rng(seed, "drawing Gaussian sampling vectors")
     a = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2.0)
     return PhaselessProblem(n=n, vectors=a)
@@ -248,7 +250,11 @@ def circular_pupil(n, radius_bins) -> np.ndarray:
 
 def pupil_radius_bins(na, wavelength, dx, n) -> float:
     """Cutoff NA * 2 pi / lambda expressed in spectral grid cells for a
-    field sampled every dx over n points."""
+    field sampled every dx over n points.  Raises ValueError unless
+    ``wavelength`` and ``dx`` are finite and positive."""
+    for key, value in (("wavelength", wavelength), ("dx", dx)):
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{key} must be finite and positive, got {key}={value}")
     return na * n * dx / wavelength
 
 

@@ -30,6 +30,11 @@ class BrightnessMap:
 
     @classmethod
     def from_function(cls, fn, n_theta=180, n_phi=360):
+        """``fn(theta, phi)`` at the cell centres of an n_theta x n_phi
+        hemisphere grid; raises ValueError unless both counts are >= 1."""
+        for key, count in (("n_theta", n_theta), ("n_phi", n_phi)):
+            if count < 1:
+                raise ValueError(f"{key} must be >= 1, got {key}={count}")
         return cls(fn(*_midpoints(n_theta, n_phi)))
 
     def _quadrature(self):

@@ -8,7 +8,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import C_LIGHT, fft_convolve
+from ..core import C_LIGHT
+from ..waveforms import _lfm_envelope, matched_filter
 from .scene import PhaseHistory
 
 
@@ -39,12 +40,9 @@ def _range_compress(ph: PhaseHistory):
     Returns (compressed matrix, delay of compressed row 0).  Compressed
     row m corresponds to an echo-center delay tau0 + (m - (Nc-1)/2)/f_s.
     """
-    n_c = int(round(ph.chirp.duration * ph.f_s))
-    t = (np.arange(n_c) - (n_c - 1) / 2.0) / ph.f_s
     # echo convention: the received envelope carries the conjugate sweep
-    replica = ph.chirp.amplitude * np.exp(-1j * np.pi * ph.chirp.rate * t ** 2)
-    kernel = np.conj(replica[::-1])[:, None]
-    rc = fft_convolve(ph.data, kernel)
+    replica = np.conj(_lfm_envelope(ph.chirp, ph.f_s))
+    rc = matched_filter(ph.data, replica[:, None])
     tau_c0 = ph.tau0 - (len(replica) - 1) / (2.0 * ph.f_s)
     return rc, tau_c0
 

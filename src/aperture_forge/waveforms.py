@@ -47,6 +47,12 @@ def sample_lfm(chirp: LfmChirp, f_s: float) -> np.ndarray:
     needed = 2.0 * chirp.bandwidth
     if f_s < needed:
         raise ValueError(f"sample rate {f_s} too low, need >= {needed}")
+    return _lfm_envelope(chirp, f_s)
+
+
+def _lfm_envelope(chirp: LfmChirp, f_s: float) -> np.ndarray:
+    """`sample_lfm` without its f_s >= 2B check: SAR range compression
+    samples its echoes at f_s >= B."""
     n = int(round(chirp.duration * f_s))
     t = (np.arange(n) - (n - 1) / 2.0) / f_s
     return chirp.amplitude * np.exp(1j * (np.pi * chirp.rate * t ** 2))
@@ -153,7 +159,9 @@ def adc_snr_ideal_db(bits: int) -> float:
 # are split into balanced chunks (four of 50 at the defaults, 200 bins and
 # M = 250).  The outer-product table is built once per call, so a chunk
 # costs only narrower GEMMs: at the defaults a compression took 3.1 s in
-# one chunk, 3.3 s in two or four and 4.0 s in eight (2 cores).
+# one chunk, 3.3 s in two or four and 4.0 s in eight (2 cores).  The
+# chunks keep the bits of one chunk only while their GEMMs run threaded; see
+# rmmse_compress for the small sizes where they do not.
 _COV_BUDGET_BYTES = 64 * 2**20
 
 
@@ -195,9 +203,12 @@ def rmmse_compress(received, waveform, iterations: int = 3) -> np.ndarray:
     Memory: one reused stack of at most ``_COV_BUDGET_BYTES`` (rounded up
     to whole bins, two at least), through which the covariances are filled
     and solved in ceil(n_bins*M*M*16 / _COV_BUDGET_BYTES) balanced chunks
-    of bins without changing a bit, plus the (3M-2)**2 outer-product table
-    outside that budget: 9 MB at M = 250, 144 MB at M = 1000.  The
-    (2M-1)*M*M tensor of shifted outer products is never formed.
+    of bins, plus the (3M-2)**2 outer-product table outside that budget:
+    9 MB at M = 250, 144 MB at M = 1000.  The (2M-1)*M*M tensor of shifted
+    outer products is never formed.  Chunking changes no bit while each
+    chunk's GEMMs are large enough for BLAS to run them threaded, as at
+    every size this budget splits; at 2 BLAS threads, M = 65-127 with
+    chunks of a few bins rounds apart from one chunk.
     Raises ValueError on non-finite ``received`` or ``waveform``.
     """
     y = np.asarray(received, dtype=complex)

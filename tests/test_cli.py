@@ -1,11 +1,12 @@
 import ast
+import hashlib
 import inspect
+import io
 import json
 import os
 import pathlib
 import subprocess
 import sys
-import tempfile
 import warnings
 
 import numpy as np
@@ -13,12 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aperture_forge.cli.artifacts import (
-    DB_NOTE,
-    render_image,
-    sha256_file,
-    write_sweep,
-)
+from aperture_forge.cli.artifacts import DB_NOTE, render_image, render_sweep
 from aperture_forge.cli.config import (
     ConfigFileError,
     MissingSeedError,
@@ -34,6 +30,10 @@ from aperture_forge.sounding import ChannelRay, FrequencyGrid, SamplingLattice, 
 SCENARIOS_SRC = pathlib.Path(inspect.getsourcefile(run))
 ALL_MODULES = {"core", "waveforms", "sar", "sounding", "sas", "inversion",
                "radiometry", "cli"}
+
+
+def sha256_of(path):
+    return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def write_config(tmp_path, payload, name="run.json"):
@@ -169,9 +169,9 @@ def test_scenario_argv_file_disagreement(tmp_path):
 # ------------------------------------------------------------- image export
 
 
-def test_constant_matrix_renders_all_white(tmp_path):
-    pgm, _ = render_image(np.zeros((3, 4)), tmp_path / "flat.pgm")
-    lines = pgm.read_text().splitlines()
+def test_constant_matrix_renders_all_white():
+    pgm, _ = render_image(np.zeros((3, 4)))
+    lines = pgm.splitlines()
     assert lines[0] == "P2"
     assert lines[1].startswith("#") and "10*log10" in lines[1]
     assert lines[2] == "4 3"
@@ -181,32 +181,31 @@ def test_constant_matrix_renders_all_white(tmp_path):
     assert (pixels == 255).all()
 
 
-def test_exactly_dynamic_range_below_peak_maps_to_zero(tmp_path):
+def test_exactly_dynamic_range_below_peak_maps_to_zero():
     grid = np.array([[0.0, -60.0], [-30.0, -10.0]])
-    pgm, _ = render_image(grid, tmp_path / "g.pgm", dynamic_range_db=60.0)
-    pixels = np.array([row.split() for row in pgm.read_text().splitlines()[4:]],
-                      dtype=int)
+    pgm, _ = render_image(grid, dynamic_range_db=60.0)
+    pixels = np.array([row.split() for row in pgm.splitlines()[4:]], dtype=int)
     assert pixels[0, 0] == 255
     assert pixels[0, 1] == 0
     assert pixels[1, 0] == int(round(255 / 2))
 
 
-def test_csv_companion_roundtrips_bit_exact(tmp_path):
+def test_csv_companion_roundtrips_bit_exact():
     grid = np.array([[1.0, np.pi], [1e-7, 2.0 / 3.0]])
-    _, csv = render_image(grid, tmp_path / "r.pgm", scale="power")
-    back = np.loadtxt(csv, delimiter=",")
+    _, csv = render_image(grid, scale="power")
+    back = np.loadtxt(io.StringIO(csv), delimiter=",")
     assert (back == grid).all()
 
 
-def test_empty_and_bad_grids_rejected(tmp_path):
+def test_empty_and_bad_grids_rejected():
     with pytest.raises(ValueError):
-        render_image(np.zeros((0, 4)), tmp_path / "e.pgm")
+        render_image(np.zeros((0, 4)))
     with pytest.raises(ValueError):
-        render_image(np.zeros(5), tmp_path / "e.pgm")
+        render_image(np.zeros(5))
     with pytest.raises(ValueError):
-        render_image(np.full((2, 2), np.nan), tmp_path / "e.pgm")
+        render_image(np.full((2, 2), np.nan))
     with pytest.raises(ValueError):
-        render_image(np.zeros((2, 2)), tmp_path / "e.pgm", dynamic_range_db=0.0)
+        render_image(np.zeros((2, 2)), dynamic_range_db=0.0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -214,26 +213,24 @@ def test_empty_and_bad_grids_rejected(tmp_path):
 def test_rendered_pixels_span_at_most_the_dynamic_range(rows, cols, seed):
     rng = np.random.default_rng(seed)
     grid = rng.gamma(1.0, 1.0, (rows, cols)) + 1e-12
-    with tempfile.TemporaryDirectory() as d:
-        pgm, _ = render_image(grid, pathlib.Path(d) / "p.pgm", scale="power")
-        pixels = np.array(
-            [row.split() for row in pgm.read_text().splitlines()[4:]], dtype=int)
+    pgm, _ = render_image(grid, scale="power")
+    pixels = np.array([row.split() for row in pgm.splitlines()[4:]], dtype=int)
     assert pixels.min() >= 0 and pixels.max() == 255
     peak = np.unravel_index(np.argmax(grid), grid.shape)
     assert pixels[peak] == 255
 
 
-def test_sweep_export_matches_interchange_layout(tmp_path):
+def test_sweep_export_matches_interchange_layout():
     lat = SamplingLattice(2, 2, 0.005, 0.005)
     grid = FrequencyGrid(1e9, 1.1e9, 50e6)
     ray = ChannelRay.plane_wave(0.2, 0.0, 4e-9, 1.0)
     sweep = synthesize_sweep([ray], lat, grid)
-    path = write_sweep(tmp_path / "sweep.csv", sweep)
-    lines = path.read_text().splitlines()
+    text = render_sweep(sweep)
+    lines = text.splitlines()
     assert lines[0].startswith("# lattice: 2 x 2")
     assert "f_start=1000000000 Hz" in lines[1]
     assert lines[2] == "# position_index, x, y, z, f_Hz, re, im"
-    body = np.loadtxt(path, delimiter=",")
+    body = np.loadtxt(io.StringIO(text), delimiter=",")
     assert body.shape == (4 * grid.s, 7)
     k = np.flatnonzero(body[:, 0] == 2)[0]  # third position, first tone
     s21 = sweep.s21[2, 0]
@@ -298,7 +295,16 @@ def test_sound_constants_report(tmp_path):
     assert on_disk["metrics"] == report.metrics
     assert on_disk["conventions"] == DB_NOTE
     for entry in on_disk["artifacts"].values():
-        assert sha256_file(tmp_path / "out" / entry["path"]) == entry["sha256"]
+        assert sha256_of(tmp_path / "out" / entry["path"]) == entry["sha256"]
+
+
+def test_manifest_hashes_the_bytes_each_kind_of_artifact_left_on_disk(tmp_path):
+    path = write_config(tmp_path, {"scenario": "sound-padp"})
+    report = run(parse_config(path, out_dir=tmp_path / "out"))
+    # an image with its raw-value CSV, a table and a sweep
+    assert set(report.artifacts) == {"delay_map.pgm", "delay_map.csv", "pdp.csv", "sweep.csv"}
+    for entry in report.artifacts.values():
+        assert sha256_of(tmp_path / "out" / entry["path"]) == entry["sha256"]
 
 
 def test_runtime_stays_out_of_the_serialized_report(tmp_path):
@@ -324,7 +330,7 @@ def test_same_config_and_seed_reruns_byte_identical(tmp_path, scenario, needs_se
         reports.append((out / "report.json").read_bytes())
         manifest = json.loads(reports[-1])["artifacts"]
         for entry in manifest.values():
-            assert sha256_file(out / entry["path"]) == entry["sha256"]
+            assert sha256_of(out / entry["path"]) == entry["sha256"]
     assert reports[0] == reports[1]
 
 
@@ -510,6 +516,14 @@ def test_non_finite_metric_exits_6_without_a_report(tmp_path, capsys, scenario, 
     ("waveform-ambiguity", {"n_bins": -1}, "n_bins=-1"),
     ("waveform-ambiguity", {"sep_bins": 124}, "sep_bins=124"),
     ("waveform-ambiguity", {"sep_bins": -57}, "sep_bins=-57"),
+    ("sar-point", {"oversample": 0.0}, "got oversample=0.0"),
+    # library parameters checked where the value is first used
+    ("sound-constants", {"f_max_hz": -40e9}, "got f_max=-40000000000.0"),
+    ("fp-demo", {"wavelength_m": 0.0}, "got wavelength=0.0"),
+    ("fp-demo", {"dx_m": -4e-7}, "got dx=-4e-07"),
+    ("radiometry-roundtrip", {"n_theta": 0}, "got n_theta=0"),
+    ("radiometry-roundtrip", {"n_phi": 0}, "got n_phi=0"),
+    ("pr-recover", {"oversampling": 0.0}, "got m=0"),
 ])
 def test_invalid_library_input_exits_6_without_a_report(tmp_path, capsys, scenario, params,
                                                         message):
