@@ -96,28 +96,43 @@ class BaselineSet:
 
 
 # complex entries per block of the two ramp tables; the quadrature's working
-# memory is the two table buffers, at most max(_RAMP_BLOCK, n_u + n_v) * 16 B,
-# plus one float row of phases
+# memory is the v table and one half of the u table, at most
+# max(_RAMP_BLOCK, n_u + n_v) * 16 B, plus one float row of phases
 _RAMP_BLOCK = 1 << 20
 
 
 def _fill_ramps(out, axis, coords):
     """out[i] = exp(j 2 pi axis[i] coords), row by row and in place.
 
-    ``axis`` is a lattice axis centred at index c = n // 2, so
-    axis[c - k] == -axis[c + k] exactly and row c - k is the conjugate of
-    row c + k: the row form of V(-u, -v) = V*(u, v).  Only rows c..n-1,
-    and row 0 of an even axis, which has no mirror, are exponentiated.
+    ``axis`` holds values of a lattice axis, on which axis[c - k] ==
+    -axis[c + k] exactly, so a negative value's row is the conjugate of
+    its mirror's: the row form of V(-u, -v) = V*(u, v).  Only the rows of
+    non-negative values, and of negative ones whose mirror is absent (row
+    0 of an even axis), are exponentiated.
     """
-    n = len(axis)
-    c = n // 2
-    for i in range(n - 1, -1, -1):  # a mirror row 2c - i > c is filled first
+    exponentiated = {}
+    for i in np.argsort(-axis, kind="stable"):  # a mirror row is filled first
         row = out[i]
-        if i < c and 2 * c - i < n:
-            np.conjugate(out[2 * c - i], out=row)
+        if axis[i] < 0 and -axis[i] in exponentiated:
+            np.conjugate(out[exponentiated[-axis[i]]], out=row)
         else:
             np.multiply(2j * np.pi, axis[i] * coords, out=row)
             np.exp(row, out=row)
+            exponentiated[axis[i]] = i
+
+
+def _mirror_groups(n):
+    """Row groups of an n-point lattice axis centred at n // 2: the middle
+    rows, at most n // 4 from the centre, and the outer rows.
+
+    Each group holds every row's mirror, so it exponentiates the rows the
+    whole axis would; row 0 of an even axis has none and goes with the
+    outer rows.  Both groups have at least two rows, so each one's product
+    stays a GEMM; an axis under 5 rows stays one group.
+    """
+    rows = np.arange(n)
+    middle = np.abs(rows - n // 2) <= n // 4
+    return [rows[middle], rows[~middle]] if n >= 5 else [rows]
 
 
 def visibility_samples(bmap: BrightnessMap, baselines: BaselineSet) -> np.ndarray:
@@ -127,28 +142,32 @@ def visibility_samples(bmap: BrightnessMap, baselines: BaselineSet) -> np.ndarra
     The phase separates by axis: one ramp exp(j 2 pi u l) per u and one
     ramp exp(j 2 pi v m) per v give the whole lattice as one matrix
     product.  The quadrature is walked in blocks of step =
-    max(_RAMP_BLOCK // (n_u + n_v), 1) points, whose tables are written
-    in place into two buffers of n_u * step and n_v * step entries,
-    allocated once; rows for negative baselines are the conjugates of
-    their mirrors, so about half the exponentials are taken.
+    max(_RAMP_BLOCK // (n_u + n_v), 1) points.  A block's v table is
+    written in place whole; its u table a mirror-closed row group at a
+    time (``_mirror_groups``), each group multiplied into its rows of the
+    lattice, so only half the u table is held.  Rows for negative
+    baselines are the conjugates of their mirrors, so about half the
+    exponentials are taken.
     """
     l, m, w, t = bmap._quadrature()
     tw = t * w
     u, v = baselines.u, baselines.v
     acc = np.zeros((len(u), len(v)), dtype=complex)
     step = max(_RAMP_BLOCK // (len(u) + len(v)), 1)
-    buf_u = np.empty(len(u) * min(step, len(l)), dtype=complex)
+    groups = _mirror_groups(len(u))
+    buf_u = np.empty(max(map(len, groups)) * min(step, len(l)), dtype=complex)
     buf_v = np.empty(len(v) * min(step, len(l)), dtype=complex)
     for q0 in range(0, len(l), step):
         q1 = min(q0 + step, len(l))
         # contiguous heads of the buffers: a ragged last block has the
         # memory layout of a full one
-        ramp_u = buf_u[:len(u) * (q1 - q0)].reshape(len(u), q1 - q0)
         ramp_v = buf_v[:len(v) * (q1 - q0)].reshape(len(v), q1 - q0)
-        _fill_ramps(ramp_u, u, l[q0:q1])
         _fill_ramps(ramp_v, v, m[q0:q1])
         ramp_v *= tw[q0:q1]
-        acc += ramp_u @ ramp_v.T
+        for rows in groups:
+            ramp_u = buf_u[:len(rows) * (q1 - q0)].reshape(len(rows), q1 - q0)
+            _fill_ramps(ramp_u, u[rows], l[q0:q1])
+            acc[rows] += ramp_u @ ramp_v.T
     return acc.ravel()
 
 

@@ -121,6 +121,7 @@ def omega_k_focus(ph: PhaseHistory) -> SarImage:
     d_x = ph.geometry.v / ph.geometry.prf
 
     spec = np.fft.fft(rc, axis=0)
+    del rc  # at most two full frames are held at once from here on
     f_b = np.fft.fftfreq(n_z, d=1.0 / f_s)
     # re-reference the fast-time transform to tau = 0; without this the
     # window offset turns into a kz-nonlinear phase after the Stolt map
@@ -147,13 +148,15 @@ def omega_k_focus(ph: PhaseHistory) -> SarImage:
         kz_meas = np.sqrt(rad_sq[ok])
         col = spec[ok, j] * np.exp(1j * kz_meas * z_ref)
         stolt[:, j] = _interp_complex(kz_target, kz_meas, col)
+    del spec
 
     stolt *= np.exp(1j * kz_target * (z_start - z_ref))[:, None]
-    image = np.fft.ifft(np.fft.ifft(stolt, axis=0), axis=1)
+    stolt = np.fft.ifft(stolt, axis=0)
+    stolt = np.fft.ifft(stolt, axis=1)
 
     x = ph.geometry.v * ph.geometry.slow_times()[0] + d_x * np.arange(n_x)
     r = z_start + C_LIGHT / (2.0 * f_s) * np.arange(n_z)
-    return SarImage(image.T, x, r, {"evanescent_bins": evanescent})
+    return SarImage(stolt.T, x, r, {"evanescent_bins": evanescent})
 
 
 def curvature_factor(f_dop, v, wavelength):

@@ -156,12 +156,13 @@ def adc_snr_ideal_db(bits: int) -> float:
 
 
 # Bytes of covariance stack filled and solved at once; more bins than fit
-# are split into balanced chunks (four of 50 at the defaults, 200 bins and
-# M = 250).  The outer-product table is built once per call, so a chunk
-# costs only narrower GEMMs: at the defaults a compression took 3.1 s in
-# one chunk, 3.3 s in two or four and 4.0 s in eight (2 cores).  The
-# chunks keep the bits of one chunk only while their GEMMs run threaded; see
-# rmmse_compress for the small sizes where they do not.
+# are split into balanced chunks (three of 66/67/67 bins, a 63.9 MiB stack,
+# at 200 bins and M = 250).  A smaller budget trades time for memory: on
+# 2 cores, 48 MiB (four chunks of 50) took a 200-bin compression's peak RSS
+# from 111 to 95 MB and its median time up 4-27%, and 40 MiB (five of 40)
+# to 85 MB and 11-14% (three runs each).  The chunks keep the bits of one
+# chunk only while their GEMMs run threaded; see rmmse_compress for the
+# small sizes where they do not.
 _COV_BUDGET_BYTES = 64 * 2**20
 
 
@@ -170,20 +171,26 @@ def _outer_product_table(waveform: np.ndarray) -> np.ndarray:
 
     s_k is the waveform shifted by k - (M-1) and zero-filled.  All of them
     are windows of one zero-padded copy ``pad`` (length W = 3M-2, the
-    waveform at [M-1, 2M-1)), so every product is an entry of the (W, W)
-    table ``pad[::-1] pad^H`` and T is a strided view of it, not the
-    (2M-1)*M*M tensor.  Each T[i] is a (2M-1, M) matrix with unit column
-    stride, which matmul hands to BLAS as it is.
+    waveform at [M-1, 2M-1)), and s_k[i] * conj(s_k[j]) is nonzero only
+    for |i - j| < M, so every product is an entry of the (W, 2M-1) band
+    ``H[a, c] = pad[W-1-a] * conj(pad[2M-2+c-a])`` and T is the strided
+    view ``T[i, k, j] = H[M-1-i+k, M-1-i+j]`` of it, not the (2M-1)*M*M
+    tensor.  Only rows [M-1, 2M-1) of H are nonzero.  Each T[i] is a
+    (2M-1, M) matrix with unit column stride, which matmul hands to BLAS
+    as it is.
     """
     m = waveform.size
     width = 3 * m - 2
     pad = np.zeros(width, dtype=complex)
     pad[m - 1 : 2 * m - 1] = waveform
-    table = np.multiply(pad[::-1, None], np.conj(pad)[None, :])
-    item = table.itemsize
+    band = np.zeros((width, 2 * m - 1), dtype=complex)
+    # row a = M-1+r takes window M-1-r of conj(pad): entries 2M-2+c-a
+    windows = np.lib.stride_tricks.sliding_window_view(np.conj(pad), 2 * m - 1)
+    np.multiply(pad[::-1][m - 1 : 2 * m - 1, None], windows[::-1], out=band[m - 1 : 2 * m - 1])
+    item = band.itemsize
     return np.lib.stride_tricks.as_strided(
-        table.reshape(-1)[(m - 1) * width + 2 * m - 2 :], shape=(m, 2 * m - 1, m),
-        strides=(-width * item, (width - 1) * item, item), writeable=False)
+        band.reshape(-1)[(m - 1) * 2 * m :], shape=(m, 2 * m - 1, m),
+        strides=(-2 * m * item, (2 * m - 1) * item, item), writeable=False)
 
 
 def rmmse_compress(received, waveform, iterations: int = 3) -> np.ndarray:
@@ -203,11 +210,11 @@ def rmmse_compress(received, waveform, iterations: int = 3) -> np.ndarray:
     Memory: one reused stack of at most ``_COV_BUDGET_BYTES`` (rounded up
     to whole bins, two at least), through which the covariances are filled
     and solved in ceil(n_bins*M*M*16 / _COV_BUDGET_BYTES) balanced chunks
-    of bins, plus the (3M-2)**2 outer-product table outside that budget:
-    9 MB at M = 250, 144 MB at M = 1000.  The (2M-1)*M*M tensor of shifted
-    outer products is never formed.  Chunking changes no bit while each
-    chunk's GEMMs are large enough for BLAS to run them threaded, as at
-    every size this budget splits; at 2 BLAS threads, M = 65-127 with
+    of bins, plus the (3M-2) x (2M-1) outer-product band outside that
+    budget: 6 MB at M = 250, 96 MB at M = 1000.  The (2M-1)*M*M tensor of
+    shifted outer products is never formed.  Chunking changes no bit while
+    each chunk's GEMMs are large enough for BLAS to run them threaded, as
+    at every size this budget splits; at 2 BLAS threads, M = 65-127 with
     chunks of a few bins rounds apart from one chunk.
     Raises ValueError on non-finite ``received`` or ``waveform``.
     """

@@ -423,7 +423,7 @@ def test_metrics_agree_across_blas_thread_counts(tmp_path):
     """Bytes may change with the BLAS thread count; metrics agree to 1e-9
     relative (or the round-off floor)."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    scenarios = ("pr-recover", "sound-squint", "waveform-ambiguity",
+    scenarios = ("pr-recover", "sound-squint", "sound-padp", "waveform-ambiguity",
                  "radiometry-roundtrip")
     configs = {name: write_config(tmp_path, {"scenario": name, "emit_images": False,
                                              "emit_csv": False}, f"{name}.json")

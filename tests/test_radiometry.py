@@ -187,8 +187,9 @@ def test_mirrored_ramps_match_outer_formula_bitwise_at_one_blas_thread():
 def test_visibility_peak_memory_at_scenario_defaults():
     # 120 x 240 map and 17 x 17 lattice as in radiometry-roundtrip; a
     # table of one ramp per baseline would take 289 * 28800 * 16 B = 133 MB.
-    # The two per-axis tables (one block) take 15.7 MB; allow 3 MB beside
-    # them for the quadrature vectors and one row of phases.
+    # The v table and the larger u row group (9 of 17 rows), one block,
+    # take 12.0 MB; allow 3 MB beside them for the quadrature vectors and
+    # one row of phases.
     bmap = gaussian_blob_map()
     bl = BaselineSet(17, 17, 0.45)
     tracemalloc.start()
@@ -197,7 +198,35 @@ def test_visibility_peak_memory_at_scenario_defaults():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * 17 * 120 * 240 * 16 + 3e6
+    assert peak < (17 + 9) * 120 * 240 * 16 + 3e6
+
+
+@pytest.mark.parametrize("n", range(1, 40))
+def test_mirror_groups_split_an_axis_into_mirror_closed_halves(n):
+    groups = radiometry._mirror_groups(n)
+    assert sorted(np.concatenate(groups)) == list(range(n))
+    c = n // 2
+    for rows in groups:
+        mirrors = 2 * c - rows
+        assert set(mirrors[mirrors < n]) <= set(rows)
+    if n < 5:
+        assert len(groups) == 1
+    else:  # two GEMMs, neither a matrix-vector product
+        assert len(groups) == 2
+        assert min(map(len, groups)) >= 2
+        assert max(map(len, groups)) <= (n + 2) // 2
+
+
+@pytest.mark.parametrize("block", [None, 1000])
+@pytest.mark.parametrize("shape", [(5, 4), (6, 6), (8, 3), (9, 1), (16, 16), (33, 2)])
+def test_grouped_u_table_matches_outer_formula_bitwise(shape, block, monkeypatch):
+    # groups of odd and even axes, and a one-column lattice, whose product
+    # is a matrix-vector one
+    if block is not None:
+        monkeypatch.setattr(radiometry, "_RAMP_BLOCK", block)
+    bl = BaselineSet(*shape, 0.45)
+    bmap = BrightnessMap(np.random.default_rng(9).random((40, 80)))
+    assert np.array_equal(visibility_samples(bmap, bl), _outer_visibilities(bmap, bl))
 
 
 # -------------------------------------------------------------- inversion

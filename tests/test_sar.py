@@ -1,4 +1,5 @@
 import functools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -306,6 +307,25 @@ def test_omega_k_reports_evanescent_bins():
     img = omega_k_focus(ph)
     assert img.info["evanescent_bins"] > 0
     assert np.all(np.isfinite(img.pixels))
+
+
+def test_omega_k_peak_memory_at_sar_point_defaults():
+    # sar-point's defaults: 64 pulses of 2407 compressed samples, 2.35 MiB
+    # a frame.  At most two frames are held at once: the spectrum and the
+    # Stolt grid, then each inverse FFT's input and output.  Allow 1 MB
+    # beside them for the per-column vectors.
+    geom = SarGeometry(v=100.0, prf=400.0, t_coh=0.16, r1=999.75, wavelength=0.03)
+    chirp = LfmChirp(fc=C_LIGHT / 0.03, bandwidth=150e6, duration=2.005e-6, amplitude=1.0)
+    ph = simulate_phase_history([Scatterer(0.0, 999.75)], geom, chirp, 600e6)
+    frame = omega_k_focus(ph).pixels.nbytes
+    assert frame == 2407 * 64 * 16
+    tracemalloc.start()
+    try:
+        omega_k_focus(ph)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * frame + 1e6
 
 
 # ----------------------------------------------------------- chirp scaling

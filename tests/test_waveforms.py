@@ -349,7 +349,7 @@ def test_outer_product_table_is_a_read_only_view_inside_its_table(m):
     base = table.base
     while base.base is not None:
         base = base.base
-    assert base.size == (3 * m - 2) ** 2
+    assert base.size == (3 * m - 2) * (2 * m - 1)
     reach = np.multiply(table.strides, np.subtract(table.shape, 1))
     start = table.__array_interface__["data"][0]
     lowest = start + reach[reach < 0].sum()
@@ -420,6 +420,32 @@ def test_rmmse_chunk_layout_changes_no_bits_at_one_blas_thread(tmp_path):
     assert done.stdout.split() == ["True"] * 4
 
 
+def test_rmmse_default_budget_layout_changes_no_bits_at_two_blas_threads():
+    # the shipped budget at the default pulse (M = 250) and 200 bins: three
+    # chunks of 66/67/67 bins, against one chunk of all 200
+    code = ("import numpy as np\n"
+            "from aperture_forge import waveforms\n"
+            "s = waveforms.sample_lfm(waveforms.LfmChirp(1e9, 10e6, 10e-6), 25e6)\n"
+            "rng = np.random.default_rng(4)\n"
+            "y = np.convolve(rng.standard_normal(200) + 1j * rng.standard_normal(200), s)\n"
+            "solve, sizes = np.linalg.solve, []\n"
+            "def recording(a, b):\n"
+            "    sizes.append(a.shape[0])\n"
+            "    return solve(a, b)\n"
+            "np.linalg.solve = recording\n"
+            "chunked = waveforms.rmmse_compress(y, s, iterations=1)\n"
+            "print(s.size, y.size - s.size + 1, *sizes)\n"
+            "waveforms._COV_BUDGET_BYTES = 200 * s.size ** 2 * 16\n"
+            "print(np.array_equal(waveforms.rmmse_compress(y, s, iterations=1), chunked))\n")
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="2"))
+    sizes, same = done.stdout.splitlines()
+    assert sizes.split() == ["250", "200", "66", "67", "67"]
+    assert same == "True"
+
+
 def test_rmmse_singular_chunk_loads_every_chunk(monkeypatch):
     # one singular bin reloads the whole iteration, whatever chunk holds it
     y, s = _oracle_scene("dense")
@@ -447,9 +473,10 @@ def test_rmmse_peak_memory_excludes_outer_product_tensor():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # the covariance stack, the (3M-2)**2 outer-product table and a few
-    # (n_bins + 2M, M) vectors: the weights and the profile's temporaries
-    budget = n_bins * m * m * 16 + (3 * m - 2) ** 2 * 16 + 3 * (n_bins + 2 * m) * m * 16
+    # the covariance stack, the (3M-2) x (2M-1) outer-product band and a
+    # few (n_bins + 2M, M) vectors: the weights and the profile's temporaries
+    budget = (n_bins * m * m * 16 + (3 * m - 2) * (2 * m - 1) * 16
+              + 3 * (n_bins + 2 * m) * m * 16)
     assert peak < budget
 
 
@@ -465,8 +492,9 @@ def test_rmmse_chunked_peak_memory_excludes_full_stack(monkeypatch):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    # one chunk's stack, the (3M-2)**2 outer-product table and a few
+    # one chunk's stack, the (3M-2) x (2M-1) outer-product band and a few
     # (n_bins + 2M, M) vectors: the weights and the profile's temporaries
-    budget = chunk * m * m * 16 + (3 * m - 2) ** 2 * 16 + 3 * (n_bins + 2 * m) * m * 16
+    budget = (chunk * m * m * 16 + (3 * m - 2) * (2 * m - 1) * 16
+              + 3 * (n_bins + 2 * m) * m * 16)
     assert peak < budget
     assert peak < n_bins * m * m * 16 // 4
