@@ -178,6 +178,13 @@ def _half_power_width(u, cut):
     return float(u[above[-1]] - u[above[0]])
 
 
+def _at_least(least, **counts):
+    """Reject a count key below ``least``, naming the key and its value."""
+    for key, count in counts.items():
+        if count < least:
+            raise ValueError(f"{key} must be >= {least}, got {key}={count}")
+
+
 # --------------------------------------------------------------- sounding
 
 
@@ -204,6 +211,7 @@ def _run_sound_padp(seed, sink, *, m=8, n=8, d_m=0.00545, f_start_hz=26.5e9,
                     u2=-0.2, v2=0.1, tau2_ns=25.0, amp2=0.5, src_x_m=0.5, src_y_m=0.3,
                     src_z_m=6.0, src_amp=0.8, r_start_m=3.0, r_stop_m=9.0, r_step_m=0.25,
                     map_points=41, rho=0.4, phi_rad=2.0, noise_sigma=0.0):
+    _at_least(1, map_points=map_points)
     lat = SamplingLattice(m, n, d_m, d_m)
     grid = FrequencyGrid(f_start_hz, f_stop_hz, df_hz)
     src = (src_x_m, src_y_m, src_z_m)
@@ -262,6 +270,7 @@ def _run_sound_squint(seed, sink, *, m=16, n=16, d_m=0.00375, f_design_hz=26.51e
     for key, f in (("f_design_hz", f_design_hz), ("f_eval_hz", f_eval_hz)):
         if not (np.isfinite(f) and f > 0):
             raise ValueError(f"{key} must be finite and positive, got {key}={f}")
+    _at_least(1, n_u=n_u, map_tones=map_tones)
     lat = SamplingLattice(m, n, d_m, d_m)
     look = Direction(u0, 0.0)
     u = np.linspace(-0.1, u0 + 0.2, n_u)
@@ -304,6 +313,7 @@ def _run_sound_squint(seed, sink, *, m=16, n=16, d_m=0.00375, f_design_hz=26.51e
 def _run_sound_sparse(seed, sink, *, m=16, n=16, d_m=0.00375, keep_fraction=0.5,
                       n_steps=1200, cool_every=60, f_eval_hz=40e9, uv_points=65,
                       psl_bound_db=-13.0):
+    _at_least(3, uv_points=uv_points)  # fewer leave no visible cell off boresight
     full = SamplingLattice(m, n, d_m, d_m)
     thin, psl_db = optimize_sparse_lattice(full, keep_fraction, n_steps, cool_every, seed,
                                            f_eval_hz, uv_points)
@@ -375,6 +385,8 @@ def _run_sar_point(seed, sink, *, v_mps=100.0, prf_hz=400.0, t_coh_s=0.16, r1_m=
 
 
 def _run_sar_tomo(seed, sink, *, n_s=65, n_angles=90, radius_frac=0.35, s_step=1.0):
+    _at_least(3, n_s=n_s)  # at 2 the four cells sit on one circle: no disc edge
+    _at_least(2, n_angles=n_angles)
     axis = (np.arange(n_s) - (n_s - 1) / 2.0) * s_step
     xx, yy = np.meshgrid(axis, axis, indexing="ij")
     radius = radius_frac * (n_s / 2.0) * s_step
@@ -405,6 +417,7 @@ def _run_sar_tomo(seed, sink, *, n_s=65, n_angles=90, radius_frac=0.35, s_step=1
 def _run_sar_capon(seed, sink, *, m=32, n=32, f_c_hz=10e9, d_u_m=0.1, d_f_hz=1e6,
                    r_ref_m=1000.0, src2_x_m=3.0, src2_y_m=-2.0, src2_amp=0.5,
                    noise_sigma=0.05, loading_rel=0.01, extent_m=8.0, n_grid=41):
+    _at_least(1, n_grid=n_grid)
     sources = ((0.0, 0.0, 1.0), (src2_x_m, src2_y_m, src2_amp))
     steering = LinearPhaseSteering(f_c_hz, d_u_m, d_f_hz, r_ref_m)
     z = synthesize_capon_data(sources, steering, m, n, noise_sigma, seed)
@@ -450,6 +463,7 @@ def _run_qsar_budget(seed, sink, *, power_w=5.0, gain=3162.0, wavelength_m=0.03,
                      delta_r_m=1.0, standoff_m=1e5, t0_k=290.0, noise_figure=2.0, l_a_m=3.0,
                      v_mps=150.0, theta_deg=30.0, sweep_lo_db=-10.0, sweep_hi_db=15.0,
                      n_sweep=26):
+    _at_least(0, n_sweep=n_sweep)
     p = QsarParams(power_w, gain, wavelength_m, sigma0, delta_r_m, standoff_m, t0_k,
                    noise_figure, l_a_m, v_mps, theta_deg)
     qm = qsar_metrics(p)
@@ -627,9 +641,7 @@ def _run_radiometry_roundtrip(seed, sink, *, n_u=17, du=0.45, sigma_l=0.15, n_th
 def _run_waveform_ambiguity(seed, sink, *, bandwidth_hz=10e6, duration_s=10e-6,
                             f_s_hz=25e6, n_delay=101, n_doppler=101, n_bins=200,
                             sep_bins=12, ratio_db=40.0, rmmse_iterations=3, adc_bits=12):
-    for key, count in (("n_delay", n_delay), ("n_doppler", n_doppler)):
-        if count < 1:
-            raise ValueError(f"{key} must be >= 1, got {key}={count}")
+    _at_least(1, n_delay=n_delay, n_doppler=n_doppler)
     strong, weak = n_bins // 3, n_bins // 3 + sep_bins
     if not 10 <= weak <= n_bins - 11:
         raise ValueError(f"n_bins={n_bins} and sep_bins={sep_bins} put the weak return at bin"

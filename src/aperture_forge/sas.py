@@ -130,7 +130,9 @@ class SensingModel:
         d = np.asarray(d_stack, dtype=complex)
         if d.shape != self.tensor.shape[:3]:
             raise ValueError("data stack shape does not match the model")
-        return np.einsum("pfmn,pfm->n", np.conj(self.tensor), d)
+        # conj(T^T conj(d)) gives the bits of conj(T)^T d without a conjugated
+        # copy of the whole tensor
+        return np.conj(np.einsum("pfmn,pfm->n", self.tensor, np.conj(d)))
 
     def operator_bound(self) -> float:
         """Largest squared singular value of the stacked operator by

@@ -54,10 +54,12 @@ def sampling_checks(grid: FrequencyGrid, f_max: float, tol: float = 0.05) -> dic
     alias-free when f_max/B is nearly an integer (the shifted band
     replicas then tile without overlap); ``q`` reports that integer and
     ``tol`` how near counts as near.  Raises ValueError unless ``f_max``
-    is finite and positive.
+    is finite and positive and ``tol`` is >= 0.
     """
     if not (np.isfinite(f_max) and f_max > 0):
         raise ValueError(f"f_max must be finite and positive, got f_max={f_max}")
+    if not tol >= 0:
+        raise ValueError(f"tol must be >= 0, got tol={tol}")
     ratio = f_max / grid.bandwidth
     q = int(round(ratio))
     ok = q >= 1 and abs(ratio - q) <= tol

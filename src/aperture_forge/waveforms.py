@@ -166,18 +166,15 @@ def adc_snr_ideal_db(bits: int) -> float:
 _COV_BUDGET_BYTES = 64 * 2**20
 
 
-def _outer_product_table(waveform: np.ndarray) -> np.ndarray:
-    """Read-only (M, 2M-1, M) view ``T[i, k, j] = s_k[i] * conj(s_k[j])``.
+def _outer_product_band(waveform: np.ndarray) -> np.ndarray:
+    """(3M-2, 2M-1) band ``H`` holding every shifted outer product of the pulse.
 
-    s_k is the waveform shifted by k - (M-1) and zero-filled.  All of them
-    are windows of one zero-padded copy ``pad`` (length W = 3M-2, the
-    waveform at [M-1, 2M-1)), and s_k[i] * conj(s_k[j]) is nonzero only
-    for |i - j| < M, so every product is an entry of the (W, 2M-1) band
-    ``H[a, c] = pad[W-1-a] * conj(pad[2M-2+c-a])`` and T is the strided
-    view ``T[i, k, j] = H[M-1-i+k, M-1-i+j]`` of it, not the (2M-1)*M*M
-    tensor.  Only rows [M-1, 2M-1) of H are nonzero.  Each T[i] is a
-    (2M-1, M) matrix with unit column stride, which matmul hands to BLAS
-    as it is.
+    s_k, the waveform shifted by k - (M-1) and zero-filled, is a window of
+    one zero-padded copy ``pad`` (length W = 3M-2, the waveform at
+    [M-1, 2M-1)), and s_k[i] * conj(s_k[j]) is nonzero only for |i - j| < M.
+    With ``H[a, c] = pad[W-1-a] * conj(pad[2M-2+c-a])``, the (2M-1, M) matrix
+    of s_k[i] * conj(s_k[j]) over k and j is the plain slice
+    ``H[M-1-i : 3M-2-i, M-1-i : 2M-1-i]``.  Only rows [M-1, 2M-1) are nonzero.
     """
     m = waveform.size
     width = 3 * m - 2
@@ -187,10 +184,7 @@ def _outer_product_table(waveform: np.ndarray) -> np.ndarray:
     # row a = M-1+r takes window M-1-r of conj(pad): entries 2M-2+c-a
     windows = np.lib.stride_tricks.sliding_window_view(np.conj(pad), 2 * m - 1)
     np.multiply(pad[::-1][m - 1 : 2 * m - 1, None], windows[::-1], out=band[m - 1 : 2 * m - 1])
-    item = band.itemsize
-    return np.lib.stride_tricks.as_strided(
-        band.reshape(-1)[(m - 1) * 2 * m :], shape=(m, 2 * m - 1, m),
-        strides=(-2 * m * item, (2 * m - 1) * item, item), writeable=False)
+    return band
 
 
 def rmmse_compress(received, waveform, iterations: int = 3) -> np.ndarray:
@@ -211,11 +205,13 @@ def rmmse_compress(received, waveform, iterations: int = 3) -> np.ndarray:
     to whole bins, two at least), through which the covariances are filled
     and solved in ceil(n_bins*M*M*16 / _COV_BUDGET_BYTES) balanced chunks
     of bins, plus the (3M-2) x (2M-1) outer-product band outside that
-    budget: 6 MB at M = 250, 96 MB at M = 1000.  The (2M-1)*M*M tensor of
-    shifted outer products is never formed.  Chunking changes no bit while
-    each chunk's GEMMs are large enough for BLAS to run them threaded, as
-    at every size this budget splits; at 2 BLAS threads, M = 65-127 with
-    chunks of a few bins rounds apart from one chunk.
+    budget: 6 MB at M = 250, 96 MB at M = 1000.  Covariance row i of a
+    chunk is one GEMM of its power windows against the band's plain slice
+    H[M-1-i : 3M-2-i, M-1-i : 2M-1-i], the products s_k[i] * conj(s_k[j])
+    over k and j, so the (2M-1)*M*M tensor of them is never formed.
+    Chunking changes no bit while each chunk's GEMMs are large enough to
+    run threaded, as at every size this budget splits; at 2 BLAS threads,
+    M = 65-127 in chunks of a few bins rounds apart from one chunk.
     Raises ValueError on non-finite ``received`` or ``waveform``.
     """
     y = np.asarray(received, dtype=complex)
@@ -234,7 +230,7 @@ def rmmse_compress(received, waveform, iterations: int = 3) -> np.ndarray:
     if not np.any(x_hat):
         return np.zeros(n_bins, dtype=complex)
 
-    outers = _outer_product_table(s)
+    band = _outer_product_band(s)
     # two bins a chunk at least: a one-row fill runs as a matrix-vector
     # product (GEMV), which sums in another order than a wider chunk's GEMM.
     # At 2 BLAS threads a GEMM small enough to run on one thread may round
@@ -247,8 +243,10 @@ def rmmse_compress(received, waveform, iterations: int = 3) -> np.ndarray:
     def solve_all(rho_windows, sigma2, loaded):
         for b0, b1 in zip(edges, edges[1:]):
             c = cov[: b1 - b0]
-            # one GEMM per covariance row i: c[:, i, :] = rho_windows @ T[i]
-            np.matmul(rho_windows[b0:b1].astype(complex), outers, out=c.transpose(1, 0, 2))
+            a = rho_windows[b0:b1].astype(complex)
+            for r in range(m):  # covariance row i = M-1-r
+                np.matmul(a, band[r : r + 2 * m - 1, r : r + m], out=c[:, m - 1 - r, :])
+            del a  # held through the solve, it would add to the peak
             diag = c.reshape(b1 - b0, m * m)[:, :: m + 1]
             diag += sigma2
             if loaded:

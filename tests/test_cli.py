@@ -465,7 +465,7 @@ def test_main_success_and_exit_codes(tmp_path, capsys):
     ("sar-speckle", {"n_pix": 1}),
     ("sar-speckle", {"n_pix": 2}),
     ("sar-speckle", {"sigma_mu": 0.0}),
-    ("sar-tomo", {"n_s": 2}),
+    ("sar-tomo", {"n_s": 4}),  # the default disc covers none of the 4 x 4 cell centres
 ])
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_metric_exits_6_without_a_report(tmp_path, capsys, scenario, params):
@@ -524,6 +524,23 @@ def test_non_finite_metric_exits_6_without_a_report(tmp_path, capsys, scenario, 
     ("radiometry-roundtrip", {"n_theta": 0}, "got n_theta=0"),
     ("radiometry-roundtrip", {"n_phi": 0}, "got n_phi=0"),
     ("pr-recover", {"oversampling": 0.0}, "got m=0"),
+    # more keys only the runner reads, appended so the rows above keep their ids
+    ("sar-tomo", {"n_s": 0}, "n_s must be >= 3, got n_s=0"),
+    ("sar-tomo", {"n_s": 1}, "n_s must be >= 3, got n_s=1"),
+    ("sar-tomo", {"n_s": -1}, "n_s must be >= 3, got n_s=-1"),
+    ("sar-tomo", {"n_s": 2}, "n_s must be >= 3, got n_s=2"),
+    ("sar-tomo", {"n_angles": -1}, "n_angles must be >= 2, got n_angles=-1"),
+    ("sar-capon", {"n_grid": 0}, "n_grid must be >= 1, got n_grid=0"),
+    ("sar-capon", {"n_grid": -1}, "n_grid must be >= 1, got n_grid=-1"),
+    ("sound-squint", {"n_u": 0}, "n_u must be >= 1, got n_u=0"),
+    ("sound-squint", {"n_u": -1}, "n_u must be >= 1, got n_u=-1"),
+    ("sound-squint", {"map_tones": 0}, "map_tones must be >= 1, got map_tones=0"),
+    ("sound-squint", {"map_tones": -1}, "map_tones must be >= 1, got map_tones=-1"),
+    ("sound-padp", {"map_points": -1}, "map_points must be >= 1, got map_points=-1"),
+    ("sound-sparse-lattice", {"uv_points": -1}, "uv_points must be >= 3, got uv_points=-1"),
+    ("qsar-budget", {"n_sweep": -1}, "n_sweep must be >= 0, got n_sweep=-1"),
+    # and one more library parameter
+    ("sound-constants", {"tol": -0.5}, "tol must be >= 0, got tol=-0.5"),
 ])
 def test_invalid_library_input_exits_6_without_a_report(tmp_path, capsys, scenario, params,
                                                         message):

@@ -138,10 +138,23 @@ def test_adjoint_identity():
     assert abs(lhs - rhs) <= 1e-10 * abs(lhs)
 
 
-def test_operator_bound_matches_dense_svd():
+def _small_model():
     g = SasGeometry(v_p=2.0, tau_rec=0.02, n_pings=2, rx_offsets=[0.0, 0.03])
     pts = np.column_stack([np.full(6, 10.0), np.linspace(-1.0, 1.0, 6)])
-    m = SensingModel(g, pts, np.array([20e3, 30e3]))
+    return SensingModel(g, pts, np.array([20e3, 30e3]))
+
+
+@pytest.mark.parametrize("model", [default_model, _small_model])
+def test_adjoint_matches_the_conjugated_tensor_bitwise(model):
+    m = model()
+    rng = np.random.default_rng(3)
+    d = rng.standard_normal(m.shape[:3]) + 1j * rng.standard_normal(m.shape[:3])
+    want = np.einsum("pfmn,pfm->n", np.conj(m.tensor), d)
+    assert m.adjoint(d).tobytes() == want.tobytes()
+
+
+def test_operator_bound_matches_dense_svd():
+    m = _small_model()
     stacked = m.tensor.reshape(-1, 6)
     top = np.linalg.svd(stacked, compute_uv=False)[0] ** 2
     assert m.operator_bound() == pytest.approx(top, rel=1e-6)

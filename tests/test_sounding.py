@@ -718,6 +718,8 @@ def test_annealer_validation():
         optimize_sparse_lattice(_lattice_35(), 0.0, seed=0)
     with pytest.raises(ValueError):
         optimize_sparse_lattice(_lattice_35(), 1.2, seed=0)
+    with pytest.raises(ValueError, match="uv_points=2 puts no sine-space cell"):
+        optimize_sparse_lattice(_lattice_35(), 0.5, seed=0, uv_points=2)
     for f_eval in (0.0, -40e9, np.nan):
         with pytest.raises(ValueError, match=f"got f_eval={f_eval}"):
             optimize_sparse_lattice(_lattice_35(), 0.5, seed=0, f_eval=f_eval)
