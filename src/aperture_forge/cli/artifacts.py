@@ -21,20 +21,12 @@ def _savetxt(rows, **kwargs) -> str:
     return buf.getvalue()
 
 
-def _to_db(grid, scale):
-    if scale == "db":
-        return grid
-    with np.errstate(divide="ignore"):
-        mag = np.log10(np.abs(grid))
-    return (10.0 if scale == "power" else 20.0) * mag
-
-
-def render_image(grid, dynamic_range_db=60.0, scale="db"):
+def render_image(grid, scale, dynamic_range_db=60.0):
     """``grid`` as an 8-bit ASCII graymap plus a raw-value CSV.
 
     The top ``dynamic_range_db`` decibels below the peak map linearly to
     [0, 255]; anything deeper clips to black.  ``scale`` says how to read
-    the input: already in dB, linear power, or linear field amplitude.
+    the input: linear power or linear field amplitude.
     Returns the (pgm, csv) texts; raises ValueError if ``grid`` is not
     2-D, non-empty and finite, or the range or scale is invalid.
     """
@@ -45,9 +37,10 @@ def render_image(grid, dynamic_range_db=60.0, scale="db"):
         raise ValueError("image grid must be finite")
     if dynamic_range_db <= 0:
         raise ValueError("dynamic_range_db must be positive")
-    if scale not in ("db", "power", "field"):
-        raise ValueError("scale must be 'db', 'power' or 'field'")
-    db = _to_db(grid, scale)
+    if scale not in ("power", "field"):
+        raise ValueError("scale must be 'power' or 'field'")
+    with np.errstate(divide="ignore"):
+        db = (10.0 if scale == "power" else 20.0) * np.log10(np.abs(grid))
     peak = float(db.max())
     if np.isfinite(peak):
         # zeros come through as -inf and clip cleanly to 0
@@ -115,9 +108,9 @@ class ArtifactSink:
         self.emit_csv = emit_csv
         self._texts = {}  # file name -> rendered text, in call order
 
-    def image(self, name, grid, dynamic_range_db=60.0, scale="db"):
+    def image(self, name, grid, scale, dynamic_range_db=60.0):
         if self.emit_images:
-            pgm, csv = render_image(grid, dynamic_range_db, scale)
+            pgm, csv = render_image(grid, scale, dynamic_range_db)
             self._texts[f"{name}.pgm"], self._texts[f"{name}.csv"] = pgm, csv
 
     def table(self, name, columns):

@@ -95,7 +95,7 @@ def _op_norm_sq(problem):
 
 def _sign(z):
     mag = np.abs(z)
-    return np.divide(z, mag, out=np.zeros_like(z), where=mag > 0.0)
+    return z * np.divide(1.0, mag, out=np.zeros_like(mag), where=mag > 0.0)
 
 
 def pr_forward(x, problem, noise_sigma=0.0, seed=None) -> np.ndarray:
@@ -251,7 +251,10 @@ def circular_pupil(n, radius_bins) -> np.ndarray:
 def pupil_radius_bins(na, wavelength, dx, n) -> float:
     """Cutoff NA * 2 pi / lambda expressed in spectral grid cells for a
     field sampled every dx over n points.  Raises ValueError unless
-    ``wavelength`` and ``dx`` are finite and positive."""
+    ``na`` is finite and non-negative, and ``wavelength`` and ``dx`` are
+    finite and positive."""
+    if not (np.isfinite(na) and na >= 0):
+        raise ValueError(f"na must be finite and non-negative, got na={na}")
     for key, value in (("wavelength", wavelength), ("dx", dx)):
         if not (np.isfinite(value) and value > 0):
             raise ValueError(f"{key} must be finite and positive, got {key}={value}")

@@ -50,6 +50,9 @@ class SarGeometry:
         # v = 0 is legal (stationary platform, pure range profiling)
         if self.v < 0 or min(self.prf, self.t_coh, self.r1, self.wavelength) <= 0:
             raise ValueError("geometry parameters must be positive (v may be zero)")
+        if self.n_pulses < 1:
+            raise ValueError("round(t_coh * prf) must be >= 1 pulse,"
+                             f" got t_coh={self.t_coh}, prf={self.prf}")
 
     @property
     def aperture_length(self) -> float:

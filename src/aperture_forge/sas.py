@@ -45,10 +45,6 @@ class SasGeometry:
         object.__setattr__(self, "rx_offsets", rx)
 
     @property
-    def n_receivers(self) -> int:
-        return len(self.rx_offsets)
-
-    @property
     def r_max(self) -> float:
         """Maximum unambiguous swath: echoes arriving after tau_rec are lost."""
         return C_SOUND * self.tau_rec / 2.0

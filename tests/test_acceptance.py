@@ -343,7 +343,7 @@ def test_09_sas_suite(capsys):
     geom = SasGeometry(v_p=3.2, tau_rec=0.05, n_pings=16,
                        rx_offsets=np.arange(8) * 0.04)
     grid = FrequencyGrid(f_start=20e3, f_stop=35e3, df=1e3)
-    pfm = geom.n_pings * grid.s * geom.n_receivers
+    pfm = geom.n_pings * grid.s * len(geom.rx_offsets)
     r0 = 30.0
     x = r0 + (np.arange(16) - 7.5) * 0.045
     y_mid = geom.ping_positions().mean() + geom.rx_offsets.mean() / 2.0

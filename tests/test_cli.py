@@ -170,7 +170,7 @@ def test_scenario_argv_file_disagreement(tmp_path):
 
 
 def test_constant_matrix_renders_all_white():
-    pgm, _ = render_image(np.zeros((3, 4)))
+    pgm, _ = render_image(np.full((3, 4), 2.0), scale="power")
     lines = pgm.splitlines()
     assert lines[0] == "P2"
     assert lines[1].startswith("#") and "10*log10" in lines[1]
@@ -182,8 +182,8 @@ def test_constant_matrix_renders_all_white():
 
 
 def test_exactly_dynamic_range_below_peak_maps_to_zero():
-    grid = np.array([[0.0, -60.0], [-30.0, -10.0]])
-    pgm, _ = render_image(grid, dynamic_range_db=60.0)
+    grid = np.array([[1.0, 1e-6], [1e-3, 0.1]])  # 0, -60, -30 and -10 dB
+    pgm, _ = render_image(grid, scale="power", dynamic_range_db=60.0)
     pixels = np.array([row.split() for row in pgm.splitlines()[4:]], dtype=int)
     assert pixels[0, 0] == 255
     assert pixels[0, 1] == 0
@@ -199,13 +199,15 @@ def test_csv_companion_roundtrips_bit_exact():
 
 def test_empty_and_bad_grids_rejected():
     with pytest.raises(ValueError):
-        render_image(np.zeros((0, 4)))
+        render_image(np.zeros((0, 4)), scale="power")
     with pytest.raises(ValueError):
-        render_image(np.zeros(5))
+        render_image(np.zeros(5), scale="power")
     with pytest.raises(ValueError):
-        render_image(np.full((2, 2), np.nan))
+        render_image(np.full((2, 2), np.nan), scale="field")
     with pytest.raises(ValueError):
-        render_image(np.zeros((2, 2)), dynamic_range_db=0.0)
+        render_image(np.zeros((2, 2)), scale="power", dynamic_range_db=0.0)
+    with pytest.raises(ValueError, match="scale"):
+        render_image(np.ones((2, 2)), scale="db")
 
 
 @settings(max_examples=25, deadline=None)
@@ -539,8 +541,11 @@ def test_non_finite_metric_exits_6_without_a_report(tmp_path, capsys, scenario, 
     ("sound-padp", {"map_points": -1}, "map_points must be >= 1, got map_points=-1"),
     ("sound-sparse-lattice", {"uv_points": -1}, "uv_points must be >= 3, got uv_points=-1"),
     ("qsar-budget", {"n_sweep": -1}, "n_sweep must be >= 0, got n_sweep=-1"),
-    # and one more library parameter
+    # and more library parameters
     ("sound-constants", {"tol": -0.5}, "tol must be >= 0, got tol=-0.5"),
+    ("fp-demo", {"na": -0.25}, "got na=-0.25"),
+    ("sar-point", {"prf_hz": 0.4}, "got t_coh=0.16, prf=0.4"),
+    ("sar-point", {"t_coh_s": 1.6e-4}, "got t_coh=0.00016, prf=400.0"),
 ])
 def test_invalid_library_input_exits_6_without_a_report(tmp_path, capsys, scenario, params,
                                                         message):

@@ -339,6 +339,26 @@ def test_sign_bits_match_masked_divisor():
     assert np.array_equal(_sign(z) == 0, z == 0)
 
 
+def test_sign_nonzero_parts_match_the_complex_division_bitwise():
+    """Multiplying by a masked real reciprocal gives the bits of numpy's
+    complex division by |z|; only the sign of an exactly-zero part may
+    differ."""
+    rng = np.random.default_rng(13)
+    z = (rng.standard_normal((96, 96)) + 1j * rng.standard_normal((96, 96))) \
+        * 10.0 ** rng.uniform(-100, 100, (96, 96))
+    z[::5, ::3] = 0.0
+    z[1::7] = z[1::7].real
+    z[2::9] = 1j * z[2::9].imag
+    mag = np.abs(z)
+    old = np.divide(z, mag, out=np.zeros_like(z), where=mag > 0.0)
+    new = _sign(z)
+    for o, n in ((old.real, new.real), (old.imag, new.imag)):
+        nonzero = o != 0.0
+        assert np.array_equal(n.view(np.uint64)[nonzero], o.view(np.uint64)[nonzero])
+        assert np.all(n[~nonzero] == 0.0)
+    assert np.all(new[z == 0] == 0)
+
+
 def _fp_recover_oracle(intensities, system, sweeps):
     """Ptychographic stitching written out plainly: roll the spectrum to
     each LED, mask with the pupil, full 2-D transforms, and roll back."""

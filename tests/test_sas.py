@@ -26,7 +26,7 @@ R0 = 30.0
 GEOM = SasGeometry(v_p=3.2, tau_rec=0.05, n_pings=16,
                    rx_offsets=np.arange(8) * 0.04)
 GRID = FrequencyGrid(f_start=20e3, f_stop=35e3, df=1e3)
-PFM = GEOM.n_pings * GRID.s * GEOM.n_receivers  # 16 * 16 * 8 = 2048
+PFM = GEOM.n_pings * GRID.s * len(GEOM.rx_offsets)  # 16 * 16 * 8 = 2048
 
 
 def scene_points():
@@ -254,7 +254,7 @@ def test_cbf_noise_floor_scales_with_stack_size():
             acc.append(np.mean(np.abs(model.adjoint(d)) ** 2))
         powers.append(np.mean(acc))
     powers = np.asarray(powers)
-    expected = sigma ** 2 * pings * GRID.s * GEOM.n_receivers
+    expected = sigma ** 2 * pings * GRID.s * len(GEOM.rx_offsets)
     assert np.all(np.abs(powers / expected - 1.0) < 0.10)
     slope = np.polyfit(np.log(pings), np.log(powers), 1)[0]
     assert slope == pytest.approx(1.0, abs=0.1)
