@@ -391,6 +391,11 @@ def _run_sar_tomo(seed, sink, *, n_s=65, n_angles=90, radius_frac=0.35, s_step=1
     xx, yy = np.meshgrid(axis, axis, indexing="ij")
     radius = radius_frac * (n_s / 2.0) * s_step
     phantom = (xx ** 2 + yy ** 2 <= radius ** 2).astype(float)
+    if phantom.min() == phantom.max():  # the RMSEs divide by its span
+        raise ValueError(
+            f"n_s={n_s}, radius_frac={radius_frac} and s_step={s_step} put"
+            f" {'every' if phantom.any() else 'no'} cell centre inside the phantom's disc;"
+            f" it must cover some cells and not all")
     angles = np.linspace(0.0, np.pi, n_angles, endpoint=False)
     proj = project_image(phantom, angles, s_step)
     rec_p = tomographic_reconstruct(proj, angles, s_step, "polar-interp")
@@ -440,6 +445,9 @@ def _run_sar_capon(seed, sink, *, m=32, n=32, f_c_hz=10e9, d_u_m=0.1, d_f_hz=1e6
 
 
 def _run_sar_speckle(seed, sink, *, n_pix=128, sigma_mu=0.3, window=7, block_level=5.0):
+    _at_least(8, n_pix=n_pix)  # the flat region is 2 * (n_pix // 8) rows deep
+    if not sigma_mu > 0.0:  # at 0 var_ratio is 0/0
+        raise ValueError(f"sigma_mu must be > 0, got sigma_mu={sigma_mu}")
     y = np.ones((n_pix, n_pix))
     q = n_pix // 8
     y[3 * q:4 * q, 3 * q:4 * q] = block_level
@@ -602,6 +610,11 @@ def _run_fp_demo(seed, sink, *, n=96, na=0.25, wavelength_m=0.5e-6, dx_m=4.16666
 
 def _run_radiometry_roundtrip(seed, sink, *, n_u=17, du=0.45, sigma_l=0.15, n_theta=120,
                               n_phi=240, t_peak_k=100.0, clip_negative=True, n_mrla=4):
+    # the reference map divides by 2 sigma_l**2 and the error by its norm
+    if not 2.0 * sigma_l ** 2 > 0.0:
+        raise ValueError(f"sigma_l must be nonzero (2 * sigma_l**2 > 0), got sigma_l={sigma_l}")
+    if not t_peak_k > 0.0:
+        raise ValueError(f"t_peak_k must be > 0, got t_peak_k={t_peak_k}")
     bmap = BrightnessMap.from_function(
         lambda th, ph: t_peak_k * np.exp(-np.sin(th) ** 2 / (2.0 * sigma_l ** 2)),
         n_theta, n_phi,
@@ -680,12 +693,9 @@ def _run_waveform_ambiguity(seed, sink, *, bandwidth_hz=10e6, duration_s=10e-6,
     mfp = np.abs(np.correlate(y, env, "valid")) / np.sum(np.abs(env) ** 2)
     # local residual: 10 bins either side of the weak return, with both
     # returns and their immediate shoulders excluded
-    resid = np.abs(rc[weak - 10:weak + 11]).copy()
-    for target in (strong, weak):
-        lo = max(target - 2 - (weak - 10), 0)
-        hi = min(target + 3 - (weak - 10), resid.size)
-        if lo < hi:
-            resid[lo:hi] = 0.0
+    near = np.arange(weak - 10, weak + 11)
+    shoulders = (np.abs(near - strong) <= 2) | (np.abs(near - weak) <= 2)
+    resid = np.where(shoulders, 0.0, np.abs(rc[weak - 10:weak + 11]))
     margin = 20.0 * np.log10(np.abs(rc[weak]) / max(resid.max(), 1e-30))
 
     sink.image("ambiguity", surf.values, scale="power")

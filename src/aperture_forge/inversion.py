@@ -301,10 +301,11 @@ class FpSystem:
     def coverage(self) -> np.ndarray:
         """Spectral cells inside at least one shifted pupil: the band a
         recovery can fill."""
-        cov = np.zeros((self.n, self.n), dtype=bool)
-        for off in self.offsets:
-            cov |= np.roll(self.pupil, -off, axis=(0, 1))
-        return cov
+        return self._shifted_pupils().any(axis=0)
+
+    def _shifted_pupils(self) -> np.ndarray:
+        """(n_leds, n, n) stack of the pupil shifted to each LED's band."""
+        return np.stack([np.roll(self.pupil, -off, axis=(0, 1)) for off in self.offsets])
 
 
 def fp_acquire(system: FpSystem, k) -> np.ndarray:
@@ -319,16 +320,10 @@ def spectral_overlap(system: FpSystem) -> float:
     pupils (1.0 for a single LED)."""
     if system.n_leds < 2:
         return 1.0
-    supports = [np.roll(system.pupil, -off, axis=(0, 1)) for off in system.offsets]
-    area = np.count_nonzero(system.pupil)
-    worst = 1.0
-    for i, s_i in enumerate(supports):
-        best = 0.0
-        for j, s_j in enumerate(supports):
-            if i != j:
-                best = max(best, np.count_nonzero(s_i & s_j) / area)
-        worst = min(worst, best)
-    return worst
+    flat = system._shifted_pupils().reshape(system.n_leds, -1).astype(np.int64)
+    shared = flat @ flat.T  # cells each pair of pupils shares, exact
+    np.fill_diagonal(shared, 0)
+    return int(shared.max(axis=1).min()) / np.count_nonzero(system.pupil)
 
 
 def fp_recover(intensities, system: FpSystem, sweeps=50) -> np.ndarray:

@@ -27,8 +27,8 @@ def _box_mean(x, w):
     """Mean over a width-w window along every axis, edge samples
     replicated past the border.
 
-    One axis at a time, axis 0 first, as a running sum: the first window
-    summed left to right from zero, then each step adds (entering -
+    One axis at a time, axis 0 first, as one running sum: the first w
+    samples summed left to right, then each step adds (entering -
     leaving), and each sum is divided by w.  That is the order
     scipy.ndimage.uniform_filter(size=w, mode="nearest") sums in, so the
     bits match it.
@@ -38,10 +38,7 @@ def _box_mean(x, w):
         pad = [(0, 0)] * x.ndim
         pad[axis] = (lo, w - 1 - lo)
         p = np.moveaxis(np.pad(x, pad, mode="edge"), axis, 0)
-        first = np.zeros_like(p[0])
-        for row in p[:w]:
-            first += row
-        run = np.cumsum(np.concatenate([first[None], p[w:] - p[:-w]]), axis=0)
+        run = np.cumsum(np.concatenate([p[:w], p[w:] - p[:-w]]), axis=0)[w - 1:]
         x = np.moveaxis(run / w, 0, axis)
     return x
 

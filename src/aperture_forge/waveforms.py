@@ -112,15 +112,12 @@ def ambiguity_surface(envelope, delays, dopplers, f_s: float) -> AmbiguitySurfac
     lags = np.round(delays * f_s).astype(int)
     t = (np.arange(n) - (n - 1) / 2.0) * dt
 
-    # products[i, :] holds u(t) u*(t + tau_i) over the overlapping support
-    products = np.zeros((lags.size, n), dtype=complex)
-    for i, lag in enumerate(lags):
-        if abs(lag) >= n:
-            continue
-        if lag >= 0:
-            products[i, : n - lag] = u[: n - lag] * np.conj(u[lag:])
-        else:
-            products[i, -lag:] = u[-lag:] * np.conj(u[: n + lag])
+    # products[i, :] holds u(t) u*(t + tau_i), zero off the overlapping
+    # support: window n + lag of conj(u) padded by n zeros on each side
+    # starts at sample lag, and lags past +-n read only padding
+    shifted = np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([np.zeros(n), np.conj(u), np.zeros(n)]), n)
+    products = u * shifted[n + np.clip(lags, -n, n)]
     kernel = np.exp(1j * 2.0 * np.pi * t[:, None] * dopplers[None, :])
     chi = dt * (products @ kernel)
     return AmbiguitySurface(delays=lags * dt, dopplers=dopplers, values=np.abs(chi) ** 2)

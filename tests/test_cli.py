@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aperture_forge.cli.artifacts import DB_NOTE, render_image, render_sweep
+from aperture_forge.cli.artifacts import DB_NOTE, ArtifactSink, render_image, render_sweep
 from aperture_forge.cli.config import (
     ConfigFileError,
     MissingSeedError,
@@ -461,23 +461,17 @@ def test_main_success_and_exit_codes(tmp_path, capsys):
     assert (tmp_path / "out" / "report.json").exists()
 
 
-@pytest.mark.parametrize("scenario,params", [
-    ("radiometry-roundtrip", {"sigma_l": 0.0}),
-    ("radiometry-roundtrip", {"t_peak_k": 0.0}),
-    ("sar-speckle", {"n_pix": 1}),
-    ("sar-speckle", {"n_pix": 2}),
-    ("sar-speckle", {"sigma_mu": 0.0}),
-    ("sar-tomo", {"n_s": 4}),  # the default disc covers none of the 4 x 4 cell centres
-])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_non_finite_metric_exits_6_without_a_report(tmp_path, capsys, scenario, params):
-    cfg = write_config(tmp_path, {"scenario": scenario, "params": params})
-    code = main([scenario, "--config", str(cfg), "--seed", "1",
-                 "--out", str(tmp_path / "out")])
+def test_non_finite_metric_exits_6_without_a_report(tmp_path, capsys, monkeypatch):
+    def non_finite(seed, sink, **params):
+        return {"fine": 1.0, "nan": float("nan"), "inf": np.inf, "count": 3}
+
+    monkeypatch.setattr(REGISTRY["sound-constants"], "runner", non_finite)
+    cfg = write_config(tmp_path, {"scenario": "sound-constants"})
+    code = main(["sound-constants", "--config", str(cfg), "--out", str(tmp_path / "out")])
     err = json.loads(capsys.readouterr().err)
     assert code == 6
     assert err["error"]["kind"] == "ScenarioError"
-    assert "non-finite metrics" in err["error"]["message"]
+    assert err["error"]["message"] == "sound-constants: non-finite metrics: inf, nan"
     assert not (tmp_path / "out").exists()
 
 
@@ -546,6 +540,17 @@ def test_non_finite_metric_exits_6_without_a_report(tmp_path, capsys, scenario, 
     ("fp-demo", {"na": -0.25}, "got na=-0.25"),
     ("sar-point", {"prf_hz": 0.4}, "got t_coh=0.16, prf=0.4"),
     ("sar-point", {"t_coh_s": 1.6e-4}, "got t_coh=0.00016, prf=400.0"),
+    # once non-finite metrics, now named before any work
+    ("radiometry-roundtrip", {"sigma_l": 0.0},
+     "sigma_l must be nonzero (2 * sigma_l**2 > 0), got sigma_l=0.0"),
+    ("radiometry-roundtrip", {"t_peak_k": 0.0}, "t_peak_k must be > 0, got t_peak_k=0.0"),
+    ("sar-speckle", {"n_pix": 1}, "n_pix must be >= 8, got n_pix=1"),
+    ("sar-speckle", {"n_pix": 2}, "n_pix must be >= 8, got n_pix=2"),
+    ("sar-speckle", {"sigma_mu": 0.0}, "sigma_mu must be > 0, got sigma_mu=0.0"),
+    ("sar-tomo", {"n_s": 4}, "n_s=4, radius_frac=0.35 and s_step=1.0 put no cell centre"),
+    ("sar-speckle", {"n_pix": 0}, "n_pix must be >= 8, got n_pix=0"),
+    ("sar-speckle", {"n_pix": -1}, "n_pix must be >= 8, got n_pix=-1"),
+    ("sar-tomo", {"radius_frac": 350.0}, "radius_frac=350.0 and s_step=1.0 put every cell"),
 ])
 def test_invalid_library_input_exits_6_without_a_report(tmp_path, capsys, scenario, params,
                                                         message):
@@ -557,6 +562,41 @@ def test_invalid_library_input_exits_6_without_a_report(tmp_path, capsys, scenar
     assert err["error"]["kind"] == "ScenarioError"
     assert message in err["error"]["message"]
     assert not (tmp_path / "out").exists()
+
+
+def _weak_margin_loop_oracle(rc, strong, weak):
+    """waveform-ambiguity's weak-return margin with each return's shoulders
+    zeroed by a slice clipped to the residual window."""
+    resid = np.abs(rc[weak - 10:weak + 11]).copy()
+    for target in (strong, weak):
+        lo = max(target - 2 - (weak - 10), 0)
+        hi = min(target + 3 - (weak - 10), resid.size)
+        if lo < hi:
+            resid[lo:hi] = 0.0
+    return float(20.0 * np.log10(np.abs(rc[weak]) / max(resid.max(), 1e-30)))
+
+
+@pytest.mark.parametrize("sep_bins", [12, 3, -2, 40])  # 3 and -2: the two masks overlap
+def test_weak_return_residual_matches_the_clipped_slices(tmp_path, monkeypatch, sep_bins):
+    n_bins = 200
+    strong, weak = n_bins // 3, n_bins // 3 + sep_bins
+    seen = {}
+
+    def profile(received, waveform, iterations):
+        # falls off with the distance to the nearer return, so a shoulder
+        # bin zeroed too few or too many changes the residual's maximum
+        bins = np.arange(received.size - waveform.size + 1)
+        dist = np.minimum(np.abs(bins - strong), np.abs(bins - weak))
+        rng = np.random.default_rng(5)
+        seen["rc"] = (1.0 + 0.1 * rng.random(bins.size)) / (1.0 + dist) \
+            * np.exp(2j * np.pi * rng.random(bins.size))
+        return seen["rc"]
+
+    monkeypatch.setattr("aperture_forge.cli.scenarios.rmmse_compress", profile)
+    metrics = REGISTRY["waveform-ambiguity"].runner(
+        1, ArtifactSink(tmp_path, False, False), n_bins=n_bins, sep_bins=sep_bins)
+    want = _weak_margin_loop_oracle(seen["rc"], strong, weak)
+    assert metrics["rmmse_weak_margin_db"] == want
 
 
 @pytest.mark.parametrize("scenario", sorted(REGISTRY))
@@ -632,15 +672,24 @@ def test_a_write_stage_failure_exits_1_naming_the_path(tmp_path, capsys, monkeyp
 
 
 def test_a_failed_run_prints_its_warnings_inside_one_json_line(tmp_path):
-    """A subprocess, because pytest would intercept the warnings."""
+    """A subprocess, because pytest would intercept the warnings.  Its
+    runner warns once and returns a NaN, so no scenario's config is the
+    source."""
     src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    cfg = write_config(tmp_path, {"scenario": "sar-speckle", "params": {"sigma_mu": 0.0}})
-    done = subprocess.run([sys.executable, "-m", "aperture_forge.cli.main", "sar-speckle",
-                           "--config", str(cfg), "--seed", "1", "--out", str(tmp_path / "out")],
+    cfg = write_config(tmp_path, {"scenario": "sound-constants"})
+    script = ("import sys\n"
+              "import numpy as np\n"
+              "from aperture_forge.cli.main import main\n"
+              "from aperture_forge.cli.scenarios import REGISTRY\n"
+              "REGISTRY['sound-constants'].runner = "
+              "lambda seed, sink, **params: {'ratio': np.float64(0.0) / 0.0}\n"
+              "sys.exit(main(sys.argv[1:]))\n")
+    done = subprocess.run([sys.executable, "-c", script, "sound-constants",
+                           "--config", str(cfg), "--out", str(tmp_path / "out")],
                           capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)))
     assert done.returncode == 6
     err = _one_json_error_line(done.stderr)
-    assert err["message"] == "sar-speckle: non-finite metrics: var_ratio"
+    assert err["message"] == "sound-constants: non-finite metrics: ratio"
     assert len(err["warnings"]) == 1 and "invalid value" in err["warnings"][0]
 
 

@@ -467,6 +467,49 @@ def test_disjoint_pupils_flagged():
     assert spectral_overlap(sys) == 0.0
 
 
+def _overlap_loop_oracle(system):
+    """Coverage and smallest nearest-neighbor overlap, one rolled pupil
+    and one pair of LEDs at a time."""
+    supports = [np.roll(system.pupil, -off, axis=(0, 1)) for off in system.offsets]
+    cov = np.zeros((system.n, system.n), dtype=bool)
+    for s in supports:
+        cov |= s
+    if system.n_leds < 2:
+        return 1.0, cov
+    area = np.count_nonzero(system.pupil)
+    worst = 1.0
+    for i, s_i in enumerate(supports):
+        best = 0.0
+        for j, s_j in enumerate(supports):
+            if i != j:
+                best = max(best, np.count_nonzero(s_i & s_j) / area)
+        worst = min(worst, best)
+    return worst, cov
+
+
+def _offset_system(n, radius, offsets):
+    u = gaussian_object(n, 8.0)
+    return FpSystem(np.fft.fft2(u, norm="ortho"), circular_pupil(n, radius), np.array(offsets))
+
+
+@pytest.mark.parametrize("make_system", [
+    lambda: _offset_system(64, 10, [[0, 0]]),
+    lambda: _offset_system(64, 10, [[3, -2]]),
+    lambda: _offset_system(96, 5, [[-20, 0], [20, 0]]),  # disjoint: overlap 0
+    lambda: _offset_system(96, 12, [[-5, 4], [7, 0]]),
+    lambda: grid_system(spacing=5),
+    lambda: grid_system(),
+    lambda: grid_system(radius=10, spacing=20),
+    _two_by_four_system,
+], ids=["one", "one-shifted", "two-disjoint", "two", "nine-5", "nine-12", "nine-20",
+        "two-by-four"])
+def test_overlap_and_coverage_match_the_pairwise_loop(make_system):
+    system = make_system()
+    overlap, cov = _overlap_loop_oracle(system)
+    assert spectral_overlap(system) == overlap
+    assert np.array_equal(system.coverage, cov)
+
+
 @pytest.mark.parametrize("bad", [-1e-3, np.nan, np.inf])
 def test_fp_recover_rejects_negative_or_non_finite_intensities(bad):
     sys = grid_system()

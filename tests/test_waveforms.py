@@ -152,6 +152,48 @@ def test_ambiguity_volume_near_unity():
     assert surf.volume() == pytest.approx(1.0, abs=0.05)
 
 
+def _ambiguity_loop_oracle(envelope, delays, dopplers, f_s):
+    """The ambiguity surface with its lag products filled one lag at a
+    time, each lag's overlapping support sliced by the sign of the lag."""
+    u = np.asarray(envelope, dtype=complex)
+    delays = np.atleast_1d(np.asarray(delays, dtype=float))
+    dopplers = np.atleast_1d(np.asarray(dopplers, dtype=float))
+    dt = 1.0 / f_s
+    u = u / np.sqrt(float(np.sum(np.abs(u) ** 2) * dt))
+    n = u.size
+    lags = np.round(delays * f_s).astype(int)
+    t = (np.arange(n) - (n - 1) / 2.0) * dt
+    products = np.zeros((lags.size, n), dtype=complex)
+    for i, lag in enumerate(lags):
+        if abs(lag) >= n:
+            continue
+        if lag >= 0:
+            products[i, : n - lag] = u[: n - lag] * np.conj(u[lag:])
+        else:
+            products[i, -lag:] = u[-lag:] * np.conj(u[: n + lag])
+    kernel = np.exp(1j * 2.0 * np.pi * t[:, None] * dopplers[None, :])
+    return lags * dt, np.abs(dt * (products @ kernel)) ** 2
+
+
+@pytest.mark.parametrize("lags", [
+    np.arange(-7, 8),
+    [0, 39, -39, 40, -40, 41, -41, 1000, -1000, 5, -3],  # n = 40: +-(n - 1), +-n and beyond
+    [0],
+    [-52],
+    list(np.round(np.linspace(-32, 32, 101))),  # the scenario's +-0.8 T grid
+], ids=["seven", "edges", "zero", "beyond", "default-grid"])
+def test_ambiguity_lag_products_match_the_per_lag_loop(lags):
+    f_s = 4e6
+    env = np.conj(sample_lfm(LfmChirp(0.0, 1e6, 10e-6), f_s))
+    assert env.size == 40
+    delays = np.asarray(lags, dtype=float) / f_s
+    dopplers = np.linspace(-1.5e5, 1.5e5, 13)
+    surf = ambiguity_surface(env, delays, dopplers, f_s)
+    want_delays, want_values = _ambiguity_loop_oracle(env, delays, dopplers, f_s)
+    assert np.array_equal(surf.delays, want_delays)
+    assert np.array_equal(surf.values, want_values)
+
+
 def test_ambiguity_rejects_empty_grid():
     env = sample_lfm(LfmChirp(0.0, 1e6, 10e-6), 4e6)
     with pytest.raises(ValueError):
