@@ -12,6 +12,7 @@ have.
 
 import inspect
 import json
+import math
 import os
 import time
 from dataclasses import dataclass, field
@@ -341,7 +342,7 @@ def _run_sar_point(seed, sink, *, v_mps=100.0, prf_hz=400.0, t_coh_s=0.16, r1_m=
     if not (np.isfinite(oversample) and oversample > 0):
         raise ValueError(f"oversample must be finite and positive, got oversample={oversample}")
     geom = SarGeometry(v_mps, prf_hz, t_coh_s, r1_m, wavelength_m)
-    chirp = LfmChirp(C_LIGHT / wavelength_m, bandwidth_hz, duration_s, 1.0)
+    chirp = LfmChirp(C_LIGHT / wavelength_m, bandwidth_hz, duration_s)
     ph = simulate_phase_history([Scatterer(0.0, r1_m)], geom, chirp, f_s_hz, noise_sigma,
                                 seed)
     res = sar_resolutions(geom, chirp)
@@ -619,15 +620,18 @@ def _run_radiometry_roundtrip(seed, sink, *, n_u=17, du=0.45, sigma_l=0.15, n_th
         lambda th, ph: t_peak_k * np.exp(-np.sin(th) ** 2 / (2.0 * sigma_l ** 2)),
         n_theta, n_phi,
     )
-    baselines = BaselineSet(n_u, n_u, du)
+    baselines = BaselineSet(n_u, du)
     vis = visibility_samples(bmap, baselines)
     image = invert_visibilities(vis, baselines, clip_negative=clip_negative)
-    ll, mm = np.meshgrid(image.l, image.m, indexing="ij")
+    ll, mm = np.meshgrid(image.l, image.l, indexing="ij")
     rr = ll ** 2 + mm ** 2
     disc = rr < 1.0
     ref = np.where(disc, t_peak_k * np.exp(-rr / (2.0 * sigma_l ** 2)), 0.0)
-    err = float(np.linalg.norm(image.values[disc] - ref[disc])
-                / np.linalg.norm(ref[disc]))
+    # dividing by the largest power of two <= t_peak_k is exact and keeps
+    # both norms' squares from under- or overflowing
+    unit = math.ldexp(1.0, math.frexp(t_peak_k)[1] - 1)
+    err = float(np.linalg.norm((image.values[disc] - ref[disc]) / unit)
+                / np.linalg.norm(ref[disc] / unit))
     spacings = mrla_spacings(n_mrla)
     sink.image("brightness", bmap.values, scale="power", dynamic_range_db=40.0)
     sink.image("recovered", np.maximum(image.values, 0.0), scale="power",
@@ -659,7 +663,7 @@ def _run_waveform_ambiguity(seed, sink, *, bandwidth_hz=10e6, duration_s=10e-6,
     if not 10 <= weak <= n_bins - 11:
         raise ValueError(f"n_bins={n_bins} and sep_bins={sep_bins} put the weak return at bin"
                          f" n_bins // 3 + sep_bins = {weak}, within 10 bins of an edge")
-    chirp = LfmChirp(0.0, bandwidth_hz, duration_s, 1.0)  # baseband
+    chirp = LfmChirp(0.0, bandwidth_hz, duration_s)  # baseband
     env = sample_lfm(chirp, f_s_hz)
     guard = int(np.ceil(4.0 * f_s_hz / chirp.bandwidth))  # skip the mainlobe
     if guard > env.size - 2:

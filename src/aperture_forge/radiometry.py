@@ -63,41 +63,37 @@ def measured_temperature(bmap: BrightnessMap) -> float:
 
 @dataclass(frozen=True)
 class BaselineSet:
-    """An n_u by n_v lattice of dimensionless (u, v) = (D_x, D_y) / lambda
+    """An n by n lattice of dimensionless (u, v) = (D_x, D_y) / lambda
     antenna spacings, with spacing du on both axes.
 
     Index n // 2 of each axis sits at zero, so the zero baseline that
     anchors V(0,0) = T_m and the total-power calibration is always there.
     """
 
-    n_u: int
-    n_v: int
+    n: int
     du: float
 
     def __post_init__(self):
-        if self.n_u < 1 or self.n_v < 1:
-            raise ValueError("a baseline lattice needs n_u, n_v >= 1")
+        if self.n < 1:
+            raise ValueError(f"a baseline lattice needs n >= 1, got n={self.n}")
         if not (np.isfinite(self.du) and self.du > 0):
             raise ValueError("du must be finite and positive")
 
     @property
     def u(self) -> np.ndarray:
-        return (np.arange(self.n_u) - self.n_u // 2) * self.du
-
-    @property
-    def v(self) -> np.ndarray:
-        return (np.arange(self.n_v) - self.n_v // 2) * self.du
+        """Baselines of one axis; the v axis is the same."""
+        return (np.arange(self.n) - self.n // 2) * self.du
 
     @property
     def uv(self) -> np.ndarray:
-        """(n_u * n_v, 2) baselines, u-major: the order of every visibility vector."""
-        gu, gv = np.meshgrid(self.u, self.v, indexing="ij")
+        """(n * n, 2) baselines, u-major: the order of every visibility vector."""
+        gu, gv = np.meshgrid(self.u, self.u, indexing="ij")
         return np.column_stack([gu.ravel(), gv.ravel()])
 
 
 # complex entries per block of the two ramp tables; the quadrature's working
 # memory is the v table and one half of the u table, at most
-# max(_RAMP_BLOCK, n_u + n_v) * 16 B, plus one float row of phases
+# max(_RAMP_BLOCK, 2 n) * 16 B, plus one float row of phases
 _RAMP_BLOCK = 1 << 20
 
 
@@ -142,7 +138,7 @@ def visibility_samples(bmap: BrightnessMap, baselines: BaselineSet) -> np.ndarra
     The phase separates by axis: one ramp exp(j 2 pi u l) per u and one
     ramp exp(j 2 pi v m) per v give the whole lattice as one matrix
     product.  The quadrature is walked in blocks of step =
-    max(_RAMP_BLOCK // (n_u + n_v), 1) points.  A block's v table is
+    max(_RAMP_BLOCK // (2 n), 1) points.  A block's v table is
     written in place whole; its u table a mirror-closed row group at a
     time (``_mirror_groups``), each group multiplied into its rows of the
     lattice, so only half the u table is held.  Rows for negative
@@ -151,18 +147,18 @@ def visibility_samples(bmap: BrightnessMap, baselines: BaselineSet) -> np.ndarra
     """
     l, m, w, t = bmap._quadrature()
     tw = t * w
-    u, v = baselines.u, baselines.v
-    acc = np.zeros((len(u), len(v)), dtype=complex)
-    step = max(_RAMP_BLOCK // (len(u) + len(v)), 1)
-    groups = _mirror_groups(len(u))
+    u, n = baselines.u, baselines.n
+    acc = np.zeros((n, n), dtype=complex)
+    step = max(_RAMP_BLOCK // (2 * n), 1)
+    groups = _mirror_groups(n)
     buf_u = np.empty(max(map(len, groups)) * min(step, len(l)), dtype=complex)
-    buf_v = np.empty(len(v) * min(step, len(l)), dtype=complex)
+    buf_v = np.empty(n * min(step, len(l)), dtype=complex)
     for q0 in range(0, len(l), step):
         q1 = min(q0 + step, len(l))
         # contiguous heads of the buffers: a ragged last block has the
         # memory layout of a full one
-        ramp_v = buf_v[:len(v) * (q1 - q0)].reshape(len(v), q1 - q0)
-        _fill_ramps(ramp_v, v, m[q0:q1])
+        ramp_v = buf_v[:n * (q1 - q0)].reshape(n, q1 - q0)
+        _fill_ramps(ramp_v, u, m[q0:q1])
         ramp_v *= tw[q0:q1]
         for rows in groups:
             ramp_u = buf_u[:len(rows) * (q1 - q0)].reshape(len(rows), q1 - q0)
@@ -174,8 +170,7 @@ def visibility_samples(bmap: BrightnessMap, baselines: BaselineSet) -> np.ndarra
 @dataclass(frozen=True)
 class TemperatureImage:
     values: np.ndarray
-    l: np.ndarray
-    m: np.ndarray
+    l: np.ndarray  # pixel direction cosines of each axis, l and m alike
     info: dict = field(default_factory=dict)
 
 
@@ -191,22 +186,20 @@ def invert_visibilities(values, baselines: BaselineSet,
     zeroed.  Negative ringing is reported, and clipped only on request.
     """
     v_in = np.asarray(values, dtype=complex)
-    n_u, n_v, du = baselines.n_u, baselines.n_v, baselines.du
-    if v_in.shape != (n_u * n_v,):
+    n, du = baselines.n, baselines.du
+    if v_in.shape != (n * n,):
         raise ValueError("one visibility per baseline required")
     if du > 0.5 + 1e-12:
         raise ValueError("lattice spacing above 0.5 aliases the unit disc")
 
-    l_ax = (np.arange(n_u) - n_u // 2) / (n_u * du)
-    m_ax = (np.arange(n_v) - n_v // 2) / (n_v * du)
-    phase_u = np.exp(-2j * np.pi * np.outer(l_ax, baselines.u))
-    phase_v = np.exp(-2j * np.pi * np.outer(m_ax, baselines.v))
-    t_c = (phase_u @ v_in.reshape(n_u, n_v) @ phase_v.T) * du * du
+    l_ax = (np.arange(n) - n // 2) / (n * du)
+    phase = np.exp(-2j * np.pi * np.outer(l_ax, baselines.u))
+    t_c = (phase @ v_in.reshape(n, n) @ phase.T) * du * du
 
     scale = np.max(np.abs(t_c))
     imag_residual = float(np.max(np.abs(t_c.imag)) / scale) if scale > 0 else 0.0
     t = t_c.real
-    rr = l_ax[:, None] ** 2 + m_ax[None, :] ** 2
+    rr = l_ax[:, None] ** 2 + l_ax[None, :] ** 2
     disc = rr <= 1.0
     t = t * np.sqrt(np.where(disc, 1.0 - rr, 0.0))
     t = np.where(disc, t, 0.0)
@@ -214,7 +207,7 @@ def invert_visibilities(values, baselines: BaselineSet,
     negative_fraction = float(np.count_nonzero(t[disc] < 0) / n_disc) if n_disc else 0.0
     if clip_negative:
         t = np.maximum(t, 0.0)
-    return TemperatureImage(t, l_ax, m_ax, {
+    return TemperatureImage(t, l_ax, {
         "negative_fraction": negative_fraction,
         "imag_residual": imag_residual,
     })
@@ -231,8 +224,6 @@ def mrla_spacings(n_elements) -> np.ndarray:
     """
     if not 2 <= n_elements <= 7:
         raise ValueError("n_elements must be between 2 and 7 (search bound)")
-    if n_elements == 2:
-        return np.array([0, 1])
     n_pairs = n_elements * (n_elements - 1) // 2
     for length in range(n_pairs, 0, -1):
         target = set(range(1, length + 1))

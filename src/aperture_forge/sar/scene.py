@@ -144,7 +144,7 @@ def simulate_phase_history(
         delays = 2.0 * r_of_t / C_LIGHT
         arg = tau[:, None] - delays[None, :]
         envelope = np.abs(arg) <= half
-        pulse = chirp.amplitude * envelope * np.exp(-1j * np.pi * k_rate * arg ** 2)
+        pulse = envelope * np.exp(-1j * np.pi * k_rate * arg ** 2)
         data += scat.reflectivity * pulse * np.exp(
             -1j * 4.0 * np.pi * r_of_t[None, :] / lam
         )

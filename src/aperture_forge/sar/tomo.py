@@ -27,9 +27,9 @@ def _polar_interp(projections, angles, s_step):
     # absolute-position spectrum of each projection (samples start at s0)
     slices = s_step * np.exp(-1j * omega * s0)[None, :] * np.fft.fft(projections, axis=1)
 
-    order = np.argsort(omega)
-    omega_asc = omega[order]
-    slices = slices[:, order]
+    # fftshift sorts fftfreq's order ascending, and ifftshift undoes it
+    omega_asc = np.fft.fftshift(omega)
+    slices = np.fft.fftshift(slices, axes=1)
 
     # continue the fan past the last angle: theta + pi is the same slice
     # with omega negated, which closes the interpolation interval
@@ -58,10 +58,7 @@ def _polar_interp(projections, angles, s_step):
 
     val = _bilinear(slices, ja, jr_lo, ta, tr)
     val[~inside] = 0.0
-    spectrum_asc = val.reshape(n_s, n_s)
-
-    back = np.argsort(order)
-    spectrum = spectrum_asc[back, :][:, back]
+    spectrum = np.fft.ifftshift(val.reshape(n_s, n_s))
     phase = np.exp(1j * omega * s0)
     image = np.fft.ifft2(spectrum * phase[:, None] * phase[None, :]) / s_step ** 2
     return image.real

@@ -12,7 +12,7 @@ from .core import fft_convolve
 
 @dataclass(frozen=True)
 class LfmChirp:
-    """Linear FM pulse: center frequency, swept bandwidth, duration, amplitude.
+    """Unit-amplitude linear FM pulse: center frequency, swept bandwidth, duration.
 
     The chirp rate is ``K = B/T`` and the time-bandwidth product ``B*T``
     must be at least 1 for the pulse to be meaningfully compressible.
@@ -21,7 +21,6 @@ class LfmChirp:
     fc: float
     bandwidth: float
     duration: float
-    amplitude: float = 1.0
 
     def __post_init__(self):
         if self.bandwidth <= 0 or self.duration <= 0:
@@ -41,7 +40,7 @@ class LfmChirp:
 def sample_lfm(chirp: LfmChirp, f_s: float) -> np.ndarray:
     """Sample the chirp's baseband complex envelope at rate ``f_s``.
 
-    Samples are A*exp(j*pi*K*t^2) on the symmetric support t in
+    Samples are exp(j*pi*K*t^2) on the symmetric support t in
     [-T/2, T/2]; the instantaneous frequency sweeps -B/2 to B/2.
     """
     needed = 2.0 * chirp.bandwidth
@@ -55,7 +54,7 @@ def _lfm_envelope(chirp: LfmChirp, f_s: float) -> np.ndarray:
     samples its echoes at f_s >= B."""
     n = int(round(chirp.duration * f_s))
     t = (np.arange(n) - (n - 1) / 2.0) / f_s
-    return chirp.amplitude * np.exp(1j * (np.pi * chirp.rate * t ** 2))
+    return np.exp(1j * (np.pi * chirp.rate * t ** 2))
 
 
 def matched_filter(received: np.ndarray, reference: np.ndarray) -> np.ndarray:

@@ -169,7 +169,7 @@ def test_03_far_field_distance(capsys):
 
 def test_04_lfm_ambiguity_closed_form(capsys):
     t0 = time.perf_counter()
-    chirp = LfmChirp(fc=0.0, bandwidth=1e6, duration=10e-6, amplitude=1.0)
+    chirp = LfmChirp(fc=0.0, bandwidth=1e6, duration=10e-6)
     f_s = 80e6
     env = np.conj(sample_lfm(chirp, f_s))  # falling sweep: the ridge is f_d = -K tau
     delays = np.linspace(-8e-6, 8e-6, 201)
@@ -193,7 +193,7 @@ def test_04_lfm_ambiguity_closed_form(capsys):
 
 def test_05_sar_point_target_suite(capsys):
     t0 = time.perf_counter()
-    chirp = LfmChirp(fc=10e9, bandwidth=150e6, duration=2.005e-6, amplitude=1.0)
+    chirp = LfmChirp(fc=10e9, bandwidth=150e6, duration=2.005e-6)
     law_r = C_LIGHT / (2.0 * chirp.bandwidth)
     failures = []
 
@@ -468,7 +468,7 @@ def test_11_radiometry(capsys):
     vals = np.zeros((400, 1))
     vals[0, 0] = 1.0e4
     point = BrightnessMap(vals)
-    baselines = BaselineSet(9, 9, 0.5)
+    baselines = BaselineSet(9, 0.5)
     mags = np.abs(visibility_samples(point, baselines))
     spread = float((mags.max() - mags.min()) / mags.mean())
     if spread > 1e-9:
@@ -478,9 +478,9 @@ def test_11_radiometry(capsys):
     bmap = BrightnessMap.from_function(
         lambda th, ph: 100.0 * np.exp(-np.sin(th) ** 2 / (2.0 * sig ** 2)),
         n_theta=120, n_phi=240)
-    bl = BaselineSet(17, 17, 0.45)
+    bl = BaselineSet(17, 0.45)
     image = invert_visibilities(visibility_samples(bmap, bl), bl)
-    ll, mm = np.meshgrid(image.l, image.m, indexing="ij")
+    ll, mm = np.meshgrid(image.l, image.l, indexing="ij")
     rr = ll ** 2 + mm ** 2
     disc = rr < 1.0
     ref = 100.0 * np.exp(-rr / (2.0 * sig ** 2))
@@ -525,7 +525,7 @@ def test_12_qsar_and_adc_scalars(capsys):
 
 def test_13_rmmse_weak_target(capsys):
     t0 = time.perf_counter()
-    chirp = LfmChirp(fc=0.0, bandwidth=10e6, duration=8e-6, amplitude=1.0)
+    chirp = LfmChirp(fc=0.0, bandwidth=10e6, duration=8e-6)
     f_s = 25e6
     env = sample_lfm(chirp, f_s)
     m = env.size

@@ -717,6 +717,21 @@ def test_sar_point_runs_with_unequal_cut_lengths(tmp_path):
         assert len([ln for ln in lines if not ln.startswith("#")]) == rows
 
 
+@pytest.mark.parametrize("t_peak_k", [1e-300, 1e-160, 1e160, 1e300])
+def test_radiometry_error_does_not_depend_on_the_temperature_scale(tmp_path, t_peak_k):
+    # the residual's and the reference's squares neither underflow (a
+    # wrong 0.0 at 1e-160) nor overflow (exit 6 at 1e160)
+    def rel_l2_err(params, name):
+        cfg = write_config(tmp_path, {"scenario": "radiometry-roundtrip", "params": params,
+                                      "emit_images": False, "emit_csv": False}, f"{name}.json")
+        out = tmp_path / name
+        assert main(["radiometry-roundtrip", "--config", str(cfg), "--out", str(out)]) == 0
+        return json.loads((out / "report.json").read_text())["metrics"]["rel_l2_err"]
+
+    want = rel_l2_err({}, "default")
+    assert rel_l2_err({"t_peak_k": t_peak_k}, "scaled") == pytest.approx(want, rel=1e-9)
+
+
 def test_non_finite_config_number_exits_4_without_a_report(tmp_path, capsys):
     # Python's json reads the NaN and Infinity tokens as floats
     for key, token in (("tol", "NaN"), ("f_max_hz", "Infinity")):

@@ -1,6 +1,6 @@
 """Public surface must be reached by the program or by the acceptance gate.
 
-Three checks, each an ast walk:
+Four checks, each an ast walk:
 
 * Every public top-level function and class is reached.  It is reached
   when another module of the package (re-exports in ``__init__.py`` do
@@ -21,6 +21,12 @@ Three checks, each an ast walk:
   ``init=False``.  A ``cls(...)`` call inside a classmethod counts as a
   call of that class, and a call through ``*args`` or ``**kwargs`` as
   passing every parameter.
+* No parameter of a public function, method or constructor that two or
+  more of those calls reach gets the same literal in all of them, or the
+  same expression as a sibling parameter in all of them: such a knob is
+  a constant, or a copy of its twin.  An omitted argument counts as its
+  default, and a starred call as a varying value for every parameter it
+  could fill.
 
 Reached code of a module is its top-level statements outside any
 definition, the bodies of its reached functions, and, of a reached class,
@@ -30,6 +36,7 @@ Anything else is public surface that only its own unit tests keep alive.
 """
 
 import ast
+import itertools
 from pathlib import Path
 
 TESTS = Path(__file__).resolve().parent
@@ -136,9 +143,9 @@ def _init_excluded(value):
 
 
 def _signatures(modules):
-    """(qualified name, callee name, positional parameters, defaulted
-    parameters) of every public function, every public method of a
-    public class, and every public class's constructor."""
+    """(qualified name, callee name, positional parameters, parameter ->
+    default node or None) of every public function, every public method
+    of a public class, and every public class's constructor."""
     for module, tree in modules.items():
         for node in tree.body:
             if not isinstance(node, _DEFS) or node.name.startswith("_"):
@@ -154,38 +161,40 @@ def _signatures(modules):
 
 
 def _parameters(node, bound):
-    """Positional and defaulted parameter names of a def; a first
-    parameter self or cls is dropped when ``bound``."""
+    """Positional parameter names of a def, and every parameter's default
+    node (None where it has none); a first parameter self or cls is
+    dropped when ``bound``."""
     args = node.args
-    positional = [a.arg for a in args.posonlyargs + args.args][int(bound):]
-    defaulted = positional[len(positional) - len(args.defaults):] if args.defaults else []
-    defaulted += [a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
-    return positional, defaulted
+    names = [a.arg for a in args.posonlyargs + args.args]
+    defaults = [None] * (len(names) - len(args.defaults)) + args.defaults
+    params = list(zip(names, defaults))[int(bound):] \
+        + [(a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults)]
+    return names[int(bound):], dict(params)
 
 
 def _constructor(cls):
-    """Positional and defaulted parameters of a class's constructor: its
-    dataclass fields, or else its ``__init__``."""
+    """Positional parameters and parameter -> default of a class's
+    constructor: its dataclass fields, or else its ``__init__``."""
     if _is_dataclass(cls):
         fields = [node for node in cls.body if isinstance(node, ast.AnnAssign)
                   and isinstance(node.target, ast.Name) and not _init_excluded(node.value)]
-        return ([f.target.id for f in fields],
-                [f.target.id for f in fields if f.value is not None])
+        return [f.target.id for f in fields], {f.target.id: f.value for f in fields}
     for node in cls.body:
         if isinstance(node, _FUNCS) and node.name == "__init__":
             return _parameters(node, True)
-    return [], []
+    return [], {}
 
 
 def _call_site(node):
     starred = any(isinstance(a, ast.Starred) for a in node.args) or \
         any(kw.arg is None for kw in node.keywords)
-    return len(node.args), {kw.arg for kw in node.keywords}, starred
+    return node.args, {kw.arg: kw.value for kw in node.keywords if kw.arg}, starred
 
 
 def _calls(trees):
-    """Callee name -> list of (positional count, keyword names, starred).
-    A ``cls(...)`` call inside a classmethod is filed under its class."""
+    """Callee name -> list of (positional argument nodes, keyword -> value
+    node, starred).  A ``cls(...)`` call inside a classmethod is filed
+    under its class."""
     calls = {}
     for tree in trees:
         for node in ast.walk(tree):
@@ -210,14 +219,65 @@ def _calls(trees):
 def _unpassed(modules, caller_trees):
     calls = _calls(caller_trees)
     missing = []
-    for qual, name, positional, defaulted in _signatures(modules):
+    for qual, name, positional, params in _signatures(modules):
         sites = calls.get(name, [])
-        for param in defaulted:
+        for param, default in params.items():
+            if default is None:
+                continue
             index = positional.index(param) if param in positional else None
-            if not any(starred or param in keywords or (index is not None and n_pos > index)
-                       for n_pos, keywords, starred in sites):
+            if not any(starred or param in keywords or (index is not None and len(args) > index)
+                       for args, keywords, starred in sites):
                 missing.append(f"{qual}({param})")
     return missing
+
+
+def _given(site, param, index, default):
+    """The value node one call gives ``param`` (its default where the
+    call omits it), or None where a starred argument could fill it or
+    there is no default."""
+    args, keywords, starred = site
+    if param in keywords:
+        return keywords[param]
+    if index is not None and index < len(args) \
+            and not any(isinstance(a, ast.Starred) for a in args[:index + 1]):
+        return args[index]
+    return None if starred else default
+
+
+def _is_literal(node):
+    try:
+        ast.literal_eval(node)
+    except ValueError:
+        return False
+    return True
+
+
+def _alike(modules, caller_trees):
+    calls = _calls(caller_trees)
+    named = []
+    for qual, name, positional, params in _signatures(modules):
+        sites = calls.get(name, [])
+        if len(sites) < 2:
+            continue
+        given = {}
+        for param, default in params.items():
+            index = positional.index(param) if param in positional else None
+            nodes = [_given(site, param, index, default) for site in sites]
+            if None not in nodes:
+                given[param] = [ast.dump(node) for node in nodes]
+                if len(set(given[param])) == 1 and _is_literal(nodes[0]):
+                    named.append(f"{qual}({param})")
+        for (p, p_values), (q, q_values) in itertools.combinations(given.items(), 2):
+            if p_values == q_values:
+                named.append(f"{qual}({p} = {q})")
+    return named
+
+
+def alike_parameters():
+    """``module.function(param)`` for every parameter that all program
+    calls set to one literal, and ``module.function(p = q)`` for every
+    pair of parameters that all program calls set to one expression."""
+    return _alike(_modules(), [ast.parse(path.read_text()) for path in CALLERS])
 
 
 def unpassed_parameters():
@@ -238,6 +298,10 @@ def test_every_defaulted_parameter_is_passed():
     assert unpassed_parameters() == []
 
 
+def test_no_parameter_is_set_alike_by_every_call():
+    assert alike_parameters() == []
+
+
 def test_constructor_rule_on_inline_source():
     tree = ast.parse('''
 from dataclasses import dataclass, field
@@ -254,3 +318,22 @@ class Box:
         return cls(size, weight=9.0)
 ''')
     assert _unpassed({"shapes": tree}, [tree]) == ["shapes.Box(color)"]
+
+
+def test_alike_rule_on_inline_source():
+    # gain is 1.0 in every call; rows and cols are twins; the starred call
+    # leaves phase, omitted elsewhere, varying; once has a single call
+    tree = ast.parse('''
+def pulse(width, gain=1.0, rows=4, cols=4, phase=0.0):
+    return width
+
+def once(scale):
+    return scale
+
+def use(k, n, more):
+    once(3.0)
+    pulse(k, rows=n, cols=n)
+    pulse(2 * k, 1.0, n, n)
+    return pulse(k, 1.0, n, n, *more)
+''')
+    assert _alike({"prog": tree}, [tree]) == ["prog.pulse(gain)", "prog.pulse(rows = cols)"]

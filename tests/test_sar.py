@@ -36,10 +36,11 @@ from aperture_forge.sar import (
     tomographic_reconstruct,
 )
 from aperture_forge.sar.capon import _steering_matrix
+from aperture_forge.sar.tomo import _bilinear
 
 F_S = 200e6
 DR_CELL = C_LIGHT / (2 * F_S)          # 0.7495 m range bin
-CHIRP = LfmChirp(fc=10e9, bandwidth=150e6, duration=2.005e-6, amplitude=1.0)
+CHIRP = LfmChirp(fc=10e9, bandwidth=150e6, duration=2.005e-6)
 N_C = 401                              # odd sample count: exact on-grid alignment
 
 
@@ -178,7 +179,7 @@ def test_noise_is_seeded():
 
 def test_resolution_calculator_values():
     geom = SarGeometry(v=100.0, prf=400.0, t_coh=1.0, r1=10e3, wavelength=0.03)
-    chirp = LfmChirp(fc=10e9, bandwidth=150e6, duration=2e-6, amplitude=1.0)
+    chirp = LfmChirp(fc=10e9, bandwidth=150e6, duration=2e-6)
     res = sar_resolutions(geom, chirp)
     assert res["range_resolution_m"] == pytest.approx(0.999308, abs=1e-5)
     assert res["cross_range_resolution_m"] == pytest.approx(1.5, rel=1e-12)
@@ -253,7 +254,7 @@ def test_range_width_tracks_bandwidth_law():
     r0 = round(1000.0 / dr) * dr
     geom = SarGeometry(v=100.0, prf=400.0, t_coh=0.08, r1=r0, wavelength=0.03)
     for bw in (100e6, 150e6, 200e6):
-        chirp = LfmChirp(fc=10e9, bandwidth=bw, duration=2.005e-6, amplitude=1.0)
+        chirp = LfmChirp(fc=10e9, bandwidth=bw, duration=2.005e-6)
         ph = simulate_phase_history([Scatterer(0.0, r0)], geom, chirp, f_s)
         law = C_LIGHT / (2.0 * bw)
         r_grid = r0 + np.arange(-25, 26) * (law / 10.0)
@@ -300,7 +301,7 @@ def test_omega_k_five_scatterers_agree_with_backprojection():
 def test_omega_k_reports_evanescent_bins():
     # slow platform + high PRF pushes the kx grid past the smallest k_r
     lam = C_LIGHT / 1e9
-    chirp = LfmChirp(fc=1e9, bandwidth=150e6, duration=2.005e-6, amplitude=1.0)
+    chirp = LfmChirp(fc=1e9, bandwidth=150e6, duration=2.005e-6)
     r0 = on_grid_range(300.0)
     geom = SarGeometry(v=50.0, prf=1000.0, t_coh=0.064, r1=r0, wavelength=lam)
     ph = simulate_phase_history([Scatterer(0.0, r0)], geom, chirp, F_S)
@@ -315,7 +316,7 @@ def test_omega_k_peak_memory_at_sar_point_defaults():
     # Stolt grid, then each inverse FFT's input and output.  Allow 1 MB
     # beside them for the per-column vectors.
     geom = SarGeometry(v=100.0, prf=400.0, t_coh=0.16, r1=999.75, wavelength=0.03)
-    chirp = LfmChirp(fc=C_LIGHT / 0.03, bandwidth=150e6, duration=2.005e-6, amplitude=1.0)
+    chirp = LfmChirp(fc=C_LIGHT / 0.03, bandwidth=150e6, duration=2.005e-6)
     ph = simulate_phase_history([Scatterer(0.0, 999.75)], geom, chirp, 600e6)
     frame = omega_k_focus(ph).pixels.nbytes
     assert frame == 2407 * 64 * 16
@@ -421,6 +422,52 @@ def test_tomo_disc_phantom_both_methods():
         images[method] = img
     rho = ncc(images["polar-interp"], images["filtered-backprojection"])
     assert rho >= 0.95
+
+
+def _argsort_polar_interp(projections, angles, s_step):
+    """The polar-interp route as it read with argsort permutations: the
+    oracle for the fftshift reordering."""
+    n_angles, n_s = projections.shape
+    s0 = -(n_s - 1) / 2.0 * s_step
+    omega = 2.0 * np.pi * np.fft.fftfreq(n_s, d=s_step)
+    slices = s_step * np.exp(-1j * omega * s0)[None, :] * np.fft.fft(projections, axis=1)
+    order = np.argsort(omega)
+    omega_asc = omega[order]
+    slices = slices[:, order]
+    theta = np.concatenate([angles, [angles[0] + np.pi]])
+    slices = np.vstack([slices, slices[0, ::-1]])
+    w1, w2 = np.meshgrid(omega_asc, omega_asc, indexing="ij")
+    rho = np.hypot(w1, w2)
+    phi = np.arctan2(w2, w1)
+    neg = phi < 0.0
+    phi = np.where(neg, phi + np.pi, phi)
+    rho = np.where(neg, -rho, rho)
+    at_pi = phi >= theta[-1]
+    phi = np.where(at_pi, phi - np.pi, phi)
+    rho = np.where(at_pi, -rho, rho)
+    ja = np.clip(np.searchsorted(theta, phi.ravel(), side="right") - 1, 0, n_angles - 1)
+    ta = np.clip((phi.ravel() - theta[ja]) / (theta[ja + 1] - theta[ja]), 0.0, 1.0)
+    d_omega = omega_asc[1] - omega_asc[0]
+    jr = (rho.ravel() - omega_asc[0]) / d_omega
+    inside = (jr >= 0.0) & (jr <= n_s - 1) & (np.abs(rho.ravel()) <= np.max(np.abs(omega_asc)))
+    jr_lo = np.clip(np.floor(jr).astype(int), 0, n_s - 2)
+    tr = np.clip(jr - jr_lo, 0.0, 1.0)
+    val = _bilinear(slices, ja, jr_lo, ta, tr)
+    val[~inside] = 0.0
+    back = np.argsort(order)
+    spectrum = val.reshape(n_s, n_s)[back, :][:, back]
+    phase = np.exp(1j * omega * s0)
+    return (np.fft.ifft2(spectrum * phase[:, None] * phase[None, :]) / s_step ** 2).real
+
+
+@pytest.mark.parametrize("n_s", [2, 3, 16, 17, 64, 65])
+def test_polar_interp_matches_argsort_oracle_bitwise(n_s):
+    rng = np.random.default_rng(n_s)
+    for n_angles in (2, 8, 90):
+        projections = rng.standard_normal((n_angles, n_s))
+        angles = np.sort(rng.uniform(0.0, np.pi, n_angles))
+        got = tomographic_reconstruct(projections, angles, 0.3, "polar-interp")
+        assert np.array_equal(got, _argsort_polar_interp(projections, angles, 0.3))
 
 
 def test_tomo_input_validation():

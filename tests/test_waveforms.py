@@ -35,11 +35,11 @@ def test_chirp_derived_quantities():
 
 
 def test_sample_lfm_center_and_sweep():
-    c = LfmChirp(fc=0.0, bandwidth=10e6, duration=10e-6, amplitude=2.0)
+    c = LfmChirp(fc=0.0, bandwidth=10e6, duration=10e-6)
     f_s = 30.1e6  # odd sample count puts one sample exactly at t = 0
     s = sample_lfm(c, f_s)
     assert s.size == 301
-    assert s[150] == pytest.approx(2.0 + 0.0j)
+    assert s[150] == pytest.approx(1.0 + 0.0j)
     # instantaneous frequency K*t sweeps -B/2 .. B/2
     phase = np.unwrap(np.angle(s))
     inst_f = np.diff(phase) / (2 * np.pi) * f_s
