@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
+from ..core import _require_finite_positive
+
 DB_NOTE = "dB convention: 10*log10 for power quantities, 20*log10 for field quantities"
 
 
@@ -35,8 +37,7 @@ def render_image(grid, scale, dynamic_range_db=60.0):
         raise ValueError("image grid must be 2-D and non-empty")
     if not np.all(np.isfinite(grid)):
         raise ValueError("image grid must be finite")
-    if dynamic_range_db <= 0:
-        raise ValueError("dynamic_range_db must be positive")
+    _require_finite_positive(dynamic_range_db=dynamic_range_db)
     if scale not in ("power", "field"):
         raise ValueError("scale must be 'power' or 'field'")
     with np.errstate(divide="ignore"):

@@ -14,6 +14,7 @@ import inspect
 import json
 import math
 import os
+import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,6 +25,8 @@ from ..core import (
     C_LIGHT,
     Direction,
     SeedRequired,
+    _require_at_least,
+    _require_finite_positive,
     far_field_distance,
     plane_wave_field,
     seeded_rng,
@@ -179,13 +182,6 @@ def _half_power_width(u, cut):
     return float(u[above[-1]] - u[above[0]])
 
 
-def _at_least(least, **counts):
-    """Reject a count key below ``least``, naming the key and its value."""
-    for key, count in counts.items():
-        if count < least:
-            raise ValueError(f"{key} must be >= {least}, got {key}={count}")
-
-
 # --------------------------------------------------------------- sounding
 
 
@@ -212,7 +208,7 @@ def _run_sound_padp(seed, sink, *, m=8, n=8, d_m=0.00545, f_start_hz=26.5e9,
                     u2=-0.2, v2=0.1, tau2_ns=25.0, amp2=0.5, src_x_m=0.5, src_y_m=0.3,
                     src_z_m=6.0, src_amp=0.8, r_start_m=3.0, r_stop_m=9.0, r_step_m=0.25,
                     map_points=41, rho=0.4, phi_rad=2.0, noise_sigma=0.0):
-    _at_least(1, map_points=map_points)
+    _require_at_least(1, map_points=map_points)
     lat = SamplingLattice(m, n, d_m, d_m)
     grid = FrequencyGrid(f_start_hz, f_stop_hz, df_hz)
     src = (src_x_m, src_y_m, src_z_m)
@@ -268,10 +264,8 @@ FIB_TONES = 11
 def _run_sound_squint(seed, sink, *, m=16, n=16, d_m=0.00375, f_design_hz=26.51e9,
                       f_eval_hz=40e9, f_start_hz=26.5e9, f_stop_hz=40e9, u0=0.4, n_u=801,
                       map_tones=8, fib_m=8):
-    for key, f in (("f_design_hz", f_design_hz), ("f_eval_hz", f_eval_hz)):
-        if not (np.isfinite(f) and f > 0):
-            raise ValueError(f"{key} must be finite and positive, got {key}={f}")
-    _at_least(1, n_u=n_u, map_tones=map_tones)
+    _require_finite_positive(f_design_hz=f_design_hz, f_eval_hz=f_eval_hz)
+    _require_at_least(1, n_u=n_u, map_tones=map_tones)
     lat = SamplingLattice(m, n, d_m, d_m)
     look = Direction(u0, 0.0)
     u = np.linspace(-0.1, u0 + 0.2, n_u)
@@ -314,7 +308,7 @@ def _run_sound_squint(seed, sink, *, m=16, n=16, d_m=0.00375, f_design_hz=26.51e
 def _run_sound_sparse(seed, sink, *, m=16, n=16, d_m=0.00375, keep_fraction=0.5,
                       n_steps=1200, cool_every=60, f_eval_hz=40e9, uv_points=65,
                       psl_bound_db=-13.0):
-    _at_least(3, uv_points=uv_points)  # fewer leave no visible cell off boresight
+    _require_at_least(3, uv_points=uv_points)  # fewer leave no visible cell off boresight
     full = SamplingLattice(m, n, d_m, d_m)
     thin, psl_db = optimize_sparse_lattice(full, keep_fraction, n_steps, cool_every, seed,
                                            f_eval_hz, uv_points)
@@ -339,8 +333,7 @@ def _run_sar_point(seed, sink, *, v_mps=100.0, prf_hz=400.0, t_coh_s=0.16, r1_m=
                    wavelength_m=0.03, bandwidth_hz=150e6, duration_s=2.005e-6,
                    f_s_hz=600e6, n_x=64, n_r=64, oversample=4.0,
                    noise_sigma=0.0):
-    if not (np.isfinite(oversample) and oversample > 0):
-        raise ValueError(f"oversample must be finite and positive, got oversample={oversample}")
+    _require_finite_positive(oversample=oversample)
     geom = SarGeometry(v_mps, prf_hz, t_coh_s, r1_m, wavelength_m)
     chirp = LfmChirp(C_LIGHT / wavelength_m, bandwidth_hz, duration_s)
     ph = simulate_phase_history([Scatterer(0.0, r1_m)], geom, chirp, f_s_hz, noise_sigma,
@@ -386,8 +379,8 @@ def _run_sar_point(seed, sink, *, v_mps=100.0, prf_hz=400.0, t_coh_s=0.16, r1_m=
 
 
 def _run_sar_tomo(seed, sink, *, n_s=65, n_angles=90, radius_frac=0.35, s_step=1.0):
-    _at_least(3, n_s=n_s)  # at 2 the four cells sit on one circle: no disc edge
-    _at_least(2, n_angles=n_angles)
+    _require_at_least(3, n_s=n_s)  # at 2 the four cells sit on one circle: no disc edge
+    _require_at_least(2, n_angles=n_angles)
     axis = (np.arange(n_s) - (n_s - 1) / 2.0) * s_step
     xx, yy = np.meshgrid(axis, axis, indexing="ij")
     radius = radius_frac * (n_s / 2.0) * s_step
@@ -423,7 +416,7 @@ def _run_sar_tomo(seed, sink, *, n_s=65, n_angles=90, radius_frac=0.35, s_step=1
 def _run_sar_capon(seed, sink, *, m=32, n=32, f_c_hz=10e9, d_u_m=0.1, d_f_hz=1e6,
                    r_ref_m=1000.0, src2_x_m=3.0, src2_y_m=-2.0, src2_amp=0.5,
                    noise_sigma=0.05, loading_rel=0.01, extent_m=8.0, n_grid=41):
-    _at_least(1, n_grid=n_grid)
+    _require_at_least(1, n_grid=n_grid)
     sources = ((0.0, 0.0, 1.0), (src2_x_m, src2_y_m, src2_amp))
     steering = LinearPhaseSteering(f_c_hz, d_u_m, d_f_hz, r_ref_m)
     z = synthesize_capon_data(sources, steering, m, n, noise_sigma, seed)
@@ -446,9 +439,8 @@ def _run_sar_capon(seed, sink, *, m=32, n=32, f_c_hz=10e9, d_u_m=0.1, d_f_hz=1e6
 
 
 def _run_sar_speckle(seed, sink, *, n_pix=128, sigma_mu=0.3, window=7, block_level=5.0):
-    _at_least(8, n_pix=n_pix)  # the flat region is 2 * (n_pix // 8) rows deep
-    if not sigma_mu > 0.0:  # at 0 var_ratio is 0/0
-        raise ValueError(f"sigma_mu must be > 0, got sigma_mu={sigma_mu}")
+    _require_at_least(8, n_pix=n_pix)  # the flat region is 2 * (n_pix // 8) rows deep
+    _require_finite_positive(sigma_mu=sigma_mu)  # at 0 var_ratio is 0/0
     y = np.ones((n_pix, n_pix))
     q = n_pix // 8
     y[3 * q:4 * q, 3 * q:4 * q] = block_level
@@ -472,7 +464,7 @@ def _run_qsar_budget(seed, sink, *, power_w=5.0, gain=3162.0, wavelength_m=0.03,
                      delta_r_m=1.0, standoff_m=1e5, t0_k=290.0, noise_figure=2.0, l_a_m=3.0,
                      v_mps=150.0, theta_deg=30.0, sweep_lo_db=-10.0, sweep_hi_db=15.0,
                      n_sweep=26):
-    _at_least(0, n_sweep=n_sweep)
+    _require_at_least(0, n_sweep=n_sweep)
     p = QsarParams(power_w, gain, wavelength_m, sigma0, delta_r_m, standoff_m, t0_k,
                    noise_figure, l_a_m, v_mps, theta_deg)
     qm = qsar_metrics(p)
@@ -496,8 +488,8 @@ def _run_sas_recon(seed, sink, *, v_p_mps=3.2, tau_rec_s=0.05, n_pings=8, n_rx=4
                    d_transducer_m=0.04):
     for key, target in (("target1", target1), ("target2", target2)):
         if not 0 <= target < grid_side ** 2:
-            raise ValueError(f"{key} {target} is not a cell of the {grid_side} x {grid_side}"
-                             f" grid (0 to {grid_side ** 2 - 1})")
+            raise ValueError(f"{key} {target} is not a cell of the grid (0 to {grid_side**2 - 1}),"
+                             f" got {key}={target}, grid_side={grid_side}")
     geom = SasGeometry(v_p_mps, tau_rec_s, n_pings, np.arange(n_rx) * rx_pitch_m)
     grid = FrequencyGrid(f_start_hz, f_stop_hz, df_hz)
     y_c = geom.ping_positions().mean() + geom.rx_offsets.mean() / 2.0
@@ -540,7 +532,8 @@ def _run_sas_recon(seed, sink, *, v_p_mps=3.2, tau_rec_s=0.05, n_pings=8, n_rx=4
 def _run_pr_recover(seed, sink, *, n=64, oversampling=8.0, problem_kind="gaussian",
                     n_masks=6, steps=2500, er_iters=100, noise_sigma=0.0):
     if problem_kind not in ("gaussian", "coded"):
-        raise ValueError(f"problem_kind must be 'gaussian' or 'coded', not {problem_kind!r}")
+        raise ValueError("problem_kind must be 'gaussian' or 'coded',"
+                         f" got problem_kind={problem_kind!r}")
     s_prob, s_truth, s_noise = seeded_rng(seed, "drawing the pr-recover problem").spawn(3)
     if problem_kind == "coded":
         problem = coded_problem(n, n_masks, s_prob)
@@ -614,8 +607,8 @@ def _run_radiometry_roundtrip(seed, sink, *, n_u=17, du=0.45, sigma_l=0.15, n_th
     # the reference map divides by 2 sigma_l**2 and the error by its norm
     if not 2.0 * sigma_l ** 2 > 0.0:
         raise ValueError(f"sigma_l must be nonzero (2 * sigma_l**2 > 0), got sigma_l={sigma_l}")
-    if not t_peak_k > 0.0:
-        raise ValueError(f"t_peak_k must be > 0, got t_peak_k={t_peak_k}")
+    _require_finite_positive(t_peak_k=t_peak_k)
+    _require_at_least(sys.float_info.min, t_peak_k=t_peak_k)  # a subnormal map loses precision
     bmap = BrightnessMap.from_function(
         lambda th, ph: t_peak_k * np.exp(-np.sin(th) ** 2 / (2.0 * sigma_l ** 2)),
         n_theta, n_phi,
@@ -658,7 +651,7 @@ def _run_radiometry_roundtrip(seed, sink, *, n_u=17, du=0.45, sigma_l=0.15, n_th
 def _run_waveform_ambiguity(seed, sink, *, bandwidth_hz=10e6, duration_s=10e-6,
                             f_s_hz=25e6, n_delay=101, n_doppler=101, n_bins=200,
                             sep_bins=12, ratio_db=40.0, rmmse_iterations=3, adc_bits=12):
-    _at_least(1, n_delay=n_delay, n_doppler=n_doppler)
+    _require_at_least(1, n_delay=n_delay, n_doppler=n_doppler)
     strong, weak = n_bins // 3, n_bins // 3 + sep_bins
     if not 10 <= weak <= n_bins - 11:
         raise ValueError(f"n_bins={n_bins} and sep_bins={sep_bins} put the weak return at bin"

@@ -22,6 +22,20 @@ K_BOLTZMANN = 1.380649e-23
 _HORIZON_EPS = 1e-12
 
 
+def _require_at_least(least, **counts):
+    """Reject the first value below ``least`` (or NaN), naming its key and value."""
+    for key, count in counts.items():
+        if not count >= least:
+            raise ValueError(f"{key} must be >= {least}, got {key}={count}")
+
+
+def _require_finite_positive(**values):
+    """Reject the first value that is not finite and > 0, naming its key and value."""
+    for key, value in values.items():
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{key} must be finite and positive, got {key}={value}")
+
+
 class Direction:
     """Pointing direction relative to array boresight (+z), held in sine
     space: the direction cosines ``u`` and ``v`` along x and y, with
@@ -31,7 +45,7 @@ class Direction:
         if not (np.isfinite(u) and np.isfinite(v)):
             raise ValueError("(u, v) must be finite")
         if u * u + v * v > 1.0 + _HORIZON_EPS:
-            raise ValueError("(u, v) outside visible space: u^2 + v^2 > 1")
+            raise ValueError(f"(u, v) outside visible space: u^2 + v^2 > 1, got u={u}, v={v}")
         self.u = float(u)
         self.v = float(v)
 
@@ -44,9 +58,10 @@ def plane_wave_field(pos, t, f, direction: Direction) -> np.ndarray:
     """Complex plane-wave field exp(j*2*pi*(f*t - k.x)) of a wave of
     frequency ``f`` travelling along ``direction`` at the speed of light,
     as a (P, len(t)) array for the (P, 3) positions ``pos``."""
+    _require_finite_positive(f=f)
     pos = np.asarray(pos, dtype=float)
-    if not (np.isfinite(f) and f > 0 and np.all(np.isfinite(pos))):
-        raise ValueError("f must be finite and positive, and positions finite")
+    if not np.all(np.isfinite(pos)):
+        raise ValueError("positions must be finite")
     lam = C_LIGHT / f
     k_dot_x = (direction.u / lam * pos[:, 0] + direction.v / lam * pos[:, 1]
                + direction.w / lam * pos[:, 2])
@@ -57,8 +72,7 @@ def plane_wave_field(pos, t, f, direction: Direction) -> np.ndarray:
 def far_field_distance(aperture_d: float, frequency: float) -> float:
     """Far-field (Fraunhofer) boundary 2*D^2/lambda for aperture size D
     and a wave at the speed of light."""
-    if aperture_d <= 0 or frequency <= 0:
-        raise ValueError("aperture size and frequency must be positive")
+    _require_finite_positive(aperture_d=aperture_d, frequency=frequency)
     return 2.0 * aperture_d ** 2 * frequency / C_LIGHT
 
 
@@ -79,7 +93,7 @@ def noise_rng(sigma, seed, name):
     ``sigma == 0``.  A negative or NaN ``sigma``, or a positive one
     without a seed, raises ValueError naming the parameter ``name``."""
     if not sigma >= 0.0:
-        raise ValueError(f"{name} must be nonnegative")
+        raise ValueError(f"{name} must be nonnegative, got {name}={sigma}")
     return None if sigma == 0.0 else seeded_rng(seed, f"{name} > 0")
 
 
@@ -152,8 +166,7 @@ def wavenumber_spectrum(s_xt, dx: float, dt: float):
     s_xt = np.asarray(s_xt)
     if s_xt.ndim != 2:
         raise ValueError("s_xt must be 2-D")
-    if not (np.isfinite(dx) and dx > 0 and np.isfinite(dt) and dt > 0):
-        raise ValueError("dx and dt must be finite and positive")
+    _require_finite_positive(dx=dx, dt=dt)
     nx, nt = s_xt.shape
     spec = np.fft.fft(s_xt, axis=1)
     spec = np.fft.ifft(spec, axis=0) * nx

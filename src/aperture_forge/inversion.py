@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import noise_rng, power_iteration, seeded_rng
+from .core import (_require_at_least, _require_finite_positive, noise_rng, power_iteration,
+                   seeded_rng)
 
 
 @dataclass(frozen=True)
@@ -55,8 +56,7 @@ class PhaselessProblem:
 def gaussian_problem(m, n, seed) -> PhaselessProblem:
     """Standard complex Gaussian sampling vectors, unit entry variance.
     A None ``seed`` or fewer than one vector (``m`` < 1) raises ValueError."""
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got m={m}")
+    _require_at_least(1, m=m)
     rng = seeded_rng(seed, "drawing Gaussian sampling vectors")
     a = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2.0)
     return PhaselessProblem(n=n, vectors=a)
@@ -95,7 +95,8 @@ def _op_norm_sq(problem):
 
 def _sign(z):
     mag = np.abs(z)
-    return z * np.divide(1.0, mag, out=np.zeros_like(mag), where=mag > 0.0)
+    np.divide(1.0, mag, out=mag, where=mag > 0.0)  # the zeros stay
+    return z * mag
 
 
 def pr_forward(x, problem, noise_sigma=0.0, seed=None) -> np.ndarray:
@@ -173,8 +174,7 @@ def amplitude_flow(y, problem, init, steps=500) -> FlowResult:
     and the next gradient; the sign, residual and objective terms are
     written into buffers allocated once.
     """
-    if steps < 0:
-        raise ValueError(f"steps must be nonnegative, got steps={steps}")
+    _require_at_least(0, steps=steps)
     root_y = np.sqrt(np.asarray(y, dtype=float))
     x = np.asarray(init, dtype=complex).copy()
     m = problem.m
@@ -214,8 +214,7 @@ def error_reduction(y, problem, init, iters=200) -> ErrorReductionResult:
     magnitudes by sqrt(y), keep the phase) and the range of the forward
     operator.  Both are closest-point projections, so the residual
     ||sqrt(y) - |A x||| never increases."""
-    if iters < 0:
-        raise ValueError(f"iters must be nonnegative, got iters={iters}")
+    _require_at_least(0, iters=iters)
     y = np.asarray(y, dtype=float)
     root_y = np.sqrt(y)
     x = np.asarray(init, dtype=complex).copy()
@@ -255,9 +254,7 @@ def pupil_radius_bins(na, wavelength, dx, n) -> float:
     finite and positive."""
     if not (np.isfinite(na) and na >= 0):
         raise ValueError(f"na must be finite and non-negative, got na={na}")
-    for key, value in (("wavelength", wavelength), ("dx", dx)):
-        if not (np.isfinite(value) and value > 0):
-            raise ValueError(f"{key} must be finite and positive, got {key}={value}")
+    _require_finite_positive(wavelength=wavelength, dx=dx)
     return na * n * dx / wavelength
 
 
@@ -346,8 +343,7 @@ def fp_recover(intensities, system: FpSystem, sweeps=50) -> np.ndarray:
     pupil's columns along axis 0.  Raises ValueError on a negative or
     non-finite intensity sample.
     """
-    if sweeps < 0:
-        raise ValueError(f"sweeps must be nonnegative, got sweeps={sweeps}")
+    _require_at_least(0, sweeps=sweeps)
     n = system.n
     intensities = np.asarray(intensities, dtype=float)
     bad = np.count_nonzero(~np.isfinite(intensities) | (intensities < 0.0))

@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .core import _require_at_least, _require_finite_positive
+
 
 @dataclass(frozen=True)
 class BrightnessMap:
@@ -32,9 +34,7 @@ class BrightnessMap:
     def from_function(cls, fn, n_theta=180, n_phi=360):
         """``fn(theta, phi)`` at the cell centres of an n_theta x n_phi
         hemisphere grid; raises ValueError unless both counts are >= 1."""
-        for key, count in (("n_theta", n_theta), ("n_phi", n_phi)):
-            if count < 1:
-                raise ValueError(f"{key} must be >= 1, got {key}={count}")
+        _require_at_least(1, n_theta=n_theta, n_phi=n_phi)
         return cls(fn(*_midpoints(n_theta, n_phi)))
 
     def _quadrature(self):
@@ -74,10 +74,8 @@ class BaselineSet:
     du: float
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"a baseline lattice needs n >= 1, got n={self.n}")
-        if not (np.isfinite(self.du) and self.du > 0):
-            raise ValueError("du must be finite and positive")
+        _require_at_least(1, n=self.n)
+        _require_finite_positive(du=self.du)
 
     @property
     def u(self) -> np.ndarray:
@@ -190,7 +188,7 @@ def invert_visibilities(values, baselines: BaselineSet,
     if v_in.shape != (n * n,):
         raise ValueError("one visibility per baseline required")
     if du > 0.5 + 1e-12:
-        raise ValueError("lattice spacing above 0.5 aliases the unit disc")
+        raise ValueError(f"lattice spacing above 0.5 aliases the unit disc, got du={du}")
 
     l_ax = (np.arange(n) - n // 2) / (n * du)
     phase = np.exp(-2j * np.pi * np.outer(l_ax, baselines.u))
@@ -223,7 +221,7 @@ def mrla_spacings(n_elements) -> np.ndarray:
     minimal redundancy coincide.
     """
     if not 2 <= n_elements <= 7:
-        raise ValueError("n_elements must be between 2 and 7 (search bound)")
+        raise ValueError(f"n_elements must be in [2, 7], got n_elements={n_elements}")
     n_pairs = n_elements * (n_elements - 1) // 2
     for length in range(n_pairs, 0, -1):
         target = set(range(1, length + 1))

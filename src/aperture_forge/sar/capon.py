@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import C_LIGHT, add_complex_noise
+from ..core import C_LIGHT, _require_finite_positive, add_complex_noise
 
 
 @dataclass(frozen=True)
@@ -41,7 +41,7 @@ class CaponProblem:
             raise ValueError("z must be 2-D with at least 4 rows and columns")
         object.__setattr__(self, "z", z)
         if self.loading < 0.0:
-            raise ValueError("loading must be nonnegative")
+            raise ValueError(f"loading must be nonnegative, got loading={self.loading}")
 
     @property
     def block_shape(self) -> tuple:
@@ -79,8 +79,7 @@ class LinearPhaseSteering:
     r_ref: float
 
     def __post_init__(self):
-        if self.f_c <= 0 or self.d_u <= 0 or self.d_f <= 0 or self.r_ref <= 0:
-            raise ValueError("steering parameters must be positive")
+        _require_finite_positive(f_c=self.f_c, d_u=self.d_u, d_f=self.d_f, r_ref=self.r_ref)
 
     def ramps(self, x_grid, y_grid, block_shape):
         """Unit-norm ramps A_x (P, n_x) over aperture steps and A_y (L, n_y)

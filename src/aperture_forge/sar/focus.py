@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import C_LIGHT
+from ..core import C_LIGHT, _require_finite_positive
 from ..waveforms import _lfm_envelope, matched_filter
 from .scene import PhaseHistory
 
@@ -52,7 +52,7 @@ def _uniform_grid(grid, name):
     uniformly spaced."""
     grid = np.asarray(grid, dtype=float)
     if grid.size < 2:
-        raise ValueError(f"{name} needs at least two points")
+        raise ValueError(f"{name} needs at least two points, got {name}={grid}")
     if not np.all(np.isfinite(grid)):
         raise ValueError(f"{name} must be finite")
     steps = np.diff(grid)
@@ -167,7 +167,8 @@ def curvature_factor(f_dop, v, wavelength):
     """
     sine = wavelength * np.asarray(f_dop, dtype=float) / (2.0 * v)
     if np.any(np.abs(sine) >= 1.0):
-        raise ValueError("Doppler outside the support |lambda f / 2V| < 1")
+        raise ValueError("Doppler outside the support |lambda f / 2V| < 1,"
+                         f" got v={v}, wavelength={wavelength}")
     return 1.0 / np.sqrt(1.0 - sine ** 2) - 1.0
 
 
@@ -176,7 +177,8 @@ def range_distortion(f_dop, v, wavelength):
     entering as 1/K_s = 1/K + r*alpha.  Zero at zero Doppler."""
     sine = wavelength * np.asarray(f_dop, dtype=float) / (2.0 * v)
     if np.any(np.abs(sine) >= 1.0):
-        raise ValueError("Doppler outside the support |lambda f / 2V| < 1")
+        raise ValueError("Doppler outside the support |lambda f / 2V| < 1,"
+                         f" got v={v}, wavelength={wavelength}")
     return (2.0 * wavelength / C_LIGHT ** 2) * sine ** 2 / (1.0 - sine ** 2) ** 1.5
 
 
@@ -190,8 +192,7 @@ def chirp_scaling_focus(ph: PhaseHistory, r_ref: float) -> SarImage:
     bins at or beyond |lambda f / 2V| = 1 have no stationary-phase
     support; they are zeroed and counted in ``info["clamped_bins"]``.
     """
-    if r_ref <= 0:
-        raise ValueError("reference range must be positive")
+    _require_finite_positive(r_ref=r_ref)
     data = ph.data
     n_fast, n_pulses = data.shape
     f_s = ph.f_s

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import K_BOLTZMANN
+from ..core import K_BOLTZMANN, _require_finite_positive
 
 
 @dataclass(frozen=True)
@@ -38,15 +38,9 @@ class QsarParams:
     theta_deg: float
 
     def __post_init__(self):
-        fields = (
-            self.power_w, self.gain, self.wavelength, self.sigma0,
-            self.delta_r, self.standoff, self.t0_k, self.noise_figure,
-            self.l_a, self.v,
-        )
-        if any(val <= 0.0 for val in fields):
-            raise ValueError("all budget parameters must be positive")
+        _require_finite_positive(**{k: v for k, v in vars(self).items() if k != "theta_deg"})
         if not 0.0 < self.theta_deg < 90.0:
-            raise ValueError("incidence angle must be strictly inside (0, 90) degrees")
+            raise ValueError(f"theta_deg must be in (0, 90), got theta_deg={self.theta_deg}")
 
 
 def snr_linear(p: QsarParams) -> float:
@@ -66,7 +60,7 @@ def detection_error_probabilities(snr) -> dict:
     """
     s = float(snr)
     if s < 0.0:
-        raise ValueError("snr must be nonnegative")
+        raise ValueError(f"snr must be nonnegative, got snr={s}")
     return {
         "epsilon_c": 0.5 * np.exp(-s / 4.0),
         "epsilon_q": 0.5 * np.exp(-s),

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import C_LIGHT, add_complex_noise
+from ..core import C_LIGHT, _require_finite_positive, add_complex_noise
 from ..waveforms import LfmChirp
 
 
@@ -48,8 +48,10 @@ class SarGeometry:
 
     def __post_init__(self):
         # v = 0 is legal (stationary platform, pure range profiling)
-        if self.v < 0 or min(self.prf, self.t_coh, self.r1, self.wavelength) <= 0:
-            raise ValueError("geometry parameters must be positive (v may be zero)")
+        if not (np.isfinite(self.v) and self.v >= 0):
+            raise ValueError(f"v must be finite and nonnegative, got v={self.v}")
+        _require_finite_positive(prf=self.prf, t_coh=self.t_coh, r1=self.r1,
+                                 wavelength=self.wavelength)
         if self.n_pulses < 1:
             raise ValueError("round(t_coh * prf) must be >= 1 pulse,"
                              f" got t_coh={self.t_coh}, prf={self.prf}")
@@ -88,8 +90,7 @@ class PhaseHistory:
             raise ValueError("phase history data must be finite")
         if not np.isfinite(self.tau0):
             raise ValueError("tau0 must be finite")
-        if not (np.isfinite(self.f_s) and self.f_s > 0):
-            raise ValueError("f_s must be finite and positive")
+        _require_finite_positive(f_s=self.f_s)
 
 
 def slant_range_history(scatterer: Scatterer, geom: SarGeometry) -> np.ndarray:
@@ -121,7 +122,7 @@ def simulate_phase_history(
     if not scatterers:
         raise ValueError("scene needs at least one scatterer")
     if f_s < chirp.bandwidth:
-        raise ValueError("f_s must cover the chirp bandwidth")
+        raise ValueError(f"f_s must be >= bandwidth, got f_s={f_s}, bandwidth={chirp.bandwidth}")
     t = geom.slow_times()
     histories = [slant_range_history(s, geom) for s in scatterers]
     r_min = min(h.min() for h in histories)
@@ -131,6 +132,7 @@ def simulate_phase_history(
         raise ValueError(
             "scene exceeds the unambiguous range window: "
             f"2R/c + T = {2 * r_max / C_LIGHT + chirp.duration:.3e} s > PRI {pri:.3e} s"
+            f" (got prf={geom.prf}, r1={geom.r1}, duration={chirp.duration})"
         )
     half = chirp.duration / 2.0
     tau0 = np.floor((2.0 * r_min / C_LIGHT - half) * f_s) / f_s
@@ -157,8 +159,7 @@ def sar_resolutions(geom: SarGeometry, chirp: LfmChirp) -> dict:
     range: c/2B.  cross-range: lambda*R1/(2L), equivalently lambda over
     twice the integrated angle.
     """
-    if geom.v == 0:
-        raise ValueError("resolution laws need a moving platform (v > 0)")
+    _require_finite_positive(v=geom.v)  # the laws need a moving platform
     l_sa = geom.aperture_length
     dx = geom.wavelength * geom.r1 / (2.0 * l_sa)
     return {

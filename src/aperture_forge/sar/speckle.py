@@ -59,9 +59,9 @@ def lee_filter(z, sigma_mu, window=7) -> np.ndarray:
     if not np.all(np.isfinite(z)):
         raise ValueError("lee_filter input must be finite")
     if window < 3 or window % 2 == 0:
-        raise ValueError("window must be odd and >= 3")
+        raise ValueError(f"window must be odd and >= 3, got window={window}")
     if sigma_mu < 0.0:
-        raise ValueError("sigma_mu must be nonnegative")
+        raise ValueError(f"sigma_mu must be nonnegative, got sigma_mu={sigma_mu}")
     if sigma_mu == 0.0:
         return z.copy()
     zbar = _box_mean(z, window)

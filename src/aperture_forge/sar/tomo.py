@@ -9,6 +9,8 @@ filter each projection by |omega| and smear it back across the image.
 
 import numpy as np
 
+from ..core import _require_finite_positive
+
 
 def _bilinear(table, i, j, ti, tj):
     """Blend of table[i:i+2, j:j+2] at fractional offsets ti (rows), tj (cols)."""
@@ -100,8 +102,7 @@ def tomographic_reconstruct(projections, angles, s_step, method="polar-interp"):
         raise ValueError("angles must lie in [0, pi)")
     if np.any(np.diff(angles) <= 0.0):
         raise ValueError("angles must be strictly ascending")
-    if s_step <= 0.0:
-        raise ValueError("s_step must be positive")
+    _require_finite_positive(s_step=s_step)
     if method == "polar-interp":
         return _polar_interp(projections, angles, s_step)
     if method == "filtered-backprojection":

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import add_complex_noise, power_iteration
+from .core import _require_at_least, _require_finite_positive, add_complex_noise, power_iteration
 from .sounding import FrequencyGrid
 
 C_SOUND = 1500.0  # speed of sound in sea water, m/s
@@ -35,13 +35,11 @@ class SasGeometry:
     rx_offsets: np.ndarray
 
     def __post_init__(self):
-        if self.v_p <= 0 or self.tau_rec <= 0:
-            raise ValueError("platform speed and recording duration must be positive")
-        if self.n_pings < 1:
-            raise ValueError("need at least one ping")
+        _require_finite_positive(v_p=self.v_p, tau_rec=self.tau_rec)
+        _require_at_least(1, n_pings=self.n_pings)
         rx = np.atleast_1d(np.asarray(self.rx_offsets, dtype=float))
         if rx.size < 1:
-            raise ValueError("need at least one receiver")
+            raise ValueError(f"need at least one receiver, got rx_offsets={rx}")
         object.__setattr__(self, "rx_offsets", rx)
 
     @property
@@ -103,7 +101,7 @@ class SensingModel:
         if dist.max() > geometry.r_max + 1e-12:
             raise ValueError(
                 "grid extends beyond the maximum swath "
-                f"c*tau_rec/2 = {geometry.r_max:.3f} m"
+                f"c*tau_rec/2 = {geometry.r_max:.3f} m, got tau_rec={geometry.tau_rec}"
             )
         phase = (-2j * np.pi / C_SOUND) * 2.0 \
             * freqs[None, :, None, None] * dist[:, None, :, :]
@@ -174,12 +172,10 @@ def sas_sparse(d_stack, model: SensingModel, mu, solver="ista",
     returned with converged=False.  The step is 1/L with L the
     power-iteration bound.  Raises ValueError on a non-finite ``d_stack``.
     """
-    if mu <= 0:
-        raise ValueError("mu must be positive")
+    _require_finite_positive(mu=mu)
     if solver not in ("ista", "fista"):
-        raise ValueError("solver must be 'ista' or 'fista'")
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be nonnegative, got max_iter={max_iter}")
+        raise ValueError(f"solver must be 'ista' or 'fista', got solver={solver!r}")
+    _require_at_least(0, max_iter=max_iter)
     d = np.asarray(d_stack, dtype=complex)
     if not np.all(np.isfinite(d)):
         raise ValueError("d_stack must be finite")
@@ -234,8 +230,8 @@ def sas_resolutions(delta_f, d_transducer, wavelength, r0) -> dict:
     beamwidth dwell, cross-range cell from that synthetic length.  The
     algebra collapses delta_y to D/2: independent of range and frequency.
     """
-    if min(delta_f, d_transducer, wavelength, r0) <= 0:
-        raise ValueError("all resolution inputs must be positive")
+    _require_finite_positive(delta_f=delta_f, d_transducer=d_transducer, wavelength=wavelength,
+                             r0=r0)
     l_sa = wavelength * r0 / d_transducer
     return {
         "range_resolution_m": C_SOUND / (2.0 * delta_f),

@@ -4,7 +4,7 @@ simulated-annealing lattice thinning."""
 
 import numpy as np
 
-from ..core import C_LIGHT, Direction, seeded_rng
+from ..core import C_LIGHT, Direction, _require_at_least, _require_finite_positive, seeded_rng
 
 
 class SamplingLattice:
@@ -16,9 +16,8 @@ class SamplingLattice:
     """
 
     def __init__(self, m: int, n: int, d_x: float, d_y: float, mask=None):
-        if not (m >= 1 and n >= 1 and 0 < d_x < np.inf and 0 < d_y < np.inf):
-            raise ValueError(f"lattice needs m, n >= 1 and finite d_x, d_y > 0"
-                             f" (got m={m}, n={n}, d_x={d_x}, d_y={d_y})")
+        _require_at_least(1, m=m, n=n)
+        _require_finite_positive(d_x=d_x, d_y=d_y)
         self.shape = (m, n)
         self.d_x, self.d_y = float(d_x), float(d_y)
         self.x = (np.arange(m) - (m - 1) / 2.0) * d_x
@@ -72,8 +71,7 @@ def _axis_ramps(lattice: SamplingLattice, f: float, u, v):
     the active elements: an M x N lattice takes M + N rows of
     exponentials, not 2MN, with the same bits.  Raises ValueError unless
     ``f`` is finite and positive."""
-    if not (np.isfinite(f) and f > 0):
-        raise ValueError(f"f must be finite and positive, got f={f}")
+    _require_finite_positive(f=f)
     k = 2.0 * np.pi * f / C_LIGHT
     ix, iy = np.divmod(np.flatnonzero(lattice.mask), lattice.shape[1])
     ex = np.exp(1j * k * lattice.x[:, None] * u[None, :])[ix]
@@ -214,17 +212,15 @@ def optimize_sparse_lattice(
     ValueError.
     """
     if not 0.0 < keep_fraction <= 1.0:
-        raise ValueError("keep_fraction must be in (0, 1]")
-    if n_steps < 0 or cool_every < 1:
-        raise ValueError("need n_steps >= 0 and cool_every >= 1"
-                         f" (got n_steps={n_steps}, cool_every={cool_every})")
-    if not (np.isfinite(f_eval) and f_eval > 0):
-        raise ValueError(f"f_eval must be finite and positive, got f_eval={f_eval}")
+        raise ValueError(f"keep_fraction must be in (0, 1], got keep_fraction={keep_fraction}")
+    _require_at_least(0, n_steps=n_steps)
+    _require_at_least(1, cool_every=cool_every)
+    _require_finite_positive(f_eval=f_eval)
     rng = seeded_rng(seed, "thinning a lattice")
     n_total = full_lattice.mask.size
     n_keep = int(round(keep_fraction * n_total))
     if n_keep < 2:
-        raise ValueError("keep_fraction keeps fewer than two elements")
+        raise ValueError(f"keep_fraction={keep_fraction} keeps fewer than two elements")
 
     axis = np.linspace(-1.0, 1.0, uv_points)
     uu, vv = np.meshgrid(axis, axis, indexing="ij")

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import C_LIGHT
+from ..core import C_LIGHT, _require_finite_positive
 
 
 @dataclass(frozen=True)
@@ -18,8 +18,9 @@ class FrequencyGrid:
 
     def __post_init__(self):
         got = f"f_start={self.f_start}, f_stop={self.f_stop}, df={self.df}"
-        if self.f_start <= 0 or self.df <= 0 or self.f_stop <= self.f_start:
-            raise ValueError(f"need 0 < f_start < f_stop and df > 0 (got {got})")
+        if not self.f_stop > self.f_start:
+            raise ValueError(f"need f_start < f_stop (got {got})")
+        _require_finite_positive(f_start=self.f_start, df=self.df)
         n = (self.f_stop - self.f_start) / self.df
         if abs(n - round(n)) > 1e-6:
             raise ValueError(f"span is {n:.6g} steps, not a whole number (got {got})")
@@ -56,8 +57,7 @@ def sampling_checks(grid: FrequencyGrid, f_max: float, tol: float = 0.05) -> dic
     ``tol`` how near counts as near.  Raises ValueError unless ``f_max``
     is finite and positive and ``tol`` is >= 0.
     """
-    if not (np.isfinite(f_max) and f_max > 0):
-        raise ValueError(f"f_max must be finite and positive, got f_max={f_max}")
+    _require_finite_positive(f_max=f_max)
     if not tol >= 0:
         raise ValueError(f"tol must be >= 0, got tol={tol}")
     ratio = f_max / grid.bandwidth

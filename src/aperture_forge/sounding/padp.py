@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import C_LIGHT, Direction, add_complex_noise
+from ..core import C_LIGHT, Direction, _require_finite_positive, add_complex_noise
 from .arrays import SamplingLattice, array_factor
 from .grids import FrequencyGrid
 
@@ -82,7 +82,7 @@ def synthesize_sweep(
         if ray.kind == "plane":
             if not 0.0 <= ray.delay < grid.t_dur:
                 raise ValueError(
-                    f"ray delay {ray.delay} outside the unambiguous window"
+                    f"ray delay={ray.delay} outside the unambiguous window"
                     f" [0, {grid.t_dur})"
                 )
             spatial = (pos[:, 0] * ray.u + pos[:, 1] * ray.v) / C_LIGHT
@@ -94,7 +94,7 @@ def synthesize_sweep(
             eff = d / C_LIGHT
             if eff.min() < 0.0 or eff.max() >= grid.t_dur:
                 raise ValueError(
-                    "point-source delay outside the unambiguous window"
+                    f"point-source position={ray.position} delay outside the unambiguous window"
                     f" [0, {grid.t_dur})"
                 )
             s21 += ray.amplitude * np.exp(-1j * 2.0 * np.pi * f[None, :] * eff[:, None])
@@ -108,7 +108,7 @@ def two_ray_path_loss(rho: float, phi: float) -> float:
     ``phi``; beta^2 = 1 + 2*rho*cos(phi) + rho^2.
     """
     if rho < 0:
-        raise ValueError("rho must be nonnegative")
+        raise ValueError(f"rho must be nonnegative, got rho={rho}")
     return float(1.0 + 2.0 * rho * np.cos(phi) + rho ** 2)
 
 
@@ -207,8 +207,9 @@ def spherical_padp(
     source's center delay.  Taper and padding are padp's (Hamming, 4x),
     so far hops converge to the plane-wave padp.
     """
-    if r_start <= 0 or r_stop < r_start or r_step <= 0:
-        raise ValueError("need 0 < r_start <= r_stop and r_step > 0")
+    _require_finite_positive(r_start=r_start, r_step=r_step)
+    if not r_stop >= r_start:
+        raise ValueError(f"need r_start <= r_stop, got r_start={r_start}, r_stop={r_stop}")
     ranges = np.arange(r_start, r_stop + r_step / 2.0, r_step)
     if np.any(np.abs(ranges * direction.w) < 1e-9):
         raise ValueError("virtual source falls in the lattice plane")

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import fft_convolve
+from .core import _require_at_least, _require_finite_positive, fft_convolve
 
 
 @dataclass(frozen=True)
@@ -23,10 +23,10 @@ class LfmChirp:
     duration: float
 
     def __post_init__(self):
-        if self.bandwidth <= 0 or self.duration <= 0:
-            raise ValueError("bandwidth and duration must be positive")
+        _require_finite_positive(bandwidth=self.bandwidth, duration=self.duration)
         if self.tbp < 1.0:
-            raise ValueError("time-bandwidth product must be >= 1")
+            raise ValueError("time-bandwidth product must be >= 1, got"
+                             f" bandwidth={self.bandwidth}, duration={self.duration}")
 
     @property
     def rate(self) -> float:
@@ -43,9 +43,9 @@ def sample_lfm(chirp: LfmChirp, f_s: float) -> np.ndarray:
     Samples are exp(j*pi*K*t^2) on the symmetric support t in
     [-T/2, T/2]; the instantaneous frequency sweeps -B/2 to B/2.
     """
-    needed = 2.0 * chirp.bandwidth
-    if f_s < needed:
-        raise ValueError(f"sample rate {f_s} too low, need >= {needed}")
+    if f_s < 2.0 * chirp.bandwidth:
+        raise ValueError(f"f_s must be >= 2 * bandwidth, got f_s={f_s},"
+                         f" bandwidth={chirp.bandwidth}")
     return _lfm_envelope(chirp, f_s)
 
 
@@ -146,8 +146,7 @@ def lfm_ambiguity_closed_form(chirp: LfmChirp, tau, f_d):
 def adc_snr_ideal_db(bits: int) -> float:
     """Ideal SNR of a ``bits``-bit ADC by the full-scale sinusoid rule
     6.02*B + 1.76 dB (only approximate below 4 bits)."""
-    if bits < 1:
-        raise ValueError("bits must be >= 1")
+    _require_at_least(1, bits=bits)
     return 6.02 * bits + 1.76
 
 
@@ -212,8 +211,7 @@ def rmmse_compress(received, waveform, iterations: int = 3) -> np.ndarray:
     """
     y = np.asarray(received, dtype=complex)
     s = np.asarray(waveform, dtype=complex)
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
+    _require_at_least(1, iterations=iterations)
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(s))):
         raise ValueError("received and waveform must be finite")
     m = s.size

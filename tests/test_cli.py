@@ -150,6 +150,14 @@ def test_seed_must_fit_in_64_bits(tmp_path):
         parse_config(path)
 
 
+def test_the_largest_64_bit_seed_runs(tmp_path):
+    path = write_config(tmp_path, {"scenario": "sar-speckle", "seed": 2 ** 64 - 1,
+                                   "params": {"n_pix": 16}})
+    assert main(["sar-speckle", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["seed"] == 2 ** 64 - 1
+
+
 def test_missing_file_and_bad_json_use_file_code(tmp_path):
     with pytest.raises(ConfigFileError) as err:
         parse_config(tmp_path / "nope.json")
@@ -489,7 +497,8 @@ def test_non_finite_metric_exits_6_without_a_report(tmp_path, capsys, monkeypatc
     ("sound-padp", {"d_m": 0.0}, "d_x=0.0"),
     ("sound-sparse-lattice", {"uv_points": 2}, "uv_points=2"),
     ("sound-padp", {"df_hz": 2.675e7}, "df="),
-    ("sound-constants", {"aperture_m": 0.0}, "aperture size and frequency must be positive"),
+    ("sound-constants", {"aperture_m": 0.0},
+     "aperture_d must be finite and positive, got aperture_d=0.0"),
     ("sound-squint", {"f_eval_hz": 0.0},
      "sound-squint: f_eval_hz must be finite and positive, got f_eval_hz=0.0"),
     ("sar-point", {"v_mps": 0.1}, "Doppler outside the support"),
@@ -543,14 +552,20 @@ def test_non_finite_metric_exits_6_without_a_report(tmp_path, capsys, monkeypatc
     # once non-finite metrics, now named before any work
     ("radiometry-roundtrip", {"sigma_l": 0.0},
      "sigma_l must be nonzero (2 * sigma_l**2 > 0), got sigma_l=0.0"),
-    ("radiometry-roundtrip", {"t_peak_k": 0.0}, "t_peak_k must be > 0, got t_peak_k=0.0"),
+    ("radiometry-roundtrip", {"t_peak_k": 0.0},
+     "t_peak_k must be finite and positive, got t_peak_k=0.0"),
     ("sar-speckle", {"n_pix": 1}, "n_pix must be >= 8, got n_pix=1"),
     ("sar-speckle", {"n_pix": 2}, "n_pix must be >= 8, got n_pix=2"),
-    ("sar-speckle", {"sigma_mu": 0.0}, "sigma_mu must be > 0, got sigma_mu=0.0"),
+    ("sar-speckle", {"sigma_mu": 0.0},
+     "sigma_mu must be finite and positive, got sigma_mu=0.0"),
     ("sar-tomo", {"n_s": 4}, "n_s=4, radius_frac=0.35 and s_step=1.0 put no cell centre"),
     ("sar-speckle", {"n_pix": 0}, "n_pix must be >= 8, got n_pix=0"),
     ("sar-speckle", {"n_pix": -1}, "n_pix must be >= 8, got n_pix=-1"),
     ("sar-tomo", {"radius_frac": 350.0}, "radius_frac=350.0 and s_step=1.0 put every cell"),
+    # a subnormal peak, whose map loses precision, and the largest power of two
+    ("radiometry-roundtrip", {"t_peak_k": 1e-320},
+     "t_peak_k must be >= 2.2250738585072014e-308, got t_peak_k=1e-320"),
+    ("radiometry-roundtrip", {"t_peak_k": 2.0 ** 1023}, "image grid must be finite"),
 ])
 def test_invalid_library_input_exits_6_without_a_report(tmp_path, capsys, scenario, params,
                                                         message):

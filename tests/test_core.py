@@ -131,8 +131,9 @@ def test_wavenumber_spectrum_rejects_bad_input():
     for s_xt in (np.zeros(8), np.zeros((2, 2, 2))):
         with pytest.raises(ValueError, match="2-D"):
             wavenumber_spectrum(s_xt, 1.0, 1.0)
-    for dx, dt in ((0.0, 1.0), (1.0, -1.0), (np.nan, 1.0), (1.0, np.inf)):
-        with pytest.raises(ValueError, match="dx and dt"):
+    for dx, dt, key in ((0.0, 1.0, "dx"), (1.0, -1.0, "dt"), (np.nan, 1.0, "dx"),
+                        (1.0, np.inf, "dt")):
+        with pytest.raises(ValueError, match=f"{key} must be finite and positive, got {key}="):
             wavenumber_spectrum(np.zeros((4, 4)), dx, dt)
 
 

@@ -525,3 +525,21 @@ def test_shifted_pupil_must_stay_in_band():
     with pytest.raises(ValueError, match="band edge"):
         FpSystem(np.zeros((n, n)), circular_pupil(n, 20),
                  np.array([[14, 0]]))
+
+
+def _sign_by_masked_division(z):
+    """The sign step as it was: a zero-filled reciprocal, then the product."""
+    mag = np.abs(z)
+    return z * np.divide(1.0, mag, out=np.zeros_like(mag), where=mag > 0.0)
+
+
+def test_sign_matches_the_masked_division_bitwise():
+    rng = np.random.default_rng(7)
+    z = (rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))) \
+        * 10.0 ** rng.integers(-200, 200, (64, 64))
+    z[0, :6] = [0.0, -0.0, complex(-0.0, -0.0), complex(0.0, -0.0), 1e-310, -1e-310j]
+    z[1, :3] = [complex(3.0, -0.0), complex(-0.0, 2.0), 5e-324]
+    with np.errstate(over="ignore", invalid="ignore"):  # 1 / 5e-324 overflows in both
+        got, want = _sign(z), _sign_by_masked_division(z)
+    assert got.tobytes() == want.tobytes()
+    assert np.all(got[0, :4] == 0.0)

@@ -71,7 +71,7 @@ def test_lattice_negation_closure():
 
 def test_baseline_validation():
     for n in [0, -1]:
-        with pytest.raises(ValueError, match=f"n >= 1, got n={n}"):
+        with pytest.raises(ValueError, match=f"n must be >= 1, got n={n}"):
             BaselineSet(n, 0.5)
     for du in [0.0, -0.5, np.inf, np.nan]:
         with pytest.raises(ValueError, match="du must be finite and positive"):

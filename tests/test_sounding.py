@@ -538,7 +538,9 @@ def test_source_distances_boresight_center():
     (3, 3, 0.01, np.inf),
 ])
 def test_lattice_rejects_empty_or_non_positive_grid(m, n, d_x, d_y):
-    with pytest.raises(ValueError, match=f"got m={m}, n={n}, d_x={d_x}, d_y={d_y}"):
+    bad = [f"{k}={v}" for k, v in (("m", m), ("n", n)) if v < 1]
+    bad += [f"{k}={v}" for k, v in (("d_x", d_x), ("d_y", d_y)) if not 0 < v < np.inf]
+    with pytest.raises(ValueError, match=f", got {bad[0]}$"):
         SamplingLattice(m, n, d_x, d_y)
 
 
