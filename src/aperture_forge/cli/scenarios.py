@@ -416,6 +416,7 @@ def _run_sar_tomo(seed, sink, *, n_s=65, n_angles=90, radius_frac=0.35, s_step=1
 def _run_sar_capon(seed, sink, *, m=32, n=32, f_c_hz=10e9, d_u_m=0.1, d_f_hz=1e6,
                    r_ref_m=1000.0, src2_x_m=3.0, src2_y_m=-2.0, src2_amp=0.5,
                    noise_sigma=0.05, loading_rel=0.01, extent_m=8.0, n_grid=41):
+    _require_at_least(4, m=m, n=n)  # CaponProblem's (M//4, N//4) sub-block needs a row and column
     _require_at_least(1, n_grid=n_grid)
     sources = ((0.0, 0.0, 1.0), (src2_x_m, src2_y_m, src2_amp))
     steering = LinearPhaseSteering(f_c_hz, d_u_m, d_f_hz, r_ref_m)
@@ -505,20 +506,20 @@ def _run_sas_recon(seed, sink, *, v_p_mps=3.2, tau_rec_s=0.05, n_pings=8, n_rx=4
     mu_max = lasso_mu_max(d, model)
     mu = mu_frac * mu_max
     sp = sas_sparse(d, model, mu, solver=solver, max_iter=max_iter)
-    top2 = set(np.argsort(np.abs(sp.s))[-2:].tolist())
+    top2 = set(np.argsort(np.abs(sp.x))[-2:].tolist())
 
     lam = C_SOUND / (0.5 * (grid.f_start + grid.f_stop))
     res = sas_resolutions(grid.bandwidth, d_transducer_m, lam, r0_m)
     sink.image("cbf", np.abs(cbf).reshape(grid_side, grid_side), scale="field")
-    sink.image("sparse", np.abs(sp.s).reshape(grid_side, grid_side), scale="field")
+    sink.image("sparse", np.abs(sp.x).reshape(grid_side, grid_side), scale="field")
     return {
         "cbf_peak_index": i_cbf,
         "cbf_peak_ok": i_cbf == target1,
         "support_ok": top2 == {target1, target2},
         "mu_used": mu,
         "mu_max": mu_max,
-        "objective_final": sp.objective[-1],
-        "converged": sp.converged,
+        "objective_final": sp.history[-1],
+        "converged": sp.stop == "converged",
         "n_iter": sp.n_iter,
         "range_resolution_m": res["range_resolution_m"],
         "sa_length_m": res["sa_length_m"],
@@ -544,10 +545,10 @@ def _run_pr_recover(seed, sink, *, n=64, oversampling=8.0, problem_kind="gaussia
     init = spectral_init(y, problem)
     flow = amplitude_flow(y, problem, init, steps=steps)
     er = error_reduction(y, problem, init, iters=er_iters)
-    resid = np.asarray(er.residuals)
+    resid = er.history
     sink.table("flow_objective", {
-        "step": np.arange(len(flow.objective)),
-        "objective": flow.objective,
+        "step": np.arange(flow.history.size),
+        "objective": flow.history,
     })
     sink.table("er_residual", {
         "iteration": np.arange(resid.size),
@@ -558,8 +559,8 @@ def _run_pr_recover(seed, sink, *, n=64, oversampling=8.0, problem_kind="gaussia
         "dist_init": phase_invariant_dist(init, x0),
         "dist_final": phase_invariant_dist(flow.x, x0),
         "recovered": phase_invariant_dist(flow.x, x0) < 1e-4,
-        "objective_final": flow.objective[-1],
-        "diverged": flow.diverged,
+        "objective_final": flow.history[-1],
+        "diverged": flow.stop == "diverged",
         "er_residual_final": resid[-1],
         "er_monotone": bool(np.all(np.diff(resid) <= 1e-10 * (resid[0] + 1.0))),
     }
@@ -567,6 +568,10 @@ def _run_pr_recover(seed, sink, *, n=64, oversampling=8.0, problem_kind="gaussia
 
 def _run_fp_demo(seed, sink, *, n=96, na=0.25, wavelength_m=0.5e-6, dx_m=4.1666667e-7,
                  led_spacing=12, grid_side=3, sweeps=30, sigma_px=10.0):
+    _require_at_least(1, grid_side=grid_side)
+    # the object's envelope divides by 2 sigma_px**2; a negative width is the same envelope
+    if not 2.0 * sigma_px ** 2 > 0.0:
+        raise ValueError(f"sigma_px must be nonzero (2 * sigma_px**2 > 0), got sigma_px={sigma_px}")
     radius = pupil_radius_bins(na, wavelength_m, dx_m, n)
     steps = (np.arange(grid_side) - grid_side // 2) * led_spacing
     offsets = np.array([(i, j) for i in steps for j in steps])

@@ -1,6 +1,6 @@
 """Shared numerical substrate: physical constants, sine-space directions,
 propagating-wave field evaluation, wavenumber spectra, seeded complex
-noise, FFT convolution and power iteration.
+noise, FFT convolution, power iteration and the iterative solvers' result.
 
 Sign conventions used throughout the package
 --------------------------------------------
@@ -12,6 +12,8 @@ i.e. the spatial phase advances as ``exp(-j*2*pi*k.x)`` and steering
 compensation applies the conjugate ``exp(+j*...)``.  Discrete Fourier
 transforms are unscaled forward and carry 1/N on the inverse.
 """
+
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -151,6 +153,21 @@ def power_iteration(apply, n, n_iter):
         lam = np.linalg.norm(w)
         v = w / lam
     return lam, v
+
+
+@dataclass(frozen=True)
+class SolverResult:
+    """An iterative solver's answer ``x``, the objective or residual of
+    each iterate in ``history`` (``history[0]`` is the starting point),
+    and why it stopped: "converged", "diverged" or "max_iter"."""
+
+    x: np.ndarray
+    history: np.ndarray
+    stop: str
+
+    @property
+    def n_iter(self) -> int:
+        return self.history.size - 1
 
 
 def wavenumber_spectrum(s_xt, dx: float, dt: float):

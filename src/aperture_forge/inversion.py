@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (_require_at_least, _require_finite_positive, noise_rng, power_iteration,
-                   seeded_rng)
+from .core import (SolverResult, _require_at_least, _require_finite_positive, noise_rng,
+                   power_iteration, seeded_rng)
 
 
 @dataclass(frozen=True)
@@ -144,13 +144,6 @@ def spectral_init(y, problem) -> np.ndarray:
     return v * np.sqrt(np.mean(y))
 
 
-@dataclass(frozen=True)
-class FlowResult:
-    x: np.ndarray
-    objective: np.ndarray
-    diverged: bool = False
-
-
 def af_objective(x, y, problem) -> float:
     with np.errstate(over="ignore"):  # inf is meaningful: divergence signal
         return float(np.mean((np.sqrt(y) - np.abs(_forward(problem, x))) ** 2))
@@ -165,14 +158,14 @@ def af_gradient(x, y, problem) -> np.ndarray:
     return (2.0 / problem.m) * _adjoint(problem, z - np.sqrt(y) * _sign(z))
 
 
-def amplitude_flow(y, problem, init, steps=500) -> FlowResult:
+def amplitude_flow(y, problem, init, steps=500) -> SolverResult:
     """Fixed-step gradient descent on (1/m) sum (sqrt(y_i) - |<a_i,x>|)^2.
 
-    The step targets the local Hessian scale 2||A||^2 / m; a
-    non-finite objective aborts with the iterate history intact.  Each
-    step's A x and |A x| are computed once and serve both its objective
-    and the next gradient; the sign, residual and objective terms are
-    written into buffers allocated once.
+    The step targets the local Hessian scale 2||A||^2 / m.  The run stops
+    "diverged", history intact, at a non-finite objective, else "max_iter"
+    after ``steps`` steps.  Each step's A x and |A x| are computed once and
+    serve both its objective and the next gradient; the sign, residual and
+    objective terms are written into buffers allocated once.
     """
     _require_at_least(0, steps=steps)
     root_y = np.sqrt(np.asarray(y, dtype=float))
@@ -199,21 +192,15 @@ def amplitude_flow(y, problem, init, steps=500) -> FlowResult:
         obj = objective(z)
         history.append(obj)
         if not np.isfinite(obj):
-            return FlowResult(x, np.asarray(history), diverged=True)
-    return FlowResult(x, np.asarray(history))
+            return SolverResult(x, np.asarray(history), "diverged")
+    return SolverResult(x, np.asarray(history), "max_iter")
 
 
-@dataclass(frozen=True)
-class ErrorReductionResult:
-    x: np.ndarray
-    residuals: np.ndarray
-
-
-def error_reduction(y, problem, init, iters=200) -> ErrorReductionResult:
-    """Alternating projections between the modulus set (replace
-    magnitudes by sqrt(y), keep the phase) and the range of the forward
-    operator.  Both are closest-point projections, so the residual
-    ||sqrt(y) - |A x||| never increases."""
+def error_reduction(y, problem, init, iters=200) -> SolverResult:
+    """Alternating projections between the modulus set (replace magnitudes
+    by sqrt(y), keep the phase) and the range of the forward operator, for
+    ``iters`` steps ("max_iter").  Both are closest-point projections, so
+    the residual ||sqrt(y) - |A x||| never increases."""
     _require_at_least(0, iters=iters)
     y = np.asarray(y, dtype=float)
     root_y = np.sqrt(y)
@@ -230,7 +217,7 @@ def error_reduction(y, problem, init, iters=200) -> ErrorReductionResult:
         x = project(root_y * _sign(z))
         z = _forward(problem, x)
         residuals.append(float(np.linalg.norm(root_y - np.abs(z))))
-    return ErrorReductionResult(x, np.asarray(residuals))
+    return SolverResult(x, np.asarray(residuals), "max_iter")
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _require_at_least, _require_finite_positive, add_complex_noise, power_iteration
+from .core import (SolverResult, _require_at_least, _require_finite_positive, add_complex_noise,
+                   power_iteration)
 from .sounding import FrequencyGrid
 
 C_SOUND = 1500.0  # speed of sound in sea water, m/s
@@ -154,23 +155,14 @@ def _soft_threshold(s, t):
     return s * scale
 
 
-@dataclass(frozen=True)
-class SasSparseResult:
-    s: np.ndarray
-    objective: np.ndarray
-    converged: bool
-    n_iter: int
-
-
 def sas_sparse(d_stack, model: SensingModel, mu, solver="ista",
-               max_iter=500, tol=1e-8) -> SasSparseResult:
+               max_iter=500, tol=1e-8) -> SolverResult:
     """Lasso reconstruction 1/2||As - d||^2 + mu*||s||_1 over the joint
     (ping, frequency) stack by proximal gradient.
 
-    ISTA descends monotonically; FISTA adds momentum and converges
-    faster but not monotonically, so on a miss the best iterate seen is
-    returned with converged=False.  The step is 1/L with L the
-    power-iteration bound.  Raises ValueError on a non-finite ``d_stack``.
+    ISTA descends monotonically; FISTA adds momentum and converges faster
+    but not monotonically, so a run that stops "max_iter" returns the best
+    iterate seen.  The step is 1/L with L the power-iteration bound.  Raises ValueError on a non-finite ``d_stack``.
     """
     _require_finite_positive(mu=mu)
     if solver not in ("ista", "fista"):
@@ -192,9 +184,7 @@ def sas_sparse(d_stack, model: SensingModel, mu, solver="ista",
 
     history = [objective(s)]
     best_s, best_obj = s, history[0]
-    converged = False
-    it = 0
-    for it in range(1, max_iter + 1):
+    for _ in range(max_iter):
         grad = model.adjoint(model.forward(y) - d)
         s_next = _soft_threshold(y - step * grad, step * mu)
         if solver == "fista":
@@ -210,10 +200,8 @@ def sas_sparse(d_stack, model: SensingModel, mu, solver="ista",
         if obj < best_obj:
             best_obj, best_s = obj, s
         if delta < tol:
-            converged = True
-            break
-    return SasSparseResult(best_s if not converged else s,
-                           np.asarray(history), converged, it)
+            return SolverResult(s, np.asarray(history), "converged")
+    return SolverResult(best_s, np.asarray(history), "max_iter")
 
 
 def lasso_mu_max(d_stack, model: SensingModel) -> float:

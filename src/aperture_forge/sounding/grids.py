@@ -20,7 +20,7 @@ class FrequencyGrid:
         got = f"f_start={self.f_start}, f_stop={self.f_stop}, df={self.df}"
         if not self.f_stop > self.f_start:
             raise ValueError(f"need f_start < f_stop (got {got})")
-        _require_finite_positive(f_start=self.f_start, df=self.df)
+        _require_finite_positive(f_start=self.f_start, f_stop=self.f_stop, df=self.df)
         n = (self.f_stop - self.f_start) / self.df
         if abs(n - round(n)) > 1e-6:
             raise ValueError(f"span is {n:.6g} steps, not a whole number (got {got})")

@@ -364,7 +364,7 @@ def test_09_sas_suite(capsys):
     d2 = simulate_measurements(geom, SasScene(pts, amps2), grid)
     ista = sas_sparse(d2, model, mu=0.05 * pfm, solver="ista", max_iter=60,
                       tol=0.0)
-    if not np.all(np.diff(ista.objective) <= 1e-9 * ista.objective[0]):
+    if not np.all(np.diff(ista.history) <= 1e-9 * ista.history[0]):
         failures.append("ISTA objective not monotone")
 
     bad_seeds = []
@@ -383,7 +383,7 @@ def test_09_sas_suite(capsys):
                                    seed=1000 + seed)
         got = sas_sparse(dk, model, mu=0.05 * pfm, solver="fista",
                          max_iter=300, tol=1e-10)
-        if not np.array_equal(np.sort(np.argsort(np.abs(got.s))[-5:]), support):
+        if not np.array_equal(np.sort(np.argsort(np.abs(got.x))[-5:]), support):
             bad_seeds.append(seed)
     if bad_seeds:
         failures.append(f"support recovery failed on seeds {bad_seeds}")
@@ -425,7 +425,7 @@ def test_10_phase_retrieval(capsys):
         res = amplitude_flow(y, prob, spectral_init(y, prob), steps=1500)
         dist = phase_invariant_dist(res.x, x)
         worst = max(worst, dist)
-        if res.diverged or dist >= 1e-5:
+        if res.stop == "diverged" or dist >= 1e-5:
             failures.append(f"seed {seed}: dist {dist:.2e}")
 
     rng = np.random.default_rng(13)
@@ -451,7 +451,7 @@ def test_10_phase_retrieval(capsys):
     prob = gaussian_problem(8 * n, n, seed=78)
     y = pr_forward(x, prob)
     er = error_reduction(y, prob, spectral_init(y, prob), iters=150)
-    resid = np.asarray(er.residuals)
+    resid = er.history
     if not np.all(np.diff(resid) <= 1e-9 * (resid[0] + 1.0)):
         failures.append("error-reduction residual not monotone")
 

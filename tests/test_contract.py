@@ -20,6 +20,7 @@ import subprocess
 import sys
 import tempfile
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -73,7 +74,6 @@ _PUPIL = "a shifted pupil reaches the band edge: no key named"
 _NO_CELL = "uv_points puts no cell outside the mainlobe: only uv_points named"
 _FIB = "fib_weights: target width must be inside visible space: no key named"
 _SWATH = "the grid leaves the sonar swath: only tau_rec named"
-_CAPON = "CaponProblem needs z at least 4 x 4: no key named"
 _MEMORY = "asks for more than 2 GB in one array (ROADMAP item 5)"
 _WORK = "seconds of work at the edge value (ROADMAP item 5)"
 
@@ -86,10 +86,6 @@ GAPS = {
     ("fp-demo", "n", "2"): _PUPIL,
     ("fp-demo", "n", "0"): "numpy's FFT refuses 0 points: no key named",
     ("fp-demo", "n", "-1"): "numpy refuses a negative dimension: no key named",
-    ("fp-demo", "grid_side", "0"): "FpSystem gets no LED offsets: no key named",
-    ("fp-demo", "grid_side", "-1"): "FpSystem gets no LED offsets: no key named",
-    ("fp-demo", "sigma_px", "0"): "the object is 0/0: intensities named, not the key",
-    **{("sar-capon", key, edge): _CAPON for key in ("m", "n") for edge in ("-1", "0", "1", "2")},
     ("sar-point", "oversample", "x1e-3"): "the image leaves the recorded swath: no key named",
     ("sas-recon", "dx_m", "x1e3"): _SWATH,
     ("sas-recon", "dy_m", "x1e3"): _SWATH,
@@ -183,6 +179,20 @@ def check_example(scenario, key, edge, workdir):
 
 def test_gaps_are_edge_configs():
     assert set(GAPS) <= set(EXAMPLES)
+
+
+# edge configs whose runner names the key before the library rejects it
+# under another name (or divides by zero), so they run on every pass
+NAMED_BY_THE_RUNNER = [("fp-demo", "grid_side", "0"), ("fp-demo", "grid_side", "-1"),
+                       ("fp-demo", "sigma_px", "0"),
+                       *[("sar-capon", key, edge) for key in ("m", "n")
+                         for edge in ("-1", "0", "1", "2")]]
+
+
+@pytest.mark.parametrize("example", NAMED_BY_THE_RUNNER, ids="-".join)
+def test_a_runner_checked_edge_config_meets_the_contract(example):
+    with tempfile.TemporaryDirectory() as workdir:
+        check_example(*example, workdir)
 
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])

@@ -88,6 +88,7 @@ POSITIVE = [
     ("optimize_sparse_lattice", "f_eval",
      lambda x: optimize_sparse_lattice(LATTICE, 0.5, 10, 5, 1, x)),
     ("FrequencyGrid", "f_start", lambda x: FrequencyGrid(x, 2e9, 1e8)),
+    ("FrequencyGrid", "f_stop", lambda x: FrequencyGrid(1e9, x, 1e8)),
     ("FrequencyGrid", "df", lambda x: FrequencyGrid(1e9, 2e9, x)),
     ("sampling_checks", "f_max", lambda x: sampling_checks(FrequencyGrid(1e9, 2e9, 1e8), x)),
     ("spherical_padp", "r_start", lambda x: spherical_padp(None, None, x, 9.0, 0.25)),

@@ -212,7 +212,7 @@ def test_amplitude_flow_recovers_noiseless():
         prob = gaussian_problem(8 * N_SIG, N_SIG, seed=400 + seed)
         y = pr_forward(x, prob)
         res = amplitude_flow(y, prob, spectral_init(y, prob), steps=1500)
-        assert not res.diverged
+        assert res.stop == "max_iter"
         assert phase_invariant_dist(res.x, x) < 1e-5, f"seed {seed}"
 
 
@@ -222,8 +222,8 @@ def test_amplitude_flow_reports_history_and_divergence():
     y = pr_forward(x, prob)
     # |A x|^2 of a 1e200 start overflows, so the objective is not finite
     res = amplitude_flow(y, prob, np.full(16, 1e200, dtype=complex), steps=40)
-    assert res.diverged
-    assert len(res.objective) <= 41 and len(res.objective) >= 2
+    assert res.stop == "diverged"
+    assert len(res.history) <= 41 and len(res.history) >= 2
 
 
 def test_flow_objective_decreases_on_default_step():
@@ -231,7 +231,7 @@ def test_flow_objective_decreases_on_default_step():
     prob = gaussian_problem(256, 32, seed=18)
     y = pr_forward(x, prob)
     res = amplitude_flow(y, prob, spectral_init(y, prob), steps=100)
-    assert res.objective[-1] < res.objective[0]
+    assert res.history[-1] < res.history[0]
 
 
 def _amplitude_flow_oracle(y, problem, init, steps):
@@ -266,9 +266,9 @@ def test_amplitude_flow_bits_match_plain_oracle(start):
             else np.full(16, 1e200, dtype=complex))
     res = amplitude_flow(y, prob, init, steps=60)
     want_x, want_hist = _amplitude_flow_oracle(y, prob, init, steps=60)
-    assert res.diverged == (start == "huge")
+    assert (res.stop == "diverged") == (start == "huge")
     assert np.array_equal(res.x, want_x)
-    assert np.array_equal(res.objective, want_hist)
+    assert np.array_equal(res.history, want_hist)
 
 
 # --------------------------------------------------------- error reduction
@@ -277,7 +277,8 @@ def test_error_reduction_fixed_point_at_truth():
     x = random_signal(32, 19)
     prob = coded_problem(32, 4, seed=20)
     res = error_reduction(pr_forward(x, prob), prob, x, iters=10)
-    assert np.max(res.residuals) <= 1e-10
+    assert np.max(res.history) <= 1e-10
+    assert (res.stop, res.n_iter) == ("max_iter", 10)
     assert phase_invariant_dist(res.x, x) < 1e-10
 
 
@@ -287,8 +288,9 @@ def test_error_reduction_residual_monotone():
     y = pr_forward(x, prob)
     init = spectral_init(y, prob)
     res = error_reduction(y, prob, init, iters=200)
-    assert len(res.residuals) == 201
-    assert np.all(np.diff(res.residuals) <= 1e-9 * (res.residuals[0] + 1.0))
+    assert len(res.history) == 201
+    assert (res.stop, res.n_iter) == ("max_iter", 200)
+    assert np.all(np.diff(res.history) <= 1e-9 * (res.history[0] + 1.0))
 
 
 def test_error_reduction_phase_equivariant():

@@ -271,16 +271,20 @@ def test_ista_objective_monotone():
     d = simulate_measurements(GEOM, SasScene(pts, amps), GRID)
     res = sas_sparse(d, default_model(), mu=0.05 * PFM, solver="ista",
                      max_iter=60, tol=0.0)
-    diffs = np.diff(res.objective)
-    assert np.all(diffs <= 1e-9 * res.objective[0])
+    diffs = np.diff(res.history)
+    assert np.all(diffs <= 1e-9 * res.history[0])
+    assert (res.stop, res.n_iter) == ("max_iter", 60)
+    none = sas_sparse(d, default_model(), mu=0.05 * PFM, max_iter=0)
+    assert (none.stop, none.n_iter) == ("max_iter", 0)
+    assert np.all(none.x == 0)
 
 
 def test_fista_no_worse_than_ista_at_equal_budget():
     d = simulate_measurements(GEOM, one_point_scene(150, 1.2), GRID,
                               noise_sigma=0.3, seed=21)
     kw = dict(mu=0.05 * PFM, max_iter=60, tol=0.0)
-    f_obj = sas_sparse(d, default_model(), solver="fista", **kw).objective[-1]
-    i_obj = sas_sparse(d, default_model(), solver="ista", **kw).objective[-1]
+    f_obj = sas_sparse(d, default_model(), solver="fista", **kw).history[-1]
+    i_obj = sas_sparse(d, default_model(), solver="ista", **kw).history[-1]
     assert f_obj <= i_obj * (1.0 + 1e-9)
 
 
@@ -296,8 +300,9 @@ def test_mu_above_peak_correlation_shuts_everything_off():
             g += m.tensor[p, f].conj().T @ d[p, f]
     mu_max = np.max(np.abs(g))
     res = sas_sparse(d, m, mu=mu_max * 1.001, solver="ista", max_iter=50)
-    assert np.all(res.s == 0)
-    assert res.converged
+    assert np.all(res.x == 0)
+    assert res.stop == "converged"
+    assert res.n_iter < 50
 
 
 def test_noiseless_single_point_recovers_within_shrinkage():
@@ -308,8 +313,8 @@ def test_noiseless_single_point_recovers_within_shrinkage():
                      max_iter=400, tol=1e-12)
     # separable-limit oracle: magnitude shrinks by mu / ||a||^2
     expect = amp * (1.0 - mu / (PFM * abs(amp)))
-    assert res.s[idx] == pytest.approx(expect, rel=2e-2)
-    others = np.abs(np.delete(res.s, idx))
+    assert res.x[idx] == pytest.approx(expect, rel=2e-2)
+    others = np.abs(np.delete(res.x, idx))
     assert np.max(others) < 0.05 * abs(amp)
 
 
@@ -331,7 +336,7 @@ def test_support_recovery_k5_at_20db():
                                   noise_sigma=sigma, seed=1000 + seed)
         res = sas_sparse(d, default_model(), mu=0.05 * PFM, solver="fista",
                          max_iter=300, tol=1e-10)
-        top5 = np.sort(np.argsort(np.abs(res.s))[-5:])
+        top5 = np.sort(np.argsort(np.abs(res.x))[-5:])
         assert np.array_equal(top5, support), f"seed {seed}"
 
 
