@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..core import _require_finite_positive
+from ..core import _require_finite, _require_finite_positive
 
 DB_NOTE = "dB convention: 10*log10 for power quantities, 20*log10 for field quantities"
 
@@ -35,8 +35,7 @@ def render_image(grid, scale, dynamic_range_db=60.0):
     grid = np.asarray(grid, dtype=float)
     if grid.ndim != 2 or grid.size == 0:
         raise ValueError("image grid must be 2-D and non-empty")
-    if not np.all(np.isfinite(grid)):
-        raise ValueError("image grid must be finite")
+    _require_finite(grid=grid)
     _require_finite_positive(dynamic_range_db=dynamic_range_db)
     if scale not in ("power", "field"):
         raise ValueError("scale must be 'power' or 'field'")

@@ -31,6 +31,15 @@ def _require_at_least(least, **counts):
             raise ValueError(f"{key} must be >= {least}, got {key}={count}")
 
 
+def _require_finite(**values):
+    """Reject the first scalar or array with NaN or +-inf; an array's value is its bad count."""
+    for key, value in values.items():
+        bad = np.size(value) - np.count_nonzero(np.isfinite(value))
+        if bad:
+            got = f"[{bad} of {np.size(value)} entries non-finite]" if np.ndim(value) else value
+            raise ValueError(f"{key} must be finite, got {key}={got}")
+
+
 def _require_finite_positive(**values):
     """Reject the first value that is not finite and > 0, naming its key and value."""
     for key, value in values.items():
@@ -44,8 +53,7 @@ class Direction:
     ``w`` the cosine along z.  ``Direction(0.0, 0.0)`` is boresight."""
 
     def __init__(self, u: float, v: float):
-        if not (np.isfinite(u) and np.isfinite(v)):
-            raise ValueError("(u, v) must be finite")
+        _require_finite(u=u, v=v)
         if u * u + v * v > 1.0 + _HORIZON_EPS:
             raise ValueError(f"(u, v) outside visible space: u^2 + v^2 > 1, got u={u}, v={v}")
         self.u = float(u)
@@ -62,8 +70,7 @@ def plane_wave_field(pos, t, f, direction: Direction) -> np.ndarray:
     as a (P, len(t)) array for the (P, 3) positions ``pos``."""
     _require_finite_positive(f=f)
     pos = np.asarray(pos, dtype=float)
-    if not np.all(np.isfinite(pos)):
-        raise ValueError("positions must be finite")
+    _require_finite(pos=pos)
     lam = C_LIGHT / f
     k_dot_x = (direction.u / lam * pos[:, 0] + direction.v / lam * pos[:, 1]
                + direction.w / lam * pos[:, 2])
@@ -92,10 +99,10 @@ def seeded_rng(seed, why):
 
 def noise_rng(sigma, seed, name):
     """The generator for noise of strength ``sigma``, or None when
-    ``sigma == 0``.  A negative or NaN ``sigma``, or a positive one
+    ``sigma == 0``.  A negative or non-finite ``sigma``, or a positive one
     without a seed, raises ValueError naming the parameter ``name``."""
-    if not sigma >= 0.0:
-        raise ValueError(f"{name} must be nonnegative, got {name}={sigma}")
+    _require_finite(**{name: sigma})
+    _require_at_least(0, **{name: sigma})
     return None if sigma == 0.0 else seeded_rng(seed, f"{name} > 0")
 
 

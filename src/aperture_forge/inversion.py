@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (SolverResult, _require_at_least, _require_finite_positive, noise_rng,
-                   power_iteration, seeded_rng)
+from .core import (SolverResult, _require_at_least, _require_finite, _require_finite_positive,
+                   noise_rng, power_iteration, seeded_rng)
 
 
 @dataclass(frozen=True)
@@ -107,8 +107,7 @@ def pr_forward(x, problem, noise_sigma=0.0, seed=None) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     if x.shape != (problem.n,):
         raise ValueError("x length does not match the problem dimension")
-    if not np.all(np.isfinite(x)):
-        raise ValueError("x must be finite")
+    _require_finite(x=x)
     y = np.abs(_forward(problem, x)) ** 2
     rng = noise_rng(noise_sigma, seed, "noise_sigma")
     if rng is not None:
@@ -236,11 +235,10 @@ def circular_pupil(n, radius_bins) -> np.ndarray:
 
 def pupil_radius_bins(na, wavelength, dx, n) -> float:
     """Cutoff NA * 2 pi / lambda expressed in spectral grid cells for a
-    field sampled every dx over n points.  Raises ValueError unless
-    ``na`` is finite and non-negative, and ``wavelength`` and ``dx`` are
-    finite and positive."""
-    if not (np.isfinite(na) and na >= 0):
-        raise ValueError(f"na must be finite and non-negative, got na={na}")
+    field sampled every dx over n points; ValueError unless ``na`` is finite
+    and >= 0 and ``wavelength`` and ``dx`` are finite and > 0."""
+    _require_finite(na=na)
+    _require_at_least(0, na=na)
     _require_finite_positive(wavelength=wavelength, dx=dx)
     return na * n * dx / wavelength
 

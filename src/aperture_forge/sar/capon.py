@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import C_LIGHT, _require_finite_positive, add_complex_noise
+from ..core import (C_LIGHT, _require_at_least, _require_finite, _require_finite_positive,
+                    add_complex_noise)
 
 
 @dataclass(frozen=True)
@@ -28,7 +29,7 @@ class CaponProblem:
         steering.ramps(x_grid, y_grid, (P, L)) returns the per-axis ramps
         A_x (P, n_x) and A_y (L, n_y) with unit-norm columns; pixel
         (x_i, y_j) steers with kron(A_x[:, i], A_y[:, j]).
-    loading: diagonal loading alpha >= 0.
+    loading: diagonal loading alpha >= 0, finite.
     """
 
     z: np.ndarray
@@ -40,8 +41,8 @@ class CaponProblem:
         if z.ndim != 2 or min(z.shape) < 4:
             raise ValueError("z must be 2-D with at least 4 rows and columns")
         object.__setattr__(self, "z", z)
-        if self.loading < 0.0:
-            raise ValueError(f"loading must be nonnegative, got loading={self.loading}")
+        _require_finite(loading=self.loading)
+        _require_at_least(0, loading=self.loading)
 
     @property
     def block_shape(self) -> tuple:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import C_LIGHT, _require_finite_positive
+from ..core import C_LIGHT, _require_finite, _require_finite_positive
 from ..waveforms import _lfm_envelope, matched_filter
 from .scene import PhaseHistory
 
@@ -53,8 +53,7 @@ def _uniform_grid(grid, name):
     grid = np.asarray(grid, dtype=float)
     if grid.size < 2:
         raise ValueError(f"{name} needs at least two points, got {name}={grid}")
-    if not np.all(np.isfinite(grid)):
-        raise ValueError(f"{name} must be finite")
+    _require_finite(**{name: grid})
     steps = np.diff(grid)
     if steps[0] <= 0 or np.any(np.abs(steps - steps[0]) > 1e-9 * steps[0]):
         raise ValueError(f"{name} must be increasing and uniformly spaced")
@@ -159,26 +158,31 @@ def omega_k_focus(ph: PhaseHistory) -> SarImage:
     return SarImage(stolt.T, x, r, {"evanescent_bins": evanescent})
 
 
+def _doppler_sine(f_dop, v, wavelength, clamp=False):
+    """lambda f / 2V at each Doppler frequency ``f_dop``, and the mask of those
+    inside its support |lambda f / 2V| < 1; any outside raises unless ``clamp``."""
+    sine = wavelength * np.asarray(f_dop, dtype=float) / (2.0 * v)
+    inside = np.abs(sine) < 1.0
+    if not (clamp or inside.all()):
+        raise ValueError("Doppler outside the support |lambda f / 2V| < 1,"
+                         f" got v={v}, wavelength={wavelength}")
+    return sine, inside
+
+
 def curvature_factor(f_dop, v, wavelength):
     """C_s(f) = 1/sqrt(1 - (lambda f / 2V)^2) - 1; zero at zero Doppler.
 
     Migration at Doppler f reaches R_f = r (1 + C_s) >= r, so C_s is the
     fractional range walk the scaling stage equalizes.
     """
-    sine = wavelength * np.asarray(f_dop, dtype=float) / (2.0 * v)
-    if np.any(np.abs(sine) >= 1.0):
-        raise ValueError("Doppler outside the support |lambda f / 2V| < 1,"
-                         f" got v={v}, wavelength={wavelength}")
+    sine, _ = _doppler_sine(f_dop, v, wavelength)
     return 1.0 / np.sqrt(1.0 - sine ** 2) - 1.0
 
 
 def range_distortion(f_dop, v, wavelength):
     """alpha(f): Doppler-dependent perturbation of the range chirp rate,
     entering as 1/K_s = 1/K + r*alpha.  Zero at zero Doppler."""
-    sine = wavelength * np.asarray(f_dop, dtype=float) / (2.0 * v)
-    if np.any(np.abs(sine) >= 1.0):
-        raise ValueError("Doppler outside the support |lambda f / 2V| < 1,"
-                         f" got v={v}, wavelength={wavelength}")
+    sine, _ = _doppler_sine(f_dop, v, wavelength)
     return (2.0 * wavelength / C_LIGHT ** 2) * sine ** 2 / (1.0 - sine ** 2) ** 1.5
 
 
@@ -202,7 +206,7 @@ def chirp_scaling_focus(ph: PhaseHistory, r_ref: float) -> SarImage:
     tau = ph.tau0 + 1.0 / f_s * np.arange(n_fast)
 
     f_dop = np.fft.fftfreq(n_pulses, d=1.0 / ph.geometry.prf)
-    ok = np.abs(lam * f_dop / (2.0 * v)) < 1.0
+    _, ok = _doppler_sine(f_dop, v, lam, clamp=True)
     clamped = int(np.count_nonzero(~ok))
     c_s = np.zeros_like(f_dop)
     alpha = np.zeros_like(f_dop)

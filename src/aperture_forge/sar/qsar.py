@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import K_BOLTZMANN, _require_finite_positive
+from ..core import K_BOLTZMANN, _require_at_least, _require_finite_positive
 
 
 @dataclass(frozen=True)
@@ -56,11 +56,10 @@ def snr_linear(p: QsarParams) -> float:
 
 def detection_error_probabilities(snr) -> dict:
     """Classical vs entangled single-shot error bounds at the linear
-    ``snr``: eps_c = exp(-snr/4)/2, eps_q = exp(-snr)/2.
+    ``snr`` >= 0 (+inf gives 0): eps_c = exp(-snr/4)/2, eps_q = exp(-snr)/2.
     """
     s = float(snr)
-    if s < 0.0:
-        raise ValueError(f"snr must be nonnegative, got snr={s}")
+    _require_at_least(0, snr=s)
     return {
         "epsilon_c": 0.5 * np.exp(-s / 4.0),
         "epsilon_q": 0.5 * np.exp(-s),

@@ -4,7 +4,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import C_LIGHT, _require_finite_positive, add_complex_noise
+from ..core import (C_LIGHT, _require_at_least, _require_finite, _require_finite_positive,
+                    add_complex_noise)
 from ..waveforms import LfmChirp
 
 
@@ -21,8 +22,7 @@ class Scatterer:
     reflectivity: complex = 1.0 + 0.0j
 
     def __post_init__(self):
-        if not all(np.isfinite([self.x0, self.y0])):
-            raise ValueError("scatterer position must be finite")
+        _require_finite(x0=self.x0, y0=self.y0)
         if self.slant_range <= 0:
             raise ValueError("scatterer must be off the flight line")
 
@@ -48,8 +48,8 @@ class SarGeometry:
 
     def __post_init__(self):
         # v = 0 is legal (stationary platform, pure range profiling)
-        if not (np.isfinite(self.v) and self.v >= 0):
-            raise ValueError(f"v must be finite and nonnegative, got v={self.v}")
+        _require_finite(v=self.v)
+        _require_at_least(0, v=self.v)
         _require_finite_positive(prf=self.prf, t_coh=self.t_coh, r1=self.r1,
                                  wavelength=self.wavelength)
         if self.n_pulses < 1:
@@ -86,10 +86,7 @@ class PhaseHistory:
     def __post_init__(self):
         if np.ndim(self.data) != 2:
             raise ValueError("phase history data must be 2-D")
-        if not np.all(np.isfinite(self.data)):
-            raise ValueError("phase history data must be finite")
-        if not np.isfinite(self.tau0):
-            raise ValueError("tau0 must be finite")
+        _require_finite(data=self.data, tau0=self.tau0)
         _require_finite_positive(f_s=self.f_s)
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from ..core import noise_rng
+from ..core import _require_at_least, _require_finite, noise_rng
 
 
 def apply_speckle(y, sigma_mu, seed) -> np.ndarray:
@@ -51,17 +51,15 @@ def lee_filter(z, sigma_mu, window=7) -> np.ndarray:
     with zbar and s2 the mean and variance over the sliding window
     (replicate padding at the edges).  Flat regions pull the gain toward
     zero and smooth hard; structured regions keep gain near one and pass
-    detail through.  sigma_mu = 0 is an exact passthrough.  Raises
-    ValueError on non-finite z: the running-sum window mean would carry
-    one NaN or inf down the rest of its column and along its rows.
+    detail through.  sigma_mu = 0 is an exact passthrough, +inf the box mean.
+    Raises ValueError on non-finite z: the running-sum window mean would
+    carry one NaN or inf down the rest of its column and along its rows.
     """
     z = np.asarray(z, dtype=float)
-    if not np.all(np.isfinite(z)):
-        raise ValueError("lee_filter input must be finite")
+    _require_finite(z=z)
     if window < 3 or window % 2 == 0:
         raise ValueError(f"window must be odd and >= 3, got window={window}")
-    if sigma_mu < 0.0:
-        raise ValueError(f"sigma_mu must be nonnegative, got sigma_mu={sigma_mu}")
+    _require_at_least(0, sigma_mu=sigma_mu)
     if sigma_mu == 0.0:
         return z.copy()
     zbar = _box_mean(z, window)

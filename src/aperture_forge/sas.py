@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (SolverResult, _require_at_least, _require_finite_positive, add_complex_noise,
-                   power_iteration)
+from .core import (SolverResult, _require_at_least, _require_finite, _require_finite_positive,
+                   add_complex_noise, power_iteration)
 from .sounding import FrequencyGrid
 
 C_SOUND = 1500.0  # speed of sound in sea water, m/s
@@ -169,8 +169,7 @@ def sas_sparse(d_stack, model: SensingModel, mu, solver="ista",
         raise ValueError(f"solver must be 'ista' or 'fista', got solver={solver!r}")
     _require_at_least(0, max_iter=max_iter)
     d = np.asarray(d_stack, dtype=complex)
-    if not np.all(np.isfinite(d)):
-        raise ValueError("d_stack must be finite")
+    _require_finite(d_stack=d)
     step = 1.0 / model.operator_bound()
 
     n = model.shape[3]

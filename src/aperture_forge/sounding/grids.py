@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import C_LIGHT, _require_finite_positive
+from ..core import C_LIGHT, _require_at_least, _require_finite_positive
 
 
 @dataclass(frozen=True)
@@ -55,11 +55,10 @@ def sampling_checks(grid: FrequencyGrid, f_max: float, tol: float = 0.05) -> dic
     alias-free when f_max/B is nearly an integer (the shifted band
     replicas then tile without overlap); ``q`` reports that integer and
     ``tol`` how near counts as near.  Raises ValueError unless ``f_max``
-    is finite and positive and ``tol`` is >= 0.
+    is finite and positive and ``tol`` is >= 0 (+inf accepts every q).
     """
     _require_finite_positive(f_max=f_max)
-    if not tol >= 0:
-        raise ValueError(f"tol must be >= 0, got tol={tol}")
+    _require_at_least(0, tol=tol)
     ratio = f_max / grid.bandwidth
     q = int(round(ratio))
     ok = q >= 1 and abs(ratio - q) <= tol

@@ -6,7 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import C_LIGHT, Direction, _require_finite_positive, add_complex_noise
+from ..core import (C_LIGHT, Direction, _require_at_least, _require_finite,
+                    _require_finite_positive, add_complex_noise)
 from .arrays import SamplingLattice, array_factor
 from .grids import FrequencyGrid
 
@@ -54,8 +55,7 @@ class SweepData:
                 f"s21 shape {arr.shape} != (active positions {lattice.n_active},"
                 f" tones {grid.s})"
             )
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("s21 must be finite")
+        _require_finite(s21=arr)
         self.s21 = arr
         self.lattice = lattice
         self.grid = grid
@@ -107,8 +107,8 @@ def two_ray_path_loss(rho: float, phi: float) -> float:
     The reflected ray has relative amplitude ``rho`` and relative phase
     ``phi``; beta^2 = 1 + 2*rho*cos(phi) + rho^2.
     """
-    if rho < 0:
-        raise ValueError(f"rho must be nonnegative, got rho={rho}")
+    _require_finite(rho=rho, phi=phi)
+    _require_at_least(0, rho=rho)
     return float(1.0 + 2.0 * rho * np.cos(phi) + rho ** 2)
 
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import _require_at_least, _require_finite_positive, fft_convolve
+from .core import _require_at_least, _require_finite, _require_finite_positive, fft_convolve
 
 
 @dataclass(frozen=True)
@@ -69,8 +69,7 @@ def matched_filter(received: np.ndarray, reference: np.ndarray) -> np.ndarray:
     reference = np.asarray(reference)
     if received.size == 0 or reference.size == 0:
         raise ValueError("matched_filter inputs must be nonempty")
-    if not (np.all(np.isfinite(received)) and np.all(np.isfinite(reference))):
-        raise ValueError("matched_filter inputs must be finite")
+    _require_finite(received=received, reference=reference)
     return fft_convolve(received, np.conj(reference[::-1]))
 
 
@@ -212,8 +211,7 @@ def rmmse_compress(received, waveform, iterations: int = 3) -> np.ndarray:
     y = np.asarray(received, dtype=complex)
     s = np.asarray(waveform, dtype=complex)
     _require_at_least(1, iterations=iterations)
-    if not (np.all(np.isfinite(y)) and np.all(np.isfinite(s))):
-        raise ValueError("received and waveform must be finite")
+    _require_finite(received=y, waveform=s)
     m = s.size
     if m >= y.size:
         raise ValueError("waveform must be shorter than the received sequence")

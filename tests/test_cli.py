@@ -484,7 +484,7 @@ def test_non_finite_metric_exits_6_without_a_report(tmp_path, capsys, monkeypatc
 
 
 @pytest.mark.parametrize("scenario,params,message", [
-    ("pr-recover", {"noise_sigma": -0.1}, "noise_sigma must be nonnegative"),
+    ("pr-recover", {"noise_sigma": -0.1}, "noise_sigma must be >= 0, got noise_sigma=-0.1"),
     ("radiometry-roundtrip", {"n_u": 1, "du": 0.6}, "above 0.5 aliases"),
     ("pr-recover", {"problem_kind": "bogus"}, "problem_kind must be"),
     ("sas-recon", {"target2": 190}, "target2 190 is not a cell"),
@@ -565,7 +565,7 @@ def test_non_finite_metric_exits_6_without_a_report(tmp_path, capsys, monkeypatc
     # a subnormal peak, whose map loses precision, and the largest power of two
     ("radiometry-roundtrip", {"t_peak_k": 1e-320},
      "t_peak_k must be >= 2.2250738585072014e-308, got t_peak_k=1e-320"),
-    ("radiometry-roundtrip", {"t_peak_k": 2.0 ** 1023}, "image grid must be finite"),
+    ("radiometry-roundtrip", {"t_peak_k": 2.0 ** 1023}, "grid must be finite, got grid=["),
 ])
 def test_invalid_library_input_exits_6_without_a_report(tmp_path, capsys, scenario, params,
                                                         message):

@@ -239,7 +239,7 @@ def _capon(sigma, seed):
                          ids=lambda f: f.__name__.strip("_"))
 def test_simulators_share_the_seed_rule(simulate):
     simulate(0.0, None)  # noiseless output needs no seed
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match=r"^noise_sigma must be >= 0, got noise_sigma=-0\.1$"):
         simulate(-0.1, 1)
     with pytest.raises(ValueError, match="seed is required"):
         simulate(0.1, None)

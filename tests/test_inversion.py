@@ -89,8 +89,9 @@ def test_forward_noise_follows_the_seed_rule():
     x = random_signal(8, 1)
     clean = pr_forward(x, prob)
     assert np.array_equal(pr_forward(x, prob, 0.0, None), clean)
-    for sigma in (-0.1, np.nan):
-        with pytest.raises(ValueError, match="nonnegative"):
+    for sigma, rule in ((-0.1, ">= 0"), (np.nan, "finite"), (np.inf, "finite")):
+        message = f"^noise_sigma must be {rule}, got noise_sigma={sigma}$"
+        with pytest.raises(ValueError, match=message):
             pr_forward(x, prob, sigma, 1)
     with pytest.raises(ValueError, match="seed is required"):
         pr_forward(x, prob, 0.1, None)

@@ -283,9 +283,13 @@ def test_sweep_rejects_aliased_delay():
         )
 
 
-@pytest.mark.parametrize("u, v", [(np.nan, 0.0), (0.0, np.nan), (0.8, 0.7)])
-def test_plane_wave_ray_rejects_bad_direction(u, v):
-    with pytest.raises(ValueError, match=r"\(u, v\)"):
+@pytest.mark.parametrize("u, v, message", [
+    (np.nan, 0.0, r"^u must be finite, got u=nan$"),
+    (0.0, np.nan, r"^v must be finite, got v=nan$"),
+    (0.8, 0.7, r"^\(u, v\) outside visible space"),
+])
+def test_plane_wave_ray_rejects_bad_direction(u, v, message):
+    with pytest.raises(ValueError, match=message):
         ChannelRay.plane_wave(u, v, 1e-9)
 
 
