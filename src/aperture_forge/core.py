@@ -138,13 +138,16 @@ def fft_convolve(a, b):
     """Full linear convolution of ``a`` and ``b`` along axis 0 via FFT.
 
     Both are zero-padded to the next fast length of ``s1 + s2 - 1``; the
-    other axes broadcast.  The result is complex, ``s1 + s2 - 1`` long
-    along axis 0, and a view into the padded inverse transform.
+    other axes of ``b`` broadcast against those of ``a``.  The result is
+    complex, ``s1 + s2 - 1`` long along axis 0, and a view into the padded
+    transform of ``a``, the only full-size array: the product and the
+    inverse transform are written into it.
     """
     n = len(a) + len(b) - 1
     n_fft = _next_fast_len(n)
-    spec = np.fft.fft(a, n_fft, axis=0) * np.fft.fft(b, n_fft, axis=0)
-    return np.fft.ifft(spec, axis=0)[:n]
+    spec = np.fft.fft(a, n_fft, axis=0)
+    np.multiply(spec, np.fft.fft(b, n_fft, axis=0), out=spec)
+    return np.fft.ifft(spec, axis=0, out=spec)[:n]
 
 
 def power_iteration(apply, n, n_iter):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import _require_at_least, _require_finite_positive
+from .core import _require_at_least, _require_finite, _require_finite_positive
 
 
 @dataclass(frozen=True)
@@ -26,8 +26,11 @@ class BrightnessMap:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 2:
             raise ValueError("values must be a 2-D (theta, phi) grid")
-        if np.any(vals < 0):
-            raise ValueError("brightness temperature cannot be negative")
+        _require_finite(values=vals)
+        bad = np.count_nonzero(vals < 0)
+        if bad:
+            raise ValueError(
+                f"values must be >= 0, got values=[{bad} of {vals.size} entries negative]")
         object.__setattr__(self, "values", vals)
 
     @classmethod
@@ -91,8 +94,10 @@ class BaselineSet:
 
 # complex entries per block of the two ramp tables; the quadrature's working
 # memory is the v table and one half of the u table, at most
-# max(_RAMP_BLOCK, 2 n) * 16 B, plus one float row of phases
-_RAMP_BLOCK = 1 << 20
+# max(_RAMP_BLOCK, 2 n) * 16 B (2 MiB up to n = 65536), plus one float row
+# of phases.  radiometry-roundtrip's 17 x 17 lattice takes 3855-point
+# blocks, whose 17 v rows and 9 u rows are 1.6 MB.
+_RAMP_BLOCK = 1 << 17
 
 
 def _fill_ramps(out, axis, coords):

@@ -101,9 +101,14 @@ def _steering_matrix(problem, x_grid, y_grid):
     return np.kron(a_x, a_y)
 
 
-def _scan(v, r):
-    """v_p^H R v_p for every column p of v."""
-    return np.sum(np.conj(v) * (r @ v), axis=0).real
+def _scan(problem, x_grid, y_grid, r):
+    """v^H R v for the steering vector v of every pixel, in the column
+    order of ``_steering_matrix``.  The conjugate and the product are
+    written in place, so two steering-size arrays are held."""
+    v = _steering_matrix(problem, x_grid, y_grid)
+    rv = r @ v
+    np.multiply(np.conjugate(v, out=v), rv, out=rv)
+    return np.sum(rv, axis=0).real
 
 
 def capon_image(problem: CaponProblem, x_grid, y_grid) -> np.ndarray:
@@ -122,14 +127,14 @@ def capon_image(problem: CaponProblem, x_grid, y_grid) -> np.ndarray:
                 "sample covariance is rank deficient; set loading > 0"
             )
     r_inv = np.linalg.inv(r_hat + problem.loading * np.eye(dim))
-    image = 1.0 / _scan(_steering_matrix(problem, x_grid, y_grid), r_inv)
+    image = 1.0 / _scan(problem, x_grid, y_grid, r_inv)
     return image.reshape(len(x_grid), len(y_grid))
 
 
 def conventional_image(problem: CaponProblem, x_grid, y_grid) -> np.ndarray:
     """Conventional beamformer scan v^H R v on the same covariance."""
     r_hat = problem.sample_covariance()
-    power = _scan(_steering_matrix(problem, x_grid, y_grid), r_hat)
+    power = _scan(problem, x_grid, y_grid, r_hat)
     return power.reshape(len(x_grid), len(y_grid))
 
 

@@ -29,8 +29,9 @@ class SarImage:
 
     def peak_index(self):
         """(row, col) of the magnitude maximum; ties go to the lowest
-        linear index (plain argmax order)."""
-        flat = int(np.argmax(np.abs(self.pixels)))
+        linear index (plain argmax order).  The magnitudes are written in
+        that order, so argmax takes no copy of transposed pixels."""
+        flat = int(np.argmax(np.abs(self.pixels, order="C")))
         return np.unravel_index(flat, self.pixels.shape)
 
 
@@ -119,43 +120,44 @@ def omega_k_focus(ph: PhaseHistory) -> SarImage:
     fc = C_LIGHT / ph.geometry.wavelength
     d_x = ph.geometry.v / ph.geometry.prf
 
-    spec = np.fft.fft(rc, axis=0)
-    del rc  # at most two full frames are held at once from here on
+    # one full frame from here on: rc's, into which every transform, phase
+    # multiply and Stolt column is written in place
+    spec = np.fft.fft(rc, axis=0, out=rc)
     f_b = np.fft.fftfreq(n_z, d=1.0 / f_s)
     # re-reference the fast-time transform to tau = 0; without this the
     # window offset turns into a kz-nonlinear phase after the Stolt map
     spec *= np.exp(-1j * 2.0 * np.pi * f_b * tau_c0)[:, None]
-    spec = np.fft.fft(spec, axis=1)
+    np.fft.fft(spec, axis=1, out=spec)
     k_x = 2.0 * np.pi * np.fft.fftfreq(n_x, d=d_x)
 
     order = np.argsort(f_b)
     f_sorted = f_b[order]
-    spec = spec[order, :]
     k_r = 4.0 * np.pi * (fc + f_sorted) / C_LIGHT
     kz_target = k_r  # the kx = 0 mapping, uniform because f is uniform
     z_start = C_LIGHT * tau_c0 / 2.0
     z_ref = ph.geometry.r1
 
-    stolt = np.zeros_like(spec)
+    # column j is read in ascending-f order, then overwritten by its Stolt
+    # column on the kz grid
     evanescent = 0
     for j in range(n_x):
         rad_sq = k_r ** 2 - k_x[j] ** 2
         ok = rad_sq > 0.0
         evanescent += int(np.count_nonzero(~ok))
         if ok.sum() < 2:
+            spec[:, j] = 0.0
             continue
         kz_meas = np.sqrt(rad_sq[ok])
-        col = spec[ok, j] * np.exp(1j * kz_meas * z_ref)
-        stolt[:, j] = _interp_complex(kz_target, kz_meas, col)
-    del spec
+        col = spec[order[ok], j] * np.exp(1j * kz_meas * z_ref)
+        spec[:, j] = _interp_complex(kz_target, kz_meas, col)
 
-    stolt *= np.exp(1j * kz_target * (z_start - z_ref))[:, None]
-    stolt = np.fft.ifft(stolt, axis=0)
-    stolt = np.fft.ifft(stolt, axis=1)
+    spec *= np.exp(1j * kz_target * (z_start - z_ref))[:, None]
+    np.fft.ifft(spec, axis=0, out=spec)
+    np.fft.ifft(spec, axis=1, out=spec)
 
     x = ph.geometry.v * ph.geometry.slow_times()[0] + d_x * np.arange(n_x)
     r = z_start + C_LIGHT / (2.0 * f_s) * np.arange(n_z)
-    return SarImage(stolt.T, x, r, {"evanescent_bins": evanescent})
+    return SarImage(spec.T, x, r, {"evanescent_bins": evanescent})
 
 
 def _doppler_sine(f_dop, v, wavelength, clamp=False):
@@ -217,23 +219,24 @@ def chirp_scaling_focus(ph: PhaseHistory, r_ref: float) -> SarImage:
 
     rd = np.fft.fft(data, axis=1)
     rd[:, ~ok] = 0.0
-
+    # rd is transformed in place, and each screen is built in one complex
+    # frame beside it plus at most one more: every product, sum and
+    # exponential is written in place, in the operand order of its formula
     tau_ref = (2.0 / C_LIGHT) * r_ref * (1.0 + c_s)
-    phi1 = np.exp(
-        -1j * np.pi * k_s_ref[None, :] * c_s[None, :]
-        * (tau[:, None] - tau_ref[None, :]) ** 2
-    )
-    rd *= phi1
+    lag_sq = np.square(tau[:, None] - tau_ref[None, :])
+    screen = np.multiply(-1j * np.pi * k_s_ref[None, :] * c_s[None, :], lag_sq)
+    del lag_sq
+    rd *= np.exp(screen, out=screen)
 
-    spec2 = np.fft.fft(rd, axis=0)
+    np.fft.fft(rd, axis=0, out=rd)
     f_tau = np.fft.fftfreq(n_fast, d=1.0 / f_s)
-    phi2 = np.exp(
-        -1j * np.pi * f_tau[:, None] ** 2 / (k_s_ref * (1.0 + c_s))[None, :]
-    ) * np.exp(
-        1j * (4.0 * np.pi / C_LIGHT) * f_tau[:, None] * (r_ref * c_s)[None, :]
-    )
-    spec2 *= phi2
-    rd = np.fft.ifft(spec2, axis=0)
+    np.divide(-1j * np.pi * f_tau[:, None] ** 2, (k_s_ref * (1.0 + c_s))[None, :], out=screen)
+    np.exp(screen, out=screen)
+    shift = np.multiply(1j * (4.0 * np.pi / C_LIGHT) * f_tau[:, None], (r_ref * c_s)[None, :])
+    np.multiply(screen, np.exp(shift, out=shift), out=screen)
+    del shift
+    rd *= screen
+    np.fft.ifft(rd, axis=0, out=rd)
 
     r_rows = C_LIGHT * tau / 2.0
     theta_delta = (
@@ -243,13 +246,13 @@ def chirp_scaling_focus(ph: PhaseHistory, r_ref: float) -> SarImage:
         * c_s[None, :]
         * (r_rows[:, None] - r_ref) ** 2
     )
-    phi3 = np.exp(
-        -1j * (2.0 * np.pi / lam) * (C_LIGHT * tau)[:, None] * (1.0 - root)[None, :]
-        + 1j * theta_delta
-    )
-    rd *= phi3
+    np.multiply(1j, theta_delta, out=screen)
+    del theta_delta
+    np.add(-1j * (2.0 * np.pi / lam) * (C_LIGHT * tau)[:, None] * (1.0 - root)[None, :],
+           screen, out=screen)
+    rd *= np.exp(screen, out=screen)
 
-    image = np.fft.ifft(rd, axis=1)
+    image = np.fft.ifft(rd, axis=1, out=rd)
     x = v * ph.geometry.slow_times()[0] + v / ph.geometry.prf * np.arange(n_pulses)
     r = C_LIGHT * ph.tau0 / 2.0 + C_LIGHT / (2.0 * f_s) * np.arange(n_fast)
     return SarImage(image.T, x, r, {"clamped_bins": clamped})

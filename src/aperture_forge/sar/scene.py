@@ -143,10 +143,17 @@ def simulate_phase_history(
         delays = 2.0 * r_of_t / C_LIGHT
         arg = tau[:, None] - delays[None, :]
         envelope = np.abs(arg) <= half
-        pulse = envelope * np.exp(-1j * np.pi * k_rate * arg ** 2)
-        data += scat.reflectivity * pulse * np.exp(
-            -1j * 4.0 * np.pi * r_of_t[None, :] / lam
-        )
+        # one complex frame per scatterer, freed before the next one's, each
+        # product written back into it in the operand order of
+        # envelope * exp(..) * reflectivity * carrier
+        np.square(arg, out=arg)
+        echo = np.multiply(-1j * np.pi * k_rate, arg)
+        np.exp(echo, out=echo)
+        np.multiply(envelope, echo, out=echo)
+        np.multiply(scat.reflectivity, echo, out=echo)
+        np.multiply(echo, np.exp(-1j * 4.0 * np.pi * r_of_t[None, :] / lam), out=echo)
+        data += echo
+        del echo
     return PhaseHistory(add_complex_noise(data, noise_sigma, seed), tau0, f_s, chirp, geom)
 
 

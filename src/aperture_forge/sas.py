@@ -96,8 +96,13 @@ class SensingModel:
         if points.shape[1] != 2:
             raise ValueError("points must be (N, 2)")
         freqs = np.asarray(frequencies, dtype=float)
-        if freqs.ndim != 1 or freqs.size < 1 or np.any(freqs <= 0):
-            raise ValueError("frequencies must be a 1-D positive array")
+        if freqs.ndim != 1 or freqs.size < 1:
+            raise ValueError(f"frequencies must be a nonempty 1-D array, got shape {freqs.shape}")
+        _require_finite(frequencies=freqs)
+        bad = np.count_nonzero(freqs <= 0)
+        if bad:
+            raise ValueError(f"frequencies must be > 0, got frequencies=[{bad} of {freqs.size}"
+                             " entries not positive]")
         dist = _distances(geometry, points)
         if dist.max() > geometry.r_max + 1e-12:
             raise ValueError(

@@ -112,6 +112,19 @@ def natural_beamwidth(lattice: SamplingLattice, f: float) -> float:
     return 0.886 * C_LIGHT / (f * lattice.shape[0] * lattice.d_x)
 
 
+def _gather_products(ex, ey, pairs, buf):
+    """ex[:, pairs[0]] * ey[:, pairs[1]] (P, K) and its conjugate transpose
+    (K, P), a fit region's steering matrix at one tone, written into the
+    two (K, P) planes of ``buf`` that every tone reuses.  The product has
+    the layout the fancy index gives it, so each Gram product takes the
+    same BLAS path, and the same bits, as on freshly gathered arrays."""
+    prod_t, conj_t = buf
+    # the indices are in range; unlike "raise", "clip" fills out unbuffered
+    np.take(ex.T, pairs[0], axis=0, out=prod_t, mode="clip")
+    np.multiply(prod_t, np.take(ey.T, pairs[1], axis=0, out=conj_t, mode="clip"), out=prod_t)
+    return prod_t.T, np.conjugate(prod_t, out=conj_t)
+
+
 def fib_weights(
     lattice: SamplingLattice,
     grid,
@@ -160,13 +173,14 @@ def fib_weights(
     n_side = len(side[0])
     gamma = n_side / max(len(main[0]), 1)  # balance the two regions
     out = np.empty((len(freqs), p), dtype=complex)
+    side_buf = np.empty((2, n_side, p), dtype=complex)
+    main_buf = np.empty((2, len(main[0]), p), dtype=complex)
     for i, f in enumerate(freqs):
         v0 = steering_vector(lattice, direction, f)
-        ex, ey = _axis_ramps(lattice, f, axis, axis)
-        v_side = ex[:, side[0]] * ey[:, side[1]]
-        ex, ey = _axis_ramps(lattice, f, mu[:, 0], mv[0])
-        v_main = ex[:, main[0]] * ey[:, main[1]]
-        g = v_side @ np.conj(v_side.T) + gamma * (v_main @ np.conj(v_main.T))
+        v_side, v_side_h = _gather_products(*_axis_ramps(lattice, f, axis, axis), side, side_buf)
+        v_main, v_main_h = _gather_products(*_axis_ramps(lattice, f, mu[:, 0], mv[0]), main,
+                                            main_buf)
+        g = v_side @ v_side_h + gamma * (v_main @ v_main_h)
         g += 1e-4 * 2 * n_side * np.eye(p)  # ridge keeps the solves well posed
         c = gamma * (v_main @ d_main)
         # one factorization for both right-hand sides; the copy keeps the

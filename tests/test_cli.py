@@ -7,6 +7,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from aperture_forge.cli.artifacts import DB_NOTE, ArtifactSink, render_image, re
 from aperture_forge.cli.config import (
     ConfigFileError,
     MissingSeedError,
+    RunConfig,
     TypeMismatchError,
     UnknownKeyError,
     parse_config,
@@ -745,6 +747,24 @@ def test_radiometry_error_does_not_depend_on_the_temperature_scale(tmp_path, t_p
 
     want = rel_l2_err({}, "default")
     assert rel_l2_err({"t_peak_k": t_peak_k}, "scaled") == pytest.approx(want, rel=1e-9)
+
+
+def test_each_warm_scenario_holds_at_most_6_mib_at_its_defaults(tmp_path):
+    # the 13 scenarios other than waveform-ambiguity, whose RMMSE stack is
+    # bounded by _COV_BUDGET_BYTES instead; sar-point peaks at about 5.1 MiB,
+    # the omega-k frame and its magnitudes beside the phase history
+    peaks = {}
+    for name in sorted(set(REGISTRY) - {"waveform-ambiguity"}):
+        config = RunConfig(name, {}, 1, str(tmp_path / name), emit_images=False,
+                           emit_csv=False)
+        tracemalloc.start()
+        try:
+            run(config)
+            peaks[name] = tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+    assert len(peaks) == 13
+    assert {name: round(mib, 2) for name, mib in peaks.items() if mib > 6.0} == {}
 
 
 def test_non_finite_config_number_exits_4_without_a_report(tmp_path, capsys):

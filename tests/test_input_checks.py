@@ -49,7 +49,7 @@ from aperture_forge.sar import (
 )
 from aperture_forge.sar.scene import PhaseHistory
 from aperture_forge.sar.speckle import _box_mean
-from aperture_forge.sas import SasGeometry, sas_resolutions, sas_sparse
+from aperture_forge.sas import SasGeometry, SensingModel, sas_resolutions, sas_sparse
 from aperture_forge.sounding import (
     FrequencyGrid,
     SamplingLattice,
@@ -197,6 +197,23 @@ FINITE_ARRAY = [
     ("SweepData", "s21", 176, lambda x: SweepData(_with((16, 11), x), LATTICE, GRID)),
     ("render_image", "grid", 4, lambda x: render_image(_with((2, 2), x), "power")),
     ("sas_sparse", "d_stack", 3, lambda x: sas_sparse(_with(3, x), None, 1.0)),
+    ("BrightnessMap", "values", 4, lambda x: BrightnessMap(_with((2, 2), x))),
+    ("SensingModel", "frequencies", 2, lambda x: _sensing_model([1e4, x])),
+]
+
+
+def _sensing_model(frequencies):
+    return SensingModel(SasGeometry(3.2, 0.05, 2, [0.0]), [[30.0, 0.0]], frequencies)
+
+
+# (site, key, rule, what breaks it, entries, values that break it, the value
+# at the boundary that passes, call with one entry of the key's array set to
+# the value): a sign rule over an array
+ARRAY_SIGN = [
+    ("BrightnessMap", "values", ">= 0", "negative", 4, [-1.0, -1e-300], 0.0,
+     lambda x: BrightnessMap(_with((2, 2), x))),
+    ("SensingModel", "frequencies", "> 0", "not positive", 2, [0.0, -1.0], 1e-300,
+     lambda x: _sensing_model([1e4, x])),
 ]
 
 # (site, key, call with the key set to the value): the rule is >= 0
@@ -234,6 +251,17 @@ def test_a_finite_array_names_its_count_of_bad_entries(site, key, entries, call,
     got = re.escape(f"{key}=[1 of {entries} entries non-finite]")
     with pytest.raises(ValueError, match=f"^{key} must be finite, got {got}$"):
         call(value)
+
+
+@pytest.mark.parametrize("site, key, rule, breaks, entries, values, boundary, call", ARRAY_SIGN,
+                         ids=[row[0] + "-" + row[1] for row in ARRAY_SIGN])
+def test_an_array_sign_rule_names_its_count_of_bad_entries(site, key, rule, breaks, entries,
+                                                          values, boundary, call):
+    got = re.escape(f"{key}=[1 of {entries} entries {breaks}]")
+    for value in values:
+        with pytest.raises(ValueError, match=f"^{key} must be {rule}, got {got}$"):
+            call(value)
+    call(boundary)
 
 
 @pytest.mark.parametrize("site, key, call", NONNEGATIVE,

@@ -187,9 +187,9 @@ def test_mirrored_ramps_match_outer_formula_bitwise_at_one_blas_thread():
 def test_visibility_peak_memory_at_scenario_defaults():
     # 120 x 240 map and 17 x 17 lattice as in radiometry-roundtrip; a
     # table of one ramp per baseline would take 289 * 28800 * 16 B = 133 MB.
-    # The v table and the larger u row group (9 of 17 rows), one block,
-    # take 12.0 MB; allow 3 MB beside them for the quadrature vectors and
-    # one row of phases.
+    # A block of 2**17 // 34 = 3855 points holds the v table and the larger
+    # u row group (9 of 17 rows) in 1.6 MB; allow 1.5 MB beside them for the
+    # five 28,800-point quadrature vectors (1.2 MB) and one row of phases.
     bmap = gaussian_blob_map()
     bl = BaselineSet(17, 0.45)
     tracemalloc.start()
@@ -198,7 +198,7 @@ def test_visibility_peak_memory_at_scenario_defaults():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < (17 + 9) * 120 * 240 * 16 + 3e6
+    assert peak < (17 + 9) * 3855 * 16 + 1.5e6
 
 
 @pytest.mark.parametrize("n", range(1, 40))

@@ -36,6 +36,7 @@ from aperture_forge.sar import (
     tomographic_reconstruct,
 )
 from aperture_forge.sar.capon import _steering_matrix
+from aperture_forge.sar.focus import _interp_complex, _range_compress
 from aperture_forge.sar.tomo import _bilinear
 
 F_S = 200e6
@@ -312,9 +313,9 @@ def test_omega_k_reports_evanescent_bins():
 
 def test_omega_k_peak_memory_at_sar_point_defaults():
     # sar-point's defaults: 64 pulses of 2407 compressed samples, 2.35 MiB
-    # a frame.  At most two frames are held at once: the spectrum and the
-    # Stolt grid, then each inverse FFT's input and output.  Allow 1 MB
-    # beside them for the per-column vectors.
+    # a frame.  One frame is held: the range-compressed data, which every
+    # transform and the Stolt map overwrite in place.  Allow 1 MB beside it
+    # for the compression's 23 rows of padding and the per-column vectors.
     geom = SarGeometry(v=100.0, prf=400.0, t_coh=0.16, r1=999.75, wavelength=0.03)
     chirp = LfmChirp(fc=C_LIGHT / 0.03, bandwidth=150e6, duration=2.005e-6)
     ph = simulate_phase_history([Scatterer(0.0, 999.75)], geom, chirp, 600e6)
@@ -326,7 +327,7 @@ def test_omega_k_peak_memory_at_sar_point_defaults():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2 * frame + 1e6
+    assert peak < frame + 1e6
 
 
 # ----------------------------------------------------------- chirp scaling
@@ -386,6 +387,100 @@ def test_chirp_scaling_reports_clamped_doppler_bins():
     assert np.all(np.isfinite(img.pixels))
     with pytest.raises(ValueError):
         chirp_scaling_focus(ph, r_ref=-5.0)
+
+
+# ------------------------------------- in-place forms keep their bits
+# The echo simulation, omega-k and chirp scaling write their full-size
+# temporaries in place.  Below are the expression forms they replaced: the
+# oracles the in-place forms must match bit for bit.
+
+def _echoes_as_expressions(scene, ph):
+    tau = ph.tau0 + np.arange(ph.data.shape[0]) / ph.f_s
+    half = ph.chirp.duration / 2.0
+    data = np.zeros(ph.data.shape, dtype=complex)
+    for scat in scene:
+        r_of_t = slant_range_history(scat, ph.geometry)
+        arg = tau[:, None] - (2.0 * r_of_t / C_LIGHT)[None, :]
+        pulse = (np.abs(arg) <= half) * np.exp(-1j * np.pi * ph.chirp.rate * arg ** 2)
+        data += scat.reflectivity * pulse * np.exp(
+            -1j * 4.0 * np.pi * r_of_t[None, :] / ph.geometry.wavelength)
+    return data
+
+
+def _omega_k_as_expressions(ph):
+    rc, tau_c0 = _range_compress(ph)
+    n_z, n_x = rc.shape
+    f_b = np.fft.fftfreq(n_z, d=1.0 / ph.f_s)
+    spec = np.fft.fft(rc, axis=0) * np.exp(-1j * 2.0 * np.pi * f_b * tau_c0)[:, None]
+    spec = np.fft.fft(spec, axis=1)
+    k_x = 2.0 * np.pi * np.fft.fftfreq(n_x, d=ph.geometry.v / ph.geometry.prf)
+    order = np.argsort(f_b)
+    spec = spec[order, :]
+    k_r = 4.0 * np.pi * (C_LIGHT / ph.geometry.wavelength + f_b[order]) / C_LIGHT
+    stolt = np.zeros_like(spec)
+    for j in range(n_x):
+        rad_sq = k_r ** 2 - k_x[j] ** 2
+        ok = rad_sq > 0.0
+        if ok.sum() >= 2:
+            kz_meas = np.sqrt(rad_sq[ok])
+            col = spec[ok, j] * np.exp(1j * kz_meas * ph.geometry.r1)
+            stolt[:, j] = _interp_complex(k_r, kz_meas, col)
+    stolt *= np.exp(1j * k_r * (C_LIGHT * tau_c0 / 2.0 - ph.geometry.r1))[:, None]
+    return np.fft.ifft(np.fft.ifft(stolt, axis=0), axis=1).T
+
+
+def _chirp_scaling_as_expressions(ph, r_ref):
+    n_fast, n_pulses = ph.data.shape
+    lam, v = ph.geometry.wavelength, ph.geometry.v
+    tau = ph.tau0 + 1.0 / ph.f_s * np.arange(n_fast)
+    f_dop = np.fft.fftfreq(n_pulses, d=1.0 / ph.geometry.prf)
+    ok = np.abs(lam * f_dop / (2.0 * v)) < 1.0
+    c_s = np.zeros_like(f_dop)
+    alpha = np.zeros_like(f_dop)
+    c_s[ok] = curvature_factor(f_dop[ok], v, lam)
+    alpha[ok] = range_distortion(f_dop[ok], v, lam)
+    root = 1.0 / (1.0 + c_s)
+    k_s_ref = 1.0 / (1.0 / ph.chirp.rate + r_ref * alpha)
+    rd = np.fft.fft(ph.data, axis=1)
+    rd[:, ~ok] = 0.0
+    tau_ref = (2.0 / C_LIGHT) * r_ref * (1.0 + c_s)
+    rd *= np.exp(-1j * np.pi * k_s_ref[None, :] * c_s[None, :]
+                 * (tau[:, None] - tau_ref[None, :]) ** 2)
+    spec2 = np.fft.fft(rd, axis=0)
+    f_tau = np.fft.fftfreq(n_fast, d=1.0 / ph.f_s)
+    spec2 *= np.exp(
+        -1j * np.pi * f_tau[:, None] ** 2 / (k_s_ref * (1.0 + c_s))[None, :]
+    ) * np.exp(1j * (4.0 * np.pi / C_LIGHT) * f_tau[:, None] * (r_ref * c_s)[None, :])
+    rd = np.fft.ifft(spec2, axis=0)
+    theta_delta = ((4.0 * np.pi / C_LIGHT ** 2) * k_s_ref[None, :] * (1.0 + c_s)[None, :]
+                   * c_s[None, :] * (C_LIGHT * tau / 2.0 - r_ref)[:, None] ** 2)
+    rd *= np.exp(-1j * (2.0 * np.pi / lam) * (C_LIGHT * tau)[:, None] * (1.0 - root)[None, :]
+                 + 1j * theta_delta)
+    return np.fft.ifft(rd, axis=1).T
+
+
+def _focus_cases():
+    r0 = on_grid_range(1000.0)
+    scene = [Scatterer(0.0, r0), Scatterer(-3.0, r0 - 11.3, reflectivity=0.8),
+             Scatterer(5.0, r0 - 4.2, reflectivity=0.6 + 0.4j)]
+    geom = SarGeometry(v=100.0, prf=400.0, t_coh=0.16, r1=r0, wavelength=0.03)
+    # the second is omega-k's evanescent case, the third chirp scaling's clamped one
+    r1 = on_grid_range(300.0)
+    slow = SarGeometry(v=50.0, prf=1000.0, t_coh=0.064, r1=r1, wavelength=C_LIGHT / 1e9)
+    wide = SarGeometry(v=100.0, prf=15000.0, t_coh=32 / 15000.0, r1=r0, wavelength=0.03)
+    return [(scene, geom, CHIRP, r0 + 7.7),
+            ([Scatterer(0.0, r1)], slow, LfmChirp(1e9, 150e6, 2.005e-6), r1),
+            ([Scatterer(0.0, r0)], wide, CHIRP, r0)]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_in_place_focusing_matches_the_expression_forms_bitwise(case):
+    scene, geom, chirp, r_ref = _focus_cases()[case]
+    ph = simulate_phase_history(scene, geom, chirp, F_S)
+    assert np.array_equal(ph.data, _echoes_as_expressions(scene, ph))
+    assert np.array_equal(omega_k_focus(ph).pixels, _omega_k_as_expressions(ph))
+    assert np.array_equal(chirp_scaling_focus(ph, r_ref).pixels,
+                          _chirp_scaling_as_expressions(ph, r_ref))
 
 
 # -------------------------------------------------------------- tomography
@@ -595,6 +690,22 @@ def test_steering_columns_are_the_two_way_phase_ramp():
         for j, y in enumerate(yg):
             assert_allclose(v[:, i * len(yg) + j], direct_ramp(x, y, (5, 6)),
                             rtol=1e-12, atol=0.0)
+
+
+def test_capon_scans_match_the_expression_form_bitwise():
+    # the scans conjugate the steering matrix and multiply in place
+    prob = capon_case(noise_sigma=0.1, seed=5, loading=1e-2,
+                      sources=((3.0, -2.0, 1.0), (-4.0, 5.0, 0.5)))
+    xg, yg = np.linspace(-8.0, 8.0, 21), np.linspace(-6.0, 7.0, 13)
+    v = _steering_matrix(prob, xg, yg)
+    r_hat = prob.sample_covariance()
+    r_inv = np.linalg.inv(r_hat + prob.loading * np.eye(len(r_hat)))
+
+    def scan(r):
+        return np.sum(np.conj(v) * (r @ v), axis=0).real.reshape(21, 13)
+
+    assert np.array_equal(capon_image(prob, xg, yg), 1.0 / scan(r_inv))
+    assert np.array_equal(conventional_image(prob, xg, yg), scan(r_hat))
 
 
 def test_capon_data_sums_full_size_ramps():
