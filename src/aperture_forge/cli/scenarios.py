@@ -209,6 +209,8 @@ def _run_sound_padp(seed, sink, *, m=8, n=8, d_m=0.00545, f_start_hz=26.5e9,
                     src_z_m=6.0, src_amp=0.8, r_start_m=3.0, r_stop_m=9.0, r_step_m=0.25,
                     map_points=41, rho=0.4, phi_rad=2.0, noise_sigma=0.0):
     _require_at_least(1, map_points=map_points)
+    if src_z_m == 0:  # spherical_padp sees only the look direction
+        raise ValueError(f"src_z_m must be nonzero (off the lattice plane), got src_z_m={src_z_m}")
     lat = SamplingLattice(m, n, d_m, d_m)
     grid = FrequencyGrid(f_start_hz, f_stop_hz, df_hz)
     src = (src_x_m, src_y_m, src_z_m)

@@ -92,46 +92,28 @@ class BaselineSet:
         return np.column_stack([gu.ravel(), gv.ravel()])
 
 
-# complex entries per block of the two ramp tables; the quadrature's working
-# memory is the v table and one half of the u table, at most
-# max(_RAMP_BLOCK, 2 n) * 16 B (2 MiB up to n = 65536), plus one float row
-# of phases.  radiometry-roundtrip's 17 x 17 lattice takes 3855-point
-# blocks, whose 17 v rows and 9 u rows are 1.6 MB.
-_RAMP_BLOCK = 1 << 17
+# complex entries per block of the two ramp tables, the quadrature's working
+# memory with one float row of phases: max(_RAMP_BLOCK, 16 n) * 16 B, 1 MiB up
+# to n = 4096.  Blocks are a multiple of 8 points: OpenBLAS 0.3.31's zgemm
+# at 17 x K x 17 gives other bits at 2 threads than at 1 unless K % 8 is 0
+# or 7.  radiometry-roundtrip's 17 x 17 lattice takes 1920-point blocks,
+# whose 17 u and 17 v rows are 1.04 MB.
+_RAMP_BLOCK = 1 << 16
 
 
 def _fill_ramps(out, axis, coords):
     """out[i] = exp(j 2 pi axis[i] coords), row by row and in place.
 
-    ``axis`` holds values of a lattice axis, on which axis[c - k] ==
-    -axis[c + k] exactly, so a negative value's row is the conjugate of
-    its mirror's: the row form of V(-u, -v) = V*(u, v).  Only the rows of
-    non-negative values, and of negative ones whose mirror is absent (row
-    0 of an even axis), are exponentiated.
+    ``axis`` is a lattice axis centred at c = n // 2, on which
+    axis[c - k] == -axis[c + k] exactly, so row i < c is the conjugate of
+    row 2 c - i: the row form of V(-u, -v) = V*(u, v).  Rows c .. n - 1
+    are exponentiated, and row 0 of an even axis, which has no mirror.
     """
-    exponentiated = {}
-    for i in np.argsort(-axis, kind="stable"):  # a mirror row is filled first
-        row = out[i]
-        if axis[i] < 0 and -axis[i] in exponentiated:
-            np.conjugate(out[exponentiated[-axis[i]]], out=row)
-        else:
-            np.multiply(2j * np.pi, axis[i] * coords, out=row)
-            np.exp(row, out=row)
-            exponentiated[axis[i]] = i
-
-
-def _mirror_groups(n):
-    """Row groups of an n-point lattice axis centred at n // 2: the middle
-    rows, at most n // 4 from the centre, and the outer rows.
-
-    Each group holds every row's mirror, so it exponentiates the rows the
-    whole axis would; row 0 of an even axis has none and goes with the
-    outer rows.  Both groups have at least two rows, so each one's product
-    stays a GEMM; an axis under 5 rows stays one group.
-    """
-    rows = np.arange(n)
-    middle = np.abs(rows - n // 2) <= n // 4
-    return [rows[middle], rows[~middle]] if n >= 5 else [rows]
+    n, c = len(axis), len(axis) // 2
+    for i in range(c, n) if n % 2 else (0, *range(c, n)):
+        np.multiply(2j * np.pi, axis[i] * coords, out=out[i])
+        np.exp(out[i], out=out[i])
+    np.conjugate(out[n - 1:c:-1], out=out[1 - n % 2:c])
 
 
 def visibility_samples(bmap: BrightnessMap, baselines: BaselineSet) -> np.ndarray:
@@ -141,32 +123,26 @@ def visibility_samples(bmap: BrightnessMap, baselines: BaselineSet) -> np.ndarra
     The phase separates by axis: one ramp exp(j 2 pi u l) per u and one
     ramp exp(j 2 pi v m) per v give the whole lattice as one matrix
     product.  The quadrature is walked in blocks of step =
-    max(_RAMP_BLOCK // (2 n), 1) points.  A block's v table is
-    written in place whole; its u table a mirror-closed row group at a
-    time (``_mirror_groups``), each group multiplied into its rows of the
-    lattice, so only half the u table is held.  Rows for negative
-    baselines are the conjugates of their mirrors, so about half the
-    exponentials are taken.
+    8 max(_RAMP_BLOCK // (16 n), 1) points; each block writes its u and v
+    tables in place into one buffer reused across blocks, and adds their
+    product to the lattice.  Rows for negative baselines are the
+    conjugates of their mirrors, so about half the exponentials are taken.
     """
     l, m, w, t = bmap._quadrature()
     tw = t * w
     u, n = baselines.u, baselines.n
     acc = np.zeros((n, n), dtype=complex)
-    step = max(_RAMP_BLOCK // (2 * n), 1)
-    groups = _mirror_groups(n)
-    buf_u = np.empty(max(map(len, groups)) * min(step, len(l)), dtype=complex)
-    buf_v = np.empty(n * min(step, len(l)), dtype=complex)
+    step = 8 * max(_RAMP_BLOCK // (16 * n), 1)
+    buf = np.empty((2, n * min(step, len(l))), dtype=complex)
     for q0 in range(0, len(l), step):
         q1 = min(q0 + step, len(l))
-        # contiguous heads of the buffers: a ragged last block has the
+        # contiguous heads of the buffer rows: a ragged last block has the
         # memory layout of a full one
-        ramp_v = buf_v[:n * (q1 - q0)].reshape(n, q1 - q0)
+        ramp_u, ramp_v = buf[:, :n * (q1 - q0)].reshape(2, n, q1 - q0)
+        _fill_ramps(ramp_u, u, l[q0:q1])
         _fill_ramps(ramp_v, u, m[q0:q1])
         ramp_v *= tw[q0:q1]
-        for rows in groups:
-            ramp_u = buf_u[:len(rows) * (q1 - q0)].reshape(len(rows), q1 - q0)
-            _fill_ramps(ramp_u, u[rows], l[q0:q1])
-            acc[rows] += ramp_u @ ramp_v.T
+        acc += ramp_u @ ramp_v.T
     return acc.ravel()
 
 

@@ -85,7 +85,8 @@ def backproject(ph: PhaseHistory, x_grid, r_grid) -> SarImage:
     if delays.min() < tau_lo or delays.max() > tau_hi:
         raise ValueError(
             "image ranges fall outside the recorded swath "
-            f"[{C_LIGHT * tau_lo / 2:.1f}, {C_LIGHT * tau_hi / 2:.1f}] m"
+            f"[{C_LIGHT * tau_lo / 2:.1f}, {C_LIGHT * tau_hi / 2:.1f}] m,"
+            f" got r_grid=[{r_grid.min():.1f} to {r_grid.max():.1f} m]"
         )
     rc, tau_c0 = _range_compress(ph)
     t = ph.geometry.slow_times()

@@ -106,9 +106,10 @@ class SensingModel:
         dist = _distances(geometry, points)
         if dist.max() > geometry.r_max + 1e-12:
             raise ValueError(
-                "grid extends beyond the maximum swath "
-                f"c*tau_rec/2 = {geometry.r_max:.3f} m, got tau_rec={geometry.tau_rec}"
-            )
+                f"grid extends to {dist.max():.3f} m, beyond the maximum swath"
+                f" c*tau_rec/2 = {geometry.r_max:.3f} m, got tau_rec={geometry.tau_rec},"
+                f" v_p={geometry.v_p}, rx_offsets={geometry.rx_offsets}, points=[{len(points)}"
+                f" (range, along-track) nodes from {points.min(0)} to {points.max(0)} m]")
         phase = (-2j * np.pi / C_SOUND) * 2.0 \
             * freqs[None, :, None, None] * dist[:, None, :, :]
         self.tensor = np.exp(phase)

@@ -95,7 +95,7 @@ def synthesize_sweep(
             if eff.min() < 0.0 or eff.max() >= grid.t_dur:
                 raise ValueError(
                     f"point-source position={ray.position} delay outside the unambiguous window"
-                    f" [0, {grid.t_dur})"
+                    f" [0, {grid.t_dur}), got d_x={lattice.d_x}, d_y={lattice.d_y}"
                 )
             s21 += ray.amplitude * np.exp(-1j * 2.0 * np.pi * f[None, :] * eff[:, None])
     return SweepData(add_complex_noise(s21, noise_sigma, seed), lattice, grid)

@@ -46,6 +46,7 @@ FEEDS = {
     "adc_bits": ("bits",),
     "aperture_m": ("aperture_d",),
     "d_m": ("d_x",),
+    "dy_m": ("points",),
     "er_iters": ("iters",),
     "fib_m": ("m",),
     "loading_rel": ("loading",),
@@ -54,8 +55,11 @@ FEEDS = {
     "n_rx": ("rx_offsets",),
     "n_x": ("x_grid",),
     "n_r": ("r_grid",),
+    "oversample": ("x_grid", "r_grid"),
     "oversampling": ("m",),
+    "r0_m": ("points",),
     "rmmse_iterations": ("iterations",),
+    "rx_pitch_m": ("rx_offsets",),
     "src_x_m": ("position",),
     "src_y_m": ("position",),
     "src_z_m": ("position",),
@@ -67,13 +71,13 @@ FEEDS = {
     "v1": ("v",),
     "v2": ("v",),
     ("pr-recover", "n"): ("m",),
+    ("sas-recon", "dx_m"): ("points",),
     ("radiometry-roundtrip", "n_u"): ("n",),
 }
 
 _PUPIL = "a shifted pupil reaches the band edge: no key named"
 _NO_CELL = "uv_points puts no cell outside the mainlobe: only uv_points named"
 _FIB = "fib_weights: target width must be inside visible space: no key named"
-_SWATH = "the grid leaves the sonar swath: only tau_rec named"
 _MEMORY = "asks for more than 2 GB in one array (ROADMAP item 5)"
 _WORK = "seconds of work at the edge value (ROADMAP item 5)"
 
@@ -86,14 +90,6 @@ GAPS = {
     ("fp-demo", "n", "2"): _PUPIL,
     ("fp-demo", "n", "0"): "numpy's FFT refuses 0 points: no key named",
     ("fp-demo", "n", "-1"): "numpy refuses a negative dimension: no key named",
-    ("sar-point", "oversample", "x1e-3"): "the image leaves the recorded swath: no key named",
-    ("sas-recon", "dx_m", "x1e3"): _SWATH,
-    ("sas-recon", "dy_m", "x1e3"): _SWATH,
-    ("sas-recon", "r0_m", "x1e3"): _SWATH,
-    ("sas-recon", "rx_pitch_m", "x1e3"): _SWATH,
-    ("sas-recon", "v_p_mps", "x1e3"): _SWATH,
-    ("sound-padp", "d_m", "x1e3"): "the point source leaves the delay window: position named",
-    ("sound-padp", "src_z_m", "0"): "the virtual source lies in the lattice plane: no key named",
     ("sound-sparse-lattice", "d_m", "x1e-3"): _NO_CELL,
     ("sound-sparse-lattice", "f_eval_hz", "x1e-3"): _NO_CELL,
     ("sound-sparse-lattice", "m", "1"): _NO_CELL,
@@ -184,13 +180,26 @@ def test_gaps_are_edge_configs():
 # edge configs whose runner names the key before the library rejects it
 # under another name (or divides by zero), so they run on every pass
 NAMED_BY_THE_RUNNER = [("fp-demo", "grid_side", "0"), ("fp-demo", "grid_side", "-1"),
-                       ("fp-demo", "sigma_px", "0"),
+                       ("fp-demo", "sigma_px", "0"), ("sound-padp", "src_z_m", "0"),
                        *[("sar-capon", key, edge) for key in ("m", "n")
                          for edge in ("-1", "0", "1", "2")]]
 
 
 @pytest.mark.parametrize("example", NAMED_BY_THE_RUNNER, ids="-".join)
 def test_a_runner_checked_edge_config_meets_the_contract(example):
+    with tempfile.TemporaryDirectory() as workdir:
+        check_example(*example, workdir)
+
+
+# edge configs that break a rule on a derived quantity (a grid extent, a
+# delay window), whose library message names every input of that quantity
+NAMED_BY_THE_LIBRARY = [*[("sas-recon", key, "x1e3")
+                          for key in ("dx_m", "dy_m", "r0_m", "rx_pitch_m", "v_p_mps")],
+                        ("sar-point", "oversample", "x1e-3"), ("sound-padp", "d_m", "x1e3")]
+
+
+@pytest.mark.parametrize("example", NAMED_BY_THE_LIBRARY, ids="-".join)
+def test_a_derived_rule_edge_config_names_its_inputs(example):
     with tempfile.TemporaryDirectory() as workdir:
         check_example(*example, workdir)
 

@@ -146,7 +146,7 @@ def _outer_visibilities(bmap, bl):
     l, m, w, t = bmap._quadrature()
     tw = t * w
     acc = np.zeros((bl.n, bl.n), dtype=complex)
-    step = max(radiometry._RAMP_BLOCK // (2 * bl.n), 1)
+    step = 8 * max(radiometry._RAMP_BLOCK // (16 * bl.n), 1)
     for q0 in range(0, len(l), step):
         ramp_u = np.exp(2j * np.pi * np.outer(bl.u, l[q0:q0 + step]))
         ramp_v = np.exp(2j * np.pi * np.outer(bl.u, m[q0:q0 + step])) * tw[q0:q0 + step]
@@ -155,7 +155,8 @@ def _outer_visibilities(bmap, bl):
 
 
 @pytest.mark.parametrize("block", [None, 1000])
-@pytest.mark.parametrize("shape", [(17,), (9,), (32,), (4,), (1,)])
+@pytest.mark.parametrize("shape", [(17,), (9,), (32,), (4,), (1,), (5,), (6,), (8,), (16,),
+                                   (33,)])
 def test_mirrored_ramps_match_outer_formula_bitwise(shape, block, monkeypatch):
     # odd, even and one-point axes of square lattices; block 1000 walks
     # ragged blocks
@@ -181,15 +182,45 @@ def test_mirrored_ramps_match_outer_formula_bitwise_at_one_blas_thread():
         capture_output=True, text=True, timeout=120, cwd=root,
         env=dict(os.environ, PYTHONPATH=str(root / "src"), OPENBLAS_NUM_THREADS="1"))
     assert done.returncode == 0, done.stdout[-2000:]
-    assert "10 passed" in done.stdout
+    assert "20 passed" in done.stdout
+
+
+@pytest.mark.parametrize("n", range(1, 40))
+def test_fill_ramps_mirrors_each_row_by_index(n):
+    # the centred axis is negation-closed about c = n // 2, every row is
+    # written, row i < c (but row 0 of an even axis) is the conjugate of
+    # row 2 c - i, and the table is the outer formula's bit for bit
+    u, c = BaselineSet(n, 0.45).u, n // 2
+    k = np.arange(1, n - c)
+    assert u[c] == 0 and np.array_equal(u[c - k], -u[c + k])
+    coords = np.concatenate([[-1.0, 0.0, 1.0], np.random.default_rng(n).uniform(-1, 1, 61)])
+    table = np.full((n, coords.size), np.nan, dtype=complex)
+    radiometry._fill_ramps(table, u, coords)
+    assert np.all(np.isfinite(table))
+    for i in range(1 - n % 2, c):
+        assert np.array_equal(table[i], np.conjugate(table[2 * c - i]))
+    assert np.array_equal(table, np.exp(2j * np.pi * np.outer(u, coords)))
+
+
+def test_visibilities_at_scenario_defaults_do_not_depend_on_the_blas_thread_count():
+    # radiometry-roundtrip's map and lattice: 15 blocks of 1920 points
+    root = pathlib.Path(__file__).resolve().parent.parent
+    code = ("import hashlib, sys; sys.path.insert(0, 'tests'); import test_radiometry as t; "
+            "print(hashlib.sha256(t.visibility_samples(t.gaussian_blob_map(), "
+            "t.BaselineSet(17, 0.45)).tobytes()).hexdigest())")
+    digests = {subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True,
+        cwd=root, env=dict(os.environ, PYTHONPATH=str(root / "src"),
+                           OPENBLAS_NUM_THREADS=str(threads))).stdout for threads in (1, 2)}
+    assert len(digests) == 1
 
 
 def test_visibility_peak_memory_at_scenario_defaults():
     # 120 x 240 map and 17 x 17 lattice as in radiometry-roundtrip; a
     # table of one ramp per baseline would take 289 * 28800 * 16 B = 133 MB.
-    # A block of 2**17 // 34 = 3855 points holds the v table and the larger
-    # u row group (9 of 17 rows) in 1.6 MB; allow 1.5 MB beside them for the
-    # five 28,800-point quadrature vectors (1.2 MB) and one row of phases.
+    # A block of 8 * (2**16 // 272) = 1920 points holds the u and v tables
+    # in 1.04 MB; allow 1.5 MB beside them for the five 28,800-point
+    # quadrature vectors (1.2 MB) and one row of phases.
     bmap = gaussian_blob_map()
     bl = BaselineSet(17, 0.45)
     tracemalloc.start()
@@ -198,34 +229,7 @@ def test_visibility_peak_memory_at_scenario_defaults():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < (17 + 9) * 3855 * 16 + 1.5e6
-
-
-@pytest.mark.parametrize("n", range(1, 40))
-def test_mirror_groups_split_an_axis_into_mirror_closed_halves(n):
-    groups = radiometry._mirror_groups(n)
-    assert sorted(np.concatenate(groups)) == list(range(n))
-    c = n // 2
-    for rows in groups:
-        mirrors = 2 * c - rows
-        assert set(mirrors[mirrors < n]) <= set(rows)
-    if n < 5:
-        assert len(groups) == 1
-    else:  # two GEMMs, neither a matrix-vector product
-        assert len(groups) == 2
-        assert min(map(len, groups)) >= 2
-        assert max(map(len, groups)) <= (n + 2) // 2
-
-
-@pytest.mark.parametrize("block", [None, 1000])
-@pytest.mark.parametrize("shape", [(5,), (6,), (8,), (9,), (16,), (33,)])
-def test_grouped_u_table_matches_outer_formula_bitwise(shape, block, monkeypatch):
-    # groups of odd and even axes of square lattices
-    if block is not None:
-        monkeypatch.setattr(radiometry, "_RAMP_BLOCK", block)
-    bl = BaselineSet(*shape, 0.45)
-    bmap = BrightnessMap(np.random.default_rng(9).random((40, 80)))
-    assert np.array_equal(visibility_samples(bmap, bl), _outer_visibilities(bmap, bl))
+    assert peak < 2 * 17 * 1920 * 16 + 1.5e6
 
 
 # -------------------------------------------------------------- inversion

@@ -807,6 +807,21 @@ def test_lee_flattens_homogeneous_speckle():
     assert abs(out.mean() - z.mean()) <= 0.01 * z.mean()
 
 
+def test_lee_zero_gain_where_the_window_variance_rounds_negative():
+    # a flat image at 1 with 1e-9 texture: z2bar - zbar**2 is about 1e-18,
+    # far below the 1e-16 rounding of either term, so it comes out negative
+    # in 102 of the 256 cells; clamped to zero it gives zero gain there, and
+    # the output is exactly the window mean
+    from aperture_forge.sar.speckle import _box_mean
+
+    z = 1.0 + 1e-9 * np.random.default_rng(12).standard_normal((16, 16))
+    zbar = _box_mean(z, 7)
+    negative = _box_mean(z * z, 7) - zbar ** 2 < 0.0
+    assert negative.sum() >= 40
+    out = lee_filter(z, 1e-9, window=7)
+    assert np.array_equal(out[negative], zbar[negative])
+
+
 @pytest.mark.parametrize("shape", [(37, 52), (2, 5), (40,), (6, 9, 4)])  # (2, 5): below most windows
 @pytest.mark.parametrize("w", range(3, 12))
 def test_box_mean_matches_scipy_uniform_filter(w, shape):
