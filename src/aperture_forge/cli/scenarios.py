@@ -357,7 +357,7 @@ def _run_sar_point(seed, sink, *, v_mps=100.0, prf_hz=400.0, t_coh_s=0.16, r1_m=
         return float(np.hypot(image.x[i], image.r[j] - r1_m))
 
     err_wk = peak_offset(omega_k_focus(ph))
-    err_cs = peak_offset(chirp_scaling_focus(ph, r1_m))
+    err_cs = peak_offset(chirp_scaling_focus(ph))
 
     f_ref = geom.prf / 4.0  # representative Doppler for the distortion report
     sink.image("image_bp", mag, scale="field")
@@ -570,7 +570,7 @@ def _run_pr_recover(seed, sink, *, n=64, oversampling=8.0, problem_kind="gaussia
 
 def _run_fp_demo(seed, sink, *, n=96, na=0.25, wavelength_m=0.5e-6, dx_m=4.1666667e-7,
                  led_spacing=12, grid_side=3, sweeps=30, sigma_px=10.0):
-    _require_at_least(1, grid_side=grid_side)
+    _require_at_least(1, n=n, grid_side=grid_side)
     # the object's envelope divides by 2 sigma_px**2; a negative width is the same envelope
     if not 2.0 * sigma_px ** 2 > 0.0:
         raise ValueError(f"sigma_px must be nonzero (2 * sigma_px**2 > 0), got sigma_px={sigma_px}")

@@ -266,7 +266,8 @@ class FpSystem:
         gx, gy = np.meshgrid(ix, ix, indexing="ij")
         extent = max(np.max(np.abs(gx[pup])), np.max(np.abs(gy[pup])))
         if extent + np.max(np.abs(off)) >= n / 2:
-            raise ValueError("a shifted pupil reaches the band edge")
+            raise ValueError(f"a shifted pupil reaches the band edge (pupil + offsets >= n / 2), "
+                             f"got n={n}, pupil={extent}, offsets={np.max(np.abs(off))}")
         object.__setattr__(self, "object_spectrum", u)
         object.__setattr__(self, "pupil", pup)
         object.__setattr__(self, "offsets", off)

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..core import C_LIGHT, _require_finite, _require_finite_positive
+from ..core import C_LIGHT, _require_finite
 from ..waveforms import _lfm_envelope, matched_filter
 from .scene import PhaseHistory
 
@@ -189,17 +189,18 @@ def range_distortion(f_dop, v, wavelength):
     return (2.0 * wavelength / C_LIGHT ** 2) * sine ** 2 / (1.0 - sine ** 2) ** 1.5
 
 
-def chirp_scaling_focus(ph: PhaseHistory, r_ref: float) -> SarImage:
+def chirp_scaling_focus(ph: PhaseHistory) -> SarImage:
     """Chirp-scaling focusing: three phase multiplies, no interpolation.
 
     The range-Doppler curvature factor C_s and Doppler-dependent chirp
     rate K_s drive the three stages: scaling (equalize migration to the
-    reference range), bulk RCMC plus range focus in the 2-D spectrum,
-    and residual azimuth/phase matching back in range-Doppler.  Doppler
-    bins at or beyond |lambda f / 2V| = 1 have no stationary-phase
-    support; they are zeroed and counted in ``info["clamped_bins"]``.
+    reference range, the geometry's ``r1``), bulk RCMC plus range focus
+    in the 2-D spectrum, and residual azimuth/phase matching back in
+    range-Doppler.  Doppler bins at or beyond |lambda f / 2V| = 1 have no
+    stationary-phase support; they are zeroed and counted in
+    ``info["clamped_bins"]``.
     """
-    _require_finite_positive(r_ref=r_ref)
+    r_ref = ph.geometry.r1
     data = ph.data
     n_fast, n_pulses = data.shape
     f_s = ph.f_s

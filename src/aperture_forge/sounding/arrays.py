@@ -143,17 +143,14 @@ def fib_weights(
     tones are widened to match instead of collapsing to their own limit.
 
     ``beamwidth_target`` is the desired -3 dB full width in sine space;
-    targets narrower than the lattice can form at the lowest tone are
-    rejected.  Returns an (S, P_active) matrix of weights.
+    targets narrower than the lattice can form at the lowest tone, or
+    not below 1, are rejected.  Returns an (S, P_active) matrix of weights.
     """
     widest_natural = natural_beamwidth(lattice, grid.f_start)
-    if beamwidth_target < 0.9 * widest_natural:
-        raise ValueError(
-            f"target width {beamwidth_target:.4f} below what the lattice can "
-            f"form at {grid.f_start / 1e9:.1f} GHz ({widest_natural:.4f})"
-        )
-    if beamwidth_target >= 1.0:
-        raise ValueError("target width must be well inside visible space")
+    if not 0.9 * widest_natural <= beamwidth_target < 1.0:
+        raise ValueError(f"beamwidth_target must be >= 0.9 x the natural width at f_start "
+                         f"({widest_natural:.4f}) and < 1, got beamwidth_target={beamwidth_target},"
+                         f" f_start={grid.f_start}, m={lattice.shape[0]}, d_x={lattice.d_x}")
     p = lattice.n_active
     r_mask = 0.75 * beamwidth_target
     axis = np.linspace(-1.0, 1.0, 48)  # coarse sidelobe grid over visible space
@@ -242,9 +239,9 @@ def optimize_sparse_lattice(
     null_radius = C_LIGHT / (f_eval * full_lattice.shape[0] * full_lattice.d_x)
     side_idx = np.flatnonzero(visible & (uu ** 2 + vv ** 2 > (1.25 * null_radius) ** 2))
     if side_idx.size == 0:
-        raise ValueError(
-            f"uv_points={uv_points} puts no sine-space cell outside the mainlobe disc"
-        )
+        raise ValueError(f"uv_points={uv_points} puts no sine-space cell outside the mainlobe "
+                         f"disc, 1.25 c / (f_eval m d_x), got f_eval={f_eval}, "
+                         f"m={full_lattice.shape[0]}, d_x={full_lattice.d_x}")
 
     # ramps over the whole grid, whatever the input mask
     ex, ey = _axis_ramps(full_lattice.with_mask(None), f_eval, axis, axis)

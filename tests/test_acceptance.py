@@ -237,7 +237,7 @@ def test_05_sar_point_target_suite(capsys):
     ]
     ph5 = simulate_phase_history(scene5, geom, chirp, f_s)
     for name, img in (("omega-k", omega_k_focus(ph5)),
-                      ("chirp scaling", chirp_scaling_focus(ph5, r0))):
+                      ("chirp scaling", chirp_scaling_focus(ph5))):
         x = img.x
         z = img.r
         zi = int(np.argmin(np.abs(z - (r0 - 20.0))))

@@ -5,8 +5,8 @@ leaves no output directory.
 
 Each example runs as its own CLI process under a 2 GB address-space
 limit, so a config that asks for too much memory fails in that child
-alone.  GAPS lists the edge configs known to break the contract or to
-take seconds of work, each with the reason; the property test draws from
+alone.  GAPS lists the edge configs that ask for more memory or work than
+a test pass can give, each with the reason; the property test draws from
 the others.
 """
 
@@ -70,34 +70,19 @@ FEEDS = {
     "u2": ("u",),
     "v1": ("v",),
     "v2": ("v",),
+    ("fp-demo", "dx_m"): ("pupil",),
+    ("fp-demo", "na"): ("pupil",),
+    ("fp-demo", "wavelength_m"): ("pupil",),
     ("pr-recover", "n"): ("m",),
     ("sas-recon", "dx_m"): ("points",),
     ("radiometry-roundtrip", "n_u"): ("n",),
 }
 
-_PUPIL = "a shifted pupil reaches the band edge: no key named"
-_NO_CELL = "uv_points puts no cell outside the mainlobe: only uv_points named"
-_FIB = "fib_weights: target width must be inside visible space: no key named"
 _MEMORY = "asks for more than 2 GB in one array (ROADMAP item 5)"
 _WORK = "seconds of work at the edge value (ROADMAP item 5)"
 
 # (scenario, key, edge) -> why the config is left out of the property test
 GAPS = {
-    ("fp-demo", "dx_m", "x1e3"): _PUPIL,
-    ("fp-demo", "na", "x1e3"): _PUPIL,
-    ("fp-demo", "wavelength_m", "x1e-3"): _PUPIL,
-    ("fp-demo", "n", "1"): _PUPIL,
-    ("fp-demo", "n", "2"): _PUPIL,
-    ("fp-demo", "n", "0"): "numpy's FFT refuses 0 points: no key named",
-    ("fp-demo", "n", "-1"): "numpy refuses a negative dimension: no key named",
-    ("sound-sparse-lattice", "d_m", "x1e-3"): _NO_CELL,
-    ("sound-sparse-lattice", "f_eval_hz", "x1e-3"): _NO_CELL,
-    ("sound-sparse-lattice", "m", "1"): _NO_CELL,
-    ("sound-sparse-lattice", "m", "2"): _NO_CELL,
-    ("sound-squint", "d_m", "x1e-3"): _FIB,
-    ("sound-squint", "f_start_hz", "x1e-3"): _FIB,
-    ("sound-squint", "fib_m", "1"): _FIB,
-    ("sound-squint", "fib_m", "2"): _FIB,
     ("sar-point", "duration_s", "x1e3"): _MEMORY,
     ("sar-point", "f_s_hz", "x1e3"): _MEMORY,
     ("sar-point", "t_coh_s", "x1e3"): _MEMORY,
@@ -177,10 +162,15 @@ def test_gaps_are_edge_configs():
     assert set(GAPS) <= set(EXAMPLES)
 
 
+def test_gaps_hold_only_the_configs_that_ask_for_too_much_memory_or_work():
+    assert len(GAPS) == 13 and set(GAPS.values()) == {_MEMORY, _WORK}
+
+
 # edge configs whose runner names the key before the library rejects it
 # under another name (or divides by zero), so they run on every pass
 NAMED_BY_THE_RUNNER = [("fp-demo", "grid_side", "0"), ("fp-demo", "grid_side", "-1"),
-                       ("fp-demo", "sigma_px", "0"), ("sound-padp", "src_z_m", "0"),
+                       ("fp-demo", "sigma_px", "0"), ("fp-demo", "n", "0"), ("fp-demo", "n", "-1"),
+                       ("sound-padp", "src_z_m", "0"),
                        *[("sar-capon", key, edge) for key in ("m", "n")
                          for edge in ("-1", "0", "1", "2")]]
 
@@ -192,10 +182,19 @@ def test_a_runner_checked_edge_config_meets_the_contract(example):
 
 
 # edge configs that break a rule on a derived quantity (a grid extent, a
-# delay window), whose library message names every input of that quantity
+# delay window, a pupil's reach, a mainlobe width), whose library message
+# names every input of that quantity
 NAMED_BY_THE_LIBRARY = [*[("sas-recon", key, "x1e3")
                           for key in ("dx_m", "dy_m", "r0_m", "rx_pitch_m", "v_p_mps")],
-                        ("sar-point", "oversample", "x1e-3"), ("sound-padp", "d_m", "x1e3")]
+                        ("sar-point", "oversample", "x1e-3"), ("sound-padp", "d_m", "x1e3"),
+                        ("fp-demo", "dx_m", "x1e3"), ("fp-demo", "na", "x1e3"),
+                        ("fp-demo", "wavelength_m", "x1e-3"), ("fp-demo", "n", "1"),
+                        ("fp-demo", "n", "2"),
+                        *[("sound-sparse-lattice", key, edge) for key, edge in
+                          (("d_m", "x1e-3"), ("f_eval_hz", "x1e-3"), ("m", "1"), ("m", "2"))],
+                        *[("sound-squint", key, edge) for key, edge in
+                          (("d_m", "x1e-3"), ("f_start_hz", "x1e-3"), ("fib_m", "1"),
+                           ("fib_m", "2"))]]
 
 
 @pytest.mark.parametrize("example", NAMED_BY_THE_LIBRARY, ids="-".join)

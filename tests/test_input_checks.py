@@ -41,7 +41,6 @@ from aperture_forge.sar import (
     Scatterer,
     apply_speckle,
     backproject,
-    chirp_scaling_focus,
     detection_error_probabilities,
     lee_filter,
     sar_resolutions,
@@ -117,7 +116,6 @@ POSITIVE = [
     ("PhaseHistory", "f_s", lambda x: PhaseHistory(np.zeros((2, 2)), 0.0, x, CHIRP, GEOM)),
     ("sar_resolutions", "v",
      lambda x: sar_resolutions(SarGeometry(x, 400.0, 0.16, 1000.0, 0.03), CHIRP)),
-    ("chirp_scaling_focus", "r_ref", lambda x: chirp_scaling_focus(None, x)),
     ("LinearPhaseSteering", "f_c", lambda x: LinearPhaseSteering(x, 0.1, 1e6, 1000.0)),
     ("LinearPhaseSteering", "d_u", lambda x: LinearPhaseSteering(1e10, x, 1e6, 1000.0)),
     ("LinearPhaseSteering", "d_f", lambda x: LinearPhaseSteering(1e10, 0.1, x, 1000.0)),

@@ -1,10 +1,7 @@
 import hashlib
 import importlib.util
 import json
-import os
 import pathlib
-import subprocess
-import sys
 
 import pytest
 
@@ -39,30 +36,22 @@ def test_output_matrix_names_the_run_that_fails(tmp_path):
 
 
 # waveform-ambiguity (3.4 s a seed) is left to the tool and the bench's RMMSE check
-_CHILD = """
-import json, sys
-sys.path.insert(0, {tools!r})
-import output_matrix
-output_matrix.write_in_process({out!r}, {scenarios!r})
-print(json.dumps({{"environment": output_matrix.environment(),
-                  "digests": output_matrix.digests({out!r})}}))
-"""
-
-
 def test_outputs_match_the_recorded_digests(tmp_path):
     scenarios = sorted(set(REGISTRY) - {"waveform-ambiguity"})
-    code = _CHILD.format(tools=str(ROOT / "tools"), out=str(tmp_path), scenarios=scenarios)
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=dict(os.environ, OPENBLAS_NUM_THREADS="1"))
-    assert done.returncode == 0, done.stderr
-    found = json.loads(done.stdout.splitlines()[-1])
+    output_matrix.write_matrix(tmp_path, scenarios)
+    found = output_matrix.digests(tmp_path)
     recorded = json.loads(output_matrix.DIGESTS.read_text())
     want = {path: digest for path, digest in recorded["digests"].items()
-            if path.split("/")[0] in scenarios and path.split("/")[1].endswith("-threads1")}
-    assert len(found["digests"]) == len(want) > 0
+            if path.split("/")[0] in scenarios}
+    assert len(found) == len(want) == 252
     moved = output_matrix.differences({"environment": recorded["environment"], "digests": want},
-                                      found["environment"], found["digests"])
+                                      output_matrix.environment(), found)
     assert not moved, "\n".join(moved)
+    # ROADMAP item 8: the thread-invariant scenarios write the same bytes at both counts
+    split = [path for path in found if "-threads1/" in path
+             and path.split("/")[0] not in output_matrix.THREAD_DEPENDENT
+             and found[path] != found[path.replace("-threads1/", "-threads2/")]]
+    assert not split, "\n".join(split)
 
 
 def test_differences_name_the_moved_file_and_both_environments():

@@ -351,7 +351,7 @@ def test_curvature_factor_is_nonnegative_migration():
 
 def test_chirp_scaling_point_at_reference_matches_backprojection():
     ph, r0 = point_history()
-    img = chirp_scaling_focus(ph, r_ref=r0)
+    img = chirp_scaling_focus(ph)
     assert img.info["clamped_bins"] == 0
     x = img.x
     z = img.r
@@ -367,7 +367,7 @@ def test_chirp_scaling_point_at_reference_matches_backprojection():
 
 def test_chirp_scaling_five_scatterers_agree_with_backprojection():
     ph, r0 = five_scatterer_history()
-    img = chirp_scaling_focus(ph, r_ref=r0)
+    img = chirp_scaling_focus(ph)
     x = img.x
     z = img.r
     zi = int(np.argmin(np.abs(z - (r0 - 20.0))))
@@ -382,11 +382,9 @@ def test_chirp_scaling_reports_clamped_doppler_bins():
     r0 = on_grid_range(1000.0)
     geom = SarGeometry(v=100.0, prf=15000.0, t_coh=32 / 15000.0, r1=r0, wavelength=0.03)
     ph = simulate_phase_history([Scatterer(0.0, r0)], geom, CHIRP, F_S)
-    img = chirp_scaling_focus(ph, r_ref=r0)
+    img = chirp_scaling_focus(ph)
     assert img.info["clamped_bins"] > 0
     assert np.all(np.isfinite(img.pixels))
-    with pytest.raises(ValueError):
-        chirp_scaling_focus(ph, r_ref=-5.0)
 
 
 # ------------------------------------- in-place forms keep their bits
@@ -429,7 +427,8 @@ def _omega_k_as_expressions(ph):
     return np.fft.ifft(np.fft.ifft(stolt, axis=0), axis=1).T
 
 
-def _chirp_scaling_as_expressions(ph, r_ref):
+def _chirp_scaling_as_expressions(ph):
+    r_ref = ph.geometry.r1
     n_fast, n_pulses = ph.data.shape
     lam, v = ph.geometry.wavelength, ph.geometry.v
     tau = ph.tau0 + 1.0 / ph.f_s * np.arange(n_fast)
@@ -463,24 +462,24 @@ def _focus_cases():
     r0 = on_grid_range(1000.0)
     scene = [Scatterer(0.0, r0), Scatterer(-3.0, r0 - 11.3, reflectivity=0.8),
              Scatterer(5.0, r0 - 4.2, reflectivity=0.6 + 0.4j)]
-    geom = SarGeometry(v=100.0, prf=400.0, t_coh=0.16, r1=r0, wavelength=0.03)
+    # r1 lies off every scatterer, so chirp scaling references off-centre
+    geom = SarGeometry(v=100.0, prf=400.0, t_coh=0.16, r1=r0 + 7.7, wavelength=0.03)
     # the second is omega-k's evanescent case, the third chirp scaling's clamped one
     r1 = on_grid_range(300.0)
     slow = SarGeometry(v=50.0, prf=1000.0, t_coh=0.064, r1=r1, wavelength=C_LIGHT / 1e9)
     wide = SarGeometry(v=100.0, prf=15000.0, t_coh=32 / 15000.0, r1=r0, wavelength=0.03)
-    return [(scene, geom, CHIRP, r0 + 7.7),
-            ([Scatterer(0.0, r1)], slow, LfmChirp(1e9, 150e6, 2.005e-6), r1),
-            ([Scatterer(0.0, r0)], wide, CHIRP, r0)]
+    return [(scene, geom, CHIRP), ([Scatterer(0.0, r1)], slow, LfmChirp(1e9, 150e6, 2.005e-6)),
+            ([Scatterer(0.0, r0)], wide, CHIRP)]
 
 
 @pytest.mark.parametrize("case", range(3))
 def test_in_place_focusing_matches_the_expression_forms_bitwise(case):
-    scene, geom, chirp, r_ref = _focus_cases()[case]
+    scene, geom, chirp = _focus_cases()[case]
     ph = simulate_phase_history(scene, geom, chirp, F_S)
     assert np.array_equal(ph.data, _echoes_as_expressions(scene, ph))
     assert np.array_equal(omega_k_focus(ph).pixels, _omega_k_as_expressions(ph))
-    assert np.array_equal(chirp_scaling_focus(ph, r_ref).pixels,
-                          _chirp_scaling_as_expressions(ph, r_ref))
+    assert np.array_equal(chirp_scaling_focus(ph).pixels,
+                          _chirp_scaling_as_expressions(ph))
 
 
 # -------------------------------------------------------------- tomography

@@ -2,12 +2,12 @@
 
 Usage: python3 tools/output_matrix.py [OUT] [--record FILE | --check FILE]
 
-Each scenario runs as a fresh CLI process on its default config, with
-``OPENBLAS_NUM_THREADS`` set, into OUT/<scenario>/seed<k>-threads<t>: 14
-scenarios x 2 seeds x 2 thread counts = 56 directories (in a temporary
-directory when OUT is not given).  The program is imported from the
-``src/`` beside this script.  Exits non-zero naming the first run that
-fails.
+One fresh interpreter per BLAS thread count, with ``OPENBLAS_NUM_THREADS``
+set, runs each scenario on its default config through the CLI's config
+parsing into OUT/<scenario>/seed<k>-threads<t>: 14 scenarios x 2 seeds x
+2 thread counts = 56 directories (in a temporary directory when OUT is
+not given).  The program is imported from the ``src/`` beside this
+script.  Exits non-zero naming the first run that fails.
 
 ``--record FILE`` writes the SHA-256 of every file in the 56 directories,
 with the numpy and BLAS versions they were made with, to FILE as JSON.
@@ -25,51 +25,47 @@ import subprocess
 import sys
 import tempfile
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
-DIGESTS = pathlib.Path(__file__).resolve().parent / "output_digests.json"
+TOOLS = pathlib.Path(__file__).resolve().parent
+SRC = TOOLS.parent / "src"
+DIGESTS = TOOLS / "output_digests.json"
 SEEDS = (1, 2)
 BLAS_THREADS = (1, 2)
-
-
-def _config(configs, name):
-    config = pathlib.Path(configs) / f"{name}.json"
-    config.write_text(json.dumps({"scenario": name}))
-    return config
+# scenarios whose bytes differ between 1 and 2 BLAS threads (ROADMAP item 8);
+# every other scenario writes the same bytes at both counts
+THREAD_DEPENDENT = ("pr-recover", "sound-padp", "sound-squint", "waveform-ambiguity")
 
 
 def write_matrix(out, scenarios):
-    out = pathlib.Path(out)
-    with tempfile.TemporaryDirectory() as configs:
-        for name in scenarios:
-            config = _config(configs, name)
-            for seed in SEEDS:
-                for threads in BLAS_THREADS:
-                    target = out / name / f"seed{seed}-threads{threads}"
-                    env = dict(os.environ, PYTHONPATH=str(SRC),
-                               OPENBLAS_NUM_THREADS=str(threads))
-                    done = subprocess.run(
-                        [sys.executable, "-m", "aperture_forge.cli.main", name,
-                         "--config", str(config), "--seed", str(seed), "--out", str(target)],
-                        capture_output=True, text=True, env=env)
-                    if done.returncode != 0:
-                        raise SystemExit(f"{target}: exit {done.returncode}\n{done.stderr}")
+    """Run ``write_in_process`` in one fresh interpreter per BLAS thread
+    count; a failing run exits naming its directory."""
+    code = (f"import output_matrix; "
+            f"output_matrix.write_in_process({str(out)!r}, {list(scenarios)!r})")
+    for threads in BLAS_THREADS:
+        env = dict(os.environ, PYTHONPATH=str(TOOLS), OPENBLAS_NUM_THREADS=str(threads))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        if done.returncode != 0:
+            raise SystemExit(f"threads {threads}: exit {done.returncode}\n{done.stderr}")
 
 
 def write_in_process(out, scenarios):
-    """The directories ``write_matrix`` makes at the thread count this
-    process's ``OPENBLAS_NUM_THREADS`` names, run in this process through
-    the same config parsing, so their bytes match the CLI runs'."""
+    """The directories at the thread count this process's
+    ``OPENBLAS_NUM_THREADS`` names, run through the CLI's config parsing,
+    so their bytes match CLI runs'."""
     sys.path.insert(0, str(SRC))
-    from aperture_forge.cli.config import parse_config
+    from aperture_forge.cli.config import CliError, parse_config
     from aperture_forge.cli.scenarios import run
 
     threads = os.environ["OPENBLAS_NUM_THREADS"]
     with tempfile.TemporaryDirectory() as configs:
         for name in scenarios:
-            config = _config(configs, name)
+            config = pathlib.Path(configs) / f"{name}.json"
+            config.write_text(json.dumps({"scenario": name}))
             for seed in SEEDS:
                 target = pathlib.Path(out) / name / f"seed{seed}-threads{threads}"
-                run(parse_config(config, scenario=name, seed=seed, out_dir=str(target)))
+                try:
+                    run(parse_config(config, scenario=name, seed=seed, out_dir=str(target)))
+                except CliError as err:
+                    raise SystemExit(f"{target}: {type(err).__name__}: {err}") from err
 
 
 def digests(out):
