@@ -42,8 +42,9 @@ from ..waveforms import (
     sample_lfm,
 )
 from ..sounding import (
-    ChannelRay,
     FrequencyGrid,
+    PlaneWaveRay,
+    PointSourceRay,
     SamplingLattice,
     array_factor,
     delay_slice,
@@ -215,9 +216,9 @@ def _run_sound_padp(seed, sink, *, m=8, n=8, d_m=0.00545, f_start_hz=26.5e9,
     grid = FrequencyGrid(f_start_hz, f_stop_hz, df_hz)
     src = (src_x_m, src_y_m, src_z_m)
     rays = [
-        ChannelRay.plane_wave(u1, v1, tau1_ns * 1e-9, amp1),
-        ChannelRay.plane_wave(u2, v2, tau2_ns * 1e-9, amp2),
-        ChannelRay.point_source(src, src_amp),
+        PlaneWaveRay(u1, v1, tau1_ns * 1e-9, amp1),
+        PlaneWaveRay(u2, v2, tau2_ns * 1e-9, amp2),
+        PointSourceRay(src, src_amp),
     ]
     sweep = synthesize_sweep(rays, lat, grid, noise_sigma, seed)
     look = Direction(u1, v1)
@@ -534,14 +535,13 @@ def _run_sas_recon(seed, sink, *, v_p_mps=3.2, tau_rec_s=0.05, n_pings=8, n_rx=4
 
 def _run_pr_recover(seed, sink, *, n=64, oversampling=8.0, problem_kind="gaussian",
                     n_masks=6, steps=2500, er_iters=100, noise_sigma=0.0):
-    if problem_kind not in ("gaussian", "coded"):
+    make_problem = {"gaussian": lambda rng: gaussian_problem(int(round(oversampling * n)), n, rng),
+                    "coded": lambda rng: coded_problem(n, n_masks, rng)}.get(problem_kind)
+    if make_problem is None:
         raise ValueError("problem_kind must be 'gaussian' or 'coded',"
                          f" got problem_kind={problem_kind!r}")
     s_prob, s_truth, s_noise = seeded_rng(seed, "drawing the pr-recover problem").spawn(3)
-    if problem_kind == "coded":
-        problem = coded_problem(n, n_masks, s_prob)
-    else:
-        problem = gaussian_problem(int(round(oversampling * n)), n, s_prob)
+    problem = make_problem(s_prob)
     x0 = (s_truth.standard_normal(n) + 1j * s_truth.standard_normal(n)) / np.sqrt(2.0)
     y = pr_forward(x0, problem, noise_sigma, s_noise)
     init = spectral_init(y, problem)

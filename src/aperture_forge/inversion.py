@@ -1,11 +1,11 @@
 """Phaseless inverse problems.
 
-Quadratic measurements y_i = |<a_i, x>|^2 come in two flavors here:
-explicit sampling vectors stacked into a matrix, or diagonal unimodular
-masks composed with a unitary DFT (coded diffraction, far zone).  On top
-of the forward model sit a spectral initializer, amplitude-flow gradient
-descent, classic error-reduction alternating projections, and a small
-Fourier-ptychography acquire/recover pair.
+Quadratic measurements y_i = |<a_i, x>|^2 come in two structures, one
+type each: VectorProblem stacks explicit sampling vectors into a matrix,
+MaskProblem composes unimodular diagonal masks with a unitary DFT (coded
+diffraction, far zone).  Either one feeds the spectral initializer,
+amplitude flow and error-reduction alternating projections.  A small
+Fourier-ptychography acquire/recover pair closes the module.
 """
 
 import warnings
@@ -18,79 +18,96 @@ from .core import (SolverResult, _require_at_least, _require_finite, _require_fi
 
 
 @dataclass(frozen=True)
-class PhaselessProblem:
-    """Sampling structure for y = |A x|^2.
+class VectorProblem:
+    """y = |A x|^2 with explicit sampling vectors: the rows of the (m, n)
+    ``vectors`` are the conjugated sampling vectors, so A @ x evaluates
+    all inner products; their adjoint is formed once, not on every call."""
 
-    Exactly one of ``vectors`` (rows are the conjugated sampling vectors,
-    so A @ x evaluates all inner products) or ``masks`` (L unimodular
-    diagonals, each followed by a unitary DFT) must be given.  The
-    adjoint of ``vectors`` is kept once, not formed on every call.
-    """
-
-    n: int
-    vectors: np.ndarray = None
-    masks: np.ndarray = None
-    _vectors_h: np.ndarray = field(default=None, init=False, repr=False,
-                                   compare=False)
+    vectors: np.ndarray
+    _vectors_h: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if (self.vectors is None) == (self.masks is None):
-            raise ValueError("provide exactly one of vectors or masks")
-        if self.vectors is not None:
-            v = np.asarray(self.vectors, dtype=complex)
-            if v.ndim != 2 or v.shape[1] != self.n:
-                raise ValueError("vectors must be (m, n)")
-            object.__setattr__(self, "vectors", v)
-            object.__setattr__(self, "_vectors_h", v.conj().T)
-        else:
-            d = np.asarray(self.masks, dtype=complex)
-            if d.ndim != 2 or d.shape[1] != self.n:
-                raise ValueError("masks must be (L, n)")
-            object.__setattr__(self, "masks", d)
+        v = np.asarray(self.vectors, dtype=complex)
+        if v.ndim != 2:
+            raise ValueError("vectors must be (m, n)")
+        object.__setattr__(self, "vectors", v)
+        object.__setattr__(self, "_vectors_h", v.conj().T)
 
     @property
     def m(self) -> int:
-        return self.vectors.shape[0] if self.vectors is not None else self.masks.size
+        return self.vectors.shape[0]
+
+    @property
+    def n(self) -> int:
+        return self.vectors.shape[1]
+
+    def _forward(self, x):
+        return self.vectors @ x
+
+    def _adjoint(self, w):
+        return self._vectors_h @ w
+
+    def _op_norm_sq(self):
+        lam, _ = power_iteration(lambda v: self._adjoint(self._forward(v)), self.n, 30)
+        return lam
+
+    def _projector(self):
+        pinv = np.linalg.pinv(self.vectors)
+        return lambda w: pinv @ w
 
 
-def gaussian_problem(m, n, seed) -> PhaselessProblem:
+@dataclass(frozen=True)
+class MaskProblem:
+    """y = |A x|^2 with coded diffraction: L unimodular diagonal masks,
+    the (L, n) ``masks``, each followed by a unitary DFT, so m = L n."""
+
+    masks: np.ndarray
+
+    def __post_init__(self):
+        d = np.asarray(self.masks, dtype=complex)
+        if d.ndim != 2:
+            raise ValueError("masks must be (L, n)")
+        object.__setattr__(self, "masks", d)
+
+    @property
+    def m(self) -> int:
+        return self.masks.size
+
+    @property
+    def n(self) -> int:
+        return self.masks.shape[1]
+
+    def _forward(self, x):
+        return np.fft.fft(self.masks * x[None, :], axis=1, norm="ortho").ravel()
+
+    def _adjoint(self, w):
+        blocks = np.fft.ifft(w.reshape(self.masks.shape), axis=1, norm="ortho")
+        return np.sum(np.conj(self.masks) * blocks, axis=0)
+
+    def _op_norm_sq(self):
+        # masks followed by a unitary DFT give A^H A = L * I exactly
+        return float(self.masks.shape[0])
+
+    def _projector(self):
+        return lambda w: self._adjoint(w) / self.masks.shape[0]
+
+
+def gaussian_problem(m, n, seed) -> VectorProblem:
     """Standard complex Gaussian sampling vectors, unit entry variance.
     A None ``seed`` or fewer than one vector (``m`` < 1) raises ValueError."""
     _require_at_least(1, m=m)
     rng = seeded_rng(seed, "drawing Gaussian sampling vectors")
     a = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / np.sqrt(2.0)
-    return PhaselessProblem(n=n, vectors=a)
+    return VectorProblem(a)
 
 
-def coded_problem(n, n_masks, seed) -> PhaselessProblem:
+def coded_problem(n, n_masks, seed) -> MaskProblem:
     """Unimodular random-phase masks; statistics are not prescribed by
     the physics, uniform phases are the conventional choice.  A None
     ``seed`` raises ValueError."""
     rng = seeded_rng(seed, "drawing coded masks")
     masks = np.exp(2j * np.pi * rng.random((n_masks, n)))
-    return PhaselessProblem(n=n, masks=masks)
-
-
-def _forward(problem, x):
-    if problem.vectors is not None:
-        return problem.vectors @ x
-    return np.fft.fft(problem.masks * x[None, :], axis=1, norm="ortho").ravel()
-
-
-def _adjoint(problem, w):
-    if problem.vectors is not None:
-        return problem._vectors_h @ w
-    blocks = np.fft.ifft(w.reshape(problem.masks.shape), axis=1, norm="ortho")
-    return np.sum(np.conj(problem.masks) * blocks, axis=0)
-
-
-def _op_norm_sq(problem):
-    # masks followed by a unitary DFT give A^H A = L * I exactly
-    if problem.masks is not None:
-        return float(problem.masks.shape[0])
-    lam, _ = power_iteration(lambda v: _adjoint(problem, _forward(problem, v)),
-                             problem.n, 30)
-    return lam
+    return MaskProblem(masks)
 
 
 def _sign(z):
@@ -108,7 +125,7 @@ def pr_forward(x, problem, noise_sigma=0.0, seed=None) -> np.ndarray:
     if x.shape != (problem.n,):
         raise ValueError("x length does not match the problem dimension")
     _require_finite(x=x)
-    y = np.abs(_forward(problem, x)) ** 2
+    y = np.abs(problem._forward(x)) ** 2
     rng = noise_rng(noise_sigma, seed, "noise_sigma")
     if rng is not None:
         y = np.maximum(y + noise_sigma * rng.standard_normal(y.shape), 0.0)
@@ -139,13 +156,13 @@ def spectral_init(y, problem) -> np.ndarray:
         warnings.warn("all measurements are zero; returning the zero vector")
         return np.zeros(problem.n, dtype=complex)
     _, v = power_iteration(
-        lambda v: _adjoint(problem, y * _forward(problem, v)) / problem.m, problem.n, 100)
+        lambda v: problem._adjoint(y * problem._forward(v)) / problem.m, problem.n, 100)
     return v * np.sqrt(np.mean(y))
 
 
 def af_objective(x, y, problem) -> float:
     with np.errstate(over="ignore"):  # inf is meaningful: divergence signal
-        return float(np.mean((np.sqrt(y) - np.abs(_forward(problem, x))) ** 2))
+        return float(np.mean((np.sqrt(y) - np.abs(problem._forward(x))) ** 2))
 
 
 def af_gradient(x, y, problem) -> np.ndarray:
@@ -153,8 +170,8 @@ def af_gradient(x, y, problem) -> np.ndarray:
     taken as 0 at z = 0.  Real and imaginary parts are the partials with
     respect to Re(x) and Im(x), which is what a finite-difference check
     sees."""
-    z = _forward(problem, x)
-    return (2.0 / problem.m) * _adjoint(problem, z - np.sqrt(y) * _sign(z))
+    z = problem._forward(x)
+    return (2.0 / problem.m) * problem._adjoint(z - np.sqrt(y) * _sign(z))
 
 
 def amplitude_flow(y, problem, init, steps=500) -> SolverResult:
@@ -170,7 +187,7 @@ def amplitude_flow(y, problem, init, steps=500) -> SolverResult:
     root_y = np.sqrt(np.asarray(y, dtype=float))
     x = np.asarray(init, dtype=complex).copy()
     m = problem.m
-    lr = 0.1 / (2.0 * _op_norm_sq(problem) / m)
+    lr = 0.1 / (2.0 * problem._op_norm_sq() / m)
     mag, sq = np.empty(m), np.empty(m)
     sgn, resid = np.empty(m, dtype=complex), np.empty(m, dtype=complex)
 
@@ -180,14 +197,14 @@ def amplitude_flow(y, problem, init, steps=500) -> SolverResult:
             np.square(np.subtract(root_y, mag, out=sq), out=sq)
             return float(np.add.reduce(sq) / m)
 
-    z = _forward(problem, x)
+    z = problem._forward(x)
     history = [objective(z)]
     for _ in range(steps):
         sgn.fill(0)
         np.divide(z, mag, out=sgn, where=mag > 0.0)
         np.subtract(z, np.multiply(root_y, sgn, out=resid), out=resid)
-        x = x - lr * ((2.0 / m) * _adjoint(problem, resid))
-        z = _forward(problem, x)
+        x = x - lr * ((2.0 / m) * problem._adjoint(resid))
+        z = problem._forward(x)
         obj = objective(z)
         history.append(obj)
         if not np.isfinite(obj):
@@ -204,17 +221,12 @@ def error_reduction(y, problem, init, iters=200) -> SolverResult:
     y = np.asarray(y, dtype=float)
     root_y = np.sqrt(y)
     x = np.asarray(init, dtype=complex).copy()
-    if problem.vectors is not None:
-        pinv = np.linalg.pinv(problem.vectors)
-        project = lambda w: pinv @ w
-    else:
-        n_masks = problem.masks.shape[0]
-        project = lambda w: _adjoint(problem, w) / n_masks
-    z = _forward(problem, x)
+    project = problem._projector()
+    z = problem._forward(x)
     residuals = [float(np.linalg.norm(root_y - np.abs(z)))]
     for _ in range(iters):
         x = project(root_y * _sign(z))
-        z = _forward(problem, x)
+        z = problem._forward(x)
         residuals.append(float(np.linalg.norm(root_y - np.abs(z))))
     return SolverResult(x, np.asarray(residuals), "max_iter")
 

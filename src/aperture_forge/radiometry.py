@@ -96,8 +96,10 @@ class BaselineSet:
 # memory with one float row of phases: max(_RAMP_BLOCK, 16 n) * 16 B, 1 MiB up
 # to n = 4096.  Blocks are a multiple of 8 points: OpenBLAS 0.3.31's zgemm
 # at 17 x K x 17 gives other bits at 2 threads than at 1 unless K % 8 is 0
-# or 7.  radiometry-roundtrip's 17 x 17 lattice takes 1920-point blocks,
-# whose 17 u and 17 v rows are 1.04 MB.
+# or 7.  Lattices of n < 4 take the 8192-point blocks of n = 4: a 1-point
+# lattice's 1 x K x 1 product gives other bits at 2 threads at K = 16384 or
+# 28800, not at 8192.  radiometry-roundtrip's 17 x 17 lattice takes
+# 1920-point blocks, whose 17 u and 17 v rows are 1.04 MB.
 _RAMP_BLOCK = 1 << 16
 
 
@@ -123,16 +125,16 @@ def visibility_samples(bmap: BrightnessMap, baselines: BaselineSet) -> np.ndarra
     The phase separates by axis: one ramp exp(j 2 pi u l) per u and one
     ramp exp(j 2 pi v m) per v give the whole lattice as one matrix
     product.  The quadrature is walked in blocks of step =
-    8 max(_RAMP_BLOCK // (16 n), 1) points; each block writes its u and v
-    tables in place into one buffer reused across blocks, and adds their
-    product to the lattice.  Rows for negative baselines are the
+    8 max(_RAMP_BLOCK // (16 max(n, 4)), 1) points; each block writes its
+    u and v tables in place into one buffer reused across blocks, and adds
+    their product to the lattice.  Rows for negative baselines are the
     conjugates of their mirrors, so about half the exponentials are taken.
     """
     l, m, w, t = bmap._quadrature()
     tw = t * w
     u, n = baselines.u, baselines.n
     acc = np.zeros((n, n), dtype=complex)
-    step = 8 * max(_RAMP_BLOCK // (16 * n), 1)
+    step = 8 * max(_RAMP_BLOCK // (16 * max(n, 4)), 1)
     buf = np.empty((2, n * min(step, len(l))), dtype=complex)
     for q0 in range(0, len(l), step):
         q1 = min(q0 + step, len(l))

@@ -10,8 +10,9 @@ from .arrays import (
 )
 from .grids import FrequencyGrid, sampling_checks
 from .padp import (
-    ChannelRay,
     Pdp,
+    PlaneWaveRay,
+    PointSourceRay,
     SphericalPadp,
     SweepData,
     delay_slice,

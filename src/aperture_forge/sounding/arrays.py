@@ -82,19 +82,17 @@ def _axis_ramps(lattice: SamplingLattice, f: float, u, v):
 def array_factor(lattice: SamplingLattice, weights, u, v, f: float):
     """Array factor B(u, v) = sum_p w_p exp(jk(x_p u + y_p v)) at one tone.
 
-    Scalar ``u``/``v`` give a single complex value; 1-D axes give the
-    pattern on their tensor grid, shape (len(u), len(v)).  Weights run
-    over the active elements only.
+    The pattern lies on the tensor grid of the ``u`` and ``v`` axes,
+    shape (len(u), len(v)), a scalar counting as an axis of length 1.
+    Weights run over the active elements only.
     """
     w = np.asarray(weights, dtype=complex)
     if w.shape != (lattice.n_active,):
         raise ValueError("weights must match the active element count")
-    scalar = np.isscalar(u) and np.isscalar(v)
     u = np.atleast_1d(np.asarray(u, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
     ex, ey = _axis_ramps(lattice, f, u, v)
-    out = ex.T @ (w[:, None] * ey)
-    return out[0, 0] if scalar else out
+    return ex.T @ (w[:, None] * ey)
 
 
 def steering_vector(lattice: SamplingLattice, direction: Direction, f: float) -> np.ndarray:

@@ -13,35 +13,44 @@ from .grids import FrequencyGrid
 
 
 @dataclass(frozen=True)
-class ChannelRay:
-    """One propagation path: plane wave from (u, v) or point source.
+class PlaneWaveRay:
+    """A plane wave from direction (u, v), arriving at an explicit ``delay``."""
 
-    Only plane-wave rays carry an explicit ``delay``; point sources get
-    theirs from geometry, and their ``delay`` stays 0.
-    """
-
-    kind: str
-    amplitude: complex
-    delay: float = 0.0
-    u: float = 0.0
-    v: float = 0.0
-    position: tuple | None = None
+    u: float
+    v: float
+    delay: float
+    amplitude: complex = 1.0 + 0.0j
 
     def __post_init__(self):
-        if self.kind not in ("plane", "point"):
-            raise ValueError("kind must be 'plane' or 'point'")
-        if self.kind == "plane":
-            Direction(self.u, self.v)  # rejects non-finite or invisible (u, v)
-        if self.kind == "point" and self.position is None:
-            raise ValueError("point ray needs a position")
+        Direction(self.u, self.v)  # rejects non-finite or invisible (u, v)
 
-    @classmethod
-    def plane_wave(cls, u, v, delay, amplitude=1.0 + 0.0j) -> "ChannelRay":
-        return cls("plane", complex(amplitude), delay, u=u, v=v)
+    def _s21(self, lattice: SamplingLattice, f, t_dur):
+        """amp*exp(j*2*pi*f*((x*u0 + y*v0)/c - tau)), positions by tones."""
+        if not 0.0 <= self.delay < t_dur:
+            raise ValueError(f"ray delay={self.delay} outside the unambiguous window [0, {t_dur})")
+        pos = lattice.active_positions()
+        spatial = (pos[:, 0] * self.u + pos[:, 1] * self.v) / C_LIGHT
+        return self.amplitude * np.exp(
+            1j * 2.0 * np.pi * f[None, :] * (spatial[:, None] - self.delay))
 
-    @classmethod
-    def point_source(cls, position, amplitude=1.0 + 0.0j) -> "ChannelRay":
-        return cls("point", complex(amplitude), position=tuple(position))
+
+@dataclass(frozen=True)
+class PointSourceRay:
+    """A point source at ``position``, its delays set by geometry."""
+
+    position: tuple
+    amplitude: complex = 1.0 + 0.0j
+
+    def _s21(self, lattice: SamplingLattice, f, t_dur):
+        """amp*exp(-j*2*pi*f*d/c), d the exact distance of each position."""
+        d = np.linalg.norm(lattice.active_positions() - np.asarray(self.position), axis=1)
+        eff = d / C_LIGHT
+        if eff.min() < 0.0 or eff.max() >= t_dur:
+            raise ValueError(
+                f"point-source position={self.position} delay outside the unambiguous window"
+                f" [0, {t_dur}), got d_x={lattice.d_x}, d_y={lattice.d_y}"
+            )
+        return self.amplitude * np.exp(-1j * 2.0 * np.pi * f[None, :] * eff[:, None])
 
 
 class SweepData:
@@ -68,36 +77,14 @@ def synthesize_sweep(
     noise_sigma: float = 0.0,
     seed: int | None = None,
 ) -> SweepData:
-    """Forward-model the sweep a positioner would record for these rays.
-
-    Plane-wave rays contribute amp*exp(j*2*pi*f*((x*u0 + y*v0)/c - tau));
-    point sources use the exact per-position distance phase
-    amp*exp(-j*2*pi*f*d/c).  All effective delays must stay inside the
-    unambiguous window [0, 1/df).
+    """Forward-model the sweep a positioner would record for these rays
+    (PlaneWaveRay or PointSourceRay), summed in ray order.  Every ray's
+    effective delays must stay inside the unambiguous window [0, 1/df).
     """
-    pos = lattice.active_positions()
     f = grid.frequencies()
-    s21 = np.zeros((len(pos), grid.s), dtype=complex)
+    s21 = np.zeros((lattice.n_active, grid.s), dtype=complex)
     for ray in rays:
-        if ray.kind == "plane":
-            if not 0.0 <= ray.delay < grid.t_dur:
-                raise ValueError(
-                    f"ray delay={ray.delay} outside the unambiguous window"
-                    f" [0, {grid.t_dur})"
-                )
-            spatial = (pos[:, 0] * ray.u + pos[:, 1] * ray.v) / C_LIGHT
-            s21 += ray.amplitude * np.exp(
-                1j * 2.0 * np.pi * f[None, :] * (spatial[:, None] - ray.delay)
-            )
-        else:
-            d = np.linalg.norm(pos - np.asarray(ray.position), axis=1)
-            eff = d / C_LIGHT
-            if eff.min() < 0.0 or eff.max() >= grid.t_dur:
-                raise ValueError(
-                    f"point-source position={ray.position} delay outside the unambiguous window"
-                    f" [0, {grid.t_dur}), got d_x={lattice.d_x}, d_y={lattice.d_y}"
-                )
-            s21 += ray.amplitude * np.exp(-1j * 2.0 * np.pi * f[None, :] * eff[:, None])
+        s21 += ray._s21(lattice, f, grid.t_dur)
     return SweepData(add_complex_noise(s21, noise_sigma, seed), lattice, grid)
 
 
@@ -126,8 +113,8 @@ class Pdp:
 
 def _beam_maps(sweep: SweepData, u, v) -> np.ndarray:
     """b(f_s; u, v) = w^H(f_s) y(f_s) with true-time-delay steering, one
-    beam map per tone: shape (S, len(u), len(v)), or (S,) for scalar u, v.
-    """
+    beam map per tone: shape (S, len(u), len(v)), scalar u or v counting
+    as length 1."""
     return np.conj([
         array_factor(sweep.lattice, np.conj(sweep.s21[:, i]), u, v, f)
         for i, f in enumerate(sweep.grid.frequencies())
@@ -150,7 +137,7 @@ def padp(sweep: SweepData, direction: Direction) -> Pdp:
     Beamforms every tone with true-time-delay steering, then tapers,
     zero-pads and inverse-DFTs to delay (see _profile).
     """
-    delays, amp = _profile(_beam_maps(sweep, direction.u, direction.v), sweep.grid)
+    delays, amp = _profile(_beam_maps(sweep, direction.u, direction.v)[:, 0, 0], sweep.grid)
     return Pdp(delays=delays, amplitude=amp)
 
 
@@ -161,8 +148,6 @@ def delay_slice(sweep: SweepData, u_axis, v_axis, m: int) -> np.ndarray:
 
     x(tau_m; u, v) = (1/S) sum_s b(f_s; u, v) exp(j*2*pi*m*s/S).
     """
-    u_axis = np.atleast_1d(np.asarray(u_axis, dtype=float))
-    v_axis = np.atleast_1d(np.asarray(v_axis, dtype=float))
     s = sweep.grid.s
     if not 0 <= m < s:
         raise ValueError(f"delay bin {m} outside the unpadded delay grid [0, {s})")

@@ -25,8 +25,8 @@ from aperture_forge.sar import (
 )
 from aperture_forge.sas import SasGeometry, SasScene, simulate_measurements
 from aperture_forge.sounding import (
-    ChannelRay,
     FrequencyGrid,
+    PlaneWaveRay,
     SamplingLattice,
     synthesize_sweep,
 )
@@ -218,7 +218,7 @@ def _phase_history(sigma, seed):
 def _sweep(sigma, seed):
     lattice = SamplingLattice(2, 2, 0.05, 0.05)
     grid = FrequencyGrid(1e9, 1.1e9, 1e7)
-    return synthesize_sweep([ChannelRay.plane_wave(0.1, 0.0, 1e-9)], lattice, grid,
+    return synthesize_sweep([PlaneWaveRay(0.1, 0.0, 1e-9)], lattice, grid,
                             sigma, seed)
 
 

@@ -1,7 +1,10 @@
 import hashlib
 import importlib.util
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -52,6 +55,46 @@ def test_outputs_match_the_recorded_digests(tmp_path):
              and path.split("/")[0] not in output_matrix.THREAD_DEPENDENT
              and found[path] != found[path.replace("-threads1/", "-threads2/")]]
     assert not split, "\n".join(split)
+
+
+# Metrics that are themselves round-off: below these absolute floors a
+# difference is noise whatever its relative size.
+ROUND_OFF_FLOORS = {
+    ("pr-recover", "er_residual_final"): 1e-12,
+    ("pr-recover", "objective_final"): 1e-15,
+}
+
+
+def test_metrics_agree_across_blas_thread_counts(tmp_path):
+    """The thread-dependent scenarios' bytes may change with the BLAS
+    thread count; their metrics agree to 1e-9 relative (or the round-off
+    floor).  The other scenarios' bytes are held equal across the counts
+    by test_outputs_match_the_recorded_digests."""
+    scenarios = output_matrix.THREAD_DEPENDENT
+    configs = {}
+    for name in scenarios:
+        configs[name] = tmp_path / f"{name}.json"
+        configs[name].write_text(json.dumps({"scenario": name, "emit_images": False,
+                                             "emit_csv": False}))
+    metrics = {}
+    for threads in (1, 2):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), OPENBLAS_NUM_THREADS=str(threads))
+        for name, cfg in configs.items():
+            out = tmp_path / f"{name}-{threads}"
+            subprocess.run([sys.executable, "-m", "aperture_forge.cli.main", name,
+                            "--config", str(cfg), "--seed", "1", "--out", str(out)],
+                           capture_output=True, env=env, check=True)
+            metrics[name, threads] = json.loads((out / "report.json").read_text())["metrics"]
+    for name in scenarios:
+        one, two = metrics[name, 1], metrics[name, 2]
+        assert set(one) == set(two)
+        for key, want in one.items():
+            got = two[key]
+            if isinstance(want, float):
+                tol = max(1e-9 * abs(want), ROUND_OFF_FLOORS.get((name, key), 0.0))
+                assert abs(got - want) <= tol, (name, key, want, got)
+            else:
+                assert got == want, (name, key)
 
 
 def test_differences_name_the_moved_file_and_both_environments():

@@ -1,6 +1,6 @@
 """Public surface must be reached by the program or by the acceptance gate.
 
-Four checks, each an ast walk:
+Five checks, each an ast walk:
 
 * Every public top-level function and class is reached.  It is reached
   when another module of the package (re-exports in ``__init__.py`` do
@@ -27,6 +27,10 @@ Four checks, each an ast walk:
   a constant, or a copy of its twin.  An omitted argument counts as its
   default, and a starred call as a varying value for every parameter it
   could fill.
+* No constructor field of a public dataclass defaults to a literal
+  ``None`` (``field(..., init=False)`` fields are not constructor
+  fields): an optional field is the start of a union of cases, which
+  take one type each.
 
 Reached code of a module is its top-level statements outside any
 definition, the bodies of its reached functions, and, of a reached class,
@@ -286,6 +290,16 @@ def unpassed_parameters():
     return _unpassed(_modules(), [ast.parse(path.read_text()) for path in CALLERS])
 
 
+def _none_defaults(modules):
+    """``module.Class(field)`` for every constructor field of a public
+    dataclass whose default is a literal None."""
+    return [f"{module}.{node.name}({param})" for module, tree in modules.items()
+            for node in tree.body if isinstance(node, ast.ClassDef)
+            and not node.name.startswith("_") and _is_dataclass(node)
+            for param, default in _constructor(node)[1].items()
+            if isinstance(default, ast.Constant) and default.value is None]
+
+
 def test_every_public_name_is_reached():
     assert unreached_names() == []
 
@@ -300,6 +314,10 @@ def test_every_defaulted_parameter_is_passed():
 
 def test_no_parameter_is_set_alike_by_every_call():
     assert alike_parameters() == []
+
+
+def test_no_dataclass_field_defaults_to_none():
+    assert _none_defaults(_modules()) == []
 
 
 def test_constructor_rule_on_inline_source():
@@ -337,3 +355,25 @@ def use(k, n, more):
     return pulse(k, 1.0, n, n, *more)
 ''')
     assert _alike({"prog": tree}, [tree]) == ["prog.pulse(gain)", "prog.pulse(rows = cols)"]
+
+
+def test_none_default_rule_on_inline_source():
+    tree = ast.parse('''
+from dataclasses import dataclass, field
+
+@dataclass(frozen=True)
+class Ray:
+    amplitude: complex
+    position: tuple = None
+    delay: float = 0.0
+    cache: object = field(default=None, init=False)
+
+@dataclass
+class _Private:
+    spare: object = None
+
+class Plain:
+    def __init__(self, spare=None):
+        self.spare = spare
+''')
+    assert _none_defaults({"rays": tree}) == ["rays.Ray(position)"]

@@ -146,7 +146,7 @@ def _outer_visibilities(bmap, bl):
     l, m, w, t = bmap._quadrature()
     tw = t * w
     acc = np.zeros((bl.n, bl.n), dtype=complex)
-    step = 8 * max(radiometry._RAMP_BLOCK // (16 * bl.n), 1)
+    step = 8 * max(radiometry._RAMP_BLOCK // (16 * max(bl.n, 4)), 1)
     for q0 in range(0, len(l), step):
         ramp_u = np.exp(2j * np.pi * np.outer(bl.u, l[q0:q0 + step]))
         ramp_v = np.exp(2j * np.pi * np.outer(bl.u, m[q0:q0 + step])) * tw[q0:q0 + step]
@@ -202,12 +202,14 @@ def test_fill_ramps_mirrors_each_row_by_index(n):
     assert np.array_equal(table, np.exp(2j * np.pi * np.outer(u, coords)))
 
 
-def test_visibilities_at_scenario_defaults_do_not_depend_on_the_blas_thread_count():
-    # radiometry-roundtrip's map and lattice: 15 blocks of 1920 points
+@pytest.mark.parametrize("n", [17, 1])
+def test_visibilities_at_scenario_defaults_do_not_depend_on_the_blas_thread_count(n):
+    # radiometry-roundtrip's map and lattice: 15 blocks of 1920 points; its
+    # smallest lattice, n_u = 1, takes 4 blocks of 8192 points
     root = pathlib.Path(__file__).resolve().parent.parent
     code = ("import hashlib, sys; sys.path.insert(0, 'tests'); import test_radiometry as t; "
             "print(hashlib.sha256(t.visibility_samples(t.gaussian_blob_map(), "
-            "t.BaselineSet(17, 0.45)).tobytes()).hexdigest())")
+            f"t.BaselineSet({n}, 0.45)).tobytes()).hexdigest())")
     digests = {subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, timeout=120, check=True,
         cwd=root, env=dict(os.environ, PYTHONPATH=str(root / "src"),

@@ -7,8 +7,9 @@ from numpy.testing import assert_allclose
 
 from aperture_forge.core import C_LIGHT, Direction
 from aperture_forge.sounding import (
-    ChannelRay,
     FrequencyGrid,
+    PlaneWaveRay,
+    PointSourceRay,
     SamplingLattice,
     array_factor,
     delay_slice,
@@ -137,7 +138,7 @@ def test_alias_free_memory_does_not_grow_with_the_active_count():
 def test_array_factor_boresight_peak():
     lat = _lattice_35()
     w = np.ones(1225)
-    peak = array_factor(lat, w, 0.0, 0.0, 40e9)
+    peak = array_factor(lat, w, 0.0, 0.0, 40e9)[0, 0]
     assert abs(peak) == pytest.approx(1225.0, rel=1e-12)
     assert 10 * np.log10(abs(peak)) == pytest.approx(30.88, abs=0.01)
 
@@ -205,7 +206,7 @@ def test_steered_taper_moves_peak():
     lat = _lattice_35()
     d = Direction(0.3, -0.2)
     w = np.conj(steering_vector(lat, d, 40e9))
-    assert abs(array_factor(lat, w, 0.3, -0.2, 40e9)) == pytest.approx(1225.0, rel=1e-12)
+    assert abs(array_factor(lat, w, 0.3, -0.2, 40e9)[0, 0]) == pytest.approx(1225.0, rel=1e-12)
     u = np.linspace(-0.5, 0.5, 101)
     v = np.linspace(-0.5, 0.5, 101)
     pat = np.abs(array_factor(lat, w, u, v, 40e9))
@@ -250,14 +251,14 @@ def _small_setup(s=101, m=8, f_hi=2e9):
 
 def test_sweep_boresight_zero_delay_constant():
     lat, grid = _small_setup()
-    sw = synthesize_sweep([ChannelRay.plane_wave(0.0, 0.0, 0.0, 2.0 + 1.0j)], lat, grid)
+    sw = synthesize_sweep([PlaneWaveRay(0.0, 0.0, 0.0, 2.0 + 1.0j)], lat, grid)
     assert_allclose(sw.s21, np.full(sw.s21.shape, 2.0 + 1.0j), atol=1e-12)
 
 
 def test_sweep_delay_makes_linear_phase():
     lat, grid = _small_setup()
     tau = 20e-9
-    sw = synthesize_sweep([ChannelRay.plane_wave(0.0, 0.0, tau)], lat, grid)
+    sw = synthesize_sweep([PlaneWaveRay(0.0, 0.0, tau)], lat, grid)
     steps = sw.s21[:, 1:] * np.conj(sw.s21[:, :-1])
     assert_allclose(np.angle(steps), -2 * np.pi * grid.df * tau, atol=1e-9)
 
@@ -266,7 +267,7 @@ def test_sweep_two_ray_null():
     lat, grid = _small_setup()
     tau2 = 1.0 / (2 * grid.f_start)  # pi of carrier phase at the first tone
     sw = synthesize_sweep(
-        [ChannelRay.plane_wave(0, 0, 0.0), ChannelRay.plane_wave(0, 0, tau2)],
+        [PlaneWaveRay(0, 0, 0.0), PlaneWaveRay(0, 0, tau2)],
         lat,
         grid,
     )
@@ -276,10 +277,10 @@ def test_sweep_two_ray_null():
 def test_sweep_rejects_aliased_delay():
     lat, grid = _small_setup()
     with pytest.raises(ValueError):
-        synthesize_sweep([ChannelRay.plane_wave(0, 0, grid.t_dur)], lat, grid)
+        synthesize_sweep([PlaneWaveRay(0, 0, grid.t_dur)], lat, grid)
     with pytest.raises(ValueError):
         synthesize_sweep(
-            [ChannelRay.point_source((0, 0, C_LIGHT * grid.t_dur * 2))], lat, grid
+            [PointSourceRay((0, 0, C_LIGHT * grid.t_dur * 2))], lat, grid
         )
 
 
@@ -290,7 +291,7 @@ def test_sweep_rejects_aliased_delay():
 ])
 def test_plane_wave_ray_rejects_bad_direction(u, v, message):
     with pytest.raises(ValueError, match=message):
-        ChannelRay.plane_wave(u, v, 1e-9)
+        PlaneWaveRay(u, v, 1e-9)
 
 
 def test_two_ray_path_loss_values():
@@ -307,7 +308,7 @@ def test_two_ray_path_loss_values():
 def test_padp_single_ray_delay():
     lat, grid = _small_setup()
     tau = 20e-9
-    sw = synthesize_sweep([ChannelRay.plane_wave(0, 0, tau)], lat, grid)
+    sw = synthesize_sweep([PlaneWaveRay(0, 0, tau)], lat, grid)
     prof = padp(sw, BORESIGHT)
     peak_delay = prof.delays[np.argmax(prof.power)]
     bin_width = 1.0 / (4 * grid.s * grid.df)
@@ -316,12 +317,13 @@ def test_padp_single_ray_delay():
 
 def test_padp_steered_away_suppresses():
     lat, grid = _small_setup()
-    sw = synthesize_sweep([ChannelRay.plane_wave(0, 0, 20e-9)], lat, grid)
+    sw = synthesize_sweep([PlaneWaveRay(0, 0, 20e-9)], lat, grid)
     bore = padp(sw, BORESIGHT).power.max()
     away = padp(sw, Direction(1.0, 0.0)).power.max()
     # bounded by the worst per-tone sidelobe of the steered pattern
     floor = max(
-        abs(array_factor(lat, np.conj(steering_vector(lat, Direction(1.0, 0.0), f)), 0.0, 0.0, f))
+        abs(array_factor(lat, np.conj(steering_vector(lat, Direction(1.0, 0.0), f)),
+                         0.0, 0.0, f)[0, 0])
         for f in grid.frequencies()[:: grid.s // 10]
     )
     assert away / bore <= 2.0 * (floor / lat.n_active) ** 2
@@ -336,8 +338,8 @@ def test_padp_zero_sweep():
 
 def test_padp_linearity():
     lat, grid = _small_setup(s=41, m=4)
-    r1 = ChannelRay.plane_wave(0.1, 0.0, 10e-9, 1.0)
-    r2 = ChannelRay.plane_wave(-0.2, 0.1, 35e-9, 0.5j)
+    r1 = PlaneWaveRay(0.1, 0.0, 10e-9, 1.0)
+    r2 = PlaneWaveRay(-0.2, 0.1, 35e-9, 0.5j)
     d = Direction(0.05, 0.02)
     p_both = padp(synthesize_sweep([r1, r2], lat, grid), d)
     p1 = padp(synthesize_sweep([r1], lat, grid), d)
@@ -349,7 +351,7 @@ def test_padp_linearity():
 def test_beamforming_coherent_gain():
     lat, grid = _small_setup(s=601, m=8)
     sw = synthesize_sweep([], lat, grid, noise_sigma=1.0, seed=7)
-    prof = np.fft.ifft(_beam_maps(sw, 0.0, 0.0))  # untapered, unpadded
+    prof = np.fft.ifft(_beam_maps(sw, 0.0, 0.0)[:, 0, 0])  # untapered, unpadded
     beam_power = float(np.sum(np.abs(prof) ** 2))  # equals mean |b|^2 by Parseval
     element_power = float(np.mean(np.abs(sw.s21[0]) ** 2))
     gain_db = 10 * np.log10(beam_power / element_power)
@@ -363,7 +365,7 @@ def test_delay_slice_finds_ray():
     lat, grid = _small_setup(s=51, m=6)
     m_bin = 12
     tau = m_bin / (grid.s * grid.df)
-    sw = synthesize_sweep([ChannelRay.plane_wave(0.2, -0.1, tau)], lat, grid)
+    sw = synthesize_sweep([PlaneWaveRay(0.2, -0.1, tau)], lat, grid)
     u = np.linspace(-0.4, 0.4, 17)
     sl = np.abs(delay_slice(sw, u, u, m_bin))
     i, j = np.unravel_index(np.argmax(sl), sl.shape)
@@ -384,7 +386,7 @@ def test_delay_slice_rejects_out_of_range_bins():
 def test_delay_slice_matches_padp_column():
     lat, grid = _small_setup(s=31, m=4)
     sw = synthesize_sweep(
-        [ChannelRay.plane_wave(0.1, 0.2, 16e-9), ChannelRay.plane_wave(0.0, 0.0, 40e-9)],
+        [PlaneWaveRay(0.1, 0.2, 16e-9), PlaneWaveRay(0.0, 0.0, 40e-9)],
         lat,
         grid,
         noise_sigma=0.05,
@@ -394,7 +396,7 @@ def test_delay_slice_matches_padp_column():
     dirs = [(0.0, 0.0), (0.1, 0.2), (-0.3, 0.05)]
     sl = delay_slice(sw, [d[0] for d in dirs], [d[1] for d in dirs], m_bin)
     for idx, (du, dv) in enumerate(dirs):
-        prof = np.fft.ifft(_beam_maps(sw, du, dv))
+        prof = np.fft.ifft(_beam_maps(sw, du, dv)[:, 0, 0])
         assert sl[idx, idx] == pytest.approx(prof[m_bin], rel=1e-10)
 
 
@@ -403,9 +405,9 @@ def test_beam_maps_match_direct_sum_on_sound_padp_sweep():
     # oracle b(f; u, v) = sum_p exp(-jk(x_p u + y_p v)) s21_p written out
     lat = SamplingLattice(8, 8, 0.00545, 0.00545)
     grid = FrequencyGrid(26.5e9, 27.5e9, 25e6)
-    rays = [ChannelRay.plane_wave(0.3, 0.0, 10e-9, 1.0),
-            ChannelRay.plane_wave(-0.2, 0.1, 25e-9, 0.5),
-            ChannelRay.point_source((0.5, 0.3, 6.0), 0.8)]
+    rays = [PlaneWaveRay(0.3, 0.0, 10e-9, 1.0),
+            PlaneWaveRay(-0.2, 0.1, 25e-9, 0.5),
+            PointSourceRay((0.5, 0.3, 6.0), 0.8)]
     sw = synthesize_sweep(rays, lat, grid)
     assert sw.s21.shape == (64, 41)
     pos = lat.active_positions()
@@ -421,14 +423,15 @@ def test_beam_maps_match_direct_sum_on_sound_padp_sweep():
     for u, v in ((0.0, 0.0), (0.3, 0.0), (-0.2, 0.1)):  # boresight and the plane-wave rays
         col = np.sum(np.exp(-1j * k[:, None] * (pos[:, 0] * u + pos[:, 1] * v))
                      * sw.s21.T, axis=1)
-        assert np.max(np.abs(_beam_maps(sw, u, v) - col)) <= 1e-12 * np.max(np.abs(direct))
+        got = _beam_maps(sw, u, v)[:, 0, 0]
+        assert np.max(np.abs(got - col)) <= 1e-12 * np.max(np.abs(direct))
 
 
 def test_aggregate_parseval():
     lat, grid = _small_setup(s=24, m=4)
     rng_dirs = np.linspace(-0.3, 0.3, 5)
     sw = synthesize_sweep(
-        [ChannelRay.plane_wave(0.1, 0.0, 20e-9)], lat, grid, noise_sigma=0.2, seed=5
+        [PlaneWaveRay(0.1, 0.0, 20e-9)], lat, grid, noise_sigma=0.2, seed=5
     )
     slices = [
         delay_slice(sw, rng_dirs, rng_dirs, m) for m in range(grid.s)
@@ -438,7 +441,7 @@ def test_aggregate_parseval():
     total = 0.0
     for du in rng_dirs:
         for dv in rng_dirs:
-            prof = np.fft.ifft(_beam_maps(sw, du, dv))
+            prof = np.fft.ifft(_beam_maps(sw, du, dv)[:, 0, 0])
             total += float(np.sum(np.abs(prof) ** 2))
     assert np.sum(r) == pytest.approx(total, rel=1e-9)
 
@@ -471,10 +474,10 @@ def test_sweep_synthesis_dot_product(m, n, s, u, v, data, seed):
     amp = complex(rng.standard_normal(), rng.standard_normal())
     y = SweepData(rng.standard_normal((lat.n_active, s))
                   + 1j * rng.standard_normal((lat.n_active, s)), lat, grid)
-    ray = synthesize_sweep([ChannelRay.plane_wave(u, v, tau, amp)], lat, grid)
+    ray = synthesize_sweep([PlaneWaveRay(u, v, tau, amp)], lat, grid)
     lhs = np.vdot(ray.s21, y.s21)
     f = grid.frequencies()
-    beams = _beam_maps(y, u, v)
+    beams = _beam_maps(y, u, v)[:, 0, 0]
     via_beams = np.conj(amp) * np.sum(np.exp(2j * np.pi * f * tau) * beams)
     via_slice = (np.conj(amp) * np.exp(2j * np.pi * f[0] * tau) * s
                  * delay_slice(y, [u], [v], m_bin)[0, 0])
@@ -489,7 +492,7 @@ def test_sweep_synthesis_dot_product(m, n, s, u, v, data, seed):
 def test_spherical_padp_localizes_near_source():
     lat, grid = _small_setup(s=101, m=10, f_hi=2e9)
     src = (0.0, 0.0, 0.5)
-    sw = synthesize_sweep([ChannelRay.point_source(src)], lat, grid)
+    sw = synthesize_sweep([PointSourceRay(src)], lat, grid)
     uv = np.linspace(-0.1, 0.1, 5)
     best = None
     for du in uv:
@@ -509,7 +512,7 @@ def test_spherical_padp_localizes_near_source():
 def test_spherical_far_limit_is_plane_padp():
     lat, grid = _small_setup(s=41, m=6)
     d = Direction(0.1, 0.05)
-    sw = synthesize_sweep([ChannelRay.plane_wave(0.1, 0.05, 30e-9)], lat, grid)
+    sw = synthesize_sweep([PlaneWaveRay(0.1, 0.05, 30e-9)], lat, grid)
     lam = C_LIGHT / grid.f_stop
     far = 1e6 * lam
     sp = spherical_padp(sw, d, far, far, 1.0)
@@ -657,8 +660,8 @@ def test_decimated_lattice_grating_lobe():
     mask[cols % 2 == 1] = False
     thin = lat.with_mask(mask)
     w = np.ones(thin.n_active)
-    main = abs(array_factor(thin, w, 0.0, 0.0, 40e9))
-    grating = abs(array_factor(thin, w, 1.0, 0.0, 40e9))
+    main = abs(array_factor(thin, w, 0.0, 0.0, 40e9)[0, 0])
+    grating = abs(array_factor(thin, w, 1.0, 0.0, 40e9)[0, 0])
     assert 20 * np.log10(grating / main) > -1.0
 
 
