@@ -104,7 +104,8 @@ def gaussian_problem(m, n, seed) -> VectorProblem:
 def coded_problem(n, n_masks, seed) -> MaskProblem:
     """Unimodular random-phase masks; statistics are not prescribed by
     the physics, uniform phases are the conventional choice.  A None
-    ``seed`` raises ValueError."""
+    ``seed`` or fewer than one mask (``n_masks`` < 1) raises ValueError."""
+    _require_at_least(1, n_masks=n_masks)
     rng = seeded_rng(seed, "drawing coded masks")
     masks = np.exp(2j * np.pi * rng.random((n_masks, n)))
     return MaskProblem(masks)
@@ -160,9 +161,17 @@ def spectral_init(y, problem) -> np.ndarray:
     return v * np.sqrt(np.mean(y))
 
 
-def af_objective(x, y, problem) -> float:
+def _af_terms(z, root_y):
+    """At z = A x: the amplitude objective (1/m) sum (sqrt(y_i) - |z_i|)^2,
+    and the residual z - sqrt(y) sign(z), whose A^H image times 2/m is
+    the objective's gradient."""
     with np.errstate(over="ignore"):  # inf is meaningful: divergence signal
-        return float(np.mean((np.sqrt(y) - np.abs(problem._forward(x))) ** 2))
+        objective = float(np.add.reduce((root_y - np.abs(z)) ** 2) / z.size)
+    return objective, z - root_y * _sign(z)
+
+
+def af_objective(x, y, problem) -> float:
+    return _af_terms(problem._forward(x), np.sqrt(y))[0]
 
 
 def af_gradient(x, y, problem) -> np.ndarray:
@@ -170,8 +179,8 @@ def af_gradient(x, y, problem) -> np.ndarray:
     taken as 0 at z = 0.  Real and imaginary parts are the partials with
     respect to Re(x) and Im(x), which is what a finite-difference check
     sees."""
-    z = problem._forward(x)
-    return (2.0 / problem.m) * problem._adjoint(z - np.sqrt(y) * _sign(z))
+    _, resid = _af_terms(problem._forward(x), np.sqrt(y))
+    return (2.0 / problem.m) * problem._adjoint(resid)
 
 
 def amplitude_flow(y, problem, init, steps=500) -> SolverResult:
@@ -179,33 +188,20 @@ def amplitude_flow(y, problem, init, steps=500) -> SolverResult:
 
     The step targets the local Hessian scale 2||A||^2 / m.  The run stops
     "diverged", history intact, at a non-finite objective, else "max_iter"
-    after ``steps`` steps.  Each step's A x and |A x| are computed once and
-    serve both its objective and the next gradient; the sign, residual and
-    objective terms are written into buffers allocated once.
+    after ``steps`` steps.  Each step's A x serves both its objective and
+    the next gradient, through the terms af_objective and af_gradient
+    evaluate.
     """
     _require_at_least(0, steps=steps)
     root_y = np.sqrt(np.asarray(y, dtype=float))
     x = np.asarray(init, dtype=complex).copy()
     m = problem.m
     lr = 0.1 / (2.0 * problem._op_norm_sq() / m)
-    mag, sq = np.empty(m), np.empty(m)
-    sgn, resid = np.empty(m, dtype=complex), np.empty(m, dtype=complex)
-
-    def objective(z):
-        with np.errstate(over="ignore"):  # inf is meaningful: divergence signal
-            np.abs(z, out=mag)
-            np.square(np.subtract(root_y, mag, out=sq), out=sq)
-            return float(np.add.reduce(sq) / m)
-
-    z = problem._forward(x)
-    history = [objective(z)]
+    obj, resid = _af_terms(problem._forward(x), root_y)
+    history = [obj]
     for _ in range(steps):
-        sgn.fill(0)
-        np.divide(z, mag, out=sgn, where=mag > 0.0)
-        np.subtract(z, np.multiply(root_y, sgn, out=resid), out=resid)
         x = x - lr * ((2.0 / m) * problem._adjoint(resid))
-        z = problem._forward(x)
-        obj = objective(z)
+        obj, resid = _af_terms(problem._forward(x), root_y)
         history.append(obj)
         if not np.isfinite(obj):
             return SolverResult(x, np.asarray(history), "diverged")

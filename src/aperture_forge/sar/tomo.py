@@ -9,7 +9,7 @@ filter each projection by |omega| and smear it back across the image.
 
 import numpy as np
 
-from ..core import _require_finite_positive
+from ..core import _require_finite, _require_finite_positive
 
 
 def _bilinear(table, i, j, ti, tj):
@@ -89,15 +89,16 @@ def tomographic_reconstruct(projections, angles, s_step, method="polar-interp"):
     method: "polar-interp" or "filtered-backprojection".
 
     The output image lives on the same centered grid in both axes.  At
-    least two distinct angles are required; one projection alone leaves
-    the problem rank deficient.
+    least two angles are required, strictly ascending and so distinct; one
+    projection alone leaves the problem rank deficient.
     """
     projections = np.asarray(projections, dtype=float)
     angles = np.asarray(angles, dtype=float)
-    if projections.ndim != 2 or projections.shape[0] != angles.size:
+    if projections.ndim != 2 or angles.ndim != 1 or projections.shape[0] != angles.size:
         raise ValueError("projections must be (n_angles, n_s) matching angles")
-    if np.unique(angles).size < 2:
-        raise ValueError("need at least two distinct projection angles")
+    if angles.size < 2:
+        raise ValueError("need at least two projection angles")
+    _require_finite(angles=angles)
     if np.any(angles < 0.0) or np.any(angles >= np.pi):
         raise ValueError("angles must lie in [0, pi)")
     if np.any(np.diff(angles) <= 0.0):

@@ -16,7 +16,6 @@ import numpy as np
 
 from .core import (SolverResult, _require_at_least, _require_finite, _require_finite_positive,
                    add_complex_noise, power_iteration)
-from .sounding import FrequencyGrid
 
 C_SOUND = 1500.0  # speed of sound in sea water, m/s
 
@@ -144,8 +143,8 @@ class SensingModel:
 
 
 def build_sensing_model(geom: SasGeometry, points, grid) -> SensingModel:
-    freqs = grid.frequencies() if isinstance(grid, FrequencyGrid) else grid
-    return SensingModel(geom, points, freqs)
+    """The model at the tones of the FrequencyGrid ``grid``."""
+    return SensingModel(geom, points, grid.frequencies())
 
 
 def simulate_measurements(geom: SasGeometry, scene: SasScene, grid,

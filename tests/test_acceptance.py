@@ -44,6 +44,7 @@ from aperture_forge.sar import (
 from aperture_forge.sas import (
     SasGeometry,
     SasScene,
+    SensingModel,
     build_sensing_model,
     sas_sparse,
     simulate_measurements,
@@ -399,10 +400,8 @@ def test_09_sas_suite(capsys):
     dy = d_t / 40.0
     y_psf = mid + (np.arange(161) - 80) * dy
     psf_pts = np.column_stack([np.full_like(y_psf, r0), y_psf])
-    psf_model = build_sensing_model(g, psf_pts, np.array([f0]))
-    d_psf = simulate_measurements(
-        g, SasScene(psf_pts, (np.arange(161) == 80).astype(complex)),
-        np.array([f0]))
+    psf_model = SensingModel(g, psf_pts, [f0])
+    d_psf = psf_model.forward((np.arange(161) == 80).astype(complex))
     width = _half_power_width(y_psf, np.abs(psf_model.adjoint(d_psf)))
     if abs(width - d_t / 2.0) > 0.15 * (d_t / 2.0):
         failures.append(f"PSF width {width:.4f} m vs D/2 = {d_t / 2:.4f} m")

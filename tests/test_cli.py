@@ -529,6 +529,10 @@ def test_non_finite_metric_exits_6_without_a_report(tmp_path, capsys, monkeypatc
     ("radiometry-roundtrip", {"t_peak_k": 1e-320},
      "t_peak_k must be >= 2.2250738585072014e-308, got t_peak_k=1e-320"),
     ("radiometry-roundtrip", {"t_peak_k": 2.0 ** 1023}, "grid must be finite, got grid=["),
+    # a coded problem needs one mask at least
+    ("pr-recover", {"problem_kind": "coded", "n_masks": 0}, "n_masks must be >= 1, got n_masks=0"),
+    ("pr-recover", {"problem_kind": "coded", "n_masks": -1},
+     "n_masks must be >= 1, got n_masks=-1"),
 ])
 def test_invalid_library_input_exits_6_without_a_report(tmp_path, capsys, scenario, params,
                                                         message):

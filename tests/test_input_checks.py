@@ -26,6 +26,7 @@ from aperture_forge.core import (
 )
 from aperture_forge.inversion import (
     amplitude_flow,
+    coded_problem,
     error_reduction,
     fp_recover,
     gaussian_problem,
@@ -141,6 +142,7 @@ AT_LEAST = [
     ("BrightnessMap", "n_phi", 1, lambda x: BrightnessMap.from_function(np.add, 4, x)),
     ("BaselineSet", "n", 1, lambda x: BaselineSet(x, 0.5)),
     ("gaussian_problem", "m", 1, lambda x: gaussian_problem(x, 4, 1)),
+    ("coded_problem", "n_masks", 1, lambda x: coded_problem(4, x, 1)),
     ("amplitude_flow", "steps", 0, lambda x: amplitude_flow(None, None, None, steps=x)),
     ("error_reduction", "iters", 0, lambda x: error_reduction(None, None, None, iters=x)),
     ("fp_recover", "sweeps", 0, lambda x: fp_recover(None, None, sweeps=x)),
@@ -197,6 +199,8 @@ FINITE_ARRAY = [
     ("sas_sparse", "d_stack", 3, lambda x: sas_sparse(_with(3, x), None, 1.0)),
     ("BrightnessMap", "values", 4, lambda x: BrightnessMap(_with((2, 2), x))),
     ("SensingModel", "frequencies", 2, lambda x: _sensing_model([1e4, x])),
+    ("tomographic_reconstruct", "angles", 2,
+     lambda x: tomographic_reconstruct(np.ones((2, 5)), [0.5, x], 1.0)),
 ]
 
 

@@ -1,6 +1,6 @@
 """Public surface must be reached by the program or by the acceptance gate.
 
-Five checks, each an ast walk:
+Five checks of the public surface, each an ast walk:
 
 * Every public top-level function and class is reached.  It is reached
   when another module of the package (re-exports in ``__init__.py`` do
@@ -31,6 +31,10 @@ Five checks, each an ast walk:
   ``None`` (``field(..., init=False)`` fields are not constructor
   fields): an optional field is the start of a union of cases, which
   take one type each.
+
+A sixth walk keeps the layers apart: each library layer (a top-level
+module or subpackage other than ``cli``) imports only ``core`` and its
+own package.  ``sar`` importing ``waveforms`` is the one exception.
 
 Reached code of a module is its top-level statements outside any
 definition, the bodies of its reached functions, and, of a reached class,
@@ -300,6 +304,46 @@ def _none_defaults(modules):
             if isinstance(default, ast.Constant) and default.value is None]
 
 
+# sar's scene and focus take the pulse model (LfmChirp, matched_filter and
+# the envelope sampler) from waveforms
+CROSS_LAYER_IMPORTS = {("sar", "waveforms")}
+
+
+def _layer_imports(trees):
+    """(layer, imported layer) of every import of the package made in a
+    library layer, for ``trees`` keyed by path parts below the package
+    (``("sar", "focus.py")``).  The program layer ``cli`` is not checked."""
+    pairs = set()
+    for parts, tree in trees.items():
+        layer = parts[0].removesuffix(".py")
+        if layer in ("__init__", "cli"):
+            continue
+        package = list(parts[:-1])
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                base = package[:len(package) - node.level + 1]
+                targets = [base + node.module.split(".")] if node.module \
+                    else [base + [alias.name] for alias in node.names]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [node.module] if isinstance(node, ast.ImportFrom) \
+                    else [alias.name for alias in node.names]
+                targets = [name.split(".")[1:] for name in names
+                           if name.split(".")[0] == PACKAGE.name]
+            else:
+                continue
+            pairs |= {(layer, target[0]) for target in targets if target}
+    return sorted(pairs)
+
+
+def cross_layer_imports():
+    """(layer, imported layer) of each import by a library layer of a
+    layer other than ``core``, itself and the named exceptions."""
+    trees = {path.relative_to(PACKAGE).parts: ast.parse(path.read_text())
+             for path in sorted(PACKAGE.rglob("*.py"))}
+    return [(layer, other) for layer, other in _layer_imports(trees)
+            if other not in ("core", layer) and (layer, other) not in CROSS_LAYER_IMPORTS]
+
+
 def test_every_public_name_is_reached():
     assert unreached_names() == []
 
@@ -318,6 +362,25 @@ def test_no_parameter_is_set_alike_by_every_call():
 
 def test_no_dataclass_field_defaults_to_none():
     assert _none_defaults(_modules()) == []
+
+
+def test_each_layer_imports_only_core_and_itself():
+    assert cross_layer_imports() == []
+
+
+def test_layer_rule_on_inline_source():
+    trees = {parts: ast.parse(source) for parts, source in {
+        ("core.py",): "import numpy as np",
+        ("sas.py",): "from .core import C_LIGHT\nfrom .sounding import FrequencyGrid",
+        ("sar", "focus.py"): "from ..core import C_LIGHT\nfrom .scene import PhaseHistory\n"
+                             "from .. import waveforms",
+        ("sar", "__init__.py"): "from .focus import backproject",
+        ("radiometry.py",): "import aperture_forge.inversion",
+        ("cli", "main.py"): "from ..sas import sas_sparse",
+    }.items()}
+    assert _layer_imports(trees) == [("radiometry", "inversion"), ("sar", "core"),
+                                     ("sar", "sar"), ("sar", "waveforms"), ("sas", "core"),
+                                     ("sas", "sounding")]
 
 
 def test_constructor_rule_on_inline_source():

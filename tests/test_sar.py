@@ -578,6 +578,12 @@ def test_tomo_input_validation():
         tomographic_reconstruct(two, np.array([0.0, 0.5]), 0.1, method="algebraic")
     with pytest.raises(ValueError):
         tomographic_reconstruct(two, np.array([0.0, 0.5]), -0.1)
+    with pytest.raises(ValueError):
+        tomographic_reconstruct(two, np.array([0.2, 0.2]), 0.1)  # repeated
+    with pytest.raises(ValueError, match="angles must be finite"):
+        tomographic_reconstruct(two, np.array([0.2, np.nan]), 0.1)
+    with pytest.raises(ValueError, match="matching angles"):
+        tomographic_reconstruct(two, np.array([[0.5], [0.2]]), 0.1)  # a column
 
 
 def test_forward_projector_matches_analytic_disc():

@@ -228,9 +228,8 @@ def test_cbf_width_tracks_transducer_size():
         dy = d_t / 40.0
         y = y_mid + (np.arange(161) - 80) * dy
         pts = np.column_stack([np.full_like(y, R0), y])
-        model = SensingModel(g, pts, np.array([f0]))
-        scene = SasScene(pts, (np.arange(161) == 80).astype(complex))
-        d = simulate_measurements(g, scene, np.array([f0]))
+        model = SensingModel(g, pts, [f0])
+        d = model.forward((np.arange(161) == 80).astype(complex))
         width = width_at_half_power(model.adjoint(d), dy)
         assert width == pytest.approx(d_t / 2.0, rel=0.15)
 
