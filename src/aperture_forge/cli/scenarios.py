@@ -85,7 +85,6 @@ from ..sar import (
 from ..sas import (
     C_SOUND,
     SasGeometry,
-    SasScene,
     build_sensing_model,
     lasso_mu_max,
     sas_resolutions,
@@ -500,8 +499,8 @@ def _run_sas_recon(seed, sink, *, v_p_mps=3.2, tau_rec_s=0.05, n_pings=8, n_rx=4
     gx = r0_m + (np.arange(grid_side) - (grid_side - 1) / 2.0) * dx_m
     gy = y_c + (np.arange(grid_side) - (grid_side - 1) / 2.0) * dy_m
     pts = np.stack(np.meshgrid(gx, gy, indexing="ij"), axis=-1).reshape(-1, 2)
-    scene = SasScene(pts[[target1, target2]], np.array([1.0, amp2 * np.exp(0.8j)]))
-    d = simulate_measurements(geom, scene, grid, noise_sigma, seed)
+    d = simulate_measurements(geom, pts[[target1, target2]], np.array([1.0, amp2 * np.exp(0.8j)]),
+                              grid, noise_sigma, seed)
     model = build_sensing_model(geom, pts, grid)
     cbf = model.adjoint(d)
     i_cbf = int(np.argmax(np.abs(cbf)))

@@ -24,27 +24,31 @@ K_BOLTZMANN = 1.380649e-23
 _HORIZON_EPS = 1e-12
 
 
+def _require(rule, breaks, holds, values):
+    """Reject the first scalar or array in ``values`` where ``holds`` is not
+    true throughout: "KEY must be RULE, got KEY=VALUE", where an array's
+    VALUE is its count of bad entries, "[k of n entries BREAKS]"."""
+    for key, value in values.items():
+        bad = np.size(value) - np.count_nonzero(holds(value))
+        if bad:
+            got = f"[{bad} of {np.size(value)} entries {breaks}]" if np.ndim(value) else value
+            raise ValueError(f"{key} must be {rule}, got {key}={got}")
+
+
 def _require_at_least(least, **counts):
-    """Reject the first value below ``least`` (or NaN), naming its key and value."""
-    for key, count in counts.items():
-        if not count >= least:
-            raise ValueError(f"{key} must be >= {least}, got {key}={count}")
+    """Reject the first value below ``least`` (NaN counts as below)."""
+    _require(f">= {least}", f"below {least}", lambda v: np.greater_equal(v, least), counts)
 
 
 def _require_finite(**values):
-    """Reject the first scalar or array with NaN or +-inf; an array's value is its bad count."""
-    for key, value in values.items():
-        bad = np.size(value) - np.count_nonzero(np.isfinite(value))
-        if bad:
-            got = f"[{bad} of {np.size(value)} entries non-finite]" if np.ndim(value) else value
-            raise ValueError(f"{key} must be finite, got {key}={got}")
+    """Reject the first value with NaN or +-inf."""
+    _require("finite", "non-finite", np.isfinite, values)
 
 
 def _require_finite_positive(**values):
-    """Reject the first value that is not finite and > 0, naming its key and value."""
-    for key, value in values.items():
-        if not (np.isfinite(value) and value > 0):
-            raise ValueError(f"{key} must be finite and positive, got {key}={value}")
+    """Reject the first value that is not finite and > 0."""
+    _require("finite and positive", "not finite and positive",
+             lambda v: np.isfinite(v) & np.greater(v, 0), values)
 
 
 class Direction:

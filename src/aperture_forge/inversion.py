@@ -340,9 +340,8 @@ def fp_recover(intensities, system: FpSystem, sweeps=50) -> np.ndarray:
     _require_at_least(0, sweeps=sweeps)
     n = system.n
     intensities = np.asarray(intensities, dtype=float)
-    bad = np.count_nonzero(~np.isfinite(intensities) | (intensities < 0.0))
-    if bad:
-        raise ValueError(f"intensities must be finite and nonnegative; {bad} samples are not")
+    _require_finite(intensities=intensities)
+    _require_at_least(0, intensities=intensities)
     magnitudes = np.sqrt(intensities)
     if magnitudes.shape != (system.n_leds, n, n):
         raise ValueError("need one intensity frame per LED")

@@ -27,10 +27,7 @@ class BrightnessMap:
         if vals.ndim != 2:
             raise ValueError("values must be a 2-D (theta, phi) grid")
         _require_finite(values=vals)
-        bad = np.count_nonzero(vals < 0)
-        if bad:
-            raise ValueError(
-                f"values must be >= 0, got values=[{bad} of {vals.size} entries negative]")
+        _require_at_least(0, values=vals)
         object.__setattr__(self, "values", vals)
 
     @classmethod

@@ -96,6 +96,7 @@ def tomographic_reconstruct(projections, angles, s_step, method="polar-interp"):
     angles = np.asarray(angles, dtype=float)
     if projections.ndim != 2 or angles.ndim != 1 or projections.shape[0] != angles.size:
         raise ValueError("projections must be (n_angles, n_s) matching angles")
+    _require_finite(projections=projections)
     if angles.size < 2:
         raise ValueError("need at least two projection angles")
     _require_finite(angles=angles)
@@ -129,6 +130,7 @@ def project_image(image, angles, s_step):
     n = image.shape[0]
     if image.shape != (n, n):
         raise ValueError("image must be square")
+    _require_finite(image=image)
     s = (np.arange(n) - (n - 1) / 2.0) * s_step
     u1, u2 = np.meshgrid(s, s, indexing="ij")
     out = np.empty((len(angles), n))

@@ -40,6 +40,7 @@ class SasGeometry:
         rx = np.atleast_1d(np.asarray(self.rx_offsets, dtype=float))
         if rx.size < 1:
             raise ValueError(f"need at least one receiver, got rx_offsets={rx}")
+        _require_finite(rx_offsets=rx)
         object.__setattr__(self, "rx_offsets", rx)
 
     @property
@@ -55,24 +56,6 @@ class SasGeometry:
         y_p = self.ping_positions()
         mid = self.rx_offsets / 2.0
         return y_p[:, None] + mid[None, :]
-
-
-@dataclass(frozen=True)
-class SasScene:
-    """Candidate grid nodes (x range, y along-track) with amplitudes."""
-
-    points: np.ndarray
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if pts.ndim != 2 or pts.shape[1] != 2:
-            raise ValueError("points must be (N, 2) as (range, along-track)")
-        amps = np.asarray(self.amplitudes, dtype=complex)
-        if amps.shape != (pts.shape[0],):
-            raise ValueError("amplitudes must match the number of points")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "amplitudes", amps)
 
 
 def _distances(geom: SasGeometry, points: np.ndarray) -> np.ndarray:
@@ -92,16 +75,13 @@ class SensingModel:
 
     def __init__(self, geometry: SasGeometry, points, frequencies):
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        if points.shape[1] != 2:
-            raise ValueError("points must be (N, 2)")
+        if points.ndim != 2 or points.shape[1] != 2:
+            raise ValueError(f"points must be (N, 2) as (range, along-track), got {points.shape}")
+        _require_finite(points=points)
         freqs = np.asarray(frequencies, dtype=float)
         if freqs.ndim != 1 or freqs.size < 1:
             raise ValueError(f"frequencies must be a nonempty 1-D array, got shape {freqs.shape}")
-        _require_finite(frequencies=freqs)
-        bad = np.count_nonzero(freqs <= 0)
-        if bad:
-            raise ValueError(f"frequencies must be > 0, got frequencies=[{bad} of {freqs.size}"
-                             " entries not positive]")
+        _require_finite_positive(frequencies=freqs)
         dist = _distances(geometry, points)
         if dist.max() > geometry.r_max + 1e-12:
             raise ValueError(
@@ -147,11 +127,12 @@ def build_sensing_model(geom: SasGeometry, points, grid) -> SensingModel:
     return SensingModel(geom, points, grid.frequencies())
 
 
-def simulate_measurements(geom: SasGeometry, scene: SasScene, grid,
+def simulate_measurements(geom: SasGeometry, points, amplitudes, grid,
                           noise_sigma=0.0, seed=None) -> np.ndarray:
-    """d(p, f) stacks over all receivers: A s plus complex white noise."""
-    model = build_sensing_model(geom, scene.points, grid)
-    return add_complex_noise(model.forward(scene.amplitudes), noise_sigma, seed)
+    """d(p, f) stacks over all receivers: A s plus complex white noise, with
+    s the ``amplitudes`` of the (N, 2) (range, along-track) ``points``."""
+    model = build_sensing_model(geom, points, grid)
+    return add_complex_noise(model.forward(amplitudes), noise_sigma, seed)
 
 
 def _soft_threshold(s, t):

@@ -41,6 +41,9 @@ class PointSourceRay:
     position: tuple
     amplitude: complex = 1.0 + 0.0j
 
+    def __post_init__(self):
+        _require_finite(position=self.position)
+
     def _s21(self, lattice: SamplingLattice, f, t_dur):
         """amp*exp(-j*2*pi*f*d/c), d the exact distance of each position."""
         d = np.linalg.norm(lattice.active_positions() - np.asarray(self.position), axis=1)

@@ -43,7 +43,6 @@ from aperture_forge.sar import (
 )
 from aperture_forge.sas import (
     SasGeometry,
-    SasScene,
     SensingModel,
     build_sensing_model,
     sas_sparse,
@@ -356,13 +355,13 @@ def test_09_sas_suite(capsys):
 
     amps = np.zeros(256, dtype=complex)
     amps[120] = 1.0
-    d = simulate_measurements(geom, SasScene(pts, amps), grid)
+    d = simulate_measurements(geom, pts, amps, grid)
     if int(np.argmax(np.abs(model.adjoint(d)))) != 120:
         failures.append("CBF argmax off the scatterer node")
 
     amps2 = np.zeros(256, dtype=complex)
     amps2[40], amps2[200] = 1.0, 0.7j
-    d2 = simulate_measurements(geom, SasScene(pts, amps2), grid)
+    d2 = simulate_measurements(geom, pts, amps2, grid)
     ista = sas_sparse(d2, model, mu=0.05 * pfm, solver="ista", max_iter=60,
                       tol=0.0)
     if not np.all(np.diff(ista.history) <= 1e-9 * ista.history[0]):
@@ -379,7 +378,7 @@ def test_09_sas_suite(capsys):
                 break
         a5 = np.zeros(256, dtype=complex)
         a5[support] = np.exp(2j * np.pi * rng.random(5))
-        dk = simulate_measurements(geom, SasScene(pts, a5), grid,
+        dk = simulate_measurements(geom, pts, a5, grid,
                                    noise_sigma=np.sqrt(5.0 / 100.0),
                                    seed=1000 + seed)
         got = sas_sparse(dk, model, mu=0.05 * pfm, solver="fista",

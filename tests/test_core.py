@@ -23,7 +23,7 @@ from aperture_forge.sar import (
     simulate_phase_history,
     synthesize_capon_data,
 )
-from aperture_forge.sas import SasGeometry, SasScene, simulate_measurements
+from aperture_forge.sas import SasGeometry, simulate_measurements
 from aperture_forge.sounding import (
     FrequencyGrid,
     PlaneWaveRay,
@@ -224,8 +224,7 @@ def _sweep(sigma, seed):
 
 def _sonar(sigma, seed):
     geom = SasGeometry(v_p=3.2, tau_rec=0.05, n_pings=2, rx_offsets=[0.0, 0.04])
-    scene = SasScene([[30.0, 0.1]], [1.0])
-    return simulate_measurements(geom, scene, FrequencyGrid(20e3, 22e3, 1e3),
+    return simulate_measurements(geom, [[30.0, 0.1]], [1.0], FrequencyGrid(20e3, 22e3, 1e3),
                                  sigma, seed)
 
 

@@ -25,7 +25,9 @@ from aperture_forge.core import (
     wavenumber_spectrum,
 )
 from aperture_forge.inversion import (
+    FpSystem,
     amplitude_flow,
+    circular_pupil,
     coded_problem,
     error_reduction,
     fp_recover,
@@ -44,6 +46,7 @@ from aperture_forge.sar import (
     backproject,
     detection_error_probabilities,
     lee_filter,
+    project_image,
     sar_resolutions,
     tomographic_reconstruct,
 )
@@ -52,6 +55,7 @@ from aperture_forge.sar.speckle import _box_mean
 from aperture_forge.sas import SasGeometry, SensingModel, sas_resolutions, sas_sparse
 from aperture_forge.sounding import (
     FrequencyGrid,
+    PointSourceRay,
     SamplingLattice,
     SweepData,
     optimize_sparse_lattice,
@@ -66,6 +70,7 @@ CHIRP = LfmChirp(1e9, 1e6, 1e-5)
 GEOM = SarGeometry(100.0, 400.0, 0.16, 1000.0, 0.03)
 LATTICE = SamplingLattice(4, 4, 0.01, 0.01)
 GRID = FrequencyGrid(1e9, 2e9, 1e8)
+FP = FpSystem(np.ones((4, 4)), circular_pupil(4, 0), [[0, 0]])
 QSAR = dict(power_w=5.0, gain=3162.0, wavelength=0.03, sigma0=0.1, delta_r=1.0,
             standoff=1e5, t0_k=290.0, noise_figure=2.0, l_a=3.0, v=150.0)
 
@@ -198,24 +203,32 @@ FINITE_ARRAY = [
     ("render_image", "grid", 4, lambda x: render_image(_with((2, 2), x), "power")),
     ("sas_sparse", "d_stack", 3, lambda x: sas_sparse(_with(3, x), None, 1.0)),
     ("BrightnessMap", "values", 4, lambda x: BrightnessMap(_with((2, 2), x))),
-    ("SensingModel", "frequencies", 2, lambda x: _sensing_model([1e4, x])),
+    ("SasGeometry", "rx_offsets", 2, lambda x: SasGeometry(3.2, 0.05, 2, _with(2, x))),
+    ("SensingModel", "points", 2, lambda x: _sensing_model(points=_with((1, 2), x))),
+    ("PointSourceRay", "position", 3, lambda x: PointSourceRay(tuple(_with(3, x)))),
     ("tomographic_reconstruct", "angles", 2,
      lambda x: tomographic_reconstruct(np.ones((2, 5)), [0.5, x], 1.0)),
+    ("tomographic_reconstruct", "projections", 36,
+     lambda x: tomographic_reconstruct(_with((4, 9), x), [0.0, 0.5, 1.0, 1.5], 1.0)),
+    ("project_image", "image", 9, lambda x: project_image(_with((3, 3), x), [0.0], 1.0)),
+    ("fp_recover", "intensities", 16, lambda x: fp_recover(_with((1, 4, 4), x), FP, sweeps=1)),
 ]
 
 
-def _sensing_model(frequencies):
-    return SensingModel(SasGeometry(3.2, 0.05, 2, [0.0]), [[30.0, 0.0]], frequencies)
+def _sensing_model(frequencies=(1e4,), points=((30.0, 0.0),)):
+    return SensingModel(SasGeometry(3.2, 0.05, 2, [0.0]), points, frequencies)
 
 
 # (site, key, rule, what breaks it, entries, values that break it, the value
 # at the boundary that passes, call with one entry of the key's array set to
 # the value): a sign rule over an array
 ARRAY_SIGN = [
-    ("BrightnessMap", "values", ">= 0", "negative", 4, [-1.0, -1e-300], 0.0,
+    ("BrightnessMap", "values", ">= 0", "below 0", 4, [-1.0, -1e-300], 0.0,
      lambda x: BrightnessMap(_with((2, 2), x))),
-    ("SensingModel", "frequencies", "> 0", "not positive", 2, [0.0, -1.0], 1e-300,
-     lambda x: _sensing_model([1e4, x])),
+    ("fp_recover", "intensities", ">= 0", "below 0", 16, [-1e-3, -1e-300], 0.0,
+     lambda x: fp_recover(_with((1, 4, 4), x), FP, sweeps=1)),
+    ("SensingModel", "frequencies", "finite and positive", "not finite and positive", 2,
+     [0.0, -1.0, np.nan, np.inf, -np.inf], 1e-300, lambda x: _sensing_model([1e4, x])),
 ]
 
 # (site, key, call with the key set to the value): the rule is >= 0
@@ -314,6 +327,13 @@ def test_the_helpers_name_the_first_bad_key_and_pass_good_values():
         _require_finite_positive(a=1.0, b=np.nan, c=0.0)
     with pytest.raises(ValueError, match=r"^b must be >= 2, got b=nan$"):
         _require_at_least(2, a=3, b=float("nan"), c=0)
+    _require_finite_positive(a=[1e-300, 5.0], b=np.ones((2, 2)))
+    _require_at_least(0, a=np.zeros(3), b=[])
+    with pytest.raises(ValueError, match=r"^b must be >= 0, got b=\[2 of 3 entries below 0\]$"):
+        _require_at_least(0, a=[0.0], b=[-1.0, 0.0, np.nan])
+    message = r"^b must be finite and positive, got b=\[2 of 3 entries not finite and positive\]$"
+    with pytest.raises(ValueError, match=message):
+        _require_finite_positive(a=[1.0], b=np.array([0.0, 1.0, np.inf]))
 
 
 @pytest.mark.parametrize("t_peak_k", [1e-315, 1e-320, 5e-324])
@@ -329,9 +349,10 @@ def _name(node):
 
 def hand_rolled_finite_checks(source):
     """Line of each ``raise ValueError`` inside an ``if`` whose test calls
-    ``isfinite`` on a parameter of the enclosing function.  Inside
-    ``__init__`` and ``__post_init__`` a ``self`` field counts as one; a
-    local does not."""
+    ``isfinite`` on a parameter of the enclosing function, or reads a local
+    assigned from such a call (a count of bad entries, say).  Inside
+    ``__init__`` and ``__post_init__`` a ``self`` field counts as a
+    parameter; a local does not."""
     lines = []
     for func in ast.walk(ast.parse(source)):
         if not isinstance(func, ast.FunctionDef):
@@ -346,12 +367,19 @@ def hand_rolled_finite_checks(source):
                 return init and _name(node.value) == "self"
             return isinstance(node, ast.Name) and node.id in params
 
+        def checks_param(expr):
+            return any(isinstance(call, ast.Call) and _name(call.func) == "isfinite"
+                       and any(is_param(n) for arg in call.args for n in ast.walk(arg))
+                       for call in ast.walk(expr))
+
+        results = {t.id for node in ast.walk(func)
+                   if isinstance(node, ast.Assign) and checks_param(node.value)
+                   for t in node.targets if isinstance(t, ast.Name)}
         for node in ast.walk(func):
             if not isinstance(node, ast.If):
                 continue
-            if not any(isinstance(call, ast.Call) and _name(call.func) == "isfinite"
-                       and any(is_param(n) for arg in call.args for n in ast.walk(arg))
-                       for call in ast.walk(node.test)):
+            if not (checks_param(node.test) or any(isinstance(n, ast.Name) and n.id in results
+                                                   for n in ast.walk(node.test))):
                 continue
             lines += [r.lineno for stmt in node.body + node.orelse for r in ast.walk(stmt)
                       if isinstance(r, ast.Raise) and r.exc is not None
@@ -394,5 +422,14 @@ class Box:
             raise TypeError("only ValueError counts")
         if not np.isfinite(y):
             return None
+
+def counted(z):
+    bad = np.count_nonzero(~np.isfinite(z))
+    if bad:
+        raise ValueError(f"z must be finite; {bad} samples are not")
+    scaled = 2.0 * z
+    n_bad = np.count_nonzero(~np.isfinite(scaled))
+    if n_bad:
+        raise ValueError("a count over a local is out of scope")
 """
-    assert hand_rolled_finite_checks(source) == [7, 11, 16]
+    assert hand_rolled_finite_checks(source) == [7, 11, 16, 32]

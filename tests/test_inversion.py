@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -509,7 +511,9 @@ def test_fp_recover_rejects_negative_or_non_finite_intensities(bad):
     frames = np.stack([fp_acquire(sys, k) for k in range(sys.n_leds)])
     frames[0, 3, 5] = bad
     frames[2, 0, 0] = bad
-    with pytest.raises(ValueError, match="intensities .*; 2 samples are not"):
+    rule, breaks = (">= 0", "below 0") if np.isfinite(bad) else ("finite", "non-finite")
+    got = re.escape(f"intensities=[2 of {frames.size} entries {breaks}]")
+    with pytest.raises(ValueError, match=f"^intensities must be {rule}, got {got}$"):
         fp_recover(frames, sys, sweeps=2)
 
 

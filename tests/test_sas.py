@@ -1,4 +1,5 @@
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from aperture_forge.sas import (
     SasGeometry,
-    SasScene,
     SensingModel,
     build_sensing_model,
     lasso_mu_max,
@@ -48,7 +48,7 @@ def one_point_scene(idx, amp=1.0 + 0.0j):
     pts = scene_points()
     amps = np.zeros(len(pts), dtype=complex)
     amps[idx] = amp
-    return SasScene(pts, amps)
+    return pts, amps
 
 
 def width_at_half_power(values, spacing):
@@ -98,10 +98,15 @@ def test_geometry_rejects_bad_inputs():
 
 
 def test_scene_shape_validation():
-    with pytest.raises(ValueError):
-        SasScene(np.zeros((4, 3)), np.zeros(4, dtype=complex))
-    with pytest.raises(ValueError):
-        SasScene(np.zeros((4, 2)), np.zeros(3, dtype=complex))
+    shape = re.escape("points must be (N, 2) as (range, along-track), got ")
+    with pytest.raises(ValueError, match=shape):
+        simulate_measurements(GEOM, np.zeros((4, 3)), np.zeros(4, dtype=complex), GRID)
+    with pytest.raises(ValueError, match="scattering vector length"):
+        simulate_measurements(GEOM, np.zeros((4, 2)), np.zeros(3, dtype=complex), GRID)
+    # shape[1] is 2, and at two pings of one receiver the stack broadcasts
+    # into a distance table, so only the ndim test stops it
+    with pytest.raises(ValueError, match=shape):
+        SensingModel(SasGeometry(3.2, 0.05, 2, [0.0]), np.full((3, 2, 2), R0), [1e4])
 
 
 # ------------------------------------------------------------------- model
@@ -163,41 +168,39 @@ def test_operator_bound_matches_dense_svd():
 # -------------------------------------------------------------- simulation
 
 def test_empty_scene_measures_zero():
-    scene = SasScene(scene_points(), np.zeros(256, dtype=complex))
-    d = simulate_measurements(GEOM, scene, GRID)
+    d = simulate_measurements(GEOM, scene_points(), np.zeros(256, dtype=complex), GRID)
     assert d.shape == (16, 16, 8)
     assert np.all(d == 0)
 
 
 def test_unit_scatterer_reads_out_steering_column():
     idx = 137
-    d = simulate_measurements(GEOM, one_point_scene(idx), GRID)
+    d = simulate_measurements(GEOM, *one_point_scene(idx), GRID)
     assert np.allclose(d, default_model().tensor[..., idx], atol=1e-12)
 
 
 def test_noise_is_seeded_and_sized():
-    scene = SasScene(scene_points(), np.zeros(256, dtype=complex))
-    d1 = simulate_measurements(GEOM, scene, GRID, noise_sigma=0.5, seed=3)
-    d2 = simulate_measurements(GEOM, scene, GRID, noise_sigma=0.5, seed=3)
+    scene = scene_points(), np.zeros(256, dtype=complex)
+    d1 = simulate_measurements(GEOM, *scene, GRID, noise_sigma=0.5, seed=3)
+    d2 = simulate_measurements(GEOM, *scene, GRID, noise_sigma=0.5, seed=3)
     assert np.array_equal(d1, d2)
     # complex variance sigma^2 split across the parts
     assert np.var(d1.real) + np.var(d1.imag) == pytest.approx(0.25, rel=0.05)
     with pytest.raises(ValueError):
-        simulate_measurements(GEOM, scene, GRID, noise_sigma=-1.0)
+        simulate_measurements(GEOM, *scene, GRID, noise_sigma=-1.0)
 
 
 def test_simulation_rejects_scene_beyond_swath():
     pts = np.array([[50.0, 0.0]])
-    scene = SasScene(pts, np.ones(1, dtype=complex))
     with pytest.raises(ValueError, match="swath"):
-        simulate_measurements(GEOM, scene, GRID)
+        simulate_measurements(GEOM, pts, np.ones(1, dtype=complex), GRID)
 
 
 # --------------------------------------------------------------------- cbf
 
 def test_cbf_peaks_exactly_on_true_node():
     idx = 90
-    d = simulate_measurements(GEOM, one_point_scene(idx), GRID)
+    d = simulate_measurements(GEOM, *one_point_scene(idx), GRID)
     s_hat = default_model().adjoint(d)
     assert int(np.argmax(np.abs(s_hat))) == idx
     assert s_hat[idx] == pytest.approx(PFM, rel=1e-12)
@@ -245,10 +248,10 @@ def test_cbf_noise_floor_scales_with_stack_size():
                         n_pings=int(n_p), rx_offsets=GEOM.rx_offsets)
         pts = scene_points()
         model = SensingModel(g, pts, GRID.frequencies())
-        scene = SasScene(pts, np.zeros(len(pts), dtype=complex))
+        amps = np.zeros(len(pts), dtype=complex)
         acc = []
         for draw in range(4):
-            d = simulate_measurements(g, scene, GRID, noise_sigma=sigma,
+            d = simulate_measurements(g, pts, amps, GRID, noise_sigma=sigma,
                                       seed=100 * i + draw)
             acc.append(np.mean(np.abs(model.adjoint(d)) ** 2))
         powers.append(np.mean(acc))
@@ -267,7 +270,7 @@ def test_ista_objective_monotone():
     amps = np.zeros(256, dtype=complex)
     amps[idx[0]] = 1.0
     amps[idx[1]] = 0.7j
-    d = simulate_measurements(GEOM, SasScene(pts, amps), GRID)
+    d = simulate_measurements(GEOM, pts, amps, GRID)
     res = sas_sparse(d, default_model(), mu=0.05 * PFM, solver="ista",
                      max_iter=60, tol=0.0)
     diffs = np.diff(res.history)
@@ -279,7 +282,7 @@ def test_ista_objective_monotone():
 
 
 def test_fista_no_worse_than_ista_at_equal_budget():
-    d = simulate_measurements(GEOM, one_point_scene(150, 1.2), GRID,
+    d = simulate_measurements(GEOM, *one_point_scene(150, 1.2), GRID,
                               noise_sigma=0.3, seed=21)
     kw = dict(mu=0.05 * PFM, max_iter=60, tol=0.0)
     f_obj = sas_sparse(d, default_model(), solver="fista", **kw).history[-1]
@@ -288,7 +291,7 @@ def test_fista_no_worse_than_ista_at_equal_budget():
 
 
 def test_mu_above_peak_correlation_shuts_everything_off():
-    d = simulate_measurements(GEOM, one_point_scene(100), GRID,
+    d = simulate_measurements(GEOM, *one_point_scene(100), GRID,
                               noise_sigma=0.2, seed=5)
     # independent evaluation of ||A^H d||_inf via explicit per-snapshot
     # matrix products, not the model's adjoint path
@@ -306,7 +309,7 @@ def test_mu_above_peak_correlation_shuts_everything_off():
 
 def test_noiseless_single_point_recovers_within_shrinkage():
     idx, amp = 120, 0.8 * np.exp(0.3j)
-    d = simulate_measurements(GEOM, one_point_scene(idx, amp), GRID)
+    d = simulate_measurements(GEOM, *one_point_scene(idx, amp), GRID)
     mu = 0.05 * PFM * abs(amp)
     res = sas_sparse(d, default_model(), mu=mu, solver="fista",
                      max_iter=400, tol=1e-12)
@@ -331,7 +334,7 @@ def test_support_recovery_k5_at_20db():
         amps[support] = np.exp(2j * np.pi * rng.random(5))
         # 20 dB per-sample SNR: E|As|^2 = K for unit unimodular terms
         sigma = np.sqrt(5.0 / 100.0)
-        d = simulate_measurements(GEOM, SasScene(pts, amps), GRID,
+        d = simulate_measurements(GEOM, pts, amps, GRID,
                                   noise_sigma=sigma, seed=1000 + seed)
         res = sas_sparse(d, default_model(), mu=0.05 * PFM, solver="fista",
                          max_iter=300, tol=1e-10)
@@ -357,7 +360,7 @@ def test_sparse_rejects_non_finite_data(bad):
 
 
 def test_mu_max_is_the_shutoff_point():
-    d = simulate_measurements(GEOM, one_point_scene(8), GRID)
+    d = simulate_measurements(GEOM, *one_point_scene(8), GRID)
     m = default_model()
     assert lasso_mu_max(d, m) == pytest.approx(np.max(np.abs(m.adjoint(d))))
     with pytest.raises(ValueError):
