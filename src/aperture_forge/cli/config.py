@@ -67,15 +67,22 @@ class RunConfig:
 
 def _coerce(name, value, expected):
     """Type-check one field; JSON integers are accepted for floats, the
-    NaN and Infinity tokens that Python's json reads are not."""
+    NaN and Infinity tokens that Python's json reads are not.  Numbers
+    must fit numpy's float64 and int64."""
     if expected is float:
         # bool is an int subclass and must not pass as a number
         if isinstance(value, (int, float)) and not isinstance(value, bool):
-            if not math.isfinite(value):
+            try:
+                number = float(value)
+            except OverflowError:  # an integer past float64's range
+                number = math.inf
+            if not math.isfinite(number):
                 raise TypeMismatchError(f"{name}: expected a finite number, got {value}")
-            return float(value)
+            return number
     elif expected is int:
         if isinstance(value, int) and not isinstance(value, bool):
+            if not -2 ** 63 <= value < 2 ** 63:
+                raise TypeMismatchError(f"{name}: expected a 64-bit integer, got {value}")
             return value
     elif isinstance(value, expected):
         return value
@@ -134,9 +141,9 @@ def parse_config(path, scenario=None, seed=None, out_dir=None) -> RunConfig:
             defaulted.append(f"params.{key}")
 
     if seed is None and "seed" in raw:
-        seed = _coerce("seed", raw["seed"], int)
-    if seed is not None and not 0 <= seed < 2 ** 64:
-        raise TypeMismatchError("seed must fit in an unsigned 64-bit integer")
+        seed = raw["seed"]
+    if seed is not None and (type(seed) is not int or not 0 <= seed < 2 ** 64):
+        raise TypeMismatchError(f"seed: expected an unsigned 64-bit integer, got {seed!r}")
 
     if out_dir is None:
         if "out" in raw:

@@ -27,9 +27,14 @@ _HORIZON_EPS = 1e-12
 def _require(rule, breaks, holds, values):
     """Reject the first scalar or array in ``values`` where ``holds`` is not
     true throughout: "KEY must be RULE, got KEY=VALUE", where an array's
-    VALUE is its count of bad entries, "[k of n entries BREAKS]"."""
+    VALUE is its count of bad entries, "[k of n entries BREAKS]".  A Python
+    int is tested as the float64 it rounds to, +-inf past float64's range."""
     for key, value in values.items():
-        bad = np.size(value) - np.count_nonzero(holds(value))
+        try:
+            tested = float(value) if isinstance(value, int) else value
+        except OverflowError:
+            tested = np.inf if value > 0 else -np.inf
+        bad = np.size(tested) - np.count_nonzero(holds(tested))
         if bad:
             got = f"[{bad} of {np.size(value)} entries {breaks}]" if np.ndim(value) else value
             raise ValueError(f"{key} must be {rule}, got {key}={got}")

@@ -27,9 +27,4 @@ from .capon import (
     synthesize_capon_data,
 )
 from .speckle import apply_speckle, lee_filter
-from .qsar import (
-    QsarParams,
-    detection_error_probabilities,
-    qsar_metrics,
-    snr_linear,
-)
+from .qsar import QsarParams, detection_error_probabilities, qsar_metrics

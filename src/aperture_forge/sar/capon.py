@@ -52,17 +52,13 @@ class CaponProblem:
     def sample_covariance(self) -> np.ndarray:
         """Mean outer product over 75%-overlapped sub-blocks of Z."""
         p, l = self.block_shape
-        m, n = self.z.shape
-        hop_p = max(p // 4, 1)
-        hop_l = max(l // 4, 1)
+        blocks = np.lib.stride_tricks.sliding_window_view(self.z, (p, l))
+        snaps = blocks[::max(p // 4, 1), ::max(l // 4, 1)].reshape(-1, p * l)
+        # one outer product at a time: one GEMM over the stack moves bits
         acc = np.zeros((p * l, p * l), dtype=complex)
-        count = 0
-        for i in range(0, m - p + 1, hop_p):
-            for j in range(0, n - l + 1, hop_l):
-                snap = self.z[i:i + p, j:j + l].ravel()
-                acc += np.outer(snap, np.conj(snap))
-                count += 1
-        return acc / count
+        for snap in snaps:
+            acc += np.outer(snap, np.conj(snap))
+        return acc / len(snaps)
 
 
 @dataclass(frozen=True)

@@ -43,17 +43,6 @@ class QsarParams:
             raise ValueError(f"theta_deg must be in (0, 90), got theta_deg={self.theta_deg}")
 
 
-def snr_linear(p: QsarParams) -> float:
-    theta = np.deg2rad(p.theta_deg)
-    num = p.power_w * p.gain ** 2 * p.wavelength ** 3 * p.sigma0 * p.delta_r
-    den = (
-        2.0 * (4.0 * np.pi) ** 3 * p.standoff ** 3
-        * K_BOLTZMANN * p.t0_k * p.noise_figure
-        * p.l_a * p.v * np.cos(theta)
-    )
-    return num / den
-
-
 def detection_error_probabilities(snr) -> dict:
     """Classical vs entangled single-shot error bounds at the linear
     ``snr`` >= 0 (+inf gives 0): eps_c = exp(-snr/4)/2, eps_q = exp(-snr)/2.
@@ -72,7 +61,13 @@ def qsar_metrics(p: QsarParams) -> dict:
     clear_image flags whether the budget clears the 5 dB floor below
     which imagery is considered unusable.
     """
-    s = snr_linear(p)
+    num = p.power_w * p.gain ** 2 * p.wavelength ** 3 * p.sigma0 * p.delta_r
+    den = (
+        2.0 * (4.0 * np.pi) ** 3 * p.standoff ** 3
+        * K_BOLTZMANN * p.t0_k * p.noise_figure
+        * p.l_a * p.v * np.cos(np.deg2rad(p.theta_deg))
+    )
+    s = num / den
     eps = detection_error_probabilities(s)
     snr_db = 10.0 * np.log10(s)
     return {

@@ -22,6 +22,13 @@ def _bilinear(table, i, j, ti, tj):
     )
 
 
+def _cell(g, n):
+    """Cell of the fractional index g on an n-point axis: lower index i,
+    offset t in [0, 1], and whether g lies on the grid, 0 <= g <= n - 1."""
+    i = np.clip(np.floor(g).astype(int), 0, n - 2)
+    return i, np.clip(g - i, 0.0, 1.0), (g >= 0) & (g <= n - 1)
+
+
 def _polar_interp(projections, angles, s_step):
     n_angles, n_s = projections.shape
     s0 = -(n_s - 1) / 2.0 * s_step
@@ -53,10 +60,8 @@ def _polar_interp(projections, angles, s_step):
     ta = np.clip(ta, 0.0, 1.0)
 
     d_omega = omega_asc[1] - omega_asc[0]
-    jr = (rho.ravel() - omega_asc[0]) / d_omega
-    inside = (jr >= 0.0) & (jr <= n_s - 1) & (np.abs(rho.ravel()) <= np.max(np.abs(omega_asc)))
-    jr_lo = np.clip(np.floor(jr).astype(int), 0, n_s - 2)
-    tr = np.clip(jr - jr_lo, 0.0, 1.0)
+    jr_lo, tr, inside = _cell((rho.ravel() - omega_asc[0]) / d_omega, n_s)
+    inside &= np.abs(rho.ravel()) <= np.max(np.abs(omega_asc))
 
     val = _bilinear(slices, ja, jr_lo, ta, tr)
     val[~inside] = 0.0
@@ -137,13 +142,8 @@ def project_image(image, angles, s_step):
     for j, th in enumerate(angles):
         x1 = u1 * np.cos(th) - u2 * np.sin(th)
         x2 = u1 * np.sin(th) + u2 * np.cos(th)
-        g1 = (x1 - s[0]) / s_step
-        g2 = (x2 - s[0]) / s_step
-        i1 = np.clip(np.floor(g1).astype(int), 0, n - 2)
-        i2 = np.clip(np.floor(g2).astype(int), 0, n - 2)
-        t1 = np.clip(g1 - i1, 0.0, 1.0)
-        t2 = np.clip(g2 - i2, 0.0, 1.0)
-        valid = (g1 >= 0) & (g1 <= n - 1) & (g2 >= 0) & (g2 <= n - 1)
-        rot = np.where(valid, _bilinear(image, i1, i2, t1, t2), 0.0)
+        i1, t1, on1 = _cell((x1 - s[0]) / s_step, n)
+        i2, t2, on2 = _cell((x2 - s[0]) / s_step, n)
+        rot = np.where(on1 & on2, _bilinear(image, i1, i2, t1, t2), 0.0)
         out[j] = rot.sum(axis=1) * s_step
     return out

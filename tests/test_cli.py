@@ -733,17 +733,31 @@ def test_each_warm_scenario_holds_at_most_6_mib_at_its_defaults(tmp_path):
 
 
 def test_non_finite_config_number_exits_4_without_a_report(tmp_path, capsys):
-    # Python's json reads the NaN and Infinity tokens as floats
-    for key, token in (("tol", "NaN"), ("f_max_hz", "Infinity")):
+    # Python's json reads the NaN and Infinity tokens as floats; the last two
+    # numbers overflow float64 and int64
+    for name, key, token in (("sound-constants", "tol", "NaN"),
+                             ("sound-constants", "f_max_hz", "Infinity"),
+                             ("sas-recon", "v_p_mps", str(10 ** 400)),
+                             ("sas-recon", "n_pings", str(10 ** 30))):
         cfg = tmp_path / f"{key}.json"
-        cfg.write_text('{"scenario": "sound-constants", "params": {"%s": %s}}' % (key, token))
+        cfg.write_text('{"scenario": "%s", "params": {"%s": %s}}' % (name, key, token))
         out = tmp_path / key
-        code = main(["sound-constants", "--config", str(cfg), "--out", str(out)])
+        code = main([name, "--config", str(cfg), "--out", str(out)])
         err = json.loads(capsys.readouterr().err)
         assert code == 4
         assert err["error"]["kind"] == "TypeMismatchError"
         assert f"params.{key}" in err["error"]["message"]
         assert not out.exists()
+
+
+def test_every_number_key_refuses_a_401_digit_integer(tmp_path):
+    keys = [(name, key) for name, scen in sorted(REGISTRY.items())
+            for key, default in scen.params.items() if type(default) in (float, int)]
+    assert len({type(REGISTRY[name].params[key]) for name, key in keys}) == 2
+    for name, key in keys:
+        path = write_config(tmp_path, {"scenario": name, "params": {key: 10 ** 400}})
+        with pytest.raises(TypeMismatchError, match=f"^params\\.{key}: "):
+            parse_config(path)
 
 
 def test_main_reports_machine_readable_errors(tmp_path, capsys):

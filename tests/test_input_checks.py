@@ -252,7 +252,11 @@ INF_IS_A_LIMIT = [
 ]
 
 
-@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+# a Python int past float64's range reads as inf
+HUGE_INT = pytest.param(10 ** 400, id="10**400")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, HUGE_INT])
 @pytest.mark.parametrize("site, key, call", FINITE, ids=[f"{s}-{k}" for s, k, _ in FINITE])
 def test_a_finite_input_rejects_nan_and_inf(site, key, call, value):
     with pytest.raises(ValueError, match=f"^{key} must be finite, got {key}={value}$"):
@@ -300,7 +304,7 @@ def test_an_input_with_a_limit_at_inf_accepts_inf(site, key, call, limit):
     assert limit(call(np.inf))
 
 
-@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("value", [0.0, -1.0, np.nan, np.inf, -np.inf, HUGE_INT])
 @pytest.mark.parametrize("site, key, call", POSITIVE, ids=[f"{s}-{k}" for s, k, _ in POSITIVE])
 def test_a_positive_input_rejects_zero_negative_and_non_finite(site, key, call, value):
     with pytest.raises(ValueError, match=rf"(?<![\w.]){key}={value}(?![\w.])"):

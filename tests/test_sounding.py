@@ -521,6 +521,32 @@ def test_spherical_far_limit_is_plane_padp():
     assert np.max(np.abs(sp.amplitude[0] - pl.amplitude)) / denom < 1e-3
 
 
+def _spherical_padp_as_expressions(sweep, direction, ranges):
+    """spherical_padp's amplitudes for every range at once, with its
+    distances and profile written out: the oracle for its per-range loop."""
+    src = ranges[:, None] * np.array([direction.u, direction.v, direction.w])
+    offset = sweep.lattice.active_positions()[None, :, :] - src[:, None, :]
+    d = np.sqrt(offset[..., 0] ** 2 + offset[..., 1] ** 2 + offset[..., 2] ** 2)
+    f = sweep.grid.frequencies()
+    w = np.exp(-1j * 2.0 * np.pi * f * (d[:, :, None] - ranges[:, None, None]) / C_LIGHT)
+    b = np.sum(np.conj(w) * sweep.s21, axis=1)
+    return np.fft.ifft(b * np.hamming(sweep.grid.s), 4 * sweep.grid.s, axis=1) * 4
+
+
+def test_spherical_padp_matches_the_expression_form_bitwise():
+    # sound-padp's default sweep plus noise: its report reads these
+    # amplitudes only through the argmax of their power
+    lat = SamplingLattice(8, 8, 0.00545, 0.00545)
+    grid = FrequencyGrid(26.5e9, 27.5e9, 25e6)
+    rays = [PlaneWaveRay(0.3, 0.0, 10e-9), PlaneWaveRay(-0.2, 0.1, 25e-9, 0.5),
+            PointSourceRay((0.5, 0.3, 6.0), 0.8)]
+    sweep = synthesize_sweep(rays, lat, grid, 0.1, 1)
+    r = np.linalg.norm([0.5, 0.3, 6.0])
+    look = Direction(0.5 / r, 0.3 / r)
+    sph = spherical_padp(sweep, look, 3.0, 9.0, 0.25)
+    assert np.array_equal(sph.amplitude, _spherical_padp_as_expressions(sweep, look, sph.ranges))
+
+
 def test_spherical_rejects_in_plane_source():
     lat, grid = _small_setup(s=21, m=3)
     sw = synthesize_sweep([], lat, grid)

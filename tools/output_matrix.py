@@ -7,7 +7,8 @@ set, runs each scenario on its default config through the CLI's config
 parsing into OUT/<scenario>/seed<k>-threads<t>: 14 scenarios x 2 seeds x
 2 thread counts = 56 directories (in a temporary directory when OUT is
 not given).  The program is imported from the ``src/`` beside this
-script.  Exits non-zero naming the first run that fails.
+script.  The interpreters run with ``-W error``, so a warning fails its
+run.  Exits non-zero naming the first run that fails.
 
 ``--record FILE`` writes the SHA-256 of every file in the 56 directories,
 with the numpy and BLAS versions they were made with, to FILE as JSON.
@@ -37,12 +38,14 @@ THREAD_DEPENDENT = ("pr-recover", "sound-padp", "sound-squint", "waveform-ambigu
 
 def write_matrix(out, scenarios):
     """Run ``write_in_process`` in one fresh interpreter per BLAS thread
-    count; a failing run exits naming its directory."""
+    count, with warnings as errors; a failing run exits naming its
+    directory."""
     code = (f"import output_matrix; "
             f"output_matrix.write_in_process({str(out)!r}, {list(scenarios)!r})")
     for threads in BLAS_THREADS:
         env = dict(os.environ, PYTHONPATH=str(TOOLS), OPENBLAS_NUM_THREADS=str(threads))
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+        done = subprocess.run([sys.executable, "-W", "error", "-c", code],
+                              capture_output=True, text=True, env=env)
         if done.returncode != 0:
             raise SystemExit(f"threads {threads}: exit {done.returncode}\n{done.stderr}")
 
