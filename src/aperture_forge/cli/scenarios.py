@@ -230,7 +230,7 @@ def _run_sound_padp(seed, sink, *, m=8, n=8, d_m=0.00545, f_start_hz=26.5e9,
 
     src_range = float(np.linalg.norm(src))
     src_look = Direction(src[0] / src_range, src[1] / src_range)
-    sph = spherical_padp(sweep, src_look, r_start_m, r_stop_m, r_step_m)
+    ranges, sph = spherical_padp(sweep, src_look, r_start_m, r_stop_m, r_step_m)
     r_pk = int(np.unravel_index(np.argmax(sph.power), sph.power.shape)[0])
 
     # sanity check on the core field model: a sampled plane wave must
@@ -249,7 +249,7 @@ def _run_sound_padp(seed, sink, *, m=8, n=8, d_m=0.00545, f_start_hz=26.5e9,
     return {
         "peak_delay_ns": pdp.delays[i_pk] * 1e9,
         "peak_power_db": 10.0 * np.log10(pdp.power[i_pk]),
-        "sph_peak_range_m": sph.ranges[r_pk],
+        "sph_peak_range_m": ranges[r_pk],
         "src_range_m": src_range,
         "field_k_pred_cyc_m": look.u * f_probe / C_LIGHT,
         "field_k_meas_cyc_m": k_meas,
@@ -520,7 +520,8 @@ def _run_sas_recon(seed, sink, *, v_p_mps=3.2, tau_rec_s=0.05, n_pings=8, n_rx=4
         "support_ok": top2 == {target1, target2},
         "mu_used": mu,
         "mu_max": mu_max,
-        "objective_final": sp.history[-1],
+        # a max_iter stop returns the best iterate, whose objective is the least seen
+        "objective_final": sp.history.min() if sp.stop == "max_iter" else sp.history[-1],
         "converged": sp.stop == "converged",
         "n_iter": sp.n_iter,
         "range_resolution_m": res["range_resolution_m"],
@@ -645,8 +646,8 @@ def _run_radiometry_roundtrip(seed, sink, *, n_u=17, du=0.45, sigma_l=0.15, n_th
         "t_measured_k": measured_temperature(bmap),
         "v_zero_k": float(vis[(n_u // 2) * n_u + n_u // 2].real),
         "rel_l2_err": err,
-        "negative_fraction": image.info["negative_fraction"],
-        "imag_residual": image.info["imag_residual"],
+        "negative_fraction": image.negative_fraction,
+        "imag_residual": image.imag_residual,
         "mrla_spacings": ",".join(str(s) for s in spacings),
     }
 

@@ -41,8 +41,13 @@ def _require(rule, breaks, holds, values):
 
 
 def _require_at_least(least, **counts):
-    """Reject the first value below ``least`` (NaN counts as below)."""
-    _require(f">= {least}", f"below {least}", lambda v: np.greater_equal(v, least), counts)
+    """Reject the first value below ``least`` (NaN counts as below) or
+    a Python int outside int64's [-2**63, 2**63)."""
+    for key, value in counts.items():
+        if isinstance(value, int) and not -2 ** 63 <= value < 2 ** 63:
+            raise ValueError(f"{key} must be a 64-bit integer, got {key}={value}")
+        _require(f">= {least}", f"below {least}", lambda v: np.greater_equal(v, least),
+                 {key: value})
 
 
 def _require_finite(**values):

@@ -8,7 +8,7 @@ linear array search.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,9 +147,14 @@ def visibility_samples(bmap: BrightnessMap, baselines: BaselineSet) -> np.ndarra
 
 @dataclass(frozen=True)
 class TemperatureImage:
+    """Temperature pixels on the (l, m) grid, the share of disc pixels that
+    ring negative, and the raw transform's largest imaginary part over its
+    largest magnitude."""
+
     values: np.ndarray
     l: np.ndarray  # pixel direction cosines of each axis, l and m alike
-    info: dict = field(default_factory=dict)
+    negative_fraction: float
+    imag_residual: float
 
 
 def invert_visibilities(values, baselines: BaselineSet,
@@ -185,10 +190,7 @@ def invert_visibilities(values, baselines: BaselineSet,
     negative_fraction = float(np.count_nonzero(t[disc] < 0) / n_disc) if n_disc else 0.0
     if clip_negative:
         t = np.maximum(t, 0.0)
-    return TemperatureImage(t, l_ax, {
-        "negative_fraction": negative_fraction,
-        "imag_residual": imag_residual,
-    })
+    return TemperatureImage(t, l_ax, negative_fraction, imag_residual)
 
 
 def mrla_spacings(n_elements) -> np.ndarray:

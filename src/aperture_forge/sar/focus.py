@@ -4,7 +4,7 @@ All three consume the same PhaseHistory.  Backprojection is the
 time-domain reference the frequency-domain focusers are tested against.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,12 +16,13 @@ from .scene import PhaseHistory
 @dataclass(frozen=True)
 class SarImage:
     """Focused complex image: rows at cross-range ``x`` (m), columns at
-    slant range ``r`` (m)."""
+    slant range ``r`` (m).  ``zeroed_bins`` counts the spectral samples
+    the focuser zeroed because they lie outside its support."""
 
     pixels: np.ndarray
     x: np.ndarray
     r: np.ndarray
-    info: dict = field(default_factory=dict)
+    zeroed_bins: int
 
     @property
     def magnitude(self) -> np.ndarray:
@@ -74,7 +75,8 @@ def backproject(ph: PhaseHistory, x_grid, r_grid) -> SarImage:
     Every pulse is range-compressed, sampled (linearly interpolated) at
     each pixel's two-way delay, counter-rotated by the carrier phase for
     that exact geometry and accumulated.  A unit point target therefore
-    integrates to n_pulses * chirp energy at its own pixel.
+    integrates to n_pulses * chirp energy at its own pixel.  Nothing is
+    zeroed: ``zeroed_bins`` is 0.
     """
     x_grid = _uniform_grid(x_grid, "x_grid")
     r_grid = _uniform_grid(r_grid, "r_grid")
@@ -98,7 +100,7 @@ def backproject(ph: PhaseHistory, x_grid, r_grid) -> SarImage:
         big_r = np.sqrt(rr ** 2 + (ph.geometry.v * t_p - xx) ** 2)
         m = ((2.0 * big_r / C_LIGHT) - tau_c0) * ph.f_s
         image += _interp_complex(m, rows, rc[:, p]) * np.exp(1j * 4.0 * np.pi * big_r / lam)
-    return SarImage(image, x_grid, r_grid)
+    return SarImage(image, x_grid, r_grid, 0)
 
 
 def omega_k_focus(ph: PhaseHistory) -> SarImage:
@@ -110,9 +112,9 @@ def omega_k_focus(ph: PhaseHistory) -> SarImage:
     interpolation collapses), and each kx column is mapped onto the
     uniform kz grid defined by the kx = 0 relation kz = 4*pi*f/c (the
     exploding-source two-way wavenumber).  Samples that would require
-    |kx| > k_r (evanescent) are zeroed; their count is reported in
-    ``info["evanescent_bins"]``.  A 2-D inverse FFT lands the image on
-    the pulse-position x grid and a slant-range grid starting at the
+    |kx| > k_r (evanescent) are zeroed; ``zeroed_bins`` counts these
+    (f, kx) samples.  A 2-D inverse FFT lands the image on the
+    pulse-position x grid and a slant-range grid starting at the
     compressed window's leading edge.
     """
     rc, tau_c0 = _range_compress(ph)
@@ -158,7 +160,7 @@ def omega_k_focus(ph: PhaseHistory) -> SarImage:
 
     x = ph.geometry.v * ph.geometry.slow_times()[0] + d_x * np.arange(n_x)
     r = z_start + C_LIGHT / (2.0 * f_s) * np.arange(n_z)
-    return SarImage(spec.T, x, r, {"evanescent_bins": evanescent})
+    return SarImage(spec.T, x, r, evanescent)
 
 
 def _doppler_sine(f_dop, v, wavelength, clamp=False):
@@ -197,8 +199,8 @@ def chirp_scaling_focus(ph: PhaseHistory) -> SarImage:
     reference range, the geometry's ``r1``), bulk RCMC plus range focus
     in the 2-D spectrum, and residual azimuth/phase matching back in
     range-Doppler.  Doppler bins at or beyond |lambda f / 2V| = 1 have no
-    stationary-phase support; they are zeroed and counted in
-    ``info["clamped_bins"]``.
+    stationary-phase support; they are zeroed, and ``zeroed_bins`` counts
+    these Doppler bins.
     """
     r_ref = ph.geometry.r1
     data = ph.data
@@ -257,4 +259,4 @@ def chirp_scaling_focus(ph: PhaseHistory) -> SarImage:
     image = np.fft.ifft(rd, axis=1, out=rd)
     x = v * ph.geometry.slow_times()[0] + v / ph.geometry.prf * np.arange(n_pulses)
     r = C_LIGHT * ph.tau0 / 2.0 + C_LIGHT / (2.0 * f_s) * np.arange(n_fast)
-    return SarImage(image.T, x, r, {"clamped_bins": clamped})
+    return SarImage(image.T, x, r, clamped)

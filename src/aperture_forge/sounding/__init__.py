@@ -13,7 +13,6 @@ from .padp import (
     Pdp,
     PlaneWaveRay,
     PointSourceRay,
-    SphericalPadp,
     SweepData,
     delay_slice,
     padp,

@@ -104,7 +104,8 @@ def two_ray_path_loss(rho: float, phi: float) -> float:
 
 @dataclass(frozen=True)
 class Pdp:
-    """Directional power delay profile (complex amplitude retained)."""
+    """Power delay profile (complex amplitude retained); the last axis of
+    ``amplitude`` runs over ``delays``."""
 
     delays: np.ndarray
     amplitude: np.ndarray
@@ -167,33 +168,21 @@ def source_distances(
     return np.linalg.norm(lattice.active_positions() - src, axis=1)
 
 
-@dataclass(frozen=True)
-class SphericalPadp:
-    """Range-resolved near-field beamformer output."""
-
-    ranges: np.ndarray
-    delays: np.ndarray
-    amplitude: np.ndarray  # (len(ranges), len(delays))
-
-    @property
-    def power(self) -> np.ndarray:
-        return np.abs(self.amplitude) ** 2
-
-
 def spherical_padp(
     sweep: SweepData,
     direction: Direction,
     r_start: float,
     r_stop: float,
     r_step: float,
-) -> SphericalPadp:
+) -> tuple[np.ndarray, Pdp]:
     """Near-field PADP: focus at a sequence of candidate ranges.
 
     For each range hop the steering phase matches a spherical wavefront
     from the virtual source at that range along the look direction,
     referenced to the lattice center so the delay axis still reads the
     source's center delay.  Taper and padding are padp's (Hamming, 4x),
-    so far hops converge to the plane-wave padp.
+    so far hops converge to the plane-wave padp.  Returns the ranges and
+    one Pdp whose amplitude has a row per range: (len(ranges), n_delay).
     """
     _require_finite_positive(r_start=r_start, r_step=r_step)
     if not r_stop >= r_start:
@@ -208,4 +197,4 @@ def spherical_padp(
         w = np.exp(-1j * 2.0 * np.pi * f[None, :] * (d[:, None] - r) / C_LIGHT)
         b = np.sum(np.conj(w) * sweep.s21, axis=0)
         delays, out[i] = _profile(b, sweep.grid)
-    return SphericalPadp(ranges=ranges, delays=delays, amplitude=out)
+    return ranges, Pdp(delays=delays, amplitude=out)

@@ -27,6 +27,7 @@ from aperture_forge.cli.config import (
 from aperture_forge.cli.main import main
 from aperture_forge.cli.scenarios import REGISTRY, run
 from aperture_forge.core import SeedRequired
+from aperture_forge.sas import sas_sparse
 from aperture_forge.sounding import FrequencyGrid, PlaneWaveRay, SamplingLattice, synthesize_sweep
 
 SCENARIOS_SRC = pathlib.Path(inspect.getsourcefile(run))
@@ -579,6 +580,24 @@ def test_weak_return_residual_matches_the_clipped_slices(tmp_path, monkeypatch, 
         1, ArtifactSink(tmp_path, False, False), n_bins=n_bins, sep_bins=sep_bins)
     want = _weak_margin_loop_oracle(seen["rc"], strong, weak)
     assert metrics["rmmse_weak_margin_db"] == want
+
+
+def test_sas_recon_reports_the_objective_of_the_iterate_it_returns(tmp_path, monkeypatch):
+    # at max_iter 20 FISTA stops "max_iter" and returns its best iterate,
+    # not its last
+    seen = {}
+
+    def keeps(d, model, mu, **kwargs):
+        seen.update(d=d, model=model, mu=mu, result=sas_sparse(d, model, mu, **kwargs))
+        return seen["result"]
+
+    monkeypatch.setattr("aperture_forge.cli.scenarios.sas_sparse", keeps)
+    metrics = REGISTRY["sas-recon"].runner(1, ArtifactSink(tmp_path, False, False), max_iter=20)
+    x = seen["result"].x
+    assert seen["result"].stop == "max_iter"
+    r = seen["model"].forward(x) - seen["d"]
+    objective = 0.5 * np.vdot(r, r).real + seen["mu"] * np.sum(np.abs(x))
+    assert metrics["objective_final"] == pytest.approx(objective, rel=1e-12)
 
 
 @pytest.mark.parametrize("scenario", sorted(REGISTRY))

@@ -318,6 +318,13 @@ def test_a_count_rejects_one_below_its_least(site, key, least, call):
         call(least - 1)
 
 
+@pytest.mark.parametrize("site, key, least, call", AT_LEAST,
+                         ids=[f"{s}-{k}" for s, k, _, _ in AT_LEAST])
+def test_a_count_rejects_an_int_past_int64(site, key, least, call):
+    with pytest.raises(ValueError, match=f"^{key} must be a 64-bit integer, got {key}={2 ** 63}$"):
+        call(2 ** 63)
+
+
 def test_the_helpers_name_the_first_bad_key_and_pass_good_values():
     _require_finite_positive(a=1e-300, b=5)
     _require_at_least(2, a=2, b=3.5)

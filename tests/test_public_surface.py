@@ -1,6 +1,6 @@
 """Public surface must be reached by the program or by the acceptance gate.
 
-Five checks of the public surface, each an ast walk:
+Six checks of the public surface, each an ast walk:
 
 * Every public top-level function and class is reached.  It is reached
   when another module of the package (re-exports in ``__init__.py`` do
@@ -11,8 +11,8 @@ Five checks of the public surface, each an ast walk:
   module of the package, in ``tests/test_acceptance.py``, or in reached
   code of its own module outside its own body.  Members are matched by
   attribute name only: a member that shares its name with a reached
-  member of another class (``.power`` of two profile classes, say)
-  passes unseen.
+  member of another class (``.n`` of the two phaseless problem classes,
+  say) passes unseen.
 * Every defaulted parameter is passed, by keyword or by position, by
   some call in ``src/``, ``perfbench/`` or ``tests/test_acceptance.py``;
   unit tests do not count.  It covers public functions and methods, and
@@ -31,8 +31,11 @@ Five checks of the public surface, each an ast walk:
   ``None`` (``field(..., init=False)`` fields are not constructor
   fields): an optional field is the start of a union of cases, which
   take one type each.
+* No public dataclass in a library layer (any module outside ``cli``)
+  declares a ``dict``-annotated field: a bag whose keys depend on the
+  code that filled it, where a result should name its fields.
 
-A sixth walk keeps the layers apart: each library layer (a top-level
+A seventh walk keeps the layers apart: each library layer (a top-level
 module or subpackage other than ``cli``) imports only ``core`` and its
 own package.  ``sar`` importing ``waveforms`` is the one exception.
 
@@ -304,6 +307,18 @@ def _none_defaults(modules):
             if isinstance(default, ast.Constant) and default.value is None]
 
 
+def _dict_fields(modules):
+    """``module.Class.field`` for every ``dict`` or ``dict[...]`` annotated
+    field of a public dataclass outside the ``cli`` layer."""
+    return [f"{module}.{node.name}.{field.target.id}" for module, tree in modules.items()
+            if module.split(".")[0] != "cli"
+            for node in tree.body if isinstance(node, ast.ClassDef)
+            and not node.name.startswith("_") and _is_dataclass(node)
+            for field in node.body if isinstance(field, ast.AnnAssign)
+            and isinstance(field.target, ast.Name)
+            and ast.unparse(field.annotation).split("[")[0] == "dict"]
+
+
 # sar's scene and focus take the pulse model (LfmChirp, matched_filter and
 # the envelope sampler) from waveforms
 CROSS_LAYER_IMPORTS = {("sar", "waveforms")}
@@ -362,6 +377,10 @@ def test_no_parameter_is_set_alike_by_every_call():
 
 def test_no_dataclass_field_defaults_to_none():
     assert _none_defaults(_modules()) == []
+
+
+def test_no_library_dataclass_has_a_dict_field():
+    assert _dict_fields(_modules()) == []
 
 
 def test_each_layer_imports_only_core_and_itself():
@@ -440,3 +459,32 @@ class Plain:
         self.spare = spare
 ''')
     assert _none_defaults({"rays": tree}) == ["rays.Ray(position)"]
+
+
+def test_dict_field_rule_on_inline_source():
+    trees = {module: ast.parse(source) for module, source in {
+        "sar.focus": """
+from dataclasses import dataclass, field
+
+@dataclass(frozen=True)
+class Image:
+    pixels: object
+    info: dict = field(default_factory=dict)
+    counts: dict[str, int] = None
+
+@dataclass
+class _Scratch:
+    notes: dict
+
+class Plain:
+    table: dict = {}
+""",
+        "cli.config": """
+from dataclasses import dataclass
+
+@dataclass(frozen=True)
+class RunConfig:
+    params: dict
+""",
+    }.items()}
+    assert _dict_fields(trees) == ["sar.focus.Image.info", "sar.focus.Image.counts"]
