@@ -126,19 +126,23 @@ def parse_config(path, scenario=None, seed=None, out_dir=None) -> RunConfig:
     scen = scenarios.REGISTRY[name]
 
     defaulted = []
+
+    def given(block, key, default, label):
+        """``block[key]`` coerced to the default's type, or the default,
+        recorded as ``label`` in ``defaulted``."""
+        if key in block:
+            return _coerce(label, block[key], type(default))
+        defaulted.append(label)
+        return default
+
     raw_params = raw.get("params", {})
     if not isinstance(raw_params, dict):
         raise TypeMismatchError("params: expected object")
     for key in raw_params:
         if key not in scen.params:
             raise UnknownKeyError(f"unknown parameter '{key}' for scenario '{name}'")
-    params = {}
-    for key, default in scen.params.items():
-        if key in raw_params:
-            params[key] = _coerce(f"params.{key}", raw_params[key], type(default))
-        else:
-            params[key] = default
-            defaulted.append(f"params.{key}")
+    params = {key: given(raw_params, key, default, f"params.{key}")
+              for key, default in scen.params.items()}
 
     if seed is None and "seed" in raw:
         seed = raw["seed"]
@@ -146,26 +150,14 @@ def parse_config(path, scenario=None, seed=None, out_dir=None) -> RunConfig:
         raise TypeMismatchError(f"seed: expected an unsigned 64-bit integer, got {seed!r}")
 
     if out_dir is None:
-        if "out" in raw:
-            out_dir = _coerce("out", raw["out"], str)
-        else:
-            out_dir = f"runs/{name}"
-            defaulted.append("out")
-
-    emit = {}
-    for key in ("emit_images", "emit_csv"):
-        if key in raw:
-            emit[key] = _coerce(key, raw[key], bool)
-        else:
-            emit[key] = True
-            defaulted.append(key)
+        out_dir = given(raw, "out", f"runs/{name}", "out")
 
     return RunConfig(
         scenario=name,
         params=params,
         seed=seed,
         out_dir=str(out_dir),
-        emit_images=emit["emit_images"],
-        emit_csv=emit["emit_csv"],
+        emit_images=given(raw, "emit_images", True, "emit_images"),
+        emit_csv=given(raw, "emit_csv", True, "emit_csv"),
         defaulted=tuple(defaulted),
     )

@@ -130,31 +130,25 @@ class Scenario:
 
 @dataclass
 class RunReport:
-    scenario: str
-    seed: int | None
+    config: RunConfig
     metrics: dict
     artifacts: dict
-    defaulted: tuple
     runtime_s: float
     path: Path | None = field(default=None, init=False)
 
-    def to_dict(self) -> dict:
-        # wall clock stays out of the serialized report so identical
-        # (config, seed) runs produce identical bytes
-        return {
-            "scenario": self.scenario,
-            "seed": self.seed,
+    def write(self):
+        """``report.json`` in the config's output directory; wall clock
+        stays out, so identical (config, seed) runs write identical bytes."""
+        report = {
+            "scenario": self.config.scenario,
+            "seed": self.config.seed,
             "conventions": DB_NOTE,
-            "defaulted": list(self.defaulted),
+            "defaulted": list(self.config.defaulted),
             "metrics": self.metrics,
             "artifacts": self.artifacts,
         }
-
-    def write(self, path):
-        Path(path).write_text(
-            json.dumps(self.to_dict(), indent=2, sort_keys=True, allow_nan=False) + "\n"
-        )
-        self.path = Path(path)
+        self.path = Path(self.config.out_dir) / "report.json"
+        self.path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _clean(value):
@@ -745,9 +739,9 @@ REGISTRY = {
 def run(config: RunConfig) -> RunReport:
     """Execute one configured scenario, then write its artifacts and report.
 
-    The returned report carries the metrics, the artifact manifest with
-    checksums, and the wall-clock runtime (kept off disk so reruns stay
-    byte-identical).  A failed run, including a NaN or infinite metric
+    The returned report carries the config, the metrics, the artifact
+    manifest with checksums, and the wall-clock runtime (kept off disk so
+    reruns stay byte-identical).  A failed run, including a NaN or infinite metric
     (a ScenarioError naming it), creates no output directory.
     """
     scen = REGISTRY[config.scenario]
@@ -769,15 +763,8 @@ def run(config: RunConfig) -> RunReport:
     if bad:
         raise ScenarioError(f"{config.scenario}: non-finite metrics: {', '.join(bad)}")
     try:
-        report = RunReport(
-            scenario=config.scenario,
-            seed=config.seed,
-            metrics=metrics,
-            artifacts=sink.manifest(),
-            defaulted=config.defaulted,
-            runtime_s=time.perf_counter() - t0,
-        )
-        report.write(out / "report.json")
+        report = RunReport(config, metrics, sink.manifest(), time.perf_counter() - t0)
+        report.write()
     except OSError as exc:
         raise CliError(f"cannot write to {out}: {exc}") from exc
     return report

@@ -77,6 +77,13 @@ def backproject(ph: PhaseHistory, x_grid, r_grid) -> SarImage:
     that exact geometry and accumulated.  A unit point target therefore
     integrates to n_pulses * chirp energy at its own pixel.  Nothing is
     zeroed: ``zeroed_bins`` is 0.
+
+    This is not the adjoint of simulate_phase_history: the adjoint S^H
+    correlates each pulse with the chirp delayed exactly to the pixel,
+    while B interpolates the compressed pulse between fast-time samples.
+    On a 3 x 4 pixel lattice under 8 pulses of a 41-sample chirp, the
+    best scale c leaves ||S^H - c B|| / ||S^H|| at 0.0010 with the ranges
+    on the sample grid, and at 0.21 with ranges 1.3 samples apart.
     """
     x_grid = _uniform_grid(x_grid, "x_grid")
     r_grid = _uniform_grid(r_grid, "r_grid")

@@ -156,7 +156,9 @@ def delay_slice(sweep: SweepData, u_axis, v_axis, m: int) -> np.ndarray:
     if not 0 <= m < s:
         raise ValueError(f"delay bin {m} outside the unpadded delay grid [0, {s})")
     idft = np.exp(1j * 2.0 * np.pi * m * np.arange(s) / s) / s
-    return np.tensordot(idft, _beam_maps(sweep, u_axis, v_axis), 1)
+    # einsum, not the threaded BLAS product of tensordot, whose bits move
+    # with the BLAS thread count
+    return np.einsum("s,suv->uv", idft, _beam_maps(sweep, u_axis, v_axis))
 
 
 def source_distances(

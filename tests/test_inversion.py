@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aperture_forge.core import power_iteration
 from aperture_forge.inversion import (
     FpSystem,
     MaskProblem,
@@ -161,6 +162,46 @@ def test_spectral_init_phase_blind():
     a = spectral_init(pr_forward(x, prob), prob)
     b = spectral_init(pr_forward(np.exp(1.2j) * x, prob), prob)
     assert phase_invariant_dist(a, b) < 1e-7
+
+
+def _dense(problem):
+    """The (m, n) matrix A of a problem, one column per unit vector."""
+    return np.column_stack([problem._forward(e) for e in np.eye(problem.n, dtype=complex)])
+
+
+def _pr_recover_draw(make_problem):
+    """pr-recover's problem and noiseless measurements at seed 1."""
+    s_prob, s_truth, _ = np.random.default_rng(1).spawn(3)
+    problem = make_problem(s_prob)
+    x0 = (s_truth.standard_normal(N_SIG) + 1j * s_truth.standard_normal(N_SIG)) / np.sqrt(2.0)
+    return problem, pr_forward(x0, problem)
+
+
+@pytest.mark.parametrize("make_problem,bound", [
+    # eigengap 0.0040 under a top eigenvalue of 0.030: 1 - |<u, v>| is 6.2e-13
+    (lambda rng: coded_problem(N_SIG, 6, rng), 1e-11),
+    (lambda rng: gaussian_problem(8 * N_SIG, N_SIG, rng), 1e-14),
+])
+def test_spectral_init_is_the_leading_eigenvector(make_problem, bound):
+    # against eigh of the dense (1/m) sum y_i a_i a_i^H, up to phase
+    problem, y = _pr_recover_draw(make_problem)
+    a = _dense(problem)
+    _, vecs = np.linalg.eigh(a.conj().T @ (y[:, None] * a) / problem.m)
+    u = spectral_init(y, problem)
+    assert np.linalg.norm(u) == pytest.approx(np.sqrt(np.mean(y)), rel=1e-12)
+    assert 1.0 - abs(np.vdot(vecs[:, -1], u / np.linalg.norm(u))) <= bound
+
+
+def test_power_iteration_reads_the_norm_low_at_30_steps():
+    # the 30 steps VectorProblem's step bound takes, on a 512 x 64
+    # Gaussian problem: lam is 0.52% under ||A||^2, the residual 1.3% of it
+    problem = gaussian_problem(8 * N_SIG, N_SIG, seed=1)
+    gram = problem.vectors.conj().T @ problem.vectors
+    top = np.linalg.eigvalsh(gram)[-1]
+    lam, v = power_iteration(lambda x: problem._adjoint(problem._forward(x)), N_SIG, 30)
+    assert top * (1.0 - 6e-3) <= lam <= top * (1.0 + 1e-12)
+    assert np.linalg.norm(gram @ v - lam * v) <= 0.014 * lam
+    assert problem._op_norm_sq() == lam
 
 
 def test_spectral_init_zero_measurements_flagged():

@@ -1,6 +1,6 @@
 """Public surface must be reached by the program or by the acceptance gate.
 
-Six checks of the public surface, each an ast walk:
+Seven checks of the public surface, each an ast walk:
 
 * Every public top-level function and class is reached.  It is reached
   when another module of the package (re-exports in ``__init__.py`` do
@@ -34,8 +34,11 @@ Six checks of the public surface, each an ast walk:
 * No public dataclass in a library layer (any module outside ``cli``)
   declares a ``dict``-annotated field: a bag whose keys depend on the
   code that filled it, where a result should name its fields.
+* No two dataclasses in ``cli`` declare a field of the same name: the
+  second would copy a fact of the first, where it should hold the first
+  (``RunReport`` holds its ``RunConfig``).
 
-A seventh walk keeps the layers apart: each library layer (a top-level
+An eighth walk keeps the layers apart: each library layer (a top-level
 module or subpackage other than ``cli``) imports only ``core`` and its
 own package.  ``sar`` importing ``waveforms`` is the one exception.
 
@@ -319,6 +322,24 @@ def _dict_fields(modules):
             and ast.unparse(field.annotation).split("[")[0] == "dict"]
 
 
+def _shared_fields(modules):
+    """``module.Class.field`` for every field of a ``cli`` dataclass whose
+    name an earlier ``cli`` dataclass declares, in module order."""
+    seen, named = set(), []
+    for module, tree in modules.items():
+        if module.split(".")[0] != "cli":
+            continue
+        for node in tree.body:
+            if not (isinstance(node, ast.ClassDef) and _is_dataclass(node)):
+                continue
+            for field in node.body:
+                if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name):
+                    if field.target.id in seen:
+                        named.append(f"{module}.{node.name}.{field.target.id}")
+                    seen.add(field.target.id)
+    return named
+
+
 # sar's scene and focus take the pulse model (LfmChirp, matched_filter and
 # the envelope sampler) from waveforms
 CROSS_LAYER_IMPORTS = {("sar", "waveforms")}
@@ -381,6 +402,10 @@ def test_no_dataclass_field_defaults_to_none():
 
 def test_no_library_dataclass_has_a_dict_field():
     assert _dict_fields(_modules()) == []
+
+
+def test_no_two_cli_dataclasses_share_a_field():
+    assert _shared_fields(_modules()) == []
 
 
 def test_each_layer_imports_only_core_and_itself():
@@ -488,3 +513,41 @@ class RunConfig:
 """,
     }.items()}
     assert _dict_fields(trees) == ["sar.focus.Image.info", "sar.focus.Image.counts"]
+
+
+def test_shared_field_rule_on_inline_source():
+    trees = {module: ast.parse(source) for module, source in {
+        "cli.config": """
+from dataclasses import dataclass
+
+@dataclass(frozen=True)
+class RunConfig:
+    scenario: str
+    seed: int
+
+class Plain:
+    metrics: dict
+""",
+        "cli.scenarios": """
+from dataclasses import dataclass, field
+
+@dataclass
+class RunReport:
+    config: object
+    seed: int
+    metrics: dict
+    path: object = field(default=None, init=False)
+
+@dataclass
+class _Scratch:
+    path: str
+""",
+        "sar.focus": """
+from dataclasses import dataclass
+
+@dataclass(frozen=True)
+class Image:
+    scenario: str
+""",
+    }.items()}
+    assert _shared_fields(trees) == ["cli.scenarios.RunReport.seed", "cli.scenarios._Scratch.path"]

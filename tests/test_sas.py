@@ -165,6 +165,28 @@ def test_operator_bound_matches_dense_svd():
     assert m.operator_bound() == pytest.approx(top, rel=1e-6)
 
 
+@functools.lru_cache(maxsize=1)
+def sas_recon_case():
+    """sas-recon's data and model at its defaults, seed 1."""
+    geom = SasGeometry(v_p=3.2, tau_rec=0.05, n_pings=8, rx_offsets=np.arange(4) * 0.04)
+    grid = FrequencyGrid(f_start=20e3, f_stop=35e3, df=1.5e3)
+    y_c = geom.ping_positions().mean() + geom.rx_offsets.mean() / 2.0
+    gx = R0 + (np.arange(12) - 5.5) * 0.045
+    gy = y_c + (np.arange(12) - 5.5) * 0.35
+    pts = np.stack(np.meshgrid(gx, gy, indexing="ij"), axis=-1).reshape(-1, 2)
+    d = simulate_measurements(geom, pts[[30, 95]], np.array([1.0, 0.7 * np.exp(0.8j)]), grid,
+                              noise_sigma=0.1, seed=1)
+    return d, build_sensing_model(geom, pts, grid)
+
+
+def test_operator_bound_reads_low_at_sas_recon_defaults():
+    # 30 power-iteration steps read ||A||^2 0.17% low, so sas_sparse's
+    # step 1/lam exceeds 1/L by as much (ROADMAP item 14)
+    _, m = sas_recon_case()
+    top = np.linalg.svd(m.tensor.reshape(-1, m.shape[3]), compute_uv=False)[0] ** 2
+    assert top * (1.0 - 1.8e-3) <= m.operator_bound() <= top * (1.0 + 1e-12)
+
+
 # -------------------------------------------------------------- simulation
 
 def test_empty_scene_measures_zero():
@@ -279,6 +301,21 @@ def test_ista_objective_monotone():
     none = sas_sparse(d, default_model(), mu=0.05 * PFM, max_iter=0)
     assert (none.stop, none.n_iter) == ("max_iter", 0)
     assert np.all(none.x == 0)
+
+
+@pytest.mark.parametrize("solver,on_support", [("ista", 5.6e-7), ("fista", 4.2e-6)])
+def test_converged_stop_satisfies_the_lasso_kkt_condition(solver, on_support):
+    # at sas-recon's defaults: A^H (A x - d) + mu x / |x| vanishes on the
+    # support, and |A^H (A x - d)| <= mu off it (measured 0.67 mu)
+    d, m = sas_recon_case()
+    mu = 0.05 * lasso_mu_max(d, m)
+    res = sas_sparse(d, m, mu, solver=solver, max_iter=300)
+    assert res.stop == "converged"
+    grad = m.adjoint(m.forward(res.x) - d)
+    on = res.x != 0
+    assert np.any(on)
+    assert np.max(np.abs(grad[on] + mu * res.x[on] / np.abs(res.x[on]))) <= on_support * mu
+    assert np.max(np.abs(grad[~on])) <= 0.67 * mu
 
 
 def test_fista_no_worse_than_ista_at_equal_budget():

@@ -33,7 +33,7 @@ SEEDS = (1, 2)
 BLAS_THREADS = (1, 2)
 # scenarios whose bytes differ between 1 and 2 BLAS threads (ROADMAP item 8);
 # every other scenario writes the same bytes at both counts
-THREAD_DEPENDENT = ("pr-recover", "sound-padp", "sound-squint", "waveform-ambiguity")
+THREAD_DEPENDENT = ("pr-recover", "sound-squint", "waveform-ambiguity")
 
 
 def write_matrix(out, scenarios):
